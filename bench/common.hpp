@@ -2,7 +2,7 @@
 // Shared scaffolding for the per-table / per-figure bench harnesses.
 //
 // Every harness reproduces one table or figure of the paper at a
-// documented scale factor (EXPERIMENTS.md):
+// documented scale factor (bench_e2e/README.md):
 //  * file sizes, stripe sizes, block sizes and per-request latencies are
 //    scaled by the same factor, which leaves modelled *bandwidths*
 //    invariant (time and bytes shrink together);

@@ -19,13 +19,18 @@
 # bench_partition, which hard-fails if the adaptive cell maps stop
 # cutting the max-rank load / migration bytes on skewed input, if any
 # scheme changes the join result, or if the pilot cost model's predicted
-# winner drifts from the measured one outside its noise band.
+# winner drifts from the measured one outside its noise band, and
+# bench_refine_budget, which hard-fails if a rank's refine reloads more
+# spilled bytes than it wrote (the read-once spill layout, DESIGN.md §8).
 #
 # The default preset also runs the obs lane (DESIGN.md §14): bench_overlap
 # and bench_fig08_l0_allobjects re-run with the flight recorder on
 # (MVIO_TRACE_OUT/MVIO_REPORT_OUT), scripts/check_bench.py validates the
 # Perfetto trace and run-report JSON, and the perf-regression comparator
-# gates the reports against the committed bench/baselines/*.json.
+# gates the reports against the committed bench/baselines/*.json. It
+# ends with the end-to-end benchmark's smoke run (bench_e2e/e2e.py run
+# --smoke: every workload at about 1/50 scale, built under .bench_build),
+# which exits non-zero when any rep fails its ground-truth check.
 #
 # Usage: scripts/ci.sh [preset...]   (default: "default asan tsan")
 # Useful subsets once built: ctest -L recovery / -L mpi / -L threads /
@@ -70,6 +75,9 @@ for preset in "${presets[@]}"; do
     python3 scripts/check_bench.py validate-report "${obs_dir}/BENCH_fig08.json"
     python3 scripts/check_bench.py compare "${obs_dir}/BENCH_overlap.json" bench/baselines/overlap.json
     python3 scripts/check_bench.py compare "${obs_dir}/BENCH_fig08.json" bench/baselines/fig08.json
+
+    echo "==> e2e smoke: every benchmark workload at about 1/50 scale (preset: default)"
+    python3 bench_e2e/e2e.py run --smoke
   fi
 done
 echo "==> tier-1 green under: ${presets[*]}"

@@ -8,23 +8,9 @@
 
 namespace mvio::core {
 
-namespace {
-
-std::uint64_t shardKey(std::size_t seg, std::size_t idx) {
-  return (static_cast<std::uint64_t>(seg) << 32) | static_cast<std::uint64_t>(idx);
-}
-
-}  // namespace
-
 CellStore::CellStore(pfs::SpillStore* store, std::string base, std::uint64_t memoryBudget,
-                     std::uint64_t shardBytes, SpillChargeFn charge)
-    : store_(store),
-      base_(std::move(base)),
-      budget_(memoryBudget),
-      shardBytes_(shardBytes),
-      charge_(std::move(charge)) {
-  if (streaming() && shardBytes_ == 0) shardBytes_ = std::max<std::uint64_t>(budget_ / 4, 1);
-}
+                     SpillChargeFn charge)
+    : store_(store), base_(std::move(base)), budget_(memoryBudget), charge_(std::move(charge)) {}
 
 void CellStore::add(geom::GeometryBatch&& roundBatch) {
   MVIO_CHECK(!finalized_, "CellStore: add after finalize");
@@ -41,9 +27,8 @@ void CellStore::finalize() {
   finalized_ = true;
   // Streaming: the accumulated tail stays resident when it fits its half
   // of the budget (it is served through the same per-cell index as the
-  // resident regime and counts against the merge window's bound);
-  // otherwise it joins the cell-sorted shard segments. A run whose owned
-  // set never outgrew the budget therefore spills nothing at all.
+  // resident regime); otherwise it joins the cell-sorted segments. A run
+  // whose owned set never outgrew the budget therefore spills nothing.
   if (streaming() && resident_.memoryBytes() > budget_ / 2) {
     flushSegment(resident_);
     resident_ = geom::GeometryBatch();
@@ -68,57 +53,42 @@ void CellStore::flushSegment(const geom::GeometryBatch& b) {
     return b.cell(x) < b.cell(y);
   });
 
-  std::vector<ShardRef> segment;
-  geom::GeometryBatch cur;
-  ShardRef ref;
-  std::uint64_t curBytes = geom::kShardHeaderBytes;
-
-  auto closeShard = [&] {
-    if (cur.empty()) return;
-    std::string blob;
-    blob.reserve(static_cast<std::size_t>(curBytes));
-    geom::encodeShard(cur, blob);
-    ref.name = base_ + ".shard" + std::to_string(shardSeq_++);
-    ref.firstCell = ref.runs.front().cell;
-    ref.lastCell = ref.runs.back().cell;
-    ref.encodedBytes = blob.size();
-    charge_(blob.size(), /*isWrite=*/true);
-    if (obs::tracingOn()) {
-      obs::traceInstant("store.spill", ref.name + " (" + std::to_string(ref.encodedBytes) + " bytes)");
-    }
-    store_->put(ref.name, std::move(blob));
-    segment.push_back(std::move(ref));
-    ref = ShardRef{};
-    cur = geom::GeometryBatch();
-    curBytes = geom::kShardHeaderBytes;
-  };
-
-  for (const std::uint32_t i : order) {
-    const int cell = b.cell(i);
+  // One blob per segment, one BatchShard per cell: a cell's records are a
+  // single ranged read, and no piece carries another cell's bytes. The
+  // blob is encoded whole before its one put, so a flush briefly holds it
+  // next to the sorted segment (the flush-time slack of DESIGN.md §8).
+  Segment segment;
+  segment.name = base_ + ".seg" + std::to_string(segments_.size());
+  std::string blob;
+  geom::GeometryBatch piece;
+  for (std::size_t k = 0; k < n;) {
+    const int cell = b.cell(order[k]);
     MVIO_CHECK(cell != geom::GeometryBatch::kNoCell, "CellStore: untagged record in owned set");
-    const std::uint64_t rec = geom::shardRecordBytes(b, i);
-    if (!cur.empty() && curBytes + rec > shardBytes_) closeShard();
-    cur.appendRecordFrom(b, i, cell);
-    if (ref.runs.empty() || ref.runs.back().cell != cell) ref.runs.push_back({cell, 0, false});
-    ref.runs.back().records += 1;
-    curBytes += rec;
+    piece.clear();
+    for (; k < n && b.cell(order[k]) == cell; ++k) piece.appendRecordFrom(b, order[k], cell);
+    const std::uint64_t offset = blob.size();
+    geom::encodeShard(piece, blob);
+    segment.pieces.push_back({cell, offset, blob.size() - offset,
+                              static_cast<std::uint32_t>(piece.size()), false});
   }
-  closeShard();
+  charge_(blob.size(), /*isWrite=*/true);
+  if (obs::tracingOn()) {
+    obs::traceInstant("store.spill", segment.name + " (" + std::to_string(blob.size()) + " bytes)");
+  }
+  store_->put(segment.name, std::move(blob));
   segments_.push_back(std::move(segment));
 }
 
 std::vector<int> CellStore::cells() const {
   // Both regimes index the resident records (the whole set, or the
-  // streaming tail) in cellIndex_; streaming adds the shard directories.
+  // streaming tail) in cellIndex_; streaming adds the segment directories.
   std::vector<int> out;
   out.reserve(cellIndex_.size());
   for (const auto& [cell, ids] : cellIndex_) out.push_back(cell);
   if (segments_.empty()) return out;  // map iteration is already ascending
-  for (const auto& segment : segments_) {
-    for (const ShardRef& shard : segment) {
-      for (const ShardRun& run : shard.runs) {
-        if (!run.dead) out.push_back(run.cell);
-      }
+  for (const Segment& segment : segments_) {
+    for (const Piece& piece : segment.pieces) {
+      if (!piece.dead) out.push_back(piece.cell);
     }
   }
   std::sort(out.begin(), out.end());
@@ -130,110 +100,41 @@ void CellStore::accumulateCellLoads(std::vector<std::uint64_t>& loads) const {
   for (const auto& [cell, ids] : cellIndex_) {
     loads[static_cast<std::size_t>(cell)] += ids.size();
   }
-  for (const auto& segment : segments_) {
-    for (const ShardRef& shard : segment) {
-      for (const ShardRun& run : shard.runs) {
-        if (!run.dead) loads[static_cast<std::size_t>(run.cell)] += run.records;
-      }
+  for (const Segment& segment : segments_) {
+    for (const Piece& piece : segment.pieces) {
+      if (!piece.dead) loads[static_cast<std::size_t>(piece.cell)] += piece.records;
     }
   }
 }
 
 std::uint64_t CellStore::trackedBytes() const {
   if (!streaming()) return resident_.memoryBytes();
-  // Merge window + current cell + the resident tail segment.
-  return loadedBytes_ + scratch_.memoryBytes() + resident_.memoryBytes();
+  // Current cell + the resident tail segment.
+  return scratch_.memoryBytes() + resident_.memoryBytes();
 }
 
 void CellStore::notePeak() { peakBytes_ = std::max(peakBytes_, trackedBytes()); }
 
-geom::GeometryBatch& CellStore::loadShard(std::size_t seg, std::size_t idx, int currentCell) {
-  const std::uint64_t key = shardKey(seg, idx);
-  auto it = loaded_.find(key);
-  if (it == loaded_.end()) {
-    const ShardRef& ref = segments_[seg][idx];
-    evictShards(currentCell, ref.encodedBytes);
-    const std::string blob = store_->fetch(ref.name);
-    charge_(blob.size(), /*isWrite=*/false);
-    if (obs::tracingOn()) {
-      obs::traceInstant("store.reload", ref.name + " (" + std::to_string(blob.size()) + " bytes)");
-    }
-    reloadBytes_ += blob.size();
-    LoadedShard loadedShard;
-    geom::decodeShard(blob, loadedShard.batch);
-    loadedShard.bytes = loadedShard.batch.memoryBytes();
-    loadedBytes_ += loadedShard.bytes;
-    it = loaded_.emplace(key, std::move(loadedShard)).first;
-  }
-  it->second.lastUse = ++useClock_;
-  notePeak();
-  return it->second.batch;
-}
-
-void CellStore::evictShards(int currentCell, std::uint64_t incomingBytes) {
-  // Drop shards the ascending iteration has passed, then least-recently
-  // used ones until the incoming load fits the budget (a single oversized
-  // shard is the allowed slack — it must be resident to be read at all).
-  for (auto it = loaded_.begin(); it != loaded_.end();) {
-    const std::size_t seg = static_cast<std::size_t>(it->first >> 32);
-    const std::size_t idx = static_cast<std::size_t>(it->first & 0xffffffffu);
-    if (segments_[seg][idx].lastCell < currentCell) {
-      loadedBytes_ -= it->second.bytes;
-      it = loaded_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  while (!loaded_.empty() &&
-         loadedBytes_ + scratch_.memoryBytes() + resident_.memoryBytes() + externalBytes_ +
-                 incomingBytes >
-             budget_) {
-    auto lru = loaded_.begin();
-    for (auto it = loaded_.begin(); it != loaded_.end(); ++it) {
-      if (it->second.lastUse < lru->second.lastUse) lru = it;
-    }
-    loadedBytes_ -= lru->second.bytes;
-    if (obs::tracingOn()) {
-      obs::traceInstant("store.evict", std::to_string(lru->second.bytes) + " bytes");
-    }
-    loaded_.erase(lru);
-  }
-}
-
 void CellStore::assembleCell(int cell, geom::GeometryBatch& out, bool extract) {
   // Spilled segments first (flush order), the resident tail last — the
   // concatenation is the cell's arrival order.
-  for (std::size_t seg = 0; seg < segments_.size(); ++seg) {
-    std::vector<ShardRef>& segment = segments_[seg];
-    // Shards of a segment are cell-ordered; binary-search the first one
-    // whose range can still contain `cell`.
-    auto first = std::lower_bound(segment.begin(), segment.end(), cell,
-                                  [](const ShardRef& s, int c) { return s.lastCell < c; });
-    for (auto it = first; it != segment.end() && it->firstCell <= cell; ++it) {
-      std::size_t offset = 0;
-      for (ShardRun& run : it->runs) {
-        if (run.cell == cell) {
-          if (!run.dead) {
-            const geom::GeometryBatch& b =
-                loadShard(seg, static_cast<std::size_t>(it - segment.begin()), cell);
-            for (std::size_t k = 0; k < run.records; ++k) {
-              out.appendRecordFrom(b, offset + k, cell);
-            }
-            notePeak();
-            if (extract) run.dead = true;
-          }
-          break;  // at most one run per cell per shard
-        }
-        offset += run.records;
-      }
-    }
+  for (Segment& segment : segments_) {
+    const auto it = std::lower_bound(segment.pieces.begin(), segment.pieces.end(), cell,
+                                     [](const Piece& p, int c) { return p.cell < c; });
+    if (it == segment.pieces.end() || it->cell != cell || it->dead) continue;
+    const std::string bytes = store_->fetch(segment.name, it->offset, it->bytes);
+    charge_(bytes.size(), /*isWrite=*/false);
+    reloadBytes_ += bytes.size();
+    MVIO_CHECK(geom::decodeShard(bytes, out) == it->records,
+               "CellStore: piece record count does not match its directory entry");
+    if (extract) it->dead = true;
   }
   const auto tail = cellIndex_.find(cell);
   if (tail != cellIndex_.end()) {
     for (const std::uint32_t i : tail->second) out.appendRecordFrom(resident_, i, cell);
     if (extract) cellIndex_.erase(tail);
-    notePeak();
   }
+  notePeak();
 }
 
 geom::BatchSpan CellStore::cellSpan(int cell) {
@@ -264,11 +165,6 @@ geom::GeometryBatch CellStore::takeCellBatch() {
 geom::GeometryBatch CellStore::takeCellAssembled(int cell) {
   MVIO_CHECK(finalized_, "CellStore: takeCellAssembled before finalize");
   MVIO_CHECK(streaming(), "CellStore: takeCellAssembled is a streaming-regime call");
-  // Eviction is otherwise lazy (it runs when a shard load needs room); the
-  // group loader's pressure must take effect even when this cell assembles
-  // entirely from already-loaded shards, so shed passed/over-budget shards
-  // up front.
-  evictShards(cell, 0);
   geom::GeometryBatch out;
   assembleCell(cell, out, /*extract=*/false);
   return out;
@@ -321,12 +217,8 @@ geom::GeometryBatch CellStore::takeResidentBatch() {
 }
 
 void CellStore::releaseBlobs() {
-  for (const auto& segment : segments_) {
-    for (const ShardRef& shard : segment) store_->remove(shard.name);
-  }
+  for (const Segment& segment : segments_) store_->remove(segment.name);
   segments_.clear();
-  loaded_.clear();
-  loadedBytes_ = 0;
 }
 
 }  // namespace mvio::core

@@ -18,15 +18,15 @@
 //  * Streaming (budget set): whenever the accumulating segment exceeds
 //    the budget — and at finalize(), unless the tail fits half the
 //    budget and simply stays resident — the segment's records are
-//    stably sorted by cell id and written out as a run of BatchShards of
-//    bounded encoded size (a cell larger than the bound spans shards).
-//    Only a small directory (per shard: cell runs and record counts)
-//    stays in memory. cellSpan() then performs an external merge: for the
-//    requested cell it loads exactly the shards whose cell range covers
-//    it, copies that cell's records (and the tail's) into a scratch
-//    batch, and evicts loaded shards once the ascending iteration passes
-//    them (or earlier under budget pressure) — peak refine memory is the
-//    merge window plus one cell, not the owned-batch size.
+//    stably sorted by cell id and written out as one blob: a run of
+//    per-cell BatchShards ("pieces"), one per cell present in the
+//    segment. Only a directory (per piece: cell, byte range, record
+//    count, dead flag) stays in memory. cellSpan() reads the cell's
+//    piece from every segment with one ranged fetch each, decodes it
+//    straight into a scratch batch and appends the tail's records. Each
+//    cell is assembled once, so every spilled byte is read back exactly
+//    once and nothing is cached: peak refine memory is the resident tail
+//    plus one cell, not the owned-batch size.
 //
 // extractCell() removes a cell's records (the shard-migration path uses
 // it to ship leaving cells), and addMigrated() appends records received
@@ -38,7 +38,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/geometry_batch.hpp"
@@ -52,11 +51,9 @@ using SpillChargeFn = std::function<void(std::uint64_t, bool)>;
 
 class CellStore {
  public:
-  /// `memoryBudget` 0 = resident regime. In the streaming regime segments
-  /// are split into shards of at most `shardBytes` encoded bytes
-  /// (0 = budget/4) so the merge window loads small pieces.
+  /// `memoryBudget` 0 = resident regime.
   CellStore(pfs::SpillStore* store, std::string base, std::uint64_t memoryBudget,
-            std::uint64_t shardBytes, SpillChargeFn charge);
+            SpillChargeFn charge);
 
   // ---- Accumulation (exchange rounds) ---------------------------------
   /// Splice one round's received records; may flush a cell-sorted segment.
@@ -72,20 +69,18 @@ class CellStore {
   /// loads[cell] += record count, for every cell present (skew measurement;
   /// `loads` must span the grid).
   void accumulateCellLoads(std::vector<std::uint64_t>& loads) const;
-  /// Bytes currently resident for refine service: merge window + scratch
+  /// Bytes currently resident for refine service: tail + current cell
   /// (streaming) or the owned batch (resident).
   [[nodiscard]] std::uint64_t trackedBytes() const;
   [[nodiscard]] std::uint64_t peakBytes() const { return peakBytes_; }
-  /// Shard bytes reloaded by cellSpan/extractCell (refine-side traffic).
+  /// Piece bytes reloaded by cellSpan/extractCell (refine-side traffic).
   [[nodiscard]] std::uint64_t reloadBytes() const { return reloadBytes_; }
 
   // ---- Cell-major access (after finalize) ------------------------------
   /// The records of `cell` as a span. Resident: a view into the owned
-  /// batch. Streaming: assembled into an internal scratch batch via the
-  /// external merge; the span is valid until the next cellSpan /
-  /// extractCell / takeCellBatch call. Intended to be called with
-  /// ascending cells (any order is correct; ascending keeps the merge
-  /// window warm).
+  /// batch. Streaming: assembled into an internal scratch batch from the
+  /// cell's pieces; the span is valid until the next cellSpan /
+  /// extractCell / takeCellBatch call. Any cell order is correct.
   geom::BatchSpan cellSpan(int cell);
   /// Streaming regime: hand over the scratch batch assembled by the last
   /// cellSpan() (the per-cell adoption unit).
@@ -96,11 +91,6 @@ class CellStore {
   /// stage a bounded group of cells that pool workers then refine while
   /// the store (which is not thread-safe) stays untouched (DESIGN.md §10).
   [[nodiscard]] geom::GeometryBatch takeCellAssembled(int cell);
-  /// Bytes the caller holds resident outside the store (the parallel
-  /// group loader's staged cell batches). Counted like the scratch batch
-  /// in the merge-window eviction budget, so the window shrinks as the
-  /// group grows and window + group stays within the memory bound.
-  void setRefinePressure(std::uint64_t bytes) { externalBytes_ = bytes; }
   /// Remove `cell` from the store and return its records (migration).
   /// Resident: the records are tombstoned with kNoCell in the owned batch
   /// so a later takeResidentBatch() cannot leak them to the task.
@@ -111,44 +101,35 @@ class CellStore {
   /// Resident regime: the whole owned batch, for whole-run adoption.
   [[nodiscard]] geom::GeometryBatch takeResidentBatch();
 
-  /// Drop every shard blob this store wrote from the SpillStore.
+  /// Drop every segment blob this store wrote from the SpillStore.
   void releaseBlobs();
 
  private:
-  /// One maximal run of same-cell records inside a shard.
-  struct ShardRun {
+  /// Directory entry for one cell's BatchShard inside a segment blob.
+  struct Piece {
     int cell = 0;
+    std::uint64_t offset = 0;  ///< byte offset in the segment blob
+    std::uint64_t bytes = 0;   ///< encoded length (header included)
     std::uint32_t records = 0;
     bool dead = false;  ///< extracted (migrated away); skip on reload
   };
-  /// Directory entry for one spilled shard (cell-sorted records).
-  struct ShardRef {
+  /// One spilled segment: a blob of pieces in ascending cell order.
+  struct Segment {
     std::string name;
-    int firstCell = 0;
-    int lastCell = 0;
-    std::uint64_t encodedBytes = 0;
-    std::vector<ShardRun> runs;
-  };
-  struct LoadedShard {
-    geom::GeometryBatch batch;
-    std::uint64_t bytes = 0;    ///< batch.memoryBytes() at load
-    std::uint64_t lastUse = 0;  ///< eviction clock
+    std::vector<Piece> pieces;
   };
 
-  /// Sort `b`'s records by cell and write them out as one segment of
-  /// bounded-size shards (directory kept in memory).
+  /// Sort `b`'s records by cell and write them out as one segment blob of
+  /// per-cell pieces (directory kept in memory).
   void flushSegment(const geom::GeometryBatch& b);
-  /// Copy `cell`'s records from every covering shard into `out`; marks the
-  /// runs dead when `extract`.
+  /// Append `cell`'s records from each segment's piece, then from the
+  /// tail, to `out`; marks the pieces dead when `extract`.
   void assembleCell(int cell, geom::GeometryBatch& out, bool extract);
-  geom::GeometryBatch& loadShard(std::size_t seg, std::size_t idx, int currentCell);
-  void evictShards(int currentCell, std::uint64_t incomingBytes);
   void notePeak();
 
   pfs::SpillStore* store_;
   std::string base_;
   std::uint64_t budget_;
-  std::uint64_t shardBytes_;
   SpillChargeFn charge_;
 
   bool finalized_ = false;
@@ -163,14 +144,9 @@ class CellStore {
   std::map<int, std::vector<std::uint32_t>> cellIndex_;
 
   // Streaming state.
-  std::vector<std::vector<ShardRef>> segments_;
-  std::unordered_map<std::uint64_t, LoadedShard> loaded_;  ///< key: seg<<32|idx
-  std::uint64_t loadedBytes_ = 0;
-  std::uint64_t externalBytes_ = 0;  ///< caller-held bytes (setRefinePressure)
-  std::uint64_t useClock_ = 0;
+  std::vector<Segment> segments_;
   geom::GeometryBatch scratch_;
   std::vector<std::uint32_t> scratchIdx_;
-  std::size_t shardSeq_ = 0;  ///< unique shard-name counter
 };
 
 }  // namespace mvio::core

@@ -561,8 +561,8 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   }
   const std::uint64_t storeBudget =
       (s != nullptr && storePool > 0) ? std::max<std::uint64_t>(storePool / 2, 1) : storePool;
-  CellStore ownedR(&spill, "own_r", storeBudget, 0, spillCharge);
-  CellStore ownedS(&spill, "own_s", storeBudget, 0, spillCharge);
+  CellStore ownedR(&spill, "own_r", storeBudget, spillCharge);
+  CellStore ownedS(&spill, "own_s", storeBudget, spillCharge);
 
   // The data-round schedule is fixed up front (the counts derive from the
   // staged chunks, allreduced): the kill point and the checkpoint epochs
@@ -1000,9 +1000,9 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
 
   // 6: cell-major refine. Owned cells are visited in ascending cell-id
   // order; each cell's two record collections are served by the stores —
-  // zero-copy spans into the owned batch in the resident regime, a
-  // bounded external merge over cell-sorted shards in the streaming
-  // regime, where the task also adopts the records cell by cell.
+  // zero-copy spans into the owned batch in the resident regime, one
+  // ranged reload per spilled segment in the streaming regime, where the
+  // task also adopts the records cell by cell.
   const std::uint64_t reloadBase = ownedR.reloadBytes() + ownedS.reloadBytes();
   {
     // Main-thread CPU (loop bookkeeping, group assembly, merges,
@@ -1129,10 +1129,6 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
         CellWork work;
         work.cell = cell;
         if (streamingRefine) {
-          // The staged group squeezes both stores' merge windows so
-          // window + group stays inside the configured budget.
-          ownedR.setRefinePressure(groupBytes);
-          ownedS.setRefinePressure(groupBytes);
           work.r = ownedR.takeCellAssembled(cell);
           work.s = ownedS.takeCellAssembled(cell);
           groupBytes += work.r.memoryBytes() + work.s.memoryBytes();

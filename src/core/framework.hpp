@@ -20,8 +20,9 @@
 // owned CellStore (core/cell_store.hpp). Whenever a stage's working set
 // exceeds StreamConfig::memoryBudget, pending batches are spilled to a
 // pfs::SpillStore as BatchShards — the owned set as *cell-sorted*
-// segments — and the refine phase streams cell by cell through a bounded
-// external-merge window instead of reassembling the owned batch. The
+// segments of per-cell pieces — and the refine phase streams cell by
+// cell, reading each piece back once, instead of reassembling the owned
+// batch. The
 // default StreamConfig — one round, unlimited budget — is exactly the
 // classic one-shot pass with a fully resident refine.
 //
@@ -98,8 +99,9 @@ struct StreamConfig {
   /// (pending parsed chunks; the accumulating owned batch). 0 = unbounded.
   /// When a stage exceeds it, batches spill to the volume as BatchShards
   /// and reload on demand. The bound is per stage structure, not a strict
-  /// whole-process cap: one in-flight chunk plus one reloading shard are
-  /// always resident.
+  /// whole-process cap: one in-flight chunk plus the cell being refined
+  /// are always resident, and while an owned segment flushes its encoded
+  /// blob is held next to it (up to about twice the store's share).
   std::uint64_t memoryBudget = 0;
   /// Modelled node-local scratch bandwidth for spill writes + reloads
   /// (charged to the rank clock; lands in PhaseBreakdown::spill).
@@ -348,8 +350,8 @@ struct FrameworkStats {
   /// recovery ran — ownership is then roundRobinOwner, which consumers
   /// with per-owned-cell output (the overlay writer) fall back to.
   std::vector<int> cellOwner;
-  /// Peak bytes resident in the refine phase's serving structures (merge
-  /// window + tail + current cell in the streaming regime, summed over
+  /// Peak bytes resident in the refine phase's serving structures
+  /// (resident tail + current cell in the streaming regime, summed over
   /// both layer stores — two-layer runs split the budget between them;
   /// the owned batch in the resident regime). Streaming runs keep this
   /// within StreamConfig::memoryBudget, plus the one-resident-cell slack:

@@ -72,6 +72,7 @@ OverlayStats gridCoverageOverlay(mpi::Comm& comm, pfs::Volume& volume, const Dat
   stats.grid = fw.grid;
   stats.balance = fw.balance;
   stats.recovery = fw.recovery;
+  stats.spill = fw.spill;
   if (fw.recovery.died) return stats;  // dead ranks join no further collective
 
   // The collective write (and the totals reduction) runs on the

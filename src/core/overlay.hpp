@@ -42,6 +42,7 @@ struct OverlayStats {
   GridSpec grid;
   RebalanceStats balance;   ///< owned-cell migration volumes (rebalanceCells)
   RecoveryStats recovery;   ///< failure injection / recovery outcome
+  pfs::SpillStats spill;    ///< this rank's scratch traffic (streamed runs)
   double totalR = 0;  ///< global sum of layer-R measures over all cells
   double totalS = 0;
   std::uint64_t cellsWritten = 0;  ///< this rank's output records

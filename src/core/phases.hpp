@@ -48,9 +48,9 @@ struct PhaseBreakdown {
   double workerCpu = 0;
   double workerCritical = 0;
   std::uint64_t rounds = 0;  ///< exchange rounds executed (1 per layer one-shot)
-  /// Shard bytes reloaded by the cell-major refine merge (the refine
-  /// phase's share of the scratch traffic; writes land in
-  /// FrameworkStats::spill with the rest of the spill volume).
+  /// Piece bytes reloaded by the cell-major refine (the refine phase's
+  /// share of the scratch traffic, each spilled byte at most once; writes
+  /// land in FrameworkStats::spill with the rest of the spill volume).
   std::uint64_t refineSpillBytes = 0;
   std::uint64_t migrateBytes = 0;   ///< wire bytes this rank sent moving owned cells
   std::uint64_t migrateRounds = 0;  ///< migration blobs this rank sent

@@ -12,8 +12,8 @@
 // Each entry carries a SynthSpec tuned so the synthetic records match the
 // paper dataset's average record size and shape type. Installers place
 // either a virtual (O(1)-memory, scaled) file or an exact in-memory file
-// onto a pfs::Volume. EXPERIMENTS.md records the scale used per
-// experiment.
+// onto a pfs::Volume. bench_e2e/README.md records the scale used per
+// workload.
 
 #include <cstdint>
 #include <string>

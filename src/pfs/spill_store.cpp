@@ -53,9 +53,16 @@ void SpillStore::put(const std::string& name, std::string bytes) {
 }
 
 std::string SpillStore::fetch(const std::string& name) const {
+  return fetch(name, 0, volume_->lookup(pathOf(name))->data->size());  // throws if missing
+}
+
+std::string SpillStore::fetch(const std::string& name, std::uint64_t offset,
+                              std::uint64_t n) const {
   const auto file = volume_->lookup(pathOf(name));  // throws if missing
-  std::string bytes(file->data->size(), '\0');
-  file->data->read(0, bytes.data(), bytes.size());
+  MVIO_CHECK(offset <= file->data->size() && n <= file->data->size() - offset,
+             "spill store: ranged fetch beyond the end of " + name);
+  std::string bytes(static_cast<std::size_t>(n), '\0');
+  file->data->read(offset, bytes.data(), bytes.size());
   stats_.blobsRead += 1;
   stats_.bytesRead += bytes.size();
   return bytes;

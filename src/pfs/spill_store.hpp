@@ -5,8 +5,9 @@
 // The streaming rounds bound their working set by writing pending batch
 // shards out and reloading them when their round comes up; the
 // distributed index persists a rank's owned cells the same way
-// (DistributedIndex::{save,load}Shards). Both traffic patterns are
-// whole-blob put/fetch, so the store is deliberately tiny: every blob is
+// (DistributedIndex::{save,load}Shards). Traffic is whole-blob put/fetch
+// plus ranged fetches (the CellStore reads one cell's piece of a segment
+// blob), so the store is deliberately tiny: every blob is
 // one MemoryBackingStore file on the Volume under `prefix`/, created
 // with createOrReplace and readable by any later SpillStore attached to
 // the same Volume and prefix — which is what makes shards survive
@@ -80,6 +81,11 @@ class SpillStore {
 
   /// Read back the whole blob; throws util::Error if absent.
   [[nodiscard]] std::string fetch(const std::string& name) const;
+
+  /// Read back `n` bytes at `offset` of a blob (one ranged read; only the
+  /// bytes read are counted). [offset, offset+n) must lie within the blob.
+  [[nodiscard]] std::string fetch(const std::string& name, std::uint64_t offset,
+                                  std::uint64_t n) const;
 
   [[nodiscard]] bool contains(const std::string& name) const;
 

@@ -422,13 +422,12 @@ TEST(HybridPipeline, IndexShardsBitIdenticalWithThreadsAndBudgetHolds) {
   }
   EXPECT_EQ(perRank[0], perRank[1])
       << "every rank's adopted index batch must be byte-identical under threads";
-  // The group loader reserves its share out of the same budget, so window
-  // + staged group stays near the bound. The documented structural slack
-  // on top (DESIGN.md §10, StreamConfig::memoryBudget): one reloading
-  // shard stays resident while it is read, and the staged group overshoots
-  // its share by the one cell that crossed the dispatch threshold. Half a
-  // budget of headroom covers both; without the reservation + pressure
-  // plumbing the staged group alone would blow through it.
+  // The group loader reserves its share out of the same budget, so the
+  // stores' resident tails + staged group stay near the bound. The
+  // documented structural slack on top (DESIGN.md §10): the staged group
+  // overshoots its share by the one cell that crossed the dispatch
+  // threshold. Half a budget of headroom covers it; without the
+  // reservation the staged group alone would blow through it.
   EXPECT_LE(peak.load(), kBudget + kBudget / 2)
       << "parallel streaming refine exceeded the memory budget + one-cell slack";
 }

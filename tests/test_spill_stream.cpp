@@ -193,6 +193,12 @@ TEST(SpillStore, BlobLifecycleAndStats) {
   EXPECT_EQ(store.stats().bytesRead, 1000u);
   EXPECT_EQ(store.stats().bytesHeld, 1500u);
 
+  // Ranged reads count only the bytes read and stay inside the blob.
+  EXPECT_EQ(store.fetch("b", 497, 3), "bbb");
+  EXPECT_EQ(store.stats().bytesRead, 1003u);
+  EXPECT_THROW((void)store.fetch("b", 499, 2), mvio::util::Error);
+  EXPECT_THROW((void)store.fetch("b", 501, 0), mvio::util::Error);
+
   // Replacement accounts held bytes by delta, not by sum.
   store.put("a", std::string(200, 'A'));
   EXPECT_EQ(store.stats().bytesHeld, 700u);
@@ -417,9 +423,8 @@ TEST(StreamingPipeline, SpillStatsReportBytes) {
     const auto fw = mc::runFilterRefine(comm, *fx.volume, r, &s, cfg.framework, task);
     bytesSpilled += fw.spill.bytesWritten;
     heldAfter += fw.spill.bytesHeld;
-    EXPECT_GE(fw.spill.bytesRead, fw.spill.bytesWritten)
-        << "every spilled shard must be reloaded at least once (the cell-major merge may "
-           "reload a shard whose cell range was evicted under budget pressure)";
+    EXPECT_EQ(fw.spill.bytesRead, fw.spill.bytesWritten)
+        << "every spilled byte (staged chunks and owned-cell pieces) is reloaded exactly once";
     EXPECT_GT(fw.phases.refineSpillBytes, 0u) << "cell-major refine must stream from shards";
   });
   EXPECT_GT(bytesSpilled.load(), 0u);
@@ -428,7 +433,7 @@ TEST(StreamingPipeline, SpillStatsReportBytes) {
 
 TEST(StreamingPipeline, RefinePeakStaysWithinBudget) {
   // The headline bound of the cell-major refine: with a budget far below
-  // the owned set, the refine phase's serving structures (merge window +
+  // the owned set, the refine phase's serving structures (resident tail +
   // current cell) never exceed StreamConfig::memoryBudget, spill is
   // non-zero, and results still match the resident-refine run.
   TwoLayerFixture fx;
@@ -522,6 +527,45 @@ TEST(StreamingPipeline, OverlayOutputBitIdentical) {
   EXPECT_EQ(totalsR[0], totalsR[1]);
   EXPECT_EQ(totalsS[0], totalsS[1]);
   EXPECT_GT(totalsR[0], 0.0);
+}
+
+TEST(StreamingPipeline, OverlayRefineReloadsEachSpilledByteOnce) {
+  // Read-once spill: a segment blob holds one piece per cell, and the
+  // refine visits each cell once, so refine reloads never exceed the
+  // bytes spilled — at one and at two threads per rank — and the raster
+  // stays bit-identical to the one-shot run's. The 8 KiB budget over 100
+  // cells flushes 3 to 7 segments per layer store on every rank; a
+  // window that caches and evicts shards reloads more than was spilled.
+  TwoLayerFixture fx;
+  std::array<std::string, 3> rasters;  // index = threads per rank; 0 = one-shot
+
+  for (const int threads : {0, 1, 2}) {
+    const std::string out = "cov_readonce" + std::to_string(threads) + ".bin";
+    mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+      mc::OverlayConfig cfg;
+      cfg.framework.gridCells = 100;
+      cfg.outputPath = out;
+      if (threads > 0) {
+        cfg.framework.stream.chunkBytes = 4 << 10;
+        cfg.framework.stream.memoryBudget = 8 << 10;
+        cfg.framework.threadsPerRank = threads;
+      }
+      mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
+      mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+      const auto stats = mc::gridCoverageOverlay(comm, *fx.volume, r, &s, cfg);
+      if (threads > 0) {
+        EXPECT_GT(stats.phases.refineSpillBytes, 0u) << "rank " << comm.rank();
+        EXPECT_LE(stats.phases.refineSpillBytes, stats.spill.bytesWritten)
+            << "refine reloaded spilled bytes more than once (rank " << comm.rank()
+            << ", threads " << threads << ")";
+      }
+    });
+    rasters[static_cast<std::size_t>(threads)] = fileBytes(*fx.volume, out);
+  }
+
+  ASSERT_FALSE(rasters[0].empty());
+  EXPECT_EQ(rasters[1], rasters[0]) << "streamed raster (1 thread) differs from one-shot";
+  EXPECT_EQ(rasters[2], rasters[0]) << "streamed raster (2 threads) differs from one-shot";
 }
 
 TEST(StreamingPipeline, PfsPricedSpillKeepsResultsAndChargesTime) {
