@@ -8,6 +8,12 @@
 # file of that name exists anywhere under src/, tests/, bench/,
 # examples/ or cmake/.
 #
+# It also checks config-field citations: every
+# `FrameworkConfig::x`, `StreamConfig::x`, `CompactionPolicy::x` or
+# `PartitionerConfig::x` in the two documents must name a member `x`
+# declared in src/core/framework.hpp or src/core/partition_map.hpp, so a
+# deleted or renamed option cannot linger in the docs.
+#
 # Usage: cmake -DREPO_ROOT=<repo> -P cmake/docs_check.cmake
 
 cmake_minimum_required(VERSION 3.20)  # script mode: pin policies (IN_LIST, JOIN)
@@ -24,6 +30,10 @@ foreach(f ${KNOWN_FILES})
   get_filename_component(base ${f} NAME)
   list(APPEND KNOWN_BASENAMES ${base})
 endforeach()
+
+file(READ ${REPO_ROOT}/src/core/framework.hpp config_headers)
+file(READ ${REPO_ROOT}/src/core/partition_map.hpp partition_header)
+string(APPEND config_headers "${partition_header}")
 
 set(MISSING "")
 foreach(doc README.md DESIGN.md)
@@ -56,10 +66,22 @@ foreach(doc README.md DESIGN.md)
       list(APPEND MISSING "${doc}: ${path}")
     endforeach()
   endforeach()
+
+  # Config-field citations: the member must still be declared, i.e. appear
+  # as `<type> x;`, `<type> x = ...;` or `<type> x{...};` in a header.
+  string(REGEX MATCHALL "(FrameworkConfig|StreamConfig|CompactionPolicy|PartitionerConfig)::[A-Za-z_][A-Za-z0-9_]*"
+         field_refs "${text}")
+  list(REMOVE_DUPLICATES field_refs)
+  foreach(ref ${field_refs})
+    string(REGEX REPLACE "^[A-Za-z]+::" "" field ${ref})
+    if(NOT config_headers MATCHES "[A-Za-z0-9_>:*&] ${field}( = [^;]*)?[;{]")
+      list(APPEND MISSING "${doc}: ${ref} (no such config field)")
+    endif()
+  endforeach()
 endforeach()
 
 if(MISSING)
   list(JOIN MISSING "\n  " msg)
   message(FATAL_ERROR "stale documentation references:\n  ${msg}")
 endif()
-message(STATUS "docs_check: all README.md/DESIGN.md file references resolve")
+message(STATUS "docs_check: all README.md/DESIGN.md file and config-field references resolve")

@@ -32,6 +32,9 @@ void RefineTask::mergeWorker(RefineTask& /*worker*/) {
 
 namespace {
 
+/// Largest encoded blob one migrateShards message carries.
+constexpr std::uint64_t kMigrationBlobBytes = 1ull << 20;
+
 std::uint64_t allreduceMaxU64(mpi::Comm& comm, std::uint64_t v) {
   std::uint64_t out = 0;
   comm.allreduce(&v, &out, 1, mpi::Datatype::uint64(), mpi::Op::max());
@@ -180,18 +183,17 @@ struct ChunkPrep {
 /// and layers so the rate holds over the whole ingest.
 struct PilotSampler {
   std::uint64_t stride = 100;
-  std::uint32_t cap = 1u << 16;
   std::uint64_t seen = 0;
   std::vector<geom::Envelope> envelopes;
 
-  explicit PilotSampler(const PartitionerConfig& cfg) : cap(cfg.maxSamplesPerRank) {
+  explicit PilotSampler(const PartitionerConfig& cfg) {
     const double rate = std::clamp(cfg.sampleRate, 1e-6, 1.0);
     stride = std::max<std::uint64_t>(1, static_cast<std::uint64_t>(1.0 / rate));
   }
 
   void observe(const geom::GeometryBatch& chunk) {
     for (std::size_t i = 0; i < chunk.size(); ++i, ++seen) {
-      if (seen % stride != 0 || envelopes.size() >= cap) continue;
+      if (seen % stride != 0 || envelopes.size() >= kMaxPilotSamplesPerRank) continue;
       envelopes.push_back(chunk.envelope(i));
     }
   }
@@ -241,13 +243,10 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
 
     geom::GeometryBatch chunk;
     ParseTiming pt;
-    ParseStats ps;
-    if (pool != nullptr && pool->threads() > 1) {
-      ps = fmt->parseChunk(text, chunk, pool, &pt);
+    const ParseStats ps = fmt->parseChunk(text, chunk, pool, &pt);
+    if (pool != nullptr) {
       phases.workerCpu += pt.cpuSum;
       phases.workerCritical += pt.critical;
-    } else {
-      ps = fmt->parseChunk(text, chunk, nullptr, &pt);
     }
     parseStats.records += ps.records;
     parseStats.badRecords += ps.badRecords;
@@ -364,23 +363,14 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   ckptCfg.dir = sc.checkpointDir;
   ckptCfg.tearEpochSeal = sc.tearEpochSeal;
   ckptCfg.compactEveryEpochs = sc.compaction.everyEpochs;
-  ckptCfg.compactKeepEpochs = sc.compaction.keepEpochs;
   recovery::CheckpointCoordinator ckpt(comm, volume, ckptCfg, &stats.phases);
   if (ckpt.enabled()) {
     MVIO_CHECK(comm.rank() == comm.worldRank(),
                "checkpointing requires the world communicator (blob names are world-rank keyed)");
   }
 
-  // Unified fault schedule: explicit cascading events plus the legacy
-  // failRanks/killPoint single-wave form (which maps to pass-0 events).
+  // Fault schedule, ordered by (boundary, recovery pass, rank).
   std::vector<sim::FailureEvent> schedule = cfg.failSchedule;
-  MVIO_CHECK(cfg.killPoint.afterRound == 0 || !cfg.failRanks.empty(),
-             "killPoint set without failRanks — the kill would silently never fire");
-  MVIO_CHECK(cfg.failRanks.empty() || cfg.killPoint.afterRound != 0,
-             "failRanks set without a kill point");
-  for (const int dead : cfg.failRanks) {
-    schedule.push_back({dead, cfg.killPoint.afterRound, 0});
-  }
   std::sort(schedule.begin(), schedule.end(),
             [](const sim::FailureEvent& a, const sim::FailureEvent& b) {
               return std::tie(a.afterRound, a.duringRecoveryPass, a.rank) <
@@ -392,32 +382,26 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
                "failure injection requires StreamConfig::checkpointEveryRounds > 0");
     MVIO_CHECK(static_cast<int>(schedule.size()) < p,
                "failure injection must leave at least one survivor");
-    std::vector<int> dying;
+    std::vector<char> dies(static_cast<std::size_t>(p), 0);
     for (const sim::FailureEvent& ev : schedule) {
       MVIO_CHECK(ev.rank >= 0 && ev.rank < p, "fault schedule names a rank outside the communicator");
+      MVIO_CHECK(!dies[static_cast<std::size_t>(ev.rank)], "fault schedule kills the same rank twice");
+      dies[static_cast<std::size_t>(ev.rank)] = 1;
       MVIO_CHECK(ev.afterRound != 0, "fault schedule event without a kill round");
       MVIO_CHECK(ev.duringRecoveryPass >= 0, "fault schedule event with a negative recovery pass");
-      dying.push_back(ev.rank);
     }
-    std::sort(dying.begin(), dying.end());
-    MVIO_CHECK(std::adjacent_find(dying.begin(), dying.end()) == dying.end(),
-               "fault schedule kills the same rank twice");
     MVIO_CHECK(schedule.front().duringRecoveryPass == 0,
                "the first failure wave must strike at a round boundary, not during recovery");
   }
-  // Group the schedule into waves: events sharing (afterRound, pass) die
-  // together; each later group is detected by the survivors' next
-  // detection allgather and triggers another recovery pass.
-  std::vector<std::vector<int>> failWaves;
-  for (std::size_t i = 0; i < schedule.size();) {
-    std::size_t j = i;
-    failWaves.emplace_back();
-    while (j < schedule.size() && schedule[j].afterRound == schedule[i].afterRound &&
-           schedule[j].duringRecoveryPass == schedule[i].duringRecoveryPass) {
-      failWaves.back().push_back(schedule[j].rank);
-      ++j;
-    }
-    i = j;
+  // A wave is a run of sorted events sharing (afterRound, pass): its
+  // ranks die together, and each later wave is detected by the survivors'
+  // next detection allgather and triggers another recovery pass. A rank
+  // dies at most once, so it only needs the index of its own wave.
+  std::size_t myWave = SIZE_MAX;
+  for (std::size_t i = 0, wave = 0; i < schedule.size(); ++i) {
+    wave += i > 0 && (schedule[i].afterRound != schedule[i - 1].afterRound ||
+                      schedule[i].duringRecoveryPass != schedule[i - 1].duringRecoveryPass);
+    if (schedule[i].rank == comm.worldRank()) myWave = wave;
   }
   const std::uint64_t firstKillRound = injecting ? schedule.front().afterRound : 0;
 
@@ -714,11 +698,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
         bool alive = true;
         std::size_t wave = 0;
         while (true) {
-          if (wave < failWaves.size() &&
-              std::find(failWaves[wave].begin(), failWaves[wave].end(), comm.worldRank()) !=
-                  failWaves[wave].end()) {
-            alive = false;
-          }
+          if (wave == myWave) alive = false;
           const std::int32_t mine = alive ? comm.worldRank() : ~comm.worldRank();
           std::vector<std::int32_t> flags(static_cast<std::size_t>(active.size()), 0);
           active.allgather(&mine, 1, mpi::Datatype::int32(), flags.data());
@@ -749,15 +729,10 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
           ctx.survivorWorld = survivors;
           ctx.priorOwner = priorOwner;
           ctx.failRound = firstKillRound;
-          // The first pass replays every round past the boundary, so for
-          // cascading passes the survivors already hold all rounds.
-          ctx.deliveredRound = priorOwner.empty() ? firstKillRound : roundsR + roundsS;
           ctx.roundsPerLayer[0] = roundsR;
           ctx.roundsPerLayer[1] = roundsS;
-          ctx.grid = &grid;
           ctx.map = &map;
           ctx.locator = locator ? &*locator : nullptr;
-          ctx.shardedReplay = sc.shardedReplay;
           ctx.sealCache = &sealCache;
           obs::traceBegin("recovery");
           recovery::RecoveryOutcome outcome = recovery::recoverFromFailure(
@@ -977,7 +952,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
           }
           const std::uint64_t more = allreduceMaxU64(active, next < leaving.size() ? 1 : 0);
           geom::GeometryBatch got = migrateShards(active, std::move(outgoing),
-                                                  cfg.migrationBlobBytes, &stats.balance.transport);
+                                                  kMigrationBlobBytes, &stats.balance.transport);
           store.addMigrated(std::move(got));
           stats.balance.migrationPasses += 1;
           if (more == 0) break;

@@ -66,9 +66,9 @@ struct DatasetHandle {
 };
 
 /// Checkpoint GC + epoch compaction (DESIGN.md §11). When enabled, after
-/// every `everyEpochs`-th *valid* (untorn) seal each rank folds its delta
-/// shards for epochs `oldBase+1 .. E - keepEpochs` — plus any previous
-/// base — into one checksummed base checkpoint, commits it by writing a
+/// every `everyEpochs`-th *valid* (untorn) seal E each rank folds its delta
+/// shards for epochs `oldBase+1 .. E-1` — plus any previous base — into
+/// one checksummed base checkpoint, commits it by writing a
 /// `base.manifest`, and then garbage-collects the folded delta shards,
 /// the superseded base, and the ingest chunk blobs for every round the
 /// new base covers. Recovery loads one base + the bounded delta tail
@@ -80,10 +80,6 @@ struct DatasetHandle {
 struct CompactionPolicy {
   /// Fold every N valid sealed epochs (0 = compaction disabled).
   std::uint64_t everyEpochs = 0;
-  /// Epochs kept as deltas behind the newest seal. keepEpochs = 1 at
-  /// seal E folds up to E-1 so a torn seal E still has a delta tail to
-  /// fall back through.
-  std::uint64_t keepEpochs = 1;
 };
 
 /// Streaming-round controls (DESIGN.md §7). The defaults reproduce the
@@ -136,13 +132,6 @@ struct StreamConfig {
   /// Checkpoint GC + epoch compaction policy (DESIGN.md §11). Disabled by
   /// default: every sealed epoch stays on the volume forever.
   CompactionPolicy compaction;
-  /// Replay strategy after a failure: when true (default) the survivors
-  /// split the unsealed chunk log by source rank and exchange re-projected
-  /// records (replay read volume O(log) in aggregate); when false every
-  /// survivor reads all ranks' logs and filters locally (the PR-5
-  /// communication-free path, O(ranks·log) reads — kept as the
-  /// equivalence reference). Results are bit-identical either way.
-  bool shardedReplay = true;
 
   // ---- Round overlap (DESIGN.md §10) ----------------------------------
   /// Double-buffered streaming: round N's exchange overlaps round N+1's
@@ -192,8 +181,6 @@ struct FrameworkConfig {
   /// roughly one budget share of outgoing records (plus one cell of
   /// slack for a cell larger than the budget) at a time.
   bool rebalanceCells = false;
-  /// Largest encoded migration blob (migrateShards bound).
-  std::uint64_t migrationBlobBytes = 1ull << 20;
   /// Adaptive rebalance trigger: the migration pass only runs when the
   /// allreduced max/mean per-rank load ratio is at least this value.
   /// 1.0 (or anything ≤ 1) keeps the unconditional behaviour; e.g. 1.5
@@ -201,22 +188,17 @@ struct FrameworkConfig {
   /// already within 50% of the mean. The measured imbalance and the
   /// decision are recorded in RebalanceStats either way.
   double rebalanceThreshold = 1.0;
-  /// Failure injection: world ranks that die at the kill point (fail-stop;
-  /// requires StreamConfig::checkpointEveryRounds > 0 so survivors can
-  /// recover). Empty = no injection. Legacy single-wave form: every rank
-  /// listed here dies together after killPoint.afterRound rounds —
-  /// equivalent to a failSchedule entry with duringRecoveryPass 0.
-  std::vector<int> failRanks;
-  /// When the named ranks die: after this many exchange data rounds.
-  sim::KillPoint killPoint;
-  /// General fault schedule: each event names a rank, the data-round
-  /// boundary it dies at, and (for cascading failures) which recovery
+  /// Failure injection (fail-stop, sim::FailureEvent): each event names a
+  /// world rank, the data-round boundary it dies at (>= 1, within the
+  /// run's round schedule), and — for cascading failures — which recovery
   /// pass it dies during. Events sharing a boundary/pass die together;
   /// events at later boundaries or passes are detected by the survivors'
   /// next detection allgather and trigger another recovery pass over the
-  /// shrunken communicator. May be combined with failRanks/killPoint
-  /// (which contribute pass-0 events). A rank may die at most once and
-  /// at least one rank must survive the whole schedule.
+  /// shrunken communicator. Empty = no injection. Requires
+  /// StreamConfig::checkpointEveryRounds > 0 so survivors can recover; a
+  /// rank may die at most once, at least one rank must survive the whole
+  /// schedule, and the first wave must strike at a round boundary
+  /// (duringRecoveryPass 0). runFilterRefine rejects any other schedule.
   std::vector<sim::FailureEvent> failSchedule;
 };
 

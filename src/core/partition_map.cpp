@@ -23,6 +23,8 @@ constexpr std::uint32_t kMapVersion = 1;
 // magic + version + scheme + 4 bounds doubles + cellsX/cellsY +
 // partCount + groupCount.
 constexpr std::size_t kMapFixed = 4 + 4 + 4 + 32 + 4 + 4 + 4 + 4;
+/// Hilbert curve order of the range-split scheme's cell ordering.
+constexpr int kHilbertCurveOrder = 16;
 
 /// Rewrite arbitrary group labels into the canonical relabeling: scanning
 /// uniform cells ascending, each first-seen label gets the next fresh id.
@@ -88,7 +90,7 @@ PartitionMap buildHilbertMap(const PartitionerConfig& cfg, const GridSpec& grid,
                              const std::vector<geom::Envelope>& samples, int worldSize) {
   const int target = clampTarget(cfg, grid, worldSize);
   const std::vector<std::uint64_t> weights = uniformWeights(grid, samples);
-  const geom::CurveGrid curve{grid.bounds(), cfg.curveOrder};
+  const geom::CurveGrid curve{grid.bounds(), kHilbertCurveOrder};
 
   // Uniform cells in Hilbert order of their centers (id breaks key ties).
   std::vector<std::pair<std::uint64_t, int>> order;

@@ -42,17 +42,17 @@ enum class PartitionScheme : std::uint32_t { kUniform = 0, kQuadtree = 1, kHilbe
 
 [[nodiscard]] const char* partitionSchemeName(PartitionScheme scheme);
 
+/// Per-rank cap on pilot samples (bounds the allgather payload).
+inline constexpr std::size_t kMaxPilotSamplesPerRank = 1u << 16;
+
 /// Partitioner knobs (FrameworkConfig::partition).
 struct PartitionerConfig {
   PartitionScheme scheme = PartitionScheme::kUniform;
-  /// Pilot pass: sample roughly this fraction of parsed records.
+  /// Pilot pass: sample roughly this fraction of parsed records (at most
+  /// kMaxPilotSamplesPerRank per rank).
   double sampleRate = 0.01;
-  /// Per-rank cap on pilot samples (bounds the allgather payload).
-  std::uint32_t maxSamplesPerRank = 1u << 16;
   /// Partition cells to build (0 = 8 per rank, clamped to the grid).
   int targetCells = 0;
-  /// Hilbert curve order for the range-split scheme.
-  int curveOrder = 16;
 };
 
 /// Cell map of a run: the uniform grid plus an optional grouping of

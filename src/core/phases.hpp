@@ -15,7 +15,9 @@
 // shards when the working set exceeded the memory budget.
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 #include "mpi/runtime.hpp"
 
@@ -61,55 +63,79 @@ struct PhaseBreakdown {
   std::uint64_t compactionBytes = 0;   ///< durable bytes written folding epochs into the base
   std::uint64_t reclaimedBytes = 0;    ///< durable bytes deleted by checkpoint GC
 
-  [[nodiscard]] double total() const {
-    return read + parse + partition + comm + compute + spill + migrate + checkpoint + recovery +
-           compaction;
-  }
+  [[nodiscard]] double total() const;  ///< sum of kPhaseFields' inTotal entries
 
   /// Field-wise max across all ranks — one collective round-trip. The 13
   /// time fields are IEEE-754 doubles that are never negative (phase
   /// accumulators), and for non-negative doubles the raw bit pattern
   /// orders exactly like the value, so they ride the same uint64 max
-  /// reduction as the 10 counters: 23 slots, one allreduce, bit-exact
-  /// against the old two-collective form.
-  [[nodiscard]] PhaseBreakdown maxAcross(mpi::Comm& comm_) const {
-    static_assert(sizeof(double) == sizeof(std::uint64_t));
-    const auto enc = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-    const auto dec = [](std::uint64_t v) { return std::bit_cast<double>(v); };
-    const std::uint64_t mine[23] = {
-        enc(read),       enc(parse),     enc(partition),      enc(comm),      enc(compute),
-        enc(spill),      enc(migrate),   enc(checkpoint),     enc(recovery),  enc(overlapped),
-        enc(workerCpu),  enc(workerCritical), enc(compaction),
-        rounds,          refineSpillBytes,    migrateBytes,    migrateRounds, checkpointBytes,
-        checkpointEpochs, recoveryBytes,      recoveryRounds,  compactionBytes, reclaimedBytes};
-    std::uint64_t reduced[23] = {};
-    comm_.allreduce(mine, reduced, 23, mpi::Datatype::uint64(), mpi::Op::max());
-    PhaseBreakdown out;
-    out.read = dec(reduced[0]);
-    out.parse = dec(reduced[1]);
-    out.partition = dec(reduced[2]);
-    out.comm = dec(reduced[3]);
-    out.compute = dec(reduced[4]);
-    out.spill = dec(reduced[5]);
-    out.migrate = dec(reduced[6]);
-    out.checkpoint = dec(reduced[7]);
-    out.recovery = dec(reduced[8]);
-    out.overlapped = dec(reduced[9]);
-    out.workerCpu = dec(reduced[10]);
-    out.workerCritical = dec(reduced[11]);
-    out.compaction = dec(reduced[12]);
-    out.rounds = reduced[13];
-    out.refineSpillBytes = reduced[14];
-    out.migrateBytes = reduced[15];
-    out.migrateRounds = reduced[16];
-    out.checkpointBytes = reduced[17];
-    out.checkpointEpochs = reduced[18];
-    out.recoveryBytes = reduced[19];
-    out.recoveryRounds = reduced[20];
-    out.compactionBytes = reduced[21];
-    out.reclaimedBytes = reduced[22];
-    return out;
-  }
+  /// reduction as the 10 counters: one 23-slot allreduce.
+  [[nodiscard]] PhaseBreakdown maxAcross(mpi::Comm& comm_) const;
 };
+
+/// One PhaseBreakdown field and its report key: a time field (`seconds`;
+/// summed by total() when `inTotal`) or a counter (`count`).
+struct PhaseField {
+  const char* name;
+  double PhaseBreakdown::*seconds;
+  std::uint64_t PhaseBreakdown::*count;
+  bool inTotal;
+};
+
+/// Every PhaseBreakdown field in report order, time fields first: total(),
+/// maxAcross and RunReport's `phases` JSON all walk this one list.
+inline constexpr PhaseField kPhaseFields[] = {
+    {"read", &PhaseBreakdown::read, nullptr, true},
+    {"parse", &PhaseBreakdown::parse, nullptr, true},
+    {"partition", &PhaseBreakdown::partition, nullptr, true},
+    {"comm", &PhaseBreakdown::comm, nullptr, true},
+    {"compute", &PhaseBreakdown::compute, nullptr, true},
+    {"spill", &PhaseBreakdown::spill, nullptr, true},
+    {"migrate", &PhaseBreakdown::migrate, nullptr, true},
+    {"checkpoint", &PhaseBreakdown::checkpoint, nullptr, true},
+    {"recovery", &PhaseBreakdown::recovery, nullptr, true},
+    {"compaction", &PhaseBreakdown::compaction, nullptr, true},
+    {"overlapped", &PhaseBreakdown::overlapped, nullptr, false},
+    {"workerCpu", &PhaseBreakdown::workerCpu, nullptr, false},
+    {"workerCritical", &PhaseBreakdown::workerCritical, nullptr, false},
+    {"rounds", nullptr, &PhaseBreakdown::rounds, false},
+    {"refineSpillBytes", nullptr, &PhaseBreakdown::refineSpillBytes, false},
+    {"migrateBytes", nullptr, &PhaseBreakdown::migrateBytes, false},
+    {"migrateRounds", nullptr, &PhaseBreakdown::migrateRounds, false},
+    {"checkpointBytes", nullptr, &PhaseBreakdown::checkpointBytes, false},
+    {"checkpointEpochs", nullptr, &PhaseBreakdown::checkpointEpochs, false},
+    {"recoveryBytes", nullptr, &PhaseBreakdown::recoveryBytes, false},
+    {"recoveryRounds", nullptr, &PhaseBreakdown::recoveryRounds, false},
+    {"compactionBytes", nullptr, &PhaseBreakdown::compactionBytes, false},
+    {"reclaimedBytes", nullptr, &PhaseBreakdown::reclaimedBytes, false},
+};
+inline constexpr std::size_t kPhaseSlots = std::size(kPhaseFields);
+static_assert(kPhaseSlots * sizeof(std::uint64_t) == sizeof(PhaseBreakdown),
+              "kPhaseFields must list every PhaseBreakdown field");
+
+inline double PhaseBreakdown::total() const {
+  double sum = 0;
+  for (const PhaseField& f : kPhaseFields) {
+    if (f.inTotal) sum += this->*f.seconds;
+  }
+  return sum;
+}
+
+inline PhaseBreakdown PhaseBreakdown::maxAcross(mpi::Comm& comm_) const {
+  std::uint64_t mine[kPhaseSlots];
+  for (std::size_t i = 0; i < kPhaseSlots; ++i) {
+    const PhaseField& f = kPhaseFields[i];
+    mine[i] = f.seconds ? std::bit_cast<std::uint64_t>(this->*f.seconds) : this->*f.count;
+  }
+  std::uint64_t reduced[kPhaseSlots] = {};
+  comm_.allreduce(mine, reduced, kPhaseSlots, mpi::Datatype::uint64(), mpi::Op::max());
+  PhaseBreakdown out;
+  for (std::size_t i = 0; i < kPhaseSlots; ++i) {
+    const PhaseField& f = kPhaseFields[i];
+    if (f.seconds) out.*f.seconds = std::bit_cast<double>(reduced[i]);
+    if (f.count) out.*f.count = reduced[i];
+  }
+  return out;
+}
 
 }  // namespace mvio::core

@@ -6,14 +6,15 @@
 // metric summaries into a single JSON document:
 //
 //   { "schema": "mvio.run_report", "version": 1, "name": ..., "setup": ...,
-//     "phases": { "read": ..., ..., "rounds": ..., ... },
+//     "phases": { <core::kPhaseFields time fields>, "total": ...,
+//                 <core::kPhaseFields counters> },
 //     "values": { "<key>": <number>, ... },
 //     "metrics": [ { "name": ..., "kind": "c|g|h", "count": ...,
 //                    "min": ..., "max": ..., "sum": ..., "mean": ...,
 //                    "p50": ..., "p99": ... }, ... ] }
 //
 // capturePhases() is the one reduction path: it calls
-// PhaseBreakdown::maxAcross (a single collective since this PR) and
+// PhaseBreakdown::maxAcross (a single collective) and
 // keeps the reduced struct, so a bench table printed from the returned
 // reference and the JSON emitted from the report can never disagree.
 // scripts/check_bench.py validates the schema and gates CI on tracked

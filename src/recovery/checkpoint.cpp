@@ -290,7 +290,7 @@ void CheckpointCoordinator::maybeCompact() {
   // leave recovery with a base newer than the newest *valid* seal.
   if (cfg_.tearEpochSeal == epoch_) return;
   const std::uint64_t target =
-      epoch_ > cfg_.compactKeepEpochs ? epoch_ - cfg_.compactKeepEpochs : 0;
+      epoch_ > kCompactKeepEpochs ? epoch_ - kCompactKeepEpochs : 0;
   if (target == 0 || target <= baseEpoch_) return;
 
   const int me = comm_->worldRank();

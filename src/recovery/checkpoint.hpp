@@ -62,12 +62,16 @@ struct CheckpointConfig {
   std::uint64_t maxShardBytes = 1ull << 20;
   /// Epoch compaction + GC (core::CompactionPolicy semantics): after
   /// every compactEveryEpochs-th valid seal E, fold epochs up to
-  /// E - compactKeepEpochs into the base checkpoint and delete the folded
+  /// E - kCompactKeepEpochs into the base checkpoint and delete the folded
   /// delta shards, the superseded base, and the chunk-log blobs the base
   /// covers. 0 = never compact.
   std::uint64_t compactEveryEpochs = 0;
-  std::uint64_t compactKeepEpochs = 1;
 };
+
+/// Epochs a compaction fold keeps as deltas behind the newest seal: a fold
+/// at seal E stops at E-1, so a torn seal E still has a delta tail to fall
+/// back through.
+inline constexpr std::uint64_t kCompactKeepEpochs = 1;
 
 /// Layer index used in blob names: 0 = R, 1 = S.
 inline const char* layerTag(int layer) { return layer == 0 ? "r" : "s"; }

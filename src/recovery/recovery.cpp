@@ -17,15 +17,9 @@ namespace {
 /// identical assignment without an agreement round), with each
 /// survivor's bin seeded by the sealed loads of the cells it keeps.
 void rehomeOrphans(std::vector<int>& owner, const std::vector<char>& orphan,
-                   const std::vector<std::uint64_t>& loads,
-                   const std::vector<int>& survivorWorld) {
+                   const std::vector<std::uint64_t>& loads, const std::vector<int>& survivorWorld,
+                   const std::vector<std::size_t>& worldToSurvivor) {
   std::vector<std::uint64_t> seeded(survivorWorld.size(), 0);
-  std::vector<std::size_t> worldToSurvivor;
-  for (std::size_t s = 0; s < survivorWorld.size(); ++s) {
-    const auto world = static_cast<std::size_t>(survivorWorld[s]);
-    if (worldToSurvivor.size() <= world) worldToSurvivor.resize(world + 1, SIZE_MAX);
-    worldToSurvivor[world] = s;
-  }
   for (std::size_t c = 0; c < owner.size(); ++c) {
     if (!orphan[c]) seeded[worldToSurvivor[static_cast<std::size_t>(owner[c])]] += loads[c];
   }
@@ -42,14 +36,12 @@ void rehomeOrphans(std::vector<int>& owner, const std::vector<char>& orphan,
 RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
                                    const RecoveryContext& ctx, core::CellStore& ownedR,
                                    core::CellStore* ownedS, core::PhaseBreakdown* phases) {
-  MVIO_CHECK(ctx.grid != nullptr && ctx.worldSize >= 2, "recovery: malformed context");
+  MVIO_CHECK(ctx.map != nullptr && ctx.worldSize >= 2, "recovery: malformed context");
   const int myWorld = survivors.worldRank();
   const int nSurv = survivors.size();
   // The run's partition map: cells, replay projection and the sealed-map
-  // guard all go through it. A context without one is a uniform run.
-  const core::PartitionMap uniformFallback =
-      ctx.map == nullptr ? core::PartitionMap::uniform(*ctx.grid) : core::PartitionMap();
-  const core::PartitionMap& map = ctx.map != nullptr ? *ctx.map : uniformFallback;
+  // guard all go through it.
+  const core::PartitionMap& map = *ctx.map;
   const std::size_t cells = static_cast<std::size_t>(map.cellCount());
   const double t0 = survivors.clock().now();
   // Decode + re-projection CPU is charged alongside the modelled reads.
@@ -69,15 +61,15 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   auto isDead = [&](int world) {
     return std::binary_search(ctx.deadRanks.begin(), ctx.deadRanks.end(), world);
   };
-  const std::vector<int>& newlyDead = ctx.newlyDead.empty() ? ctx.deadRanks : ctx.newlyDead;
   auto isNewlyDead = [&](int world) {
-    return std::binary_search(newlyDead.begin(), newlyDead.end(), world);
+    return std::binary_search(ctx.newlyDead.begin(), ctx.newlyDead.end(), world);
   };
+  std::vector<std::size_t> worldToSurvivor(static_cast<std::size_t>(ctx.worldSize), SIZE_MAX);
+  for (std::size_t s = 0; s < ctx.survivorWorld.size(); ++s) {
+    worldToSurvivor[static_cast<std::size_t>(ctx.survivorWorld[s])] = s;
+  }
 
   RecoveryOutcome out;
-  out.stats.recovered = true;
-  out.stats.deadRanks = ctx.deadRanks.size();
-  out.stats.recoveryPasses = 1;
 
   // 1. Recovery point: the newest fully sealed epoch at or before the
   // failure. Every survivor reads and validates the same blobs; the
@@ -107,7 +99,7 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   for (std::size_t c = 0; c < cells; ++c) {
     orphan[c] = isNewlyDead(out.cellOwner[c]) ? 1 : 0;
   }
-  rehomeOrphans(out.cellOwner, orphan, sealLoads, ctx.survivorWorld);
+  rehomeOrphans(out.cellOwner, orphan, sealLoads, ctx.survivorWorld, worldToSurvivor);
 
   if (seal) {
     MVIO_CHECK(seal->cellOwner == sealOwner,
@@ -184,30 +176,23 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   chargeReads();
 
   // 4. Replay rounds sealedRound+1..total from the chunk log. Rounds the
-  // survivors already hold (≤ deliveredRound) re-deliver only orphaned
-  // cells; rounds the failure pre-empted re-deliver everything.
+  // survivors already hold (≤ delivered) re-deliver only orphaned cells;
+  // rounds the failure pre-empted re-deliver everything. The first pass
+  // replays every round past the failure, so a cascading pass finds all
+  // rounds delivered.
   const std::uint64_t totalRounds = ctx.roundsPerLayer[0] + ctx.roundsPerLayer[1];
-  const std::uint64_t delivered = std::max(ctx.deliveredRound, ctx.failRound);
-  MVIO_CHECK(ctx.failRound <= totalRounds && delivered <= totalRounds &&
-                 sealedRound <= ctx.failRound,
+  const std::uint64_t delivered = ctx.priorOwner.empty() ? ctx.failRound : totalRounds;
+  MVIO_CHECK(ctx.failRound <= totalRounds && sealedRound <= ctx.failRound,
              "recovery: round bookkeeping out of range");
-  auto keepReplayed = [&](int cell, std::uint64_t round) {
-    return round > delivered || orphan[static_cast<std::size_t>(cell)];
-  };
-  const bool sharded = ctx.shardedReplay && nSurv >= 2;
-  if (sharded) cpu.stop();  // the sharded loop charges its CPU per region
+  cpu.stop();  // the replay loop charges its CPU per region
 
-  // Source-rank block of this survivor under sharded replay: contiguous
-  // ascending blocks, so the exchange's source-rank-major output order
-  // equals the ascending source order the full replay produces — that
-  // equality is what keeps FP-sum consumers bit-identical across paths.
+  // Source-rank block of this survivor: contiguous ascending blocks, so
+  // the exchange's source-rank-major output order is the ascending source
+  // order — which keeps FP-sum consumers bit-identical to the
+  // failure-free run.
   auto srcSurvivor = [&](int q) {
     return static_cast<int>((static_cast<std::int64_t>(q) * nSurv) / ctx.worldSize);
   };
-  std::vector<std::size_t> worldToSurvivor(static_cast<std::size_t>(ctx.worldSize), SIZE_MAX);
-  for (std::size_t s = 0; s < ctx.survivorWorld.size(); ++s) {
-    worldToSurvivor[static_cast<std::size_t>(ctx.survivorWorld[s])] = s;
-  }
   const core::CellOwnerFn ownerFn = [&](int cell) {
     return static_cast<int>(worldToSurvivor[static_cast<std::size_t>(
         out.cellOwner[static_cast<std::size_t>(cell)])]);
@@ -216,7 +201,7 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   std::vector<IngestLog> logs(static_cast<std::size_t>(ctx.worldSize));
   if (sealedRound < totalRounds) {
     for (int q = 0; q < ctx.worldSize; ++q) {
-      if (sharded && srcSurvivor(q) != survivors.rank()) continue;
+      if (srcSurvivor(q) != survivors.rank()) continue;
       logs[static_cast<std::size_t>(q)] = readIngestLog(volume, ctx.checkpoint.dir, q, &bytesRead);
     }
   }
@@ -225,58 +210,36 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
     const int layer = t <= ctx.roundsPerLayer[0] ? 0 : 1;
     const std::uint64_t chunk = layer == 0 ? t - 1 : t - ctx.roundsPerLayer[0] - 1;
     if (stores[layer] == nullptr) continue;
-    if (sharded) {
-      // Each survivor reads + re-projects only its own source block and
-      // ships every kept record to the cell's owner.
-      sim::ThreadCpuTimer localCpu;
-      geom::GeometryBatch ship;
-      for (int q = 0; q < ctx.worldSize; ++q) {
-        if (srcSurvivor(q) != survivors.rank()) continue;
-        if (chunk >= logs[static_cast<std::size_t>(q)].chunks[layer]) continue;
-        geom::GeometryBatch raw;
-        loadLoggedChunk(volume, ctx.checkpoint.dir, q, layer, chunk, raw, &bytesRead);
-        const geom::GeometryBatch projected =
-            core::projectToCells(map, ctx.locator, std::move(raw));
-        for (std::size_t i = 0; i < projected.size(); ++i) {
-          const int cell = projected.cell(i);
-          if (cell == geom::GeometryBatch::kNoCell) continue;
-          if (!keepReplayed(cell, t)) continue;
-          ship.appendRecordFrom(projected, i, cell);
-        }
+    // Each survivor reads + re-projects only its own source block and
+    // ships every kept record to the cell's owner.
+    sim::ThreadCpuTimer localCpu;
+    geom::GeometryBatch ship;
+    for (int q = 0; q < ctx.worldSize; ++q) {
+      if (srcSurvivor(q) != survivors.rank()) continue;
+      if (chunk >= logs[static_cast<std::size_t>(q)].chunks[layer]) continue;
+      geom::GeometryBatch raw;
+      loadLoggedChunk(volume, ctx.checkpoint.dir, q, layer, chunk, raw, &bytesRead);
+      const geom::GeometryBatch projected =
+          core::projectToCells(map, ctx.locator, std::move(raw));
+      for (std::size_t i = 0; i < projected.size(); ++i) {
+        const int cell = projected.cell(i);
+        if (cell == geom::GeometryBatch::kNoCell) continue;
+        if (t <= delivered && !orphan[static_cast<std::size_t>(cell)]) continue;
+        ship.appendRecordFrom(projected, i, cell);
       }
-      survivors.clock().advanceBy(localCpu.elapsed());
-      chargeReads();
-      geom::GeometryBatch got =
-          core::exchangeByCell(survivors, std::move(ship), ownerFn, /*windowPhases=*/1,
-                               map.cellCount(), nullptr, {}, /*lastRound=*/true, &scratch);
-      sim::ThreadCpuTimer storeCpu;
-      out.stats.replayedRecords += got.size();
-      stores[layer]->add(std::move(got));
-      survivors.clock().advanceBy(storeCpu.elapsed());
-    } else {
-      geom::GeometryBatch kept;
-      for (int q = 0; q < ctx.worldSize; ++q) {
-        if (chunk >= logs[static_cast<std::size_t>(q)].chunks[layer]) continue;
-        geom::GeometryBatch raw;
-        loadLoggedChunk(volume, ctx.checkpoint.dir, q, layer, chunk, raw, &bytesRead);
-        const geom::GeometryBatch projected =
-            core::projectToCells(map, ctx.locator, std::move(raw));
-        for (std::size_t i = 0; i < projected.size(); ++i) {
-          const int cell = projected.cell(i);
-          if (cell == geom::GeometryBatch::kNoCell) continue;
-          if (out.cellOwner[static_cast<std::size_t>(cell)] != myWorld) continue;
-          if (!keepReplayed(cell, t)) continue;
-          kept.appendRecordFrom(projected, i, cell);
-        }
-      }
-      out.stats.replayedRecords += kept.size();
-      stores[layer]->add(std::move(kept));
-      chargeReads();
     }
+    survivors.clock().advanceBy(localCpu.elapsed());
+    chargeReads();
+    geom::GeometryBatch got =
+        core::exchangeByCell(survivors, std::move(ship), ownerFn, /*windowPhases=*/1,
+                             map.cellCount(), nullptr, {}, /*lastRound=*/true, &scratch);
+    sim::ThreadCpuTimer storeCpu;
+    out.stats.replayedRecords += got.size();
+    stores[layer]->add(std::move(got));
+    survivors.clock().advanceBy(storeCpu.elapsed());
   }
 
   chargeReads();  // reads accumulated outside the per-round charging
-  cpu.stop();
   phases->recovery += survivors.clock().now() - t0;
   phases->recoveryBytes += bytesRead;
   phases->recoveryRounds += totalRounds - sealedRound;

@@ -1,7 +1,7 @@
 #pragma once
 // Failure recovery: shard re-homing onto survivors (DESIGN.md §9).
 //
-// When the kill point fires, every rank of the original communicator
+// When a fault-schedule wave strikes, every rank of the communicator
 // takes part in one last detection collective (an allgather of alive
 // flags — the simulation's stand-in for a failure detector), the
 // communicator is shrunk to the survivors, and the dead ranks leave with
@@ -29,16 +29,15 @@
 //     and keeps exactly the records of orphaned cells it now owns.
 //
 //  4. Replay: rounds E_rounds+1..total are re-derived from the chunk
-//     log. In the default *sharded* replay the survivors split the
-//     logged chunks by source rank (contiguous blocks, so concatenating
-//     ascending survivors preserves the source order), each re-projects
-//     only its block, and one exchangeByCell per round routes the
-//     records to their owners — aggregate replay reads are O(log), not
-//     O(survivors·log). The full-replay fallback (shardedReplay false)
-//     keeps the PR-5 communication-free path: every survivor reads all
-//     logs and filters locally. Either way, rounds already delivered
-//     (≤ deliveredRound) contribute only orphaned-cell records; rounds
-//     the failure pre-empted contribute everything the survivor owns.
+//     log. The survivors split the logged chunks by source rank
+//     (contiguous blocks, so concatenating ascending survivors preserves
+//     the source order), each re-projects only its block, and one
+//     exchangeByCell per round routes the records to their owners —
+//     aggregate replay reads are O(log), not O(survivors·log). A lone
+//     survivor reads every log and routes through a 1-rank exchange.
+//     Rounds the survivors already hold contribute only
+//     orphaned-cell records; rounds the failure pre-empted contribute
+//     everything the survivor owns.
 //
 // The function is re-entrant for cascading failures: a wave of deaths
 // detected *during* recovery runs it again on the further-shrunken
@@ -75,18 +74,12 @@ struct RecoveryContext {
   /// for cascading passes.
   std::vector<int> priorOwner;
   std::uint64_t failRound = 0;       ///< data rounds completed when the first failure struck
-  /// Rounds whose deliveries the survivors already hold for their
-  /// non-orphaned cells: failRound on the first pass, the full round
-  /// count on cascading passes (the first pass replayed to the end).
-  std::uint64_t deliveredRound = 0;
   std::uint64_t roundsPerLayer[2] = {0, 0};  ///< original data-round schedule (R, S)
-  const core::GridSpec* grid = nullptr;
   /// The run's partition map (uniform or adaptive). Replay re-projects
   /// through it, and its encoding must match the sealed epoch's embedded
-  /// map — the projection-drift guard. Null = uniform over `grid`.
+  /// map — the projection-drift guard.
   const core::PartitionMap* map = nullptr;
   const core::CellLocator* locator = nullptr;  ///< null = arithmetic cell lookup
-  bool shardedReplay = true;          ///< split the chunk log by source + exchange
   SealScanCache* sealCache = nullptr; ///< optional cross-pass seal-scan memo
 };
 
@@ -95,6 +88,7 @@ struct RecoveryOutcome {
   /// cells they held before the wave, orphaned cells are LPT re-homed.
   /// Identical on every survivor.
   std::vector<int> cellOwner;
+  /// This pass's epochUsed, restoredRecords and replayedRecords.
   core::RecoveryStats stats;
 };
 

@@ -564,8 +564,7 @@ TEST(AdaptivePartition, RecoveryRestoresSealedMapBitIdentically) {
   const JoinRun killed = runJoin(fx, [&](mc::JoinConfig& cfg) {
     adaptiveTweak(cfg.framework, mc::PartitionScheme::kQuadtree);
     cfg.framework.stream = SkewFixture::streamedConfig(2, ckptDir);
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 3;
+    cfg.framework.failSchedule = {{2, 3, 0}};
   });
   EXPECT_EQ(killed.died, 1);
   EXPECT_EQ(killed.recovered, 3);
@@ -590,8 +589,7 @@ TEST(AdaptivePartition, RecoveryRestoresSealedMapBitIdentically) {
     adaptiveTweak(cfg.framework, mc::PartitionScheme::kHilbert);
     cfg.framework.stream = SkewFixture::streamedConfig(2, "__ap_ck_hil");
     cfg.framework.rebalanceCells = true;
-    cfg.framework.failRanks = {1};
-    cfg.framework.killPoint.afterRound = 4;
+    cfg.framework.failSchedule = {{1, 4, 0}};
   });
   EXPECT_EQ(hilbert.recovered, 3);
   EXPECT_EQ(hilbert.pairs, base.pairs);

@@ -2,11 +2,10 @@
 // generator draws long-running elasticity schedules — k ∈ {1..3} dead
 // ranks per run, kill points at round boundaries, cascading deaths
 // during recovery passes, later-boundary second waves, torn epoch
-// seals, checkpoint GC + epoch compaction, sharded or full replay,
-// skew-aware rebalancing, and 1- or 4-thread worker pools — and every
-// schedule must reproduce the failure-free run bit-for-bit: identical
-// sorted join pairs, identical coverage-raster bytes, identical index
-// query counts.
+// seals, checkpoint GC + epoch compaction, skew-aware rebalancing, and
+// 1- or 4-thread worker pools — and every schedule must reproduce the
+// failure-free run bit-for-bit: identical sorted join pairs, identical
+// coverage-raster bytes, identical index query counts.
 //
 // Bounded by default so the tier-1 lane stays fast; the CI soak lane
 // (scripts/ci.sh) widens it:
@@ -80,7 +79,6 @@ struct SoakSchedule {
   std::uint64_t checkpointEvery = 2;
   std::uint64_t tearEpoch = 0;    ///< 0 = no torn seal
   std::uint64_t compactEvery = 0; ///< 0 = compaction off
-  bool sharded = true;
   bool rebalance = false;
   int threads = 1;
 };
@@ -94,8 +92,7 @@ std::string describe(const SoakSchedule& s) {
        << " pass " << s.events[i].duringRecoveryPass << "}";
   }
   os << "] checkpointEvery=" << s.checkpointEvery << " tearEpoch=" << s.tearEpoch
-     << " compactEvery=" << s.compactEvery << " sharded=" << s.sharded
-     << " rebalance=" << s.rebalance << " threads=" << s.threads;
+     << " compactEvery=" << s.compactEvery << " rebalance=" << s.rebalance << " threads=" << s.threads;
   return os.str();
 }
 
@@ -130,7 +127,9 @@ SoakSchedule drawSchedule(std::mt19937_64& rng, std::uint64_t maxKillRound) {
   const std::uint64_t sealedAtKill = firstKill / s.checkpointEvery;
   if (sealedAtKill >= 1 && pick(0, 3) == 0) s.tearEpoch = sealedAtKill;
   if (pick(0, 1) == 1) s.compactEvery = pick(1, 2);
-  s.sharded = pick(0, 3) != 0;  // mostly the new path, sometimes full replay
+  // Retired replay-strategy draw, still consumed so a given seed keeps
+  // drawing the same schedules it always has.
+  (void)pick(0, 3);
   s.rebalance = pick(0, 1) == 1;
   s.threads = pick(0, 1) == 1 ? 4 : 1;
   return s;
@@ -144,7 +143,6 @@ void applySchedule(const SoakSchedule& s, mc::FrameworkConfig& fw, const std::st
   fw.stream.checkpointDir = ckptDir;
   fw.stream.tearEpochSeal = s.tearEpoch;
   fw.stream.compaction.everyEpochs = s.compactEvery;
-  fw.stream.shardedReplay = s.sharded;
   fw.failSchedule = s.events;
   fw.rebalanceCells = s.rebalance;
   fw.threadsPerRank = s.threads;

@@ -560,8 +560,7 @@ TEST(FormatBitIdentity, InjectedFailureReplaysWkbChunkLog) {
   setup.tweak = [](mc::JoinConfig& cfg) {
     cfg.framework.stream.checkpointEveryRounds = 2;
     cfg.framework.stream.checkpointDir = "__ck_format";
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 3;
+    cfg.framework.failSchedule = {{2, 3, 0}};
   };
   int died = 0;
   const std::vector<mc::JoinPair> recovered = runJoin(fx, setup, &died);

@@ -419,8 +419,7 @@ mc::JoinConfig fullPipelineConfig(const std::string& ckptDir) {
   cfg.framework.stream.checkpointEveryRounds = 1;
   cfg.framework.stream.checkpointDir = ckptDir;
   cfg.framework.stream.compaction.everyEpochs = 1;
-  cfg.framework.failRanks = {2};
-  cfg.framework.killPoint.afterRound = 3;
+  cfg.framework.failSchedule = {{2, 3, 0}};
   return cfg;
 }
 

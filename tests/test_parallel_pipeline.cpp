@@ -351,8 +351,7 @@ TEST(HybridPipeline, ThreadsComposeWithRebalanceAndInjectedFailure) {
     cfg.framework.stream.checkpointDir = "__ck_threads";
     cfg.framework.threadsPerRank = 4;
     cfg.framework.rebalanceCells = true;
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 3;
+    cfg.framework.failSchedule = {{2, 3, 0}};
   });
   EXPECT_EQ(composed.died, 1);
   EXPECT_EQ(composed.pairs, base.pairs)

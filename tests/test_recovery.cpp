@@ -354,8 +354,7 @@ TEST(FailureRecovery, JoinBitIdenticalAfterMidStreamKill) {
   // deliveries to the dead rank is unsealed and must come back via replay).
   const JoinRun killed = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_k1");
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 3;
+    cfg.framework.failSchedule = {{2, 3, 0}};
   });
   EXPECT_EQ(killed.died, 1);
   EXPECT_EQ(killed.recovered, 3);
@@ -368,8 +367,7 @@ TEST(FailureRecovery, JoinBitIdenticalAfterMidStreamKill) {
   // Kill two ranks (k = 2), later in the stream.
   const JoinRun killed2 = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_k2");
-    cfg.framework.failRanks = {1, 3};
-    cfg.framework.killPoint.afterRound = 5;
+    cfg.framework.failSchedule = {{1, 5, 0}, {3, 5, 0}};
   });
   EXPECT_EQ(killed2.died, 2);
   EXPECT_EQ(killed2.recovered, 2);
@@ -382,8 +380,7 @@ TEST(FailureRecovery, JoinBitIdenticalAfterMidStreamKill) {
   const JoinRun torn = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_torn_e2e");
     cfg.framework.stream.tearEpochSeal = 2;
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 5;
+    cfg.framework.failSchedule = {{2, 5, 0}};
   });
   EXPECT_EQ(torn.recovered, 3);
   EXPECT_EQ(torn.epochUsed, 1u) << "torn epoch 2 must be skipped in favour of epoch 1";
@@ -395,8 +392,7 @@ TEST(FailureRecovery, JoinBitIdenticalAfterMidStreamKill) {
   // survivors (world-rank translation of the LPT map).
   const JoinRun rebalanced = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_rb");
-    cfg.framework.failRanks = {2};
-    cfg.framework.killPoint.afterRound = 3;
+    cfg.framework.failSchedule = {{2, 3, 0}};
     cfg.framework.rebalanceCells = true;
   });
   EXPECT_EQ(rebalanced.recovered, 3);
@@ -405,12 +401,15 @@ TEST(FailureRecovery, JoinBitIdenticalAfterMidStreamKill) {
 
 TEST(FailureRecovery, OverlayRasterBitIdenticalWhenRankZeroDies) {
   RecoveryFixture fx;
-  std::array<std::string, 2> rasters;
-  std::array<double, 2> totalsR{0, 0};
-  std::array<int, 2> died{0, 0};
+  // Mode 0: failure-free. Mode 1: rank 0 dies. Mode 2: ranks 0-2 die at
+  // one boundary, so the lone survivor replays through a 1-rank exchange.
+  constexpr int kModes = 3;
+  std::array<std::string, kModes> rasters;
+  std::array<double, kModes> totalsR{0, 0, 0};
+  std::array<int, kModes> died{0, 0, 0};
 
-  for (int mode = 0; mode < 2; ++mode) {
-    const std::string out = mode == 0 ? "cov_base.bin" : "cov_killed.bin";
+  for (int mode = 0; mode < kModes; ++mode) {
+    const std::string out = "cov_mode" + std::to_string(mode) + ".bin";
     std::mutex mu;
     mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
       mc::OverlayConfig cfg;
@@ -421,8 +420,10 @@ TEST(FailureRecovery, OverlayRasterBitIdenticalWhenRankZeroDies) {
         // Rank 0 dies: epoch seals it wrote pre-kill must still commit,
         // and the survivors' collective write re-roots on the shrunk
         // communicator.
-        cfg.framework.failRanks = {0};
-        cfg.framework.killPoint.afterRound = 4;
+        cfg.framework.failSchedule = {{0, 4, 0}};
+      } else if (mode == 2) {
+        cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_ov_lone");
+        cfg.framework.failSchedule = {{0, 4, 0}, {1, 4, 0}, {2, 4, 0}};
       }
       mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
       mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
@@ -436,9 +437,13 @@ TEST(FailureRecovery, OverlayRasterBitIdenticalWhenRankZeroDies) {
 
   ASSERT_FALSE(rasters[0].empty());
   EXPECT_EQ(died[1], 1);
-  EXPECT_EQ(rasters[0], rasters[1])
-      << "coverage raster must be bit-identical to the failure-free run";
-  EXPECT_NEAR(totalsR[0], totalsR[1], 1e-9 * std::max(1.0, std::abs(totalsR[0])));
+  EXPECT_EQ(died[2], 3);
+  for (int mode = 1; mode < kModes; ++mode) {
+    EXPECT_EQ(rasters[0], rasters[static_cast<std::size_t>(mode)])
+        << "mode " << mode << ": coverage raster must be bit-identical to the failure-free run";
+    EXPECT_NEAR(totalsR[0], totalsR[static_cast<std::size_t>(mode)],
+                1e-9 * std::max(1.0, std::abs(totalsR[0])));
+  }
   EXPECT_GT(totalsR[0], 0.0);
 }
 
@@ -456,8 +461,7 @@ TEST(FailureRecovery, SingleLayerIndexMatchesAfterKill) {
       cfg.framework.gridCells = 49;
       if (mode == 1) {
         cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_idx");
-        cfg.framework.failRanks = {1, 3};
-        cfg.framework.killPoint.afterRound = 3;
+        cfg.framework.failSchedule = {{1, 3, 0}, {3, 3, 0}};
       }
       mc::DatasetHandle data{"r.wkt", &fx.parser, {}};
       mc::IndexingStats stats;
@@ -486,19 +490,8 @@ TEST(CascadingFailure, SecondKillDuringRecoveryBitIdenticalWithCompaction) {
   });
   ASSERT_FALSE(base.pairs.empty());
 
-  // The uncompacted PR-5 reference: full replay (every survivor reads
-  // every chunk log), no GC, same two-kill schedule — rank 2 dies at the
-  // round-5 boundary and rank 1 dies *during* the recovery pass.
-  const JoinRun full = runJoin(fx, [](mc::JoinConfig& cfg) {
-    cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__cas_full");
-    cfg.framework.stream.shardedReplay = false;
-    cfg.framework.failSchedule = {{2, 5, 0}, {1, 5, 1}};
-  });
-  EXPECT_EQ(full.died, 2);
-  EXPECT_EQ(full.recovered, 2);
-  EXPECT_EQ(full.pairs, base.pairs) << "full-replay cascade must stay bit-identical";
-
-  // The elastic path: sharded replay plus checkpoint GC + compaction.
+  // Rank 2 dies at the round-5 boundary and rank 1 dies *during* the
+  // recovery pass, with checkpoint GC + compaction on.
   const JoinRun cascaded = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__cas_new");
     cfg.framework.stream.compaction.everyEpochs = 2;
@@ -514,35 +507,61 @@ TEST(CascadingFailure, SecondKillDuringRecoveryBitIdenticalWithCompaction) {
   EXPECT_EQ(cascaded.globalPairs, base.globalPairs);
   EXPECT_GT(cascaded.compactionBytes, 0u) << "the round-4 seal must have folded a base";
   EXPECT_GT(cascaded.reclaimedBytes, 0u) << "GC must delete folded deltas and covered chunks";
-  EXPECT_LT(cascaded.recoveryBytes, full.recoveryBytes)
-      << "compaction + sharded replay must read strictly fewer recovery bytes than the "
-         "uncompacted full-replay path on the same schedule";
+  EXPECT_LT(cascaded.recoveryBytes, base.checkpointBytes)
+      << "aggregate recovery reads must stay below one copy of the durable state";
 }
 
-TEST(CascadingFailure, ShardedReplayEquivalentToFullReplay) {
+TEST(CascadingFailure, ShardedReplayReadsBelowOneDurableCopy) {
   RecoveryFixture fx;
   const JoinRun base = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__eq_base");
   });
 
-  // Same two-kill cascade, compaction off in both runs: the only variable
-  // is how the survivors split the chunk-log replay.
+  // Two-kill cascade with compaction off: the replay reads the whole
+  // unsealed chunk-log tail, split across the survivors by source rank.
   const JoinRun sharded = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__eq_shard");
     cfg.framework.failSchedule = {{1, 3, 0}, {3, 3, 1}};
   });
-  const JoinRun full = runJoin(fx, [](mc::JoinConfig& cfg) {
-    cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__eq_full");
-    cfg.framework.stream.shardedReplay = false;
-    cfg.framework.failSchedule = {{1, 3, 0}, {3, 3, 1}};
-  });
   EXPECT_EQ(sharded.died, 2);
   EXPECT_EQ(sharded.recoveryPasses, 2u);
-  EXPECT_EQ(sharded.pairs, full.pairs) << "sharded and full replay must agree record-for-record";
   EXPECT_EQ(sharded.pairs, base.pairs);
-  EXPECT_EQ(sharded.globalPairs, full.globalPairs);
-  EXPECT_LT(sharded.recoveryBytes, full.recoveryBytes)
-      << "splitting the chunk log by source rank must shrink aggregate replay reads";
+  EXPECT_EQ(sharded.globalPairs, base.globalPairs);
+  EXPECT_LT(sharded.recoveryBytes, base.checkpointBytes)
+      << "splitting the chunk log by source rank must keep aggregate replay reads below one "
+         "copy of the durable state";
+}
+
+// runFilterRefine is the only guard on a fault config: every malformed
+// schedule must be rejected before it can strike.
+TEST(FailureRecovery, FaultScheduleValidationRejectsMalformedSchedules) {
+  RecoveryFixture fx;
+  int runs = 0;
+  // Runs a 4-rank join under `schedule` and rethrows its error after
+  // checking the message names the intended rejection.
+  const auto runRejected = [&](std::vector<mvio::sim::FailureEvent> schedule,
+                               const std::string& why, std::uint64_t checkpointEvery = 2) {
+    const std::string ckptDir = "__ck_bad" + std::to_string(runs++);
+    try {
+      runJoin(fx, [&](mc::JoinConfig& cfg) {
+        cfg.framework.stream = RecoveryFixture::streamedConfig(checkpointEvery, ckptDir);
+        cfg.framework.failSchedule = schedule;
+      });
+    } catch (const mvio::util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+      throw;
+    }
+  };
+  EXPECT_THROW(runRejected({{4, 3, 0}}, "outside the communicator"), mvio::util::Error);
+  EXPECT_THROW(runRejected({{2, 3, 0}, {2, 5, 0}}, "same rank twice"), mvio::util::Error);
+  EXPECT_THROW(runRejected({{0, 3, 0}, {1, 3, 0}, {2, 3, 0}, {3, 3, 0}}, "at least one survivor"),
+               mvio::util::Error);
+  EXPECT_THROW(runRejected({{2, 3, 1}}, "first failure wave"), mvio::util::Error);
+  EXPECT_THROW(runRejected({{2, 0, 0}}, "without a kill round"), mvio::util::Error);
+  EXPECT_THROW(runRejected({{2, 3, -1}}, "negative recovery pass"), mvio::util::Error);
+  EXPECT_THROW(runRejected({{2, 1000, 0}}, "beyond the data-round schedule"), mvio::util::Error);
+  EXPECT_THROW(runRejected({{2, 3, 0}}, "requires StreamConfig::checkpointEveryRounds", 0),
+               mvio::util::Error);
 }
 
 TEST(CascadingFailure, LaterRoundWaveComposesWithRebalance) {
@@ -603,7 +622,6 @@ TEST(Checkpoint, CompactionFoldsAndReclaims) {
     cfg.everyRounds = 1;
     cfg.dir = "__ck_gc";
     cfg.compactEveryEpochs = 2;
-    cfg.compactKeepEpochs = 1;
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
     ckpt.setRoundSchedule(4, 0);
     for (int i = 0; i < 4; ++i) ckpt.logChunk(0, batch);
