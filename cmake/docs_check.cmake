@@ -8,11 +8,15 @@
 # file of that name exists anywhere under src/, tests/, bench/,
 # examples/ or cmake/.
 #
-# It also checks config-field citations: every
-# `FrameworkConfig::x`, `StreamConfig::x`, `CompactionPolicy::x` or
-# `PartitionerConfig::x` in the two documents must name a member `x`
-# declared in src/core/framework.hpp or src/core/partition_map.hpp, so a
-# deleted or renamed option cannot linger in the docs.
+# It also checks member citations: every `FrameworkConfig::x`,
+# `StreamConfig::x` or `CompactionPolicy::x` (src/core/framework.hpp),
+# `PartitionerConfig::x` (src/core/partition_map.hpp),
+# `PartitionConfig::x` (src/core/file_partition.hpp), `CellStore::x`
+# (src/core/cell_store.hpp) and `FormatReader::x` /
+# `TextFormatReader::x` / `WkbFormatReader::x` (src/core/format.hpp) in
+# the two documents must name a field or method `x` declared in that
+# header, so a deleted or renamed option or method cannot linger in the
+# docs.
 #
 # Usage: cmake -DREPO_ROOT=<repo> -P cmake/docs_check.cmake
 
@@ -31,9 +35,13 @@ foreach(f ${KNOWN_FILES})
   list(APPEND KNOWN_BASENAMES ${base})
 endforeach()
 
-file(READ ${REPO_ROOT}/src/core/framework.hpp config_headers)
-file(READ ${REPO_ROOT}/src/core/partition_map.hpp partition_header)
-string(APPEND config_headers "${partition_header}")
+# Cited type pattern = the header (under src/) declaring its members.
+set(CITED_TYPES
+    "FrameworkConfig|StreamConfig|CompactionPolicy=core/framework.hpp"
+    "PartitionerConfig=core/partition_map.hpp"
+    "PartitionConfig=core/file_partition.hpp"
+    "CellStore=core/cell_store.hpp"
+    "(Text|Wkb)?FormatReader=core/format.hpp")
 
 set(MISSING "")
 foreach(doc README.md DESIGN.md)
@@ -67,16 +75,25 @@ foreach(doc README.md DESIGN.md)
     endforeach()
   endforeach()
 
-  # Config-field citations: the member must still be declared, i.e. appear
-  # as `<type> x;`, `<type> x = ...;` or `<type> x{...};` in a header.
-  string(REGEX MATCHALL "(FrameworkConfig|StreamConfig|CompactionPolicy|PartitionerConfig)::[A-Za-z_][A-Za-z0-9_]*"
-         field_refs "${text}")
-  list(REMOVE_DUPLICATES field_refs)
-  foreach(ref ${field_refs})
-    string(REGEX REPLACE "^[A-Za-z]+::" "" field ${ref})
-    if(NOT config_headers MATCHES "[A-Za-z0-9_>:*&] ${field}( = [^;]*)?[;{]")
-      list(APPEND MISSING "${doc}: ${ref} (no such config field)")
-    endif()
+  # Member citations: the member must still be declared, i.e. appear as
+  # `<type> x;`, `<type> x = ...;`, `<type> x{...};` or `<type> x(...)`
+  # in the type's header.
+  foreach(entry ${CITED_TYPES})
+    string(REGEX REPLACE "=.*$" "" types "${entry}")
+    string(REGEX REPLACE "^.*=" "" header "${entry}")
+    file(READ ${REPO_ROOT}/src/${header} header_text)
+    # The leading non-identifier byte keeps `FormatReader` from matching
+    # inside another type's name.
+    string(REGEX MATCHALL "(^|[^A-Za-z0-9_])(${types})::[A-Za-z_][A-Za-z0-9_]*"
+           member_refs "${text}")
+    list(REMOVE_DUPLICATES member_refs)
+    foreach(ref ${member_refs})
+      string(REGEX REPLACE "^[^A-Za-z]+" "" ref "${ref}")
+      string(REGEX REPLACE "^.*::" "" member "${ref}")
+      if(NOT header_text MATCHES "[A-Za-z0-9_>:*&] ${member}( = [^;]*)?[;{(]")
+        list(APPEND MISSING "${doc}: ${ref} (not declared in src/${header})")
+      endif()
+    endforeach()
   endforeach()
 endforeach()
 
@@ -84,4 +101,4 @@ if(MISSING)
   list(JOIN MISSING "\n  " msg)
   message(FATAL_ERROR "stale documentation references:\n  ${msg}")
 endif()
-message(STATUS "docs_check: all README.md/DESIGN.md file and config-field references resolve")
+message(STATUS "docs_check: all README.md/DESIGN.md file and member references resolve")

@@ -107,14 +107,6 @@ void CellStore::accumulateCellLoads(std::vector<std::uint64_t>& loads) const {
   }
 }
 
-std::uint64_t CellStore::trackedBytes() const {
-  if (!streaming()) return resident_.memoryBytes();
-  // Current cell + the resident tail segment.
-  return scratch_.memoryBytes() + resident_.memoryBytes();
-}
-
-void CellStore::notePeak() { peakBytes_ = std::max(peakBytes_, trackedBytes()); }
-
 void CellStore::assembleCell(int cell, geom::GeometryBatch& out, bool extract) {
   // Spilled segments first (flush order), the resident tail last — the
   // concatenation is the cell's arrival order.
@@ -134,32 +126,16 @@ void CellStore::assembleCell(int cell, geom::GeometryBatch& out, bool extract) {
     for (const std::uint32_t i : tail->second) out.appendRecordFrom(resident_, i, cell);
     if (extract) cellIndex_.erase(tail);
   }
-  notePeak();
 }
 
 geom::BatchSpan CellStore::cellSpan(int cell) {
   MVIO_CHECK(finalized_, "CellStore: cellSpan before finalize");
-  if (!streaming()) {
-    const auto it = cellIndex_.find(cell);
-    // Absent cells still get a span backed by a live batch, so tasks may
-    // call span.batch() unconditionally.
-    if (it == cellIndex_.end()) return {&resident_, nullptr, 0};
-    return {&resident_, it->second.data(), it->second.size()};
-  }
-  scratch_ = geom::GeometryBatch();
-  assembleCell(cell, scratch_, /*extract=*/false);
-  scratchIdx_.resize(scratch_.size());
-  for (std::size_t k = 0; k < scratch_.size(); ++k) {
-    scratchIdx_[k] = static_cast<std::uint32_t>(k);
-  }
-  return {&scratch_, scratchIdx_.data(), scratch_.size()};
-}
-
-geom::GeometryBatch CellStore::takeCellBatch() {
-  MVIO_CHECK(streaming(), "CellStore: takeCellBatch is a streaming-regime call");
-  geom::GeometryBatch out = std::move(scratch_);
-  scratch_ = geom::GeometryBatch();
-  return out;
+  MVIO_CHECK(!streaming(), "CellStore: cellSpan is a resident-regime call");
+  const auto it = cellIndex_.find(cell);
+  // Absent cells still get a span backed by a live batch, so tasks may
+  // call span.batch() unconditionally.
+  if (it == cellIndex_.end()) return {&resident_, nullptr, 0};
+  return {&resident_, it->second.data(), it->second.size()};
 }
 
 geom::GeometryBatch CellStore::takeCellAssembled(int cell) {

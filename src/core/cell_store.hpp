@@ -21,12 +21,12 @@
 //    stably sorted by cell id and written out as one blob: a run of
 //    per-cell BatchShards ("pieces"), one per cell present in the
 //    segment. Only a directory (per piece: cell, byte range, record
-//    count, dead flag) stays in memory. cellSpan() reads the cell's
-//    piece from every segment with one ranged fetch each, decodes it
-//    straight into a scratch batch and appends the tail's records. Each
-//    cell is assembled once, so every spilled byte is read back exactly
-//    once and nothing is cached: peak refine memory is the resident tail
-//    plus one cell, not the owned-batch size.
+//    count, dead flag) stays in memory. takeCellAssembled() reads the
+//    cell's piece from every segment with one ranged fetch each, decodes
+//    it straight into a batch the caller owns and appends the tail's
+//    records. Each cell is assembled once, so every spilled byte is read
+//    back exactly once and nothing is cached: peak refine memory is the
+//    resident tail plus the staged cells, not the owned-batch size.
 //
 // extractCell() removes a cell's records (the shard-migration path uses
 // it to ship leaving cells), and addMigrated() appends records received
@@ -69,27 +69,21 @@ class CellStore {
   /// loads[cell] += record count, for every cell present (skew measurement;
   /// `loads` must span the grid).
   void accumulateCellLoads(std::vector<std::uint64_t>& loads) const;
-  /// Bytes currently resident for refine service: tail + current cell
-  /// (streaming) or the owned batch (resident).
-  [[nodiscard]] std::uint64_t trackedBytes() const;
+  /// Bytes the store holds resident: the owned batch (resident) or the
+  /// tail segment (streaming; staged cells belong to the caller).
+  [[nodiscard]] std::uint64_t trackedBytes() const { return resident_.memoryBytes(); }
   [[nodiscard]] std::uint64_t peakBytes() const { return peakBytes_; }
-  /// Piece bytes reloaded by cellSpan/extractCell (refine-side traffic).
+  /// Piece bytes reloaded by takeCellAssembled/extractCell.
   [[nodiscard]] std::uint64_t reloadBytes() const { return reloadBytes_; }
 
   // ---- Cell-major access (after finalize) ------------------------------
-  /// The records of `cell` as a span. Resident: a view into the owned
-  /// batch. Streaming: assembled into an internal scratch batch from the
-  /// cell's pieces; the span is valid until the next cellSpan /
-  /// extractCell / takeCellBatch call. Any cell order is correct.
+  /// Resident regime: the records of `cell` as a zero-copy view into the
+  /// owned batch. Any cell order is correct.
   geom::BatchSpan cellSpan(int cell);
-  /// Streaming regime: hand over the scratch batch assembled by the last
-  /// cellSpan() (the per-cell adoption unit).
-  [[nodiscard]] geom::GeometryBatch takeCellBatch();
-  /// Streaming regime: assemble `cell`'s records straight into an owned,
-  /// self-contained batch — cellSpan() + takeCellBatch() without the
-  /// scratch index build. The parallel-refine group loader uses it to
-  /// stage a bounded group of cells that pool workers then refine while
-  /// the store (which is not thread-safe) stays untouched (DESIGN.md §10).
+  /// Streaming regime: assemble `cell`'s records into an owned,
+  /// self-contained batch. The refine group loader stages cells with it,
+  /// so workers refine them while the store (which is not thread-safe)
+  /// stays untouched (DESIGN.md §10). Any cell order is correct.
   [[nodiscard]] geom::GeometryBatch takeCellAssembled(int cell);
   /// Remove `cell` from the store and return its records (migration).
   /// Resident: the records are tombstoned with kNoCell in the owned batch
@@ -125,7 +119,6 @@ class CellStore {
   /// Append `cell`'s records from each segment's piece, then from the
   /// tail, to `out`; marks the pieces dead when `extract`.
   void assembleCell(int cell, geom::GeometryBatch& out, bool extract);
-  void notePeak();
 
   pfs::SpillStore* store_;
   std::string base_;
@@ -145,8 +138,6 @@ class CellStore {
 
   // Streaming state.
   std::vector<Segment> segments_;
-  geom::GeometryBatch scratch_;
-  std::vector<std::uint32_t> scratchIdx_;
 };
 
 }  // namespace mvio::core

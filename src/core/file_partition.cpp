@@ -1,7 +1,6 @@
 #include "core/file_partition.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "core/format.hpp"
 #include "util/error.hpp"
@@ -15,25 +14,6 @@ namespace {
 /// blocks, so ring-fragment tags wrap; send/recv stay matched because both
 /// sides derive the tag from the same iteration index.
 constexpr std::uint64_t kTagModulus = 32768;
-
-/// Offset of the last `delim` in buf[0, len), or -1.
-std::int64_t findLastDelim(const char* buf, std::uint64_t len, char delim) {
-#if defined(__GLIBC__)
-  const void* p = ::memrchr(buf, delim, static_cast<std::size_t>(len));
-  return p == nullptr ? -1 : static_cast<const char*>(p) - buf;
-#else
-  std::int64_t pos = static_cast<std::int64_t>(len) - 1;
-  while (pos >= 0 && buf[static_cast<std::size_t>(pos)] != delim) --pos;
-  return pos;
-#endif
-}
-
-/// Offset of the first `delim` in buf[from, len), or len if absent.
-std::uint64_t findDelimFrom(const char* buf, std::uint64_t len, std::uint64_t from, char delim) {
-  if (from >= len) return len;
-  const void* p = std::memchr(buf + from, delim, static_cast<std::size_t>(len - from));
-  return p == nullptr ? len : static_cast<std::uint64_t>(static_cast<const char*>(p) - buf);
-}
 
 /// Number of ranks that actually read bytes in the iteration starting at
 /// `globalOffset` (the paper's "subset of processes call the file read
@@ -49,7 +29,11 @@ int readerCount(std::uint64_t globalOffset, std::uint64_t fileSize, std::uint64_
 
 PartitionReader::PartitionReader(mpi::Comm& comm, io::File& file, const PartitionConfig& cfg,
                                  std::uint64_t chunkBytes, const FormatReader* format)
-    : comm_(&comm), file_(&file), cfg_(cfg), fmt_(format), streaming_(chunkBytes > 0) {
+    : comm_(&comm),
+      file_(&file),
+      cfg_(cfg),
+      fmt_(format != nullptr ? format : FormatRegistry::instance().get("wkt")),
+      streaming_(chunkBytes > 0) {
   fileSize_ = file.size();
   MVIO_CHECK(fileSize_ > 0, "cannot partition an empty file");
 
@@ -80,7 +64,6 @@ PartitionReader::PartitionReader(mpi::Comm& comm, io::File& file, const Partitio
 bool PartitionReader::stepMessage(std::string& out) {
   const int nprocs = comm_->size();
   const int rank = comm_->rank();
-  const char delim = cfg_.delimiter;
   const std::uint64_t fileChunkSize = static_cast<std::uint64_t>(nprocs) * blockSize_;
   const std::uint64_t i = iter_;
 
@@ -108,7 +91,6 @@ bool PartitionReader::stepMessage(std::string& out) {
   }
 
   const bool tailHolder = lastIteration && rank == k - 1;  // holds the EOF tail
-  const bool framed = fmt_ != nullptr && fmt_->framing() == Framing::kFramed;
 
   std::string_view keep;
   std::string_view fragment;
@@ -116,11 +98,12 @@ bool PartitionReader::stepMessage(std::string& out) {
     // Everything up to EOF is mine; a missing trailing delimiter just
     // means the final record is EOF-terminated.
     keep = std::string_view(buf_.data(), static_cast<std::size_t>(myLen));
-  } else if (framed) {
-    // Walk the record length headers for the last boundary in the block
-    // (no scan touches record payloads). The dangling partial record past
-    // it rings to the successor exactly like a text fragment; a plausible
-    // header bounds it by maxGeometryBytes, so it always fits recvBuf_.
+  } else {
+    // The last record boundary in the block (Algorithm 1 lines 9-11: a
+    // backward delimiter scan for text, a header walk for framed records
+    // that never touches payloads). The dangling partial record past it
+    // rings to the successor; maxGeometryBytes bounds it, so it always
+    // fits recvBuf_.
     const std::int64_t cut =
         fmt_->splitBoundary(std::string_view(buf_.data(), static_cast<std::size_t>(myLen)),
                             cfg_.maxGeometryBytes);
@@ -130,15 +113,6 @@ bool PartitionReader::stepMessage(std::string& out) {
     keep = std::string_view(buf_.data(), static_cast<std::size_t>(cut));
     fragment = std::string_view(buf_.data() + cut, static_cast<std::size_t>(myLen) -
                                                        static_cast<std::size_t>(cut));
-  } else {
-    // Backward scan for the last delimiter (Algorithm 1 lines 9-11).
-    const std::int64_t lastDelimPos = findLastDelim(buf_.data(), myLen, delim);
-    MVIO_CHECK(lastDelimPos >= 0,
-               "no record delimiter inside a file block: block size is smaller than a record; "
-               "increase blockSize or maxGeometryBytes");
-    keep = std::string_view(buf_.data(), static_cast<std::size_t>(lastDelimPos) + 1);
-    fragment = std::string_view(buf_.data() + lastDelimPos + 1,
-                                myLen - static_cast<std::uint64_t>(lastDelimPos) - 1);
   }
 
   const bool willSend = !tailHolder;  // every reader except the EOF-tail holder
@@ -186,7 +160,6 @@ bool PartitionReader::stepMessage(std::string& out) {
 bool PartitionReader::stepOverlap(std::string& out) {
   const int nprocs = comm_->size();
   const int rank = comm_->rank();
-  const char delim = cfg_.delimiter;
   const std::uint64_t halo = cfg_.maxGeometryBytes;
   const std::uint64_t fileChunkSize = static_cast<std::uint64_t>(nprocs) * blockSize_;
   const std::uint64_t i = iter_;
@@ -216,50 +189,26 @@ bool PartitionReader::stepOverlap(std::string& out) {
   if (myLen == 0) return true;
 
   const std::uint64_t blockEnd = start + myLen;  // absolute file offset
-  const bool framed = fmt_ != nullptr && fmt_->framing() == Framing::kFramed;
   const std::string_view window(buf_.data(), static_cast<std::size_t>(readLen));
 
-  // First record starting inside [start, blockEnd).
-  std::uint64_t firstStart;  // absolute
-  if (start == 0) {
-    firstStart = 0;
-  } else if (framed) {
-    // First header whose record chain validates at an absolute offset
-    // >= start (the look-back byte at start-1 belongs to the predecessor).
+  // First record starting inside [start, blockEnd): the first boundary at
+  // an absolute offset >= start (the look-back byte at start-1 belongs to
+  // the predecessor, so a delimiter there makes `start` a boundary).
+  std::uint64_t firstStart = 0;  // absolute
+  if (start != 0) {
     const std::uint64_t b = fmt_->firstBoundary(window, start - readStart, cfg_.maxGeometryBytes);
     if (b == FormatReader::npos) return true;  // no record begins in this block
     firstStart = readStart + b;
-    if (firstStart >= blockEnd) return true;  // boundary record belongs to successor
-  } else {
-    const std::uint64_t d = findDelimFrom(buf_.data(), readLen, 0, delim);
-    if (d == readLen) return true;  // no record begins in this block
-    firstStart = readStart + d + 1;
     if (firstStart >= blockEnd) return true;  // boundary record belongs to successor
   }
 
   // End of the record containing byte blockEnd-1: first boundary at an
   // absolute offset >= blockEnd (or EOF for a final unterminated record).
-  std::uint64_t keepEndExclusive;  // absolute
-  if (framed) {
-    const std::uint64_t e = fmt_->nextBoundary(window, firstStart - readStart,
-                                               blockEnd - readStart, cfg_.maxGeometryBytes);
-    if (e != FormatReader::npos) {
-      keepEndExclusive = readStart + e;
-    } else {
-      MVIO_CHECK(readEnd == fileSize_,
-                 "record extends past the halo region: maxGeometryBytes is smaller than a record");
-      keepEndExclusive = fileSize_;
-    }
-  } else {
-    const std::uint64_t e = findDelimFrom(buf_.data(), readLen, blockEnd - 1 - readStart, delim);
-    if (e < readLen) {
-      keepEndExclusive = readStart + e + 1;  // include the delimiter
-    } else {
-      MVIO_CHECK(readEnd == fileSize_,
-                 "record extends past the halo region: maxGeometryBytes is smaller than a record");
-      keepEndExclusive = fileSize_;
-    }
-  }
+  const std::uint64_t e = fmt_->nextBoundary(window, firstStart - readStart,
+                                             blockEnd - readStart, cfg_.maxGeometryBytes);
+  MVIO_CHECK(e != FormatReader::npos || readEnd == fileSize_,
+             "record extends past the halo region: maxGeometryBytes is smaller than a record");
+  const std::uint64_t keepEndExclusive = e != FormatReader::npos ? readStart + e : fileSize_;
 
   out.append(buf_.data() + (firstStart - readStart),
              static_cast<std::size_t>(keepEndExclusive - firstStart));

@@ -46,10 +46,6 @@ struct PartitionConfig {
   BoundaryStrategy strategy = BoundaryStrategy::kMessage;
   /// Level 1 (collective read_at_all) instead of Level 0 (independent).
   bool collectiveRead = false;
-  /// Record delimiter — used by the default text formats. Binary formats
-  /// (FormatReader::framing() == kFramed) resolve boundaries by walking
-  /// record length headers instead and never consult this byte.
-  char delimiter = '\n';
 };
 
 /// Per-rank outcome of a partitioned read.
@@ -84,11 +80,10 @@ struct PartitionResult {
 /// simply yield empty text.
 class PartitionReader {
  public:
-  /// `format` (optional, non-owning) supplies record boundary resolution.
-  /// Null or a delimited format keeps the classic delimiter scans; a
-  /// framed format (length-prefixed WKB records) resolves boundaries by
-  /// walking record headers — under both strategies and in streaming
-  /// chunk rounds alike.
+  /// `format` (optional, non-owning) answers every record-boundary
+  /// question — under both strategies and in streaming chunk rounds alike:
+  /// a text format scans for its parser's delimiter, the framed WKB format
+  /// walks record headers. Null resolves the registry's "wkt" reader.
   PartitionReader(mpi::Comm& comm, io::File& file, const PartitionConfig& cfg,
                   std::uint64_t chunkBytes = 0, const FormatReader* format = nullptr);
 
@@ -109,7 +104,7 @@ class PartitionReader {
   mpi::Comm* comm_;
   io::File* file_;
   PartitionConfig cfg_;
-  const FormatReader* fmt_ = nullptr;  ///< null → delimiter-scan boundaries
+  const FormatReader* fmt_;  ///< record-boundary resolution (never null)
   bool streaming_ = false;
   std::uint64_t blockSize_ = 0;
   std::uint64_t fileSize_ = 0;

@@ -128,11 +128,17 @@ TextFormatReader::TextFormatReader(std::string name, std::unique_ptr<const Parse
 
 std::int64_t TextFormatReader::splitBoundary(std::string_view block,
                                              std::uint64_t /*maxRecordBytes*/) const {
+  // One past the last delimiter (Algorithm 1 lines 9-11's backward scan).
   const char delim = parser_->delimiter();
-  for (std::size_t i = block.size(); i > 0; --i) {
-    if (block[i - 1] == delim) return static_cast<std::int64_t>(i);
-  }
-  return -1;
+  if (block.empty()) return -1;
+#if defined(__GLIBC__)
+  const void* p = ::memrchr(block.data(), delim, block.size());
+  return p == nullptr ? -1 : static_cast<const char*>(p) - block.data() + 1;
+#else
+  std::int64_t pos = static_cast<std::int64_t>(block.size()) - 1;
+  while (pos >= 0 && block[static_cast<std::size_t>(pos)] != delim) --pos;
+  return pos < 0 ? -1 : pos + 1;
+#endif
 }
 
 std::uint64_t TextFormatReader::firstBoundary(std::string_view buf, std::uint64_t from,
@@ -145,7 +151,8 @@ std::uint64_t TextFormatReader::firstBoundary(std::string_view buf, std::uint64_
 std::uint64_t TextFormatReader::nextBoundary(std::string_view buf,
                                              std::uint64_t /*knownBoundary*/, std::uint64_t from,
                                              std::uint64_t /*maxRecordBytes*/) const {
-  const std::uint64_t d = findDelim(buf, std::max<std::uint64_t>(from, 1) - 1, parser_->delimiter());
+  if (from == 0) return 0;  // the window start is a boundary by convention
+  const std::uint64_t d = findDelim(buf, from - 1, parser_->delimiter());
   return d == npos ? npos : d + 1;
 }
 

@@ -48,12 +48,6 @@ void appendWkbRecord(const geom::GeometryBatch& b, std::size_t i, std::string& o
 /// corpus-writer convenience; the batch overload is the hot path).
 void appendWkbRecord(const geom::Geometry& g, std::string_view userData, std::string& out);
 
-/// How a format's records are delimited on disk.
-enum class Framing {
-  kDelimited,  ///< records separated by a delimiter byte (text formats)
-  kFramed,     ///< records carry length-prefixed headers (binary formats)
-};
-
 /// One ingest format: boundary resolution + chunk parsing. Implementations
 /// must be stateless per call (const, shared across ranks and worker
 /// threads). Register instances in the FormatRegistry or hand them to
@@ -63,9 +57,6 @@ class FormatReader {
   virtual ~FormatReader() = default;
 
   [[nodiscard]] virtual std::string_view name() const = 0;
-  [[nodiscard]] virtual Framing framing() const = 0;
-  /// Delimiter byte for kDelimited formats (unused for kFramed).
-  [[nodiscard]] virtual char delimiter() const { return '\n'; }
 
   /// One past the last record boundary in `block` — a raw kMessage file
   /// block that may begin mid-record. Bytes past the returned offset are
@@ -113,8 +104,6 @@ class TextFormatReader final : public FormatReader {
   TextFormatReader(std::string name, std::unique_ptr<const Parser> parser);
 
   [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] Framing framing() const override { return Framing::kDelimited; }
-  [[nodiscard]] char delimiter() const override { return parser_->delimiter(); }
   [[nodiscard]] std::int64_t splitBoundary(std::string_view block,
                                            std::uint64_t maxRecordBytes) const override;
   [[nodiscard]] std::uint64_t firstBoundary(std::string_view buf, std::uint64_t from,
@@ -140,7 +129,6 @@ class WkbFormatReader final : public FormatReader {
   explicit WkbFormatReader(bool columnar = true) : columnar_(columnar) {}
 
   [[nodiscard]] std::string_view name() const override { return "wkb"; }
-  [[nodiscard]] Framing framing() const override { return Framing::kFramed; }
   [[nodiscard]] std::int64_t splitBoundary(std::string_view block,
                                            std::uint64_t maxRecordBytes) const override;
   [[nodiscard]] std::uint64_t firstBoundary(std::string_view buf, std::uint64_t from,

@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <tuple>
 
 #include "core/cell_store.hpp"
@@ -414,7 +415,8 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   if (cfg.threadsPerRank > 1) pool.emplace(cfg.threadsPerRank);
 
   // Refine worker clones — one per pool thread. A task whose makeWorker
-  // returns nullptr opts out of parallel refine and keeps the serial loop.
+  // returns nullptr opts out of parallel refine: the same group loop runs
+  // inline on the main task.
   std::vector<std::unique_ptr<RefineTask>> refineWorkers;
   if (pool) {
     for (int t = 0; t < cfg.threadsPerRank; ++t) {
@@ -850,21 +852,17 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
     // Adaptive trigger: measure the max/mean per-rank load ratio under
     // the current map and skip the pass — and its wire traffic — when
     // the owned loads are already within the threshold.
-    std::vector<std::uint64_t> perRank(static_cast<std::size_t>(ap), 0);
+    std::vector<int> curLocal(static_cast<std::size_t>(map.cellCount()), 0);
     std::uint64_t total = 0;
     for (int c = 0; c < map.cellCount(); ++c) {
       const int local = worldToLocal[static_cast<std::size_t>(currentWorldOwner(c))];
       MVIO_CHECK(local >= 0, "rebalance: cell owned by a rank outside the active communicator");
-      perRank[static_cast<std::size_t>(local)] += global[static_cast<std::size_t>(c)];
+      curLocal[static_cast<std::size_t>(c)] = local;
       total += global[static_cast<std::size_t>(c)];
     }
-    const std::uint64_t maxLoad = *std::max_element(perRank.begin(), perRank.end());
     const double mean = static_cast<double>(total) / static_cast<double>(ap);
-    stats.balance.imbalance = total == 0 ? 0.0 : static_cast<double>(maxLoad) / mean;
-    obs::setGauge("balance.imbalance_before", stats.balance.imbalance);
-
-    // Max/mean ratio of a candidate local assignment — the "after" gauge
-    // for the report (identical arithmetic to the trigger measurement).
+    // Max/mean ratio of a local assignment: the trigger measurement under
+    // the current map and the "after" gauge of the LPT proposal.
     const auto imbalanceOf = [&](const std::vector<int>& owner) {
       std::vector<std::uint64_t> load(static_cast<std::size_t>(ap), 0);
       for (int c = 0; c < map.cellCount(); ++c) {
@@ -874,6 +872,8 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
       const std::uint64_t mx = *std::max_element(load.begin(), load.end());
       return total == 0 ? 0.0 : static_cast<double>(mx) / mean;
     };
+    stats.balance.imbalance = imbalanceOf(curLocal);
+    obs::setGauge("balance.imbalance_before", stats.balance.imbalance);
 
     // Under an adaptive map the LPT proposal is additionally priced by the
     // cost model: refine seconds the move would save vs wire seconds it
@@ -884,11 +884,6 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
     if (stats.balance.imbalance >= cfg.rebalanceThreshold) {
       proposal = lptAssignCells(global, ap);
       if (!map.isUniform()) {
-        std::vector<int> curLocal(static_cast<std::size_t>(map.cellCount()), 0);
-        for (int c = 0; c < map.cellCount(); ++c) {
-          curLocal[static_cast<std::size_t>(c)] =
-              worldToLocal[static_cast<std::size_t>(currentWorldOwner(c))];
-        }
         // Measured wire size per record, allreduced so every rank prices
         // (and gates) the identical decision.
         std::uint64_t localWire[2] = {stats.exchange.bytesReceived,
@@ -973,16 +968,23 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
     obs::traceEnd("migrate");
   }
 
-  // 6: cell-major refine. Owned cells are visited in ascending cell-id
-  // order; each cell's two record collections are served by the stores —
-  // zero-copy spans into the owned batch in the resident regime, one
-  // ranged reload per spilled segment in the streaming regime, where the
-  // task also adopts the records cell by cell.
+  // 6: cell-major refine (DESIGN.md §10). Owned cells are visited in
+  // ascending cell-id order and staged into bounded groups; each group is
+  // cut into contiguous ascending-cell blocks, one per refine worker,
+  // proportional to record weight. Because the blocks are contiguous and
+  // the workers are merged back in worker order after every group, the
+  // fold into the main task replays the ascending-cell order — results
+  // are bit-identical at any thread count. Without refine workers the
+  // main task is the one worker and runs each group inline. The stores
+  // (not thread-safe) are only touched here on the main thread; workers
+  // read read-only resident spans or staged per-cell batches (streaming,
+  // one ranged reload per spilled segment, adopted by the task cell by
+  // cell).
   const std::uint64_t reloadBase = ownedR.reloadBytes() + ownedS.reloadBytes();
   {
-    // Main-thread CPU (loop bookkeeping, group assembly, merges,
-    // adoption) is measured by mainTimer; each worker dispatch charges
-    // its critical path (max worker CPU) on top.
+    // Main-thread CPU (loop bookkeeping, group assembly, inline refine,
+    // merges, adoption) is measured by mainTimer; each worker dispatch
+    // charges its critical path (max worker CPU) on top.
     const double blockStart = comm.clock().now();
     const bool measureCells = obs::metricsOn();
     obs::traceBegin("compute");
@@ -992,95 +994,60 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
     const std::vector<int> cells = mergeCellLists(ownedR.cells(), ownedS.cells());
     stats.cellsOwned = cells.size();
 
-    if (!parallelRefine) {
-      for (const int cell : cells) {
-        const geom::BatchSpan spanR = ownedR.cellSpan(cell);
-        const geom::BatchSpan spanS = ownedS.cellSpan(cell);
-        if (measureCells) {
-          sim::ThreadCpuTimer cellTimer;
-          refineThroughMap(task, map, cell, spanR, spanS);
-          obs::observe("refine.cell_seconds", cellTimer.elapsed());
-        } else {
-          refineThroughMap(task, map, cell, spanR, spanS);
-        }
-        stats.refinePeakBytes =
-            std::max(stats.refinePeakBytes, ownedR.trackedBytes() + ownedS.trackedBytes());
-        if (streamingRefine) {
-          // Per-cell adoption: the scratch batches the spans were built
-          // over move to the task, so indices it captured stay valid.
-          task.adoptBatches(ownedR.takeCellBatch(), ownedS.takeCellBatch());
-        }
-      }
-      if (!streamingRefine) {
-        // Whole-run adoption, as in the one-shot pipeline (records
-        // migrated away by rebalancing are kNoCell-tombstoned).
-        task.adoptBatches(ownedR.takeResidentBatch(), ownedS.takeResidentBatch());
-      }
-    } else {
-      // Fanned-out refine (DESIGN.md §10). Cells are staged into bounded
-      // groups; each group is cut into contiguous ascending-cell blocks,
-      // one per worker, proportional to record weight. Because the blocks
-      // are contiguous and the workers are merged back in worker order
-      // after every group, the fold into the main task replays the exact
-      // serial ascending-cell order — results are bit-identical at any
-      // thread count. The stores (not thread-safe) are only touched here
-      // on the main thread; workers read staged batches (streaming) or
-      // read-only resident spans.
-      const int nw = static_cast<int>(refineWorkers.size());
-      struct CellWork {
-        int cell = 0;
-        geom::GeometryBatch r, s;  // staged owned batches (streaming)
-        std::vector<std::uint32_t> idxR, idxS;
-        geom::BatchSpan spanR, spanS;
-      };
-      std::vector<CellWork> group;
-      std::uint64_t groupBytes = 0;
+    const int nw = parallelRefine ? static_cast<int>(refineWorkers.size()) : 1;
+    struct CellWork {
+      int cell = 0;
+      geom::GeometryBatch r, s;  // staged owned batches (streaming)
+      std::vector<std::uint32_t> idxR, idxS;
+      geom::BatchSpan spanR, spanS;
+    };
+    std::vector<CellWork> group;
+    std::uint64_t groupBytes = 0;
 
-      const auto sealGroupSpans = [&group] {
-        // Spans are built only once the group stops growing: vector
-        // growth moves the CellWork structs (batch arenas stay put, but
-        // the idx vectors' addresses must be final).
-        for (CellWork& w : group) {
-          w.spanR = geom::BatchSpan(&w.r, w.idxR.data(), w.idxR.size());
-          w.spanS = geom::BatchSpan(&w.s, w.idxS.data(), w.idxS.size());
+    const auto sealGroupSpans = [&group] {
+      // Spans are built only once the group stops growing: vector
+      // growth moves the CellWork structs (batch arenas stay put, but
+      // the idx vectors' addresses must be final).
+      for (CellWork& w : group) {
+        w.spanR = geom::BatchSpan(&w.r, w.idxR.data(), w.idxR.size());
+        w.spanS = geom::BatchSpan(&w.s, w.idxS.data(), w.idxS.size());
+      }
+    };
+    const auto dispatchGroup = [&] {
+      if (group.empty()) return;
+      std::uint64_t totalWeight = 0;
+      for (const CellWork& w : group) totalWeight += w.spanR.size() + w.spanS.size() + 1;
+      // Deterministic proportional cuts over the weighted prefix.
+      std::vector<std::size_t> cut(static_cast<std::size_t>(nw) + 1, group.size());
+      cut[0] = 0;
+      std::uint64_t prefix = 0;
+      std::size_t i = 0;
+      for (int t = 0; t + 1 < nw; ++t) {
+        const std::uint64_t target =
+            totalWeight * static_cast<std::uint64_t>(t + 1) / static_cast<std::uint64_t>(nw);
+        while (i < group.size() && prefix < target) {
+          prefix += group[i].spanR.size() + group[i].spanS.size() + 1;
+          ++i;
+        }
+        cut[static_cast<std::size_t>(t) + 1] = i;
+      }
+      // Workers have no obs context: per-cell seconds land in a plain
+      // array each worker owns a disjoint slice of; the rank thread
+      // feeds the histogram (and the worker lanes) after the region.
+      std::vector<double> cellSeconds;
+      if (measureCells) cellSeconds.assign(group.size(), 0.0);
+      const auto refineBlock = [&](RefineTask& worker, int t) {
+        for (std::size_t k = cut[static_cast<std::size_t>(t)];
+             k < cut[static_cast<std::size_t>(t) + 1]; ++k) {
+          std::optional<sim::ThreadCpuTimer> cellTimer;
+          if (measureCells) cellTimer.emplace();
+          refineThroughMap(worker, map, group[k].cell, group[k].spanR, group[k].spanS);
+          if (cellTimer) cellSeconds[k] = cellTimer->elapsed();
         }
       };
-      const auto dispatchGroup = [&] {
-        if (group.empty()) return;
-        std::uint64_t totalWeight = 0;
-        for (const CellWork& w : group) totalWeight += w.spanR.size() + w.spanS.size() + 1;
-        // Deterministic proportional cuts over the weighted prefix.
-        std::vector<std::size_t> cut(static_cast<std::size_t>(nw) + 1, group.size());
-        cut[0] = 0;
-        std::uint64_t prefix = 0;
-        std::size_t i = 0;
-        for (int t = 0; t + 1 < nw; ++t) {
-          const std::uint64_t target =
-              totalWeight * static_cast<std::uint64_t>(t + 1) / static_cast<std::uint64_t>(nw);
-          while (i < group.size() && prefix < target) {
-            prefix += group[i].spanR.size() + group[i].spanS.size() + 1;
-            ++i;
-          }
-          cut[static_cast<std::size_t>(t) + 1] = i;
-        }
-        // Workers have no obs context: per-cell seconds land in a plain
-        // array each worker owns a disjoint slice of; the rank thread
-        // feeds the histogram (and the worker lanes) after the region.
-        std::vector<double> cellSeconds;
-        if (measureCells) cellSeconds.assign(group.size(), 0.0);
-        const util::PoolTiming pt = pool->runOnWorkers([&](int t) {
-          RefineTask& worker = *refineWorkers[static_cast<std::size_t>(t)];
-          for (std::size_t k = cut[static_cast<std::size_t>(t)];
-               k < cut[static_cast<std::size_t>(t) + 1]; ++k) {
-            if (measureCells) {
-              sim::ThreadCpuTimer cellTimer;
-              refineThroughMap(worker, map, group[k].cell, group[k].spanR, group[k].spanS);
-              cellSeconds[k] = cellTimer.elapsed();
-            } else {
-              refineThroughMap(worker, map, group[k].cell, group[k].spanR, group[k].spanS);
-            }
-          }
-        });
+      if (parallelRefine) {
+        const util::PoolTiming pt = pool->runOnWorkers(
+            [&](int t) { refineBlock(*refineWorkers[static_cast<std::size_t>(t)], t); });
         // Worker-lane spans: the region starts where the final
         // advanceBy(mainSeconds + workerSeconds) will place it — block
         // start plus main CPU so far plus earlier regions' critical paths.
@@ -1089,45 +1056,52 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
         workerSeconds += pt.cpuMax;
         stats.phases.workerCpu += pt.cpuSum;
         stats.phases.workerCritical += pt.cpuMax;
-        for (const double cs : cellSeconds) obs::observe("refine.cell_seconds", cs);
         for (int t = 0; t < nw; ++t) task.mergeWorker(*refineWorkers[static_cast<std::size_t>(t)]);
-        if (streamingRefine) {
-          // Per-cell adoption in ascending order, after the merge so the
-          // task sees results before their backing arenas move.
-          for (CellWork& w : group) task.adoptBatches(std::move(w.r), std::move(w.s));
-        }
-        group.clear();
-        groupBytes = 0;
-      };
+      } else {
+        refineBlock(task, 0);
+      }
+      for (const double cs : cellSeconds) obs::observe("refine.cell_seconds", cs);
+      if (streamingRefine) {
+        // Per-cell adoption in ascending order, after the merge so the
+        // task sees results before their backing arenas move.
+        for (CellWork& w : group) task.adoptBatches(std::move(w.r), std::move(w.s));
+      }
+      group.clear();
+      groupBytes = 0;
+    };
 
-      for (const int cell : cells) {
-        CellWork work;
-        work.cell = cell;
-        if (streamingRefine) {
-          work.r = ownedR.takeCellAssembled(cell);
-          work.s = ownedS.takeCellAssembled(cell);
-          groupBytes += work.r.memoryBytes() + work.s.memoryBytes();
-          work.idxR.resize(work.r.size());
-          std::iota(work.idxR.begin(), work.idxR.end(), std::uint32_t{0});
-          work.idxS.resize(work.s.size());
-          std::iota(work.idxS.begin(), work.idxS.end(), std::uint32_t{0});
-        } else {
-          work.spanR = ownedR.cellSpan(cell);
-          work.spanS = ownedS.cellSpan(cell);
-        }
-        group.push_back(std::move(work));
-        stats.refinePeakBytes = std::max(
-            stats.refinePeakBytes, ownedR.trackedBytes() + ownedS.trackedBytes() + groupBytes);
-        if (streamingRefine && groupBytes >= refineGroupBytes) {
-          sealGroupSpans();
-          dispatchGroup();
-        }
+    // Streaming groups close at refineGroupBytes (0 without refine
+    // workers: one cell per group, so refine memory stays the resident
+    // tails plus one cell); a resident run is one group.
+    for (const int cell : cells) {
+      CellWork work;
+      work.cell = cell;
+      if (streamingRefine) {
+        work.r = ownedR.takeCellAssembled(cell);
+        work.s = ownedS.takeCellAssembled(cell);
+        groupBytes += work.r.memoryBytes() + work.s.memoryBytes();
+        work.idxR.resize(work.r.size());
+        std::iota(work.idxR.begin(), work.idxR.end(), std::uint32_t{0});
+        work.idxS.resize(work.s.size());
+        std::iota(work.idxS.begin(), work.idxS.end(), std::uint32_t{0});
+      } else {
+        work.spanR = ownedR.cellSpan(cell);
+        work.spanS = ownedS.cellSpan(cell);
       }
-      if (streamingRefine) sealGroupSpans();
-      dispatchGroup();
-      if (!streamingRefine) {
-        task.adoptBatches(ownedR.takeResidentBatch(), ownedS.takeResidentBatch());
+      group.push_back(std::move(work));
+      stats.refinePeakBytes = std::max(
+          stats.refinePeakBytes, ownedR.trackedBytes() + ownedS.trackedBytes() + groupBytes);
+      if (streamingRefine && groupBytes >= refineGroupBytes) {
+        sealGroupSpans();
+        dispatchGroup();
       }
+    }
+    if (streamingRefine) sealGroupSpans();
+    dispatchGroup();
+    if (!streamingRefine) {
+      // Whole-run adoption, as in the one-shot pipeline (records migrated
+      // away by rebalancing are kNoCell-tombstoned).
+      task.adoptBatches(ownedR.takeResidentBatch(), ownedS.takeResidentBatch());
     }
     const double mainSeconds = mainTimer.elapsed();
     comm.clock().advanceBy(mainSeconds + workerSeconds);

@@ -245,8 +245,8 @@ class RefineTask {
   // merge must drain the worker so it can be reused for the next group.
 
   /// A fresh worker clone with private scratch, or nullptr (the default)
-  /// to opt out — the framework then refines serially regardless of
-  /// threadsPerRank.
+  /// to opt out — the framework then runs the refine group loop inline on
+  /// this task (the one-worker case) regardless of threadsPerRank.
   [[nodiscard]] virtual std::unique_ptr<RefineTask> makeWorker() { return nullptr; }
   /// Fold `worker`'s accumulated per-cell results into this task and
   /// reset the worker for reuse. Called in worker order after every block

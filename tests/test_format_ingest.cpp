@@ -1,12 +1,12 @@
 // Format-registry + binary ingest coverage (DESIGN.md §12): registry
 // dispatch, length-prefixed WKB record framing, boundary resolution at
 // adversarial chunk cuts (header straddling a block edge, empty and
-// truncated tail records), record-aligned slicing for the parallel
-// decode — and the headline property of the binary fast path: WKT ingest
-// and WKB ingest produce bit-identical join / overlay / index results at
-// every thread count, one-shot and streamed, under both boundary
-// strategies, including an injected failure that replays a WKB-fed chunk
-// log.
+// truncated tail records) for the WKB and the text reader alike,
+// record-aligned slicing for the parallel decode — and the headline
+// property of the binary fast path: WKT ingest and WKB ingest produce
+// bit-identical join / overlay / index results at every thread count,
+// one-shot and streamed, under both boundary strategies, including an
+// injected failure that replays a WKB-fed chunk log.
 
 #include <gtest/gtest.h>
 
@@ -59,35 +59,58 @@ std::string fileBytes(mp::Volume& volume, const std::string& name) {
   return bytes;
 }
 
-/// A framed WKB stream over all seven OGC types plus the batch it should
-/// decode to and the exact record-boundary offsets (0 and one past each
-/// record, the last being the stream size).
-struct FramedCorpus {
+/// An encoded stream over all seven OGC types plus the exact
+/// record-boundary offsets (0 and one past each record, the last being the
+/// stream size) and, for the framed WKB stream, the batch it should decode
+/// to.
+struct Corpus {
   std::string bytes;
   std::vector<std::uint64_t> bounds;
   mg::GeometryBatch batch;
 };
 
-FramedCorpus mixedCorpus() {
-  const char* wkts[] = {
-      "POINT (3 3)",
-      "LINESTRING (0 0, 10 10, 12 4)",
-      "POLYGON ((1 1, 9 1, 9 9, 1 9, 1 1))",
-      "MULTIPOINT ((1 1), (11 11), (-3 4))",
-      "MULTILINESTRING ((0 0, 4 0), (6 6, 6 14, 14 14))",
-      "MULTIPOLYGON (((0 0, 3 0, 3 3, 0 3, 0 0)), ((10 10, 14 10, 14 14, 10 14, 10 10)))",
-      "GEOMETRYCOLLECTION (POINT (2 8), LINESTRING (8 2, 12 2), "
-      "POLYGON ((4 4, 7 4, 7 7, 4 7, 4 4)))",
-  };
-  FramedCorpus c;
+/// All seven OGC types, one record each.
+constexpr const char* kMixedWkts[] = {
+    "POINT (3 3)",
+    "LINESTRING (0 0, 10 10, 12 4)",
+    "POLYGON ((1 1, 9 1, 9 9, 1 9, 1 1))",
+    "MULTIPOINT ((1 1), (11 11), (-3 4))",
+    "MULTILINESTRING ((0 0, 4 0), (6 6, 6 14, 14 14))",
+    "MULTIPOLYGON (((0 0, 3 0, 3 3, 0 3, 0 0)), ((10 10, 14 10, 14 14, 10 14, 10 10)))",
+    "GEOMETRYCOLLECTION (POINT (2 8), LINESTRING (8 2, 12 2), "
+    "POLYGON ((4 4, 7 4, 7 7, 4 7, 4 4)))",
+};
+
+/// The framed WKB stream.
+Corpus mixedCorpus() {
+  Corpus c;
   c.bounds.push_back(0);
   int i = 0;
-  for (const char* w : wkts) {
+  for (const char* w : kMixedWkts) {
     mg::Geometry g = mg::readWkt(w);
     g.userData = std::string("attr-") + std::to_string(i++);
     c.batch.append(g, 0);
     mc::appendWkbRecord(g, g.userData, c.bytes);
     c.bounds.push_back(c.bytes.size());
+  }
+  return c;
+}
+
+/// The same records as newline-delimited WKT with a tab-separated
+/// attribute, plus the exact record-boundary offsets (0 and one past each
+/// delimiter). `terminated` false drops the final delimiter: the last
+/// record then ends at EOF, and the last bound is the stream size.
+Corpus textCorpus(bool terminated = true) {
+  Corpus c;
+  c.bounds.push_back(0);
+  int i = 0;
+  for (const char* w : kMixedWkts) {
+    c.bytes += std::string(w) + "\tattr-" + std::to_string(i++) + "\n";
+    c.bounds.push_back(c.bytes.size());
+  }
+  if (!terminated) {
+    c.bytes.pop_back();
+    c.bounds.back() = c.bytes.size();
   }
   return c;
 }
@@ -110,11 +133,9 @@ TEST(FormatRegistry, BuiltinsAndDispatch) {
         << "missing builtin format " << expected;
   }
 
-  const mc::FormatReader* wkt = reg.get("wkt");
-  EXPECT_EQ(wkt->framing(), mc::Framing::kDelimited);
-  EXPECT_EQ(wkt->delimiter(), '\n');
-  const mc::FormatReader* wkb = reg.get("wkb");
-  EXPECT_EQ(wkb->framing(), mc::Framing::kFramed);
+  for (const char* name : {"csv", "wkb", "wkt"}) {
+    EXPECT_EQ(reg.get(name)->name(), name) << "a builtin is registered under its own name";
+  }
 
   EXPECT_EQ(reg.find("no-such-format"), nullptr);
   EXPECT_THROW((void)reg.get("no-such-format"), mu::Error);
@@ -141,7 +162,7 @@ TEST(FormatRegistry, TextReaderMatchesParserBehavior) {
 // ---- Framed encode/decode round trip --------------------------------------
 
 TEST(WkbFormat, RoundTripDecodesToIdenticalArenas) {
-  const FramedCorpus c = mixedCorpus();
+  const Corpus c = mixedCorpus();
   const std::string want = shardBytes(c.batch);
 
   const mc::WkbFormatReader columnar(true);
@@ -169,7 +190,7 @@ TEST(WkbFormat, RoundTripDecodesToIdenticalArenas) {
 // ---- Boundary resolution at adversarial cuts ------------------------------
 
 TEST(WkbFormat, SplitBoundaryAtEveryPrefixLength) {
-  const FramedCorpus c = mixedCorpus();
+  const Corpus c = mixedCorpus();
   const mc::WkbFormatReader fmt;
   // Every possible raw block cut — including cuts straddling a record
   // header — must resolve to the largest true boundary inside the block.
@@ -194,7 +215,7 @@ TEST(WkbFormat, SplitBoundaryAtEveryPrefixLength) {
 }
 
 TEST(WkbFormat, BlocksStartingMidRecordResolveTheirFirstBoundary) {
-  const FramedCorpus c = mixedCorpus();
+  const Corpus c = mixedCorpus();
   const mc::WkbFormatReader fmt;
   // Stop before the last record: a block wholly inside it holds no record
   // start, so it resolves no boundary at all (checked below).
@@ -212,7 +233,7 @@ TEST(WkbFormat, BlocksStartingMidRecordResolveTheirFirstBoundary) {
 }
 
 TEST(WkbFormat, NextBoundaryWalksHeadersAndDetectsTruncation) {
-  const FramedCorpus c = mixedCorpus();
+  const Corpus c = mixedCorpus();
   const mc::WkbFormatReader fmt;
   for (std::uint64_t from = 0; from <= c.bytes.size(); ++from) {
     const auto it = std::lower_bound(c.bounds.begin(), c.bounds.end(), from);
@@ -225,8 +246,79 @@ TEST(WkbFormat, NextBoundaryWalksHeadersAndDetectsTruncation) {
   EXPECT_EQ(fmt.nextBoundary(shortWindow, 0, shortWindow.size(), kMaxRec), mc::FormatReader::npos);
 }
 
+// ---- Text boundary resolution: the same questions, delimiter-scanned -----
+
+TEST(TextFormat, SplitBoundaryAtEveryPrefixLength) {
+  const mc::FormatReader& fmt = *mc::FormatRegistry::instance().get("wkt");
+  for (const bool terminated : {true, false}) {
+    const Corpus c = textCorpus(terminated);
+    // Every raw block cut resolves to one past the last delimiter inside
+    // the block; a cut before the first delimiter has none (-1). An
+    // unterminated final record ends at EOF, not at a delimiter.
+    const std::size_t delimited = terminated ? c.bounds.size() : c.bounds.size() - 1;
+    for (std::uint64_t cut = 0; cut <= c.bytes.size(); ++cut) {
+      std::int64_t want = -1;
+      for (std::size_t k = 1; k < delimited; ++k) {
+        if (c.bounds[k] <= cut) want = static_cast<std::int64_t>(c.bounds[k]);
+      }
+      const std::int64_t got = fmt.splitBoundary(std::string_view(c.bytes).substr(0, cut), kMaxRec);
+      ASSERT_EQ(got, want) << "block cut at byte " << cut << (terminated ? "" : " (unterminated)");
+    }
+  }
+}
+
+TEST(TextFormat, BlocksStartingMidRecordResolveTheirFirstBoundary) {
+  const Corpus c = textCorpus();
+  const mc::FormatReader& fmt = *mc::FormatRegistry::instance().get("wkt");
+  for (std::size_t k = 0; k + 1 < c.bounds.size(); ++k) {
+    // Cut just inside record k, mid-record and on its delimiter; the rest
+    // of the stream must still split at its true boundaries.
+    for (const std::uint64_t off :
+         {c.bounds[k] + 1, (c.bounds[k] + c.bounds[k + 1]) / 2, c.bounds[k + 1] - 1}) {
+      const std::string_view block = std::string_view(c.bytes).substr(off);
+      ASSERT_EQ(fmt.splitBoundary(block, kMaxRec), static_cast<std::int64_t>(block.size()))
+          << "offset " << off;
+      // The kOverlap reader asks with one look-back byte before the block.
+      const std::string_view window = std::string_view(c.bytes).substr(off - 1);
+      ASSERT_EQ(fmt.firstBoundary(window, 1, kMaxRec), c.bounds[k + 1] - (off - 1))
+          << "offset " << off;
+    }
+  }
+  // A delimiter in the look-back byte makes the block start a boundary.
+  for (std::size_t k = 1; k + 1 < c.bounds.size(); ++k) {
+    const std::string_view window = std::string_view(c.bytes).substr(c.bounds[k] - 1);
+    EXPECT_EQ(fmt.firstBoundary(window, 1, kMaxRec), 1u) << "record " << k;
+  }
+  // A block with no delimiter (wholly inside the final record) resolves no
+  // boundary at all.
+  const std::uint64_t last = c.bounds[c.bounds.size() - 2];
+  const std::string_view inside =
+      std::string_view(c.bytes).substr(last + 1, c.bytes.size() - last - 2);
+  EXPECT_EQ(fmt.splitBoundary(inside, kMaxRec), -1);
+  EXPECT_EQ(fmt.firstBoundary(inside, 1, kMaxRec), mc::FormatReader::npos);
+  EXPECT_EQ(fmt.nextBoundary(inside, 0, 1, kMaxRec), mc::FormatReader::npos);
+}
+
+TEST(TextFormat, NextBoundaryScansDelimitersAndDetectsTruncation) {
+  const mc::FormatReader& fmt = *mc::FormatRegistry::instance().get("wkt");
+  for (const bool terminated : {true, false}) {
+    const Corpus c = textCorpus(terminated);
+    const std::uint64_t lastStart = c.bounds[c.bounds.size() - 2];
+    for (std::uint64_t from = 0; from <= c.bytes.size(); ++from) {
+      const auto it = std::lower_bound(c.bounds.begin(), c.bounds.end(), from);
+      ASSERT_NE(it, c.bounds.end());
+      // Past the start of an unterminated final record no delimiter
+      // follows: the record leaves the window and the kOverlap caller
+      // takes EOF as its end.
+      const std::uint64_t want = !terminated && from > lastStart ? mc::FormatReader::npos : *it;
+      EXPECT_EQ(fmt.nextBoundary(c.bytes, 0, from, kMaxRec), want)
+          << "from=" << from << (terminated ? "" : " (unterminated)");
+    }
+  }
+}
+
 TEST(WkbFormat, RejectsEmptyTruncatedAndGarbageRecords) {
-  const FramedCorpus c = mixedCorpus();
+  const Corpus c = mixedCorpus();
   const mc::WkbFormatReader fmt;
 
   // Empty record (wkbLen = 0): a frame with no payload must be rejected.

@@ -172,14 +172,26 @@ TEST(Partition, OverlapReadsRedundantBytes) {
 TEST(Partition, RecordLargerThanBlockFailsLoudly) {
   std::string text = "short\n" + std::string(5000, 'x') + "\nend\n";
   auto vol = volumeWith("data", text);
-  EXPECT_THROW(mm::Runtime::run(2, mvio::sim::MachineModel::comet(8),
-                                [&](mm::Comm& comm) {
-                                  auto file = mvio::io::File::open(comm, *vol, "data");
-                                  mc::PartitionConfig cfg;
-                                  cfg.blockSize = 256;  // smaller than the 5000-byte record
-                                  cfg.maxGeometryBytes = 100;
-                                  mc::readPartitioned(comm, file, cfg);
-                                }),
+  // Reads under `strategy` and rethrows its error after checking the
+  // message names the intended boundary check.
+  const auto readRejected = [&](mc::BoundaryStrategy strategy, const std::string& why) {
+    try {
+      mm::Runtime::run(2, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+        auto file = mvio::io::File::open(comm, *vol, "data");
+        mc::PartitionConfig cfg;
+        cfg.blockSize = 256;  // smaller than the 5000-byte record
+        cfg.maxGeometryBytes = 100;
+        cfg.strategy = strategy;
+        mc::readPartitioned(comm, file, cfg);
+      });
+    } catch (const mvio::util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+      throw;
+    }
+  };
+  EXPECT_THROW(readRejected(mc::BoundaryStrategy::kMessage, "no record boundary inside a file block"),
+               mvio::util::Error);
+  EXPECT_THROW(readRejected(mc::BoundaryStrategy::kOverlap, "record extends past the halo region"),
                mvio::util::Error);
 }
 

@@ -1,6 +1,7 @@
 // Streaming-pipeline and spill-to-disk tests (DESIGN.md §7): BatchShard
 // round trips (all seven OGC types, empty batch, userData blobs) and
-// corruption rejection, the SpillStore blob lifecycle, batch splice /
+// corruption rejection, the SpillStore blob lifecycle, the CellStore's
+// streaming regime against its resident regime, batch splice /
 // incremental index adoption, DistributedIndex shard persistence, the
 // batch-native WKB join key, and the headline acceptance property —
 // a chunked run with a memory budget smaller than the input spills
@@ -12,8 +13,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <map>
 #include <mutex>
+#include <numeric>
 
+#include "core/cell_store.hpp"
 #include "core/indexing.hpp"
 #include "core/overlay.hpp"
 #include "core/spatial_join.hpp"
@@ -249,6 +253,104 @@ TEST(SpillStore, BlobsSurviveAcrossStoreInstances) {
   mp::SpillStore reader(*volume, "__persist/rank0");
   ASSERT_TRUE(reader.contains("shard.0"));
   EXPECT_EQ(reader.fetch("shard.0"), "hello shards");
+}
+
+// ---- CellStore -------------------------------------------------------------
+
+namespace {
+
+/// One cell's record sequence as comparable keys (cell | userData | WKB).
+std::vector<std::string> recordKeys(const mg::BatchSpan& span) {
+  std::vector<std::string> out;
+  for (std::size_t k = 0; k < span.size(); ++k) {
+    out.push_back(std::to_string(span.batch().cell(span.recordIndex(k))) + "|" +
+                  std::string(span.userData(k)) + "|" + mg::writeWkb(span.materialize(k)));
+  }
+  return out;
+}
+
+std::vector<std::string> recordKeys(const mg::GeometryBatch& b) {
+  std::vector<std::uint32_t> idx(b.size());
+  std::iota(idx.begin(), idx.end(), std::uint32_t{0});
+  return recordKeys(mg::BatchSpan(&b, idx.data(), idx.size()));
+}
+
+}  // namespace
+
+TEST(CellStore, StreamingStoreServesTheResidentCellSequences) {
+  // One seeded record set, delivered in exchange-sized rounds to a
+  // resident store and to a streaming store whose budget forces many
+  // cell-sorted segments; a last two-record round stays resident as the
+  // streaming store's tail.
+  auto volume = lustreVolume(2);
+  mp::SpillStore spill(*volume, "__cellstore/rank0");
+  std::uint64_t written = 0;
+  const mc::SpillChargeFn charge = [&written](std::uint64_t bytes, bool isWrite) {
+    if (isWrite) written += bytes;
+  };
+  mc::CellStore resident(&spill, "res", 0, charge);
+  mc::CellStore streaming(&spill, "str", 1024, charge);
+  mvio::util::Rng rng(20261017);
+  const auto xy = [](double x, double y) { return std::to_string(x) + " " + std::to_string(y); };
+  std::uint64_t records = 0;
+  for (int round = 0; round <= 30; ++round) {
+    mg::GeometryBatch batch;
+    for (int k = 0; k < (round < 30 ? 12 : 2); ++k, ++records) {
+      const double x = rng.uniform(0, 100);
+      const double y = rng.uniform(0, 100);
+      const double w = rng.uniform(0.1, 5);
+      const std::string wkt = records % 3 == 0 ? "POINT (" + xy(x, y) + ")"
+                                               : "POLYGON ((" + xy(x, y) + ", " + xy(x + w, y) +
+                                                     ", " + xy(x + w, y + w) + ", " +
+                                                     xy(x, y + w) + ", " + xy(x, y) + "))";
+      mg::Geometry g = mg::readWkt(wkt);
+      g.userData = "rec-" + std::to_string(records);
+      batch.append(g, static_cast<int>(rng.below(16)));
+    }
+    resident.add(mg::GeometryBatch(batch));
+    streaming.add(std::move(batch));
+  }
+  resident.finalize();
+  streaming.finalize();
+  ASSERT_TRUE(streaming.streaming());
+  ASSERT_GT(written, 0u) << "the budget must force spilled segments";
+  ASSERT_GT(streaming.trackedBytes(), 0u) << "the last round must stay resident as the tail";
+  ASSERT_EQ(streaming.records(), records);
+  ASSERT_EQ(resident.records(), records);
+  const std::vector<int> cells = resident.cells();
+  ASSERT_EQ(streaming.cells(), cells);
+
+  // Per cell, the resident span and the streaming store's assembled batch
+  // hold the same records in the same (arrival) order.
+  std::map<int, std::vector<std::string>> want;
+  for (const int cell : cells) {
+    want[cell] = recordKeys(resident.cellSpan(cell));
+    EXPECT_EQ(recordKeys(streaming.takeCellAssembled(cell)), want[cell]) << "cell " << cell;
+  }
+  // Assembling each cell once reads every spilled piece back at most once.
+  EXPECT_GT(streaming.reloadBytes(), 0u);
+  EXPECT_LE(streaming.reloadBytes(), written);
+  // A streaming store serves cells only as owned batches.
+  EXPECT_THROW((void)streaming.cellSpan(cells.front()), mvio::util::Error);
+
+  // Migration round trip: extracting a cell removes it from the store;
+  // adding its records back restores the cell's sequence.
+  const int moved = cells[cells.size() / 2];
+  for (mc::CellStore* store : {&resident, &streaming}) {
+    mg::GeometryBatch out = store->extractCell(moved);
+    EXPECT_EQ(recordKeys(out), want[moved]);
+    EXPECT_EQ(store->records(), records - out.size());
+    const std::vector<int> left = store->cells();
+    EXPECT_EQ(std::find(left.begin(), left.end(), moved), left.end());
+    store->addMigrated(std::move(out));
+    EXPECT_EQ(store->records(), records);
+    EXPECT_EQ(store->cells(), cells);
+  }
+  for (const int cell : cells) {
+    EXPECT_EQ(recordKeys(resident.cellSpan(cell)), want[cell]) << "cell " << cell;
+    EXPECT_EQ(recordKeys(streaming.takeCellAssembled(cell)), want[cell]) << "cell " << cell;
+  }
+  streaming.releaseBlobs();
 }
 
 // ---- Batch-native WKB join key -------------------------------------------
