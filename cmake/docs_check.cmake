@@ -9,7 +9,10 @@
 # examples/ or cmake/.
 #
 # It also checks member citations: every `FrameworkConfig::x`,
-# `StreamConfig::x` or `CompactionPolicy::x` (src/core/framework.hpp),
+# `FrameworkStats::x`, `StreamConfig::x`, `CompactionPolicy::x`,
+# `RebalanceStats::x` or `RecoveryStats::x` (src/core/framework.hpp),
+# each workload's `<Workload>Stats::x` / `<Workload>Config::x` (its own
+# header: spatial_join, overlay, range_query, indexing),
 # `PartitionerConfig::x` (src/core/partition_map.hpp),
 # `PartitionConfig::x` (src/core/file_partition.hpp), `CellStore::x`
 # (src/core/cell_store.hpp) and `FormatReader::x` /
@@ -38,6 +41,11 @@ endforeach()
 # Cited type pattern = the header (under src/) declaring its members.
 set(CITED_TYPES
     "FrameworkConfig|StreamConfig|CompactionPolicy=core/framework.hpp"
+    "FrameworkStats|RebalanceStats|RecoveryStats=core/framework.hpp"
+    "Join(Stats|Config)=core/spatial_join.hpp"
+    "Overlay(Stats|Config)=core/overlay.hpp"
+    "RangeQuery(Stats|Config)=core/range_query.hpp"
+    "Indexing(Stats|Config)=core/indexing.hpp"
     "PartitionerConfig=core/partition_map.hpp"
     "PartitionConfig=core/file_partition.hpp"
     "CellStore=core/cell_store.hpp"

@@ -91,27 +91,37 @@ struct Spiller {
   }
 };
 
+/// One chunk's deferred prep charge under round overlap (DESIGN.md §10):
+/// the rank clock when its read completed and the parse critical path the
+/// round loop's pipeline recurrence still has to account for.
+struct ChunkPrep {
+  double readDoneAt = 0;
+  double prepSeconds = 0;
+};
+
 /// FIFO of parsed-but-not-yet-exchanged chunk batches with a resident-byte
 /// budget: when the queue's in-memory bytes exceed the budget, the oldest
 /// resident batches are written out as shards (oldest first — they are
-/// also the first to be reloaded, so the resident tail stays hot).
+/// also the first to be reloaded, so the resident tail stays hot). Each
+/// slot also carries its chunk's ChunkPrep (zero unless round overlap).
 class BatchStager {
  public:
   BatchStager(const Spiller& spiller, std::string base, std::uint64_t budget)
       : spiller_(spiller), base_(std::move(base)), budget_(budget) {}
 
-  void push(geom::GeometryBatch&& b) {
+  void push(geom::GeometryBatch&& b, ChunkPrep prep) {
     Slot slot;
     slot.bytes = b.memoryBytes();
     slot.batch = std::move(b);
+    slot.prep = prep;
     resident_ += slot.bytes;
     slots_.push_back(std::move(slot));
     enforceBudget();
   }
 
-  /// Pop the oldest chunk (reloading it if spilled). Returns false when
-  /// the queue is empty — callers then run an empty round.
-  bool pop(geom::GeometryBatch& out) {
+  /// Pop the oldest chunk (reloading it if spilled) and its prep. Returns
+  /// false when the queue is empty — callers then run an empty round.
+  bool pop(geom::GeometryBatch& out, ChunkPrep& prep) {
     if (slots_.empty()) return false;
     Slot& front = slots_.front();
     if (front.spilled) {
@@ -121,6 +131,7 @@ class BatchStager {
       resident_ -= front.bytes;
       out = std::move(front.batch);
     }
+    prep = front.prep;
     slots_.pop_front();
     if (spillCursor_ > 0) --spillCursor_;
     return true;
@@ -130,14 +141,18 @@ class BatchStager {
 
   /// Drop every pending chunk without reloading it — the post-recovery
   /// path re-derives the remaining rounds from the durable chunk log, so
-  /// the staged copies (and their scratch blobs) are dead weight.
-  void discard() {
+  /// the staged copies (and their scratch blobs) are dead weight. Returns
+  /// the dropped chunks' prep seconds, which the round loop never reached.
+  double discard() {
+    double prepSeconds = 0;
     for (const Slot& slot : slots_) {
       if (slot.spilled) spiller_.store->remove(slot.shard);
+      prepSeconds += slot.prep.prepSeconds;
     }
     slots_.clear();
     resident_ = 0;
     spillCursor_ = 0;
+    return prepSeconds;
   }
 
  private:
@@ -146,6 +161,7 @@ class BatchStager {
     std::string shard;
     std::uint64_t bytes = 0;
     bool spilled = false;
+    ChunkPrep prep;
   };
 
   void enforceBudget() {
@@ -169,14 +185,6 @@ class BatchStager {
   std::uint64_t resident_ = 0;
   std::size_t seq_ = 0;
   std::size_t spillCursor_ = 0;  ///< first not-yet-spilled slot
-};
-
-/// One chunk's deferred prep charge under round overlap (DESIGN.md §10):
-/// the rank clock when its read completed and the parse critical path the
-/// round loop's pipeline recurrence still has to account for.
-struct ChunkPrep {
-  double readDoneAt = 0;
-  double prepSeconds = 0;
 };
 
 /// Pilot pass for adaptive partitioning (DESIGN.md §13): a deterministic
@@ -210,14 +218,14 @@ struct PilotSampler {
 /// With a worker pool (threadsPerRank > 1) the chunk text is parsed in
 /// parallel record-boundary slices and the clock is charged the critical
 /// path — max worker CPU plus the serial splice — instead of the summed
-/// CPU. With `overlapPrep` set (round overlap) the parse charge is not
-/// applied here at all: it is recorded per chunk and replayed by the
-/// round loop's pipeline recurrence, where it can hide under exchanges.
+/// CPU. With `deferPrep` set (round overlap) the parse charge is not
+/// applied here at all: it rides in the chunk's stager slot to the round
+/// loop's pipeline recurrence, where it can hide under exchanges.
 void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
                  const FrameworkConfig& cfg, BatchStager& stage, geom::Envelope& localBounds,
                  ParseStats& parseStats, PartitionResult& ioStats, PhaseBreakdown& phases,
                  recovery::CheckpointCoordinator& ckpt, int layer, util::ThreadPool* pool,
-                 std::deque<ChunkPrep>* overlapPrep, PilotSampler* pilot) {
+                 bool deferPrep, PilotSampler* pilot) {
   // Resolve the layer's ingest format: an explicit FormatReader wins; a
   // bare Parser is wrapped in a TextFormatReader shim (byte-identical to
   // the classic text path).
@@ -230,7 +238,7 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
   } else {
     MVIO_CHECK(ds.parser == nullptr, "dataset has both a parser and a format; set exactly one");
   }
-  io::File file = io::File::open(comm, volume, ds.path, cfg.ioHints);
+  io::File file = io::File::open(comm, volume, ds.path);
   PartitionReader reader(comm, file, ds.partition, cfg.stream.chunkBytes, fmt);
 
   std::string text;
@@ -252,8 +260,9 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
     parseStats.records += ps.records;
     parseStats.badRecords += ps.badRecords;
     parseStats.bytes += ps.bytes;
-    if (overlapPrep != nullptr) {
-      overlapPrep->push_back({readDoneAt, pt.critical});
+    ChunkPrep prep;
+    if (deferPrep) {
+      prep = {readDoneAt, pt.critical};
     } else {
       const double p0 = comm.clock().now();
       comm.clock().advanceBy(pt.critical);
@@ -263,7 +272,7 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
     localBounds.expandToInclude(chunk.bounds());
     if (pilot != nullptr) pilot->observe(chunk);
     ckpt.logChunk(layer, chunk);
-    stage.push(std::move(chunk));
+    stage.push(std::move(chunk), prep);
   }
   ioStats = reader.counters();
 }
@@ -433,7 +442,6 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   // Round overlap is defined on the chunked round schedule; a one-shot
   // run (chunkBytes == 0) has a single round and nothing to pipeline.
   const bool overlap = sc.overlapRounds && sc.chunkBytes > 0;
-  std::deque<ChunkPrep> prepR, prepS;
 
   // Rank-local scratch for spilled shards; blobs are dropped on exit.
   pfs::SpillStore spill(volume, sc.spillDir + "/rank" + std::to_string(comm.worldRank()));
@@ -452,12 +460,10 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   std::optional<PilotSampler> pilot;
   if (cfg.partition.scheme != PartitionScheme::kUniform) pilot.emplace(cfg.partition);
   ingestLayer(comm, volume, r, cfg, stageR, localBounds, stats.parseR, stats.ioR, stats.phases,
-              ckpt, 0, pool ? &*pool : nullptr, overlap ? &prepR : nullptr,
-              pilot ? &*pilot : nullptr);
+              ckpt, 0, pool ? &*pool : nullptr, overlap, pilot ? &*pilot : nullptr);
   if (s != nullptr) {
     ingestLayer(comm, volume, *s, cfg, stageS, localBounds, stats.parseS, stats.ioS, stats.phases,
-                ckpt, 1, pool ? &*pool : nullptr, overlap ? &prepS : nullptr,
-                pilot ? &*pilot : nullptr);
+                ckpt, 1, pool ? &*pool : nullptr, overlap, pilot ? &*pilot : nullptr);
   }
   ckpt.sealIngest();
 
@@ -592,7 +598,8 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
     for (std::uint64_t round = 0; round < rounds; ++round) {
       obs::traceBegin("round");
       geom::GeometryBatch chunk;
-      const bool hadChunk = stage.pop(chunk);  // false → empty round for this rank
+      ChunkPrep prep;  // stays zero on an empty round for this rank
+      stage.pop(chunk, prep);
       double projectSeconds = 0;
       {
         sim::ThreadCpuTimer timer;
@@ -606,16 +613,9 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
         // rounds back has completed. Only the part of the prep that
         // outlasts "now" stalls the rank; the rest already hid under
         // earlier exchanges and is credited to `overlapped`.
-        double parseSeconds = 0;
-        double readDoneAt = 0;
-        std::deque<ChunkPrep>& prep = layer == 0 ? prepR : prepS;
-        if (hadChunk && !prep.empty()) {
-          parseSeconds = prep.front().prepSeconds;
-          readDoneAt = prep.front().readDoneAt;
-          prep.pop_front();
-        }
+        const double parseSeconds = prep.prepSeconds;
         const double now0 = comm.clock().now();
-        const double prepStart = std::max({prepDoneAt, readDoneAt, commDonePrev2});
+        const double prepStart = std::max({prepDoneAt, prep.readDoneAt, commDonePrev2});
         prepDoneAt = prepStart + parseSeconds + projectSeconds;
         const double exposed = std::max(0.0, prepDoneAt - now0);
         comm.clock().advanceTo(prepDoneAt);
@@ -790,18 +790,13 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   if (recovered) {
     // Every remaining round was re-derived from the chunk log; the
     // staged copies (and the dead ranks' stale deliveries they would
-    // duplicate) are discarded.
-    stageR.discard();
-    stageS.discard();
+    // duplicate) are discarded. Their deferred prep was still real parse
+    // CPU the round loop never reached; account it as hidden.
+    stats.phases.overlapped += stageR.discard();
+    stats.phases.overlapped += stageS.discard();
     stats.activeComm = active;
   }
   if (overlap) {
-    // Prep entries never reached by the round loop (a recovery cut the
-    // schedule short) were still real parse CPU; account them as hidden.
-    for (const ChunkPrep& cp : prepR) stats.phases.overlapped += cp.prepSeconds;
-    for (const ChunkPrep& cp : prepS) stats.phases.overlapped += cp.prepSeconds;
-    prepR.clear();
-    prepS.clear();
     // Settle the store-flush stage: whatever deferred spill time outlasts
     // the final exchange is a real stall before refine; the rest hid.
     const double now = comm.clock().now();

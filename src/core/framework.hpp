@@ -167,7 +167,6 @@ struct FrameworkConfig {
   /// uniform grid with zero overhead: no pilot pass, no sample exchange,
   /// and the map's uniform fast path keeps every lookup branch-free.
   PartitionerConfig partition;
-  io::Hints ioHints;          ///< MPI-IO hints for the underlying file opens
   StreamConfig stream;        ///< chunked-round + spill controls
   /// Skew-aware owned-cell rebalancing: after the exchange phase, reduce
   /// per-cell record counts globally, recompute the cell→rank map with a

@@ -113,7 +113,6 @@ void DistributedIndex::saveShards(pfs::SpillStore& store, const std::string& bas
 }
 
 DistributedIndex DistributedIndex::loadShards(pfs::SpillStore& store, const std::string& base,
-                                              std::size_t rtreeFanout,
                                               const std::vector<int>* cellOwner, int selfRank) {
   const std::string manifestName = base + ".manifest";
   MVIO_CHECK(store.contains(manifestName), "index shards: missing manifest " + manifestName);
@@ -142,7 +141,7 @@ DistributedIndex DistributedIndex::loadShards(pfs::SpillStore& store, const std:
   const auto cellsY = readScalar<std::int32_t>(m.data() + 69);
 
   DistributedIndex index;
-  index.fanout_ = rtreeFanout != 0 ? rtreeFanout : fanout;
+  index.fanout_ = fanout;
   if (!nullGrid) index.grid_ = GridSpec(geom::Envelope(minX, minY, maxX, maxY), cellsX, cellsY);
   if (mapBytes > 0) {
     std::optional<PartitionMap> decoded =
@@ -164,11 +163,9 @@ DistributedIndex DistributedIndex::loadShards(pfs::SpillStore& store, const std:
   return index;
 }
 
-DistributedIndex DistributedIndex::fromBatch(geom::GeometryBatch&& batch, const GridSpec& grid,
-                                             std::size_t rtreeFanout) {
+DistributedIndex DistributedIndex::fromBatch(geom::GeometryBatch&& batch, const GridSpec& grid) {
   DistributedIndex index;
   index.grid_ = grid;
-  index.fanout_ = rtreeFanout;
   index.addBatch(std::move(batch));
   index.buildTrees();
   return index;
@@ -177,7 +174,6 @@ DistributedIndex DistributedIndex::fromBatch(geom::GeometryBatch&& batch, const 
 DistributedIndex buildDistributedIndex(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& data,
                                        const IndexingConfig& cfg, IndexingStats* stats) {
   DistributedIndex index;
-  index.fanout_ = cfg.rtreeFanout;
 
   /// RefineTask that adopts the rank's post-exchange batch into the index
   /// through the appendable addBatch hook. No geometry is copied beyond
@@ -209,33 +205,24 @@ DistributedIndex buildDistributedIndex(mpi::Comm& comm, pfs::Volume& volume, con
 
   BuildTask task;
   task.index = &index;
-  const FrameworkStats fw = runFilterRefine(comm, volume, data, nullptr, cfg.framework, task);
-  index.grid_ = fw.grid;
-  index.map_ = fw.partition;
-  if (stats != nullptr) {
-    stats->phases = fw.phases;
-    stats->spill = fw.spill;
-    stats->balance = fw.balance;
-    stats->recovery = fw.recovery;
-    stats->refinePeakBytes = fw.refinePeakBytes;
-    stats->cellsOwned = fw.cellsOwned;
-    stats->grid = fw.grid;
-  }
+  IndexingStats local;
+  IndexingStats& st = stats != nullptr ? *stats : local;
+  static_cast<FrameworkStats&>(st) =
+      runFilterRefine(comm, volume, data, nullptr, cfg.framework, task);
+  index.grid_ = st.grid;
+  index.map_ = st.partition;
   // A dead rank adopted nothing and joins no further collective: its
   // (empty) index is returned as-is.
-  if (fw.recovery.died) return index;
-  mpi::Comm active = fw.activeComm ? *fw.activeComm : comm;
+  if (st.recovery.died) return index;
+  mpi::Comm active = st.activeComm ? *st.activeComm : comm;
 
   // Pack the per-cell R-trees now (rather than at first query) so the
   // build phase of the figure benches keeps pricing the whole build.
   mpi::CpuCharge charge(comm);
   index.buildTrees();
-  const double treeSeconds = charge.stop();
+  st.phases.compute += charge.stop();
 
-  if (stats != nullptr) {
-    stats->phases.compute += treeSeconds;
-    stats->globalGeometries = active.allreduceSumU64(index.localGeometries());
-  }
+  if (stats != nullptr) stats->globalGeometries = active.allreduceSumU64(index.localGeometries());
   return index;
 }
 

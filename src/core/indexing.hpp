@@ -38,7 +38,6 @@ namespace mvio::core {
 
 struct IndexingConfig {
   FrameworkConfig framework;
-  std::size_t rtreeFanout = 16;
 };
 
 /// Per-rank result: one R-tree per owned cell over records of one adopted
@@ -103,9 +102,8 @@ class DistributedIndex {
   /// Rebuild an index from saveShards() output: reads the manifest,
   /// decodes every shard, and addBatch()es them in order. Record ids are
   /// assigned afresh (shard order), cell membership comes from the
-  /// serialized cell tags. `rtreeFanout` 0 keeps the fanout recorded in
-  /// the manifest. Throws util::Error on a missing/corrupt manifest or
-  /// shard.
+  /// serialized cell tags, and the R-tree fanout is the one the manifest
+  /// recorded. Throws util::Error on a missing/corrupt manifest or shard.
   ///
   /// Stale-manifest guard: when `cellOwner` is non-null it is the active
   /// cell→rank map and every decoded record must sit in a cell it
@@ -115,15 +113,14 @@ class DistributedIndex {
   /// current owner also serves. The recovery restore path applies the
   /// same validation (core::validateCellOwnership) to epoch deltas.
   static DistributedIndex loadShards(pfs::SpillStore& store, const std::string& base,
-                                     std::size_t rtreeFanout = 0,
                                      const std::vector<int>* cellOwner = nullptr,
                                      int selfRank = -1);
 
   /// Build locally from an already cell-tagged batch — the single-rank
   /// form of the MPI build (the collective path produces exactly this per
-  /// rank). Used by tests and the micro benches. Trees are built eagerly.
-  static DistributedIndex fromBatch(geom::GeometryBatch&& batch, const GridSpec& grid,
-                                    std::size_t rtreeFanout = 16);
+  /// rank), with geom::RTree's default fanout. Used by tests and the micro
+  /// benches. Trees are built eagerly.
+  static DistributedIndex fromBatch(geom::GeometryBatch&& batch, const GridSpec& grid);
 
  private:
   friend DistributedIndex buildDistributedIndex(mpi::Comm&, pfs::Volume&, const DatasetHandle&,
@@ -134,18 +131,14 @@ class DistributedIndex {
   geom::GeometryBatch batch_;
   std::unordered_map<int, CellIndex> cells_;
   std::uint64_t localGeometries_ = 0;
-  std::size_t fanout_ = 16;
+  std::size_t fanout_ = 16;  ///< geom::RTree's default; loadShards restores the manifest's
 };
 
-struct IndexingStats {
-  PhaseBreakdown phases;
-  pfs::SpillStats spill;               ///< this rank's shard spill/reload volumes
-  RebalanceStats balance;              ///< owned-cell migration volumes (rebalanceCells)
-  RecoveryStats recovery;              ///< failure injection / recovery outcome
-  std::uint64_t refinePeakBytes = 0;   ///< peak refine-serving bytes (FrameworkStats)
+/// The pipeline's run result plus the global index size. Packing the
+/// per-cell R-trees after the pipeline lands in the inherited
+/// `phases.compute`.
+struct IndexingStats : FrameworkStats {
   std::uint64_t globalGeometries = 0;  ///< geometries indexed across ranks (incl. replicas)
-  std::uint64_t cellsOwned = 0;
-  GridSpec grid;
 };
 
 /// Build the distributed index over one dataset. Collective.

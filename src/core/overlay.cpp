@@ -65,22 +65,16 @@ struct CoverageTask final : RefineTask {
 OverlayStats gridCoverageOverlay(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& r,
                                  const DatasetHandle* s, const OverlayConfig& cfg) {
   CoverageTask task;
-  const FrameworkStats fw = runFilterRefine(comm, volume, r, s, cfg.framework, task);
-
   OverlayStats stats;
-  stats.phases = fw.phases;
-  stats.grid = fw.grid;
-  stats.balance = fw.balance;
-  stats.recovery = fw.recovery;
-  stats.spill = fw.spill;
-  if (fw.recovery.died) return stats;  // dead ranks join no further collective
+  static_cast<FrameworkStats&>(stats) = runFilterRefine(comm, volume, r, s, cfg.framework, task);
+  if (stats.recovery.died) return stats;  // dead ranks join no further collective
 
   // The collective write (and the totals reduction) runs on the
   // communicator the pipeline finished on — after a recovery that is the
-  // survivors, whose owned-cell map fw.cellOwner names world ranks.
-  mpi::Comm active = fw.activeComm ? *fw.activeComm : comm;
+  // survivors, whose owned-cell map stats.cellOwner names world ranks.
+  mpi::Comm active = stats.activeComm ? *stats.activeComm : comm;
   const int p = active.size();
-  const int cellCount = fw.grid.cellCount();
+  const int cellCount = stats.grid.cellCount();
   constexpr std::uint64_t kRecordBytes = sizeof(CellCoverage);
   static_assert(sizeof(CellCoverage) == 16, "coverage record must be two doubles");
 
@@ -94,7 +88,7 @@ OverlayStats gridCoverageOverlay(mpi::Comm& comm, pfs::Volume& volume, const Dat
   active.barrier();
 
   const double writeStart = active.clock().now();
-  io::File out = io::File::open(active, volume, cfg.outputPath, cfg.framework.ioHints);
+  io::File out = io::File::open(active, volume, cfg.outputPath);
 
   // My owned cells, ascending: the round-robin stride {c : c % P == rank}
   // by default, or the rebalanced/recovered cell→rank map (world ranks)
@@ -104,17 +98,17 @@ OverlayStats gridCoverageOverlay(mpi::Comm& comm, pfs::Volume& volume, const Dat
   // uniform cell is written by whichever rank owns its partition cell.
   // The task only has entries for non-empty cells, so fill the gaps with
   // zero records.
-  const PartitionMap& pm = fw.partition;
+  const PartitionMap& pm = stats.partition;
   std::vector<int> myCells;
-  if (fw.cellOwner.empty() && pm.isUniform()) {
+  if (stats.cellOwner.empty() && pm.isUniform()) {
     for (int c = active.rank(); c < cellCount; c += p) myCells.push_back(c);
   } else {
     for (int c = 0; c < cellCount; ++c) {
       const int part = pm.groupOf(c);
       const bool mine =
-          fw.cellOwner.empty()
+          stats.cellOwner.empty()
               ? roundRobinOwner(part, p) == active.rank()
-              : fw.cellOwner[static_cast<std::size_t>(part)] == active.worldRank();
+              : stats.cellOwner[static_cast<std::size_t>(part)] == active.worldRank();
       if (mine) myCells.push_back(c);
     }
   }
@@ -126,7 +120,7 @@ OverlayStats gridCoverageOverlay(mpi::Comm& comm, pfs::Volume& volume, const Dat
   }
 
   const auto record = mpi::Datatype::contiguous(static_cast<int>(kRecordBytes), mpi::Datatype::byte());
-  if (fw.cellOwner.empty() && pm.isUniform()) {
+  if (stats.cellOwner.empty() && pm.isUniform()) {
     // Figure 4's view: record `rank` of every group of P records (the
     // round-robin cell ownership), written collectively in one call.
     const auto filetype = record.resized(0, static_cast<std::uint64_t>(p) * kRecordBytes);

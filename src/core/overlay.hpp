@@ -37,12 +37,9 @@ struct OverlayConfig {
   std::string outputPath = "overlay_coverage.bin";  ///< created on the volume
 };
 
-struct OverlayStats {
-  PhaseBreakdown phases;  ///< this rank's breakdown (write time lands in `comm`)
-  GridSpec grid;
-  RebalanceStats balance;   ///< owned-cell migration volumes (rebalanceCells)
-  RecoveryStats recovery;   ///< failure injection / recovery outcome
-  pfs::SpillStats spill;    ///< this rank's scratch traffic (streamed runs)
+/// The pipeline's run result plus the overlay's totals. The collective
+/// write's time lands in the inherited `phases.comm`.
+struct OverlayStats : FrameworkStats {
   double totalR = 0;  ///< global sum of layer-R measures over all cells
   double totalS = 0;
   std::uint64_t cellsWritten = 0;  ///< this rank's output records

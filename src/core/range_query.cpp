@@ -16,13 +16,12 @@ namespace {
 /// envelopes and the exact test runs in place on the batch records
 /// (recordIntersectsBox) — no geometry is materialized on either side.
 struct QueryTask final : RefineTask {
-  explicit QueryTask(std::vector<std::uint64_t>* counts, std::size_t fanout)
-      : counts_(counts), fanout_(fanout) {}
+  explicit QueryTask(std::vector<std::uint64_t>* counts) : counts_(counts) {}
 
   void refineCellBatch(const GridSpec& grid, int cell, const geom::BatchSpan& r,
                        const geom::BatchSpan& s) override {
     if (r.empty() || s.empty()) return;
-    geom::RTree index(fanout_);
+    geom::RTree index;
     index.bulkLoad(r);
 
     for (std::size_t k = 0; k < s.size(); ++k) {
@@ -42,7 +41,7 @@ struct QueryTask final : RefineTask {
   }
 
   std::unique_ptr<RefineTask> makeWorker() override {
-    auto w = std::make_unique<QueryTask>(nullptr, fanout_);
+    auto w = std::make_unique<QueryTask>(nullptr);
     w->ownCounts_.assign(counts_->size(), 0);
     w->counts_ = &w->ownCounts_;
     return w;
@@ -57,7 +56,6 @@ struct QueryTask final : RefineTask {
   }
 
   std::vector<std::uint64_t>* counts_;
-  std::size_t fanout_;
   std::vector<std::uint64_t> ownCounts_;  ///< worker-local hit counts
 };
 
@@ -116,7 +114,7 @@ std::vector<std::uint64_t> batchRangeQuery(mpi::Comm& comm, pfs::Volume& volume,
   comm.barrier();
 
   std::vector<std::uint64_t> counts(queries.size(), 0);
-  QueryTask task(&counts, cfg.rtreeFanout);
+  QueryTask task(&counts);
 
   QueryBatchParser queryParser;
   DatasetHandle queryHandle;
@@ -124,30 +122,23 @@ std::vector<std::uint64_t> batchRangeQuery(mpi::Comm& comm, pfs::Volume& volume,
   queryHandle.parser = &queryParser;
   queryHandle.partition = PartitionConfig{};  // equal split, message strategy
 
-  const FrameworkStats fw = runFilterRefine(comm, volume, data, &queryHandle, cfg.framework, task);
+  RangeQueryStats local;
+  RangeQueryStats& st = stats != nullptr ? *stats : local;
+  static_cast<FrameworkStats&>(st) =
+      runFilterRefine(comm, volume, data, &queryHandle, cfg.framework, task);
 
   std::vector<std::uint64_t> global(queries.size(), 0);
-  if (stats != nullptr) {
-    stats->phases = fw.phases;
-    stats->balance = fw.balance;
-    stats->recovery = fw.recovery;
-    stats->cellsOwned = fw.cellsOwned;
-    stats->grid = fw.grid;
-  }
   // Dead ranks join no further collective; their (empty) counts are
   // covered by the survivors' reduction.
-  if (fw.recovery.died) return global;
-  mpi::Comm active = fw.activeComm ? *fw.activeComm : comm;
+  if (st.recovery.died) return global;
+  mpi::Comm active = st.activeComm ? *st.activeComm : comm;
 
   // Reduce per-query counts across the live ranks.
   active.allreduce(counts.data(), global.data(), static_cast<int>(counts.size()),
                    mpi::Datatype::uint64(), mpi::Op::sum());
 
-  if (stats != nullptr) {
-    std::uint64_t total = 0;
-    for (auto c : global) total += c;
-    stats->totalMatches = total;
-  }
+  st.totalMatches = 0;
+  for (auto c : global) st.totalMatches += c;
   return global;
 }
 

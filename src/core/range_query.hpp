@@ -18,16 +18,11 @@ namespace mvio::core {
 
 struct RangeQueryConfig {
   FrameworkConfig framework;
-  std::size_t rtreeFanout = 16;
 };
 
-struct RangeQueryStats {
-  PhaseBreakdown phases;
-  RebalanceStats balance;          ///< owned-cell migration volumes (rebalanceCells)
-  RecoveryStats recovery;          ///< failure injection / recovery outcome
+/// The pipeline's run result plus the batch's total match count.
+struct RangeQueryStats : FrameworkStats {
   std::uint64_t totalMatches = 0;  ///< sum over all queries, all ranks
-  std::uint64_t cellsOwned = 0;
-  GridSpec grid;
 };
 
 /// Run `queries` (rectangles, indexed 0..n-1 across all ranks: every rank

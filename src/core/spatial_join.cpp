@@ -43,7 +43,7 @@ class JoinTask final : public RefineTask {
     if (r.empty() || s.empty()) return;
 
     // Filter: bulk-load an R-tree straight from R's arena-resident MBRs.
-    geom::RTree index(cfg_.rtreeFanout);
+    geom::RTree index;
     index.bulkLoad(r);
 
     // Per-record key cache for this cell: computed lazily, batch-native.
@@ -135,18 +135,11 @@ JoinStats spatialJoin(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle&
                       const DatasetHandle& s, const JoinConfig& cfg,
                       std::vector<JoinPair>* localResults) {
   JoinTask task(cfg, localResults);
-  const FrameworkStats fw = runFilterRefine(comm, volume, r, &s, cfg.framework, task);
-
   JoinStats stats;
-  stats.phases = fw.phases;
-  stats.grid = fw.grid;
-  stats.balance = fw.balance;
-  stats.recovery = fw.recovery;
-  stats.plan = fw.plan;
-  stats.ownedRecords = fw.localR + fw.localS;
-  if (fw.recovery.died) return stats;  // dead ranks join no further collective
-  mpi::Comm active = fw.activeComm ? *fw.activeComm : comm;
-  stats.cellsOwned = fw.cellsOwned;
+  static_cast<FrameworkStats&>(stats) = runFilterRefine(comm, volume, r, &s, cfg.framework, task);
+  stats.ownedRecords = stats.localR + stats.localS;
+  if (stats.recovery.died) return stats;  // dead ranks join no further collective
+  mpi::Comm active = stats.activeComm ? *stats.activeComm : comm;
   stats.localPairs = task.pairs();
   stats.globalPairs = active.allreduceSumU64(task.pairs());
   stats.candidatePairs = active.allreduceSumU64(task.candidates());

@@ -24,7 +24,6 @@ enum class JoinPredicate {
 struct JoinConfig {
   FrameworkConfig framework;
   JoinPredicate predicate = JoinPredicate::kIntersects;
-  std::size_t rtreeFanout = 16;
 };
 
 /// One result pair, identified by content hashes of the geometries (stable
@@ -41,17 +40,13 @@ struct JoinPair {
   }
 };
 
-struct JoinStats {
-  PhaseBreakdown phases;             ///< this rank's breakdown
-  RebalanceStats balance;            ///< owned-cell migration volumes (rebalanceCells)
-  RecoveryStats recovery;            ///< failure injection / recovery outcome
-  PartitionPlan plan;                ///< pilot-pass cost-model prediction (adaptive schemes)
+/// The pipeline's run result (phases, grid, balance, recovery, spill, ...)
+/// plus what the join adds on top of it.
+struct JoinStats : FrameworkStats {
   std::uint64_t localPairs = 0;      ///< pairs this rank reported
   std::uint64_t globalPairs = 0;     ///< allreduced total
   std::uint64_t candidatePairs = 0;  ///< global filter-phase candidates
-  std::uint64_t cellsOwned = 0;
   std::uint64_t ownedRecords = 0;    ///< geometries this rank refined (post-exchange, both layers)
-  GridSpec grid;
 };
 
 /// Content hash used for JoinPair keys (FNV-1a over the WKB encoding).

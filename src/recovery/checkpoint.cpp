@@ -153,29 +153,21 @@ CheckpointCoordinator::CheckpointCoordinator(mpi::Comm& comm, pfs::Volume& volum
       rankStore_(volume, rankPrefix(cfg_.dir, comm.worldRank())),
       pricer_(pfs::SpillPricer::onVolume(volume, comm.nodeId())) {}
 
-void CheckpointCoordinator::charge(std::uint64_t bytes, bool isWrite) {
+void CheckpointCoordinator::charge(std::uint64_t bytes, bool isWrite, bool compaction) {
   const double t0 = comm_->clock().now();
   const double t = pricer_.seconds(bytes, isWrite, t0);
   comm_->clock().advanceBy(t);
-  obs::traceSpanAt("checkpoint", t0, comm_->clock().now());
-  obs::addCount(isWrite ? "checkpoint.write_bytes" : "checkpoint.read_bytes", bytes);
-  phases_->checkpoint += t;
-  if (isWrite) phases_->checkpointBytes += bytes;
+  obs::traceSpanAt(compaction ? "compaction" : "checkpoint", t0, comm_->clock().now());
+  obs::addCount(compaction ? (isWrite ? "compaction.write_bytes" : "compaction.read_bytes")
+                           : (isWrite ? "checkpoint.write_bytes" : "checkpoint.read_bytes"),
+                bytes);
+  (compaction ? phases_->compaction : phases_->checkpoint) += t;
+  if (isWrite) (compaction ? phases_->compactionBytes : phases_->checkpointBytes) += bytes;
 }
 
 void CheckpointCoordinator::put(const std::string& name, std::string bytes) {
   charge(bytes.size(), /*isWrite=*/true);
   rankStore_.put(name, std::move(bytes));
-}
-
-void CheckpointCoordinator::chargeCompact(std::uint64_t bytes, bool isWrite) {
-  const double t0 = comm_->clock().now();
-  const double t = pricer_.seconds(bytes, isWrite, t0);
-  comm_->clock().advanceBy(t);
-  obs::traceSpanAt("compaction", t0, comm_->clock().now());
-  obs::addCount(isWrite ? "compaction.write_bytes" : "compaction.read_bytes", bytes);
-  phases_->compaction += t;
-  if (isWrite) phases_->compactionBytes += bytes;
 }
 
 void CheckpointCoordinator::setRoundSchedule(std::uint64_t roundsR, std::uint64_t roundsS) {
@@ -264,13 +256,7 @@ bool CheckpointCoordinator::maybeCheckpoint(std::uint64_t globalRound,
       // treat this epoch as never committed.
       seal.resize(seal.size() / 2);
     }
-    const double st0 = comm_->clock().now();
-    const double t = pricer_.seconds(seal.size(), /*isWrite=*/true, st0);
-    comm_->clock().advanceBy(t);
-    obs::traceSpanAt("checkpoint", st0, comm_->clock().now());
-    obs::addCount("checkpoint.write_bytes", seal.size());
-    phases_->checkpoint += t;
-    phases_->checkpointBytes += seal.size();
+    charge(seal.size(), /*isWrite=*/true);
     pfs::SpillStore globalStore(*volume_, globalPrefix(cfg_.dir));
     globalStore.put(sealName(epoch_), std::move(seal));
   }
@@ -330,7 +316,7 @@ void CheckpointCoordinator::maybeCompact() {
     }
     foldedManifests.push_back(std::move(*man));
   }
-  chargeCompact(readBytes, /*isWrite=*/false);
+  charge(readBytes, /*isWrite=*/false, /*compaction=*/true);
 
   // 2. Write the new base shards, then commit with the base manifest.
   BaseManifest next;
@@ -340,12 +326,12 @@ void CheckpointCoordinator::maybeCompact() {
     next.records[layer] = folded[layer].size();
     encodeDeltaShards(folded[layer], cfg_.maxShardBytes, next.shards[layer],
                       [&](std::uint64_t k, std::string blob) {
-                        chargeCompact(blob.size(), /*isWrite=*/true);
+                        charge(blob.size(), /*isWrite=*/true, /*compaction=*/true);
                         rankStore_.put(baseShardName(target, layer, k), std::move(blob));
                       });
   }
   std::string m = encodeBaseManifest(next);
-  chargeCompact(m.size(), /*isWrite=*/true);
+  charge(m.size(), /*isWrite=*/true, /*compaction=*/true);
   rankStore_.put(baseManifestName(), std::move(m));
 
   // 3. GC everything the new base supersedes: the old base, the folded

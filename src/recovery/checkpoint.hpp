@@ -127,8 +127,10 @@ class CheckpointCoordinator {
   void setPartitionMap(std::string encoded) { partitionMap_ = std::move(encoded); }
 
  private:
-  void charge(std::uint64_t bytes, bool isWrite);
-  void chargeCompact(std::uint64_t bytes, bool isWrite);
+  /// Price `bytes` of durable I/O on the rank clock. Checkpoint writes
+  /// land in the `checkpoint` span, counters and phase fields; compaction
+  /// traffic (`compaction` set) in the `compaction` ones.
+  void charge(std::uint64_t bytes, bool isWrite, bool compaction = false);
   void put(const std::string& name, std::string bytes);
   void maybeCompact();
 

@@ -491,10 +491,12 @@ TEST(TraceEndToEnd, TracedJoinBitIdenticalAndCoversAllPhases) {
   expectWellFormed(events);
   std::map<std::string, int> spanCount;
   bool workerSpan = false;
+  bool prepParse = false;
   for (const Ev& ev : events) {
     if (ev.ph == "B") {
       spanCount[ev.name] += 1;
       if (ev.tid >= 1 && ev.tid <= 4) workerSpan = true;
+      if (ev.tid == 5 && ev.name == "parse") prepParse = true;  // prep lane: after 4 workers
     }
   }
   for (const char* phase : {"read", "parse", "partition", "comm", "compute", "spill",
@@ -502,6 +504,7 @@ TEST(TraceEndToEnd, TracedJoinBitIdenticalAndCoversAllPhases) {
     EXPECT_GE(spanCount[phase], 1) << "no span for phase " << phase;
   }
   EXPECT_TRUE(workerSpan) << "worker lanes must carry parse/compute spans";
+  EXPECT_TRUE(prepParse) << "round overlap must replay each chunk's deferred parse on the prep lane";
   std::remove(tracePath.c_str());
 }
 

@@ -226,7 +226,7 @@ TEST(DistributedIndex, LoadShardsRejectsStaleOwnership) {
 
   // Validation against the map that assigns every cell to this rank: ok.
   std::vector<int> owner(static_cast<std::size_t>(grid.cellCount()), 0);
-  const auto loaded = mc::DistributedIndex::loadShards(store, "owned", 0, &owner, 0);
+  const auto loaded = mc::DistributedIndex::loadShards(store, "owned", &owner, 0);
   EXPECT_EQ(loaded.localGeometries(), original.localGeometries());
 
   // Move one populated cell to another rank: the manifest is stale for
@@ -235,7 +235,7 @@ TEST(DistributedIndex, LoadShardsRejectsStaleOwnership) {
   const int movedCell = original.batch().cell(0);
   std::vector<int> stale(owner);
   stale[static_cast<std::size_t>(movedCell)] = 1;
-  EXPECT_THROW(mc::DistributedIndex::loadShards(store, "owned", 0, &stale, 0), mvio::util::Error);
+  EXPECT_THROW(mc::DistributedIndex::loadShards(store, "owned", &stale, 0), mvio::util::Error);
 }
 
 // ---- Adaptive rebalance trigger ------------------------------------------

@@ -515,19 +515,12 @@ TEST(StreamingPipeline, SpillStatsReportBytes) {
     cfg.framework.stream = TwoLayerFixture::streamedConfig();
     mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
     mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
-
-    // spatialJoin exposes only phase timings; run the framework directly
-    // for the byte counters.
-    struct NullTask final : mc::RefineTask {
-      void refineCellBatch(const mc::GridSpec&, int, const mg::BatchSpan&,
-                           const mg::BatchSpan&) override {}
-    } task;
-    const auto fw = mc::runFilterRefine(comm, *fx.volume, r, &s, cfg.framework, task);
-    bytesSpilled += fw.spill.bytesWritten;
-    heldAfter += fw.spill.bytesHeld;
-    EXPECT_EQ(fw.spill.bytesRead, fw.spill.bytesWritten)
+    const mc::JoinStats st = mc::spatialJoin(comm, *fx.volume, r, s, cfg);
+    bytesSpilled += st.spill.bytesWritten;
+    heldAfter += st.spill.bytesHeld;
+    EXPECT_EQ(st.spill.bytesRead, st.spill.bytesWritten)
         << "every spilled byte (staged chunks and owned-cell pieces) is reloaded exactly once";
-    EXPECT_GT(fw.phases.refineSpillBytes, 0u) << "cell-major refine must stream from shards";
+    EXPECT_GT(st.phases.refineSpillBytes, 0u) << "cell-major refine must stream from shards";
   });
   EXPECT_GT(bytesSpilled.load(), 0u);
   EXPECT_EQ(heldAfter.load(), 0u) << "scratch blobs must be drained by the run";
