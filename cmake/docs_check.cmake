@@ -49,7 +49,9 @@ set(CITED_TYPES
     "PartitionerConfig=core/partition_map.hpp"
     "PartitionConfig=core/file_partition.hpp"
     "CellStore=core/cell_store.hpp"
-    "(Text|Wkb)?FormatReader=core/format.hpp")
+    "(Text|Wkb)?FormatReader=core/format.hpp"
+    "CheckpointCoordinator|ShardSetManifest|EpochSeal|SealScanCache=recovery/checkpoint.hpp"
+    "FaultPlan=recovery/recovery.hpp")
 
 set(MISSING "")
 foreach(doc README.md DESIGN.md)

@@ -20,22 +20,17 @@ a value informational.
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
 REPORT_SCHEMA = "mvio.run_report"
 BASELINE_SCHEMA = "mvio.bench_baseline"
 
-PHASE_TIME_KEYS = [
-    "read", "parse", "partition", "comm", "compute", "spill", "migrate",
-    "checkpoint", "recovery", "compaction", "overlapped", "workerCpu",
-    "workerCritical", "total",
-]
-PHASE_COUNT_KEYS = [
-    "rounds", "refineSpillBytes", "migrateBytes", "migrateRounds",
-    "checkpointBytes", "checkpointEpochs", "recoveryBytes", "recoveryRounds",
-    "compactionBytes", "reclaimedBytes",
-]
+# The report's `phases` object carries one key per core::kPhaseFields
+# entry plus `total`; the C++ table is the one list both sides read.
+PHASES_HPP = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "src", "core", "phases.hpp")
 
 # Tolerance policy for make-baseline, first match wins. None -> not gated
 # (tracked informationally). Deterministic outputs (join pairs, owned
@@ -69,6 +64,20 @@ def load(path):
         fail("%s: %s" % (path, e))
 
 
+def phase_keys():
+    """Every key a report's non-empty `phases` object must carry."""
+    try:
+        with open(PHASES_HPP, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as e:
+        fail("%s: %s" % (PHASES_HPP, e))
+    table = re.search(r"kPhaseFields\[\] = \{(.*?)\n\};", text, re.S)
+    keys = re.findall(r'\{"(\w+)",', table.group(1)) if table else []
+    if not keys:
+        fail("%s: no kPhaseFields table found" % PHASES_HPP)
+    return keys + ["total"]
+
+
 def is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
@@ -87,7 +96,7 @@ def check_report(doc, path):
     if not isinstance(phases, dict):
         fail("%s: 'phases' must be an object" % path)
     if phases:  # benches without a framework run emit an empty object
-        for key in PHASE_TIME_KEYS + PHASE_COUNT_KEYS:
+        for key in phase_keys():
             if key not in phases:
                 fail("%s: phases missing %r" % (path, key))
             if not is_num(phases[key]) or phases[key] < 0:

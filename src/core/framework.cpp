@@ -5,7 +5,6 @@
 #include <map>
 #include <numeric>
 #include <optional>
-#include <tuple>
 
 #include "core/cell_store.hpp"
 #include "geom/batch_shard.hpp"
@@ -14,7 +13,6 @@
 #include "obs/trace.hpp"
 #include "recovery/recovery.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mvio::core {
@@ -368,52 +366,13 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   // Checkpoint/recovery setup (DESIGN.md §9). Checkpoint blob names are
   // keyed by world rank, so the subsystem requires the launch (world)
   // communicator when enabled.
-  recovery::CheckpointConfig ckptCfg;
-  ckptCfg.everyRounds = sc.checkpointEveryRounds;
-  ckptCfg.dir = sc.checkpointDir;
-  ckptCfg.tearEpochSeal = sc.tearEpochSeal;
-  ckptCfg.compactEveryEpochs = sc.compaction.everyEpochs;
-  recovery::CheckpointCoordinator ckpt(comm, volume, ckptCfg, &stats.phases);
+  recovery::CheckpointCoordinator ckpt(comm, volume, sc, &stats.phases);
   if (ckpt.enabled()) {
     MVIO_CHECK(comm.rank() == comm.worldRank(),
                "checkpointing requires the world communicator (blob names are world-rank keyed)");
   }
-
-  // Fault schedule, ordered by (boundary, recovery pass, rank).
-  std::vector<sim::FailureEvent> schedule = cfg.failSchedule;
-  std::sort(schedule.begin(), schedule.end(),
-            [](const sim::FailureEvent& a, const sim::FailureEvent& b) {
-              return std::tie(a.afterRound, a.duringRecoveryPass, a.rank) <
-                     std::tie(b.afterRound, b.duringRecoveryPass, b.rank);
-            });
-  const bool injecting = !schedule.empty();
-  if (injecting) {
-    MVIO_CHECK(ckpt.enabled(),
-               "failure injection requires StreamConfig::checkpointEveryRounds > 0");
-    MVIO_CHECK(static_cast<int>(schedule.size()) < p,
-               "failure injection must leave at least one survivor");
-    std::vector<char> dies(static_cast<std::size_t>(p), 0);
-    for (const sim::FailureEvent& ev : schedule) {
-      MVIO_CHECK(ev.rank >= 0 && ev.rank < p, "fault schedule names a rank outside the communicator");
-      MVIO_CHECK(!dies[static_cast<std::size_t>(ev.rank)], "fault schedule kills the same rank twice");
-      dies[static_cast<std::size_t>(ev.rank)] = 1;
-      MVIO_CHECK(ev.afterRound != 0, "fault schedule event without a kill round");
-      MVIO_CHECK(ev.duringRecoveryPass >= 0, "fault schedule event with a negative recovery pass");
-    }
-    MVIO_CHECK(schedule.front().duringRecoveryPass == 0,
-               "the first failure wave must strike at a round boundary, not during recovery");
-  }
-  // A wave is a run of sorted events sharing (afterRound, pass): its
-  // ranks die together, and each later wave is detected by the survivors'
-  // next detection allgather and triggers another recovery pass. A rank
-  // dies at most once, so it only needs the index of its own wave.
-  std::size_t myWave = SIZE_MAX;
-  for (std::size_t i = 0, wave = 0; i < schedule.size(); ++i) {
-    wave += i > 0 && (schedule[i].afterRound != schedule[i - 1].afterRound ||
-                      schedule[i].duringRecoveryPass != schedule[i - 1].duringRecoveryPass);
-    if (schedule[i].rank == comm.worldRank()) myWave = wave;
-  }
-  const std::uint64_t firstKillRound = injecting ? schedule.front().afterRound : 0;
+  const recovery::FaultPlan faults =
+      recovery::planFaults(cfg.failSchedule, p, comm.worldRank(), ckpt.enabled());
 
   // Per-rank worker pool (DESIGN.md §10). The rank thread keeps exclusive
   // ownership of Comm and the sim clock; workers only ever run
@@ -564,14 +523,11 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   const std::uint64_t roundsS = s != nullptr ? allreduceMaxU64(comm, stageS.pending()) : 0;
   // The agreed schedule lets compaction map GC'd rounds to chunk blobs.
   ckpt.setRoundSchedule(roundsR, roundsS);
-  if (injecting) {
-    MVIO_CHECK(schedule.back().afterRound <= roundsR + roundsS,
-               "kill point lies beyond the data-round schedule");
-  }
+  MVIO_CHECK(faults.lastKillRound <= roundsR + roundsS,
+             "kill point lies beyond the data-round schedule");
 
   mpi::Comm active = comm;  ///< shrinks to the survivors after a recovery
   std::vector<int> activeWorld;  ///< active-local rank -> world rank (post-recovery)
-  bool recovered = false;
   std::uint64_t globalRound = 0;
 
   // Reused across every exchange round so the p-sized header/count
@@ -683,78 +639,12 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
       globalRound += 1;
       ckpt.maybeCheckpoint(globalRound, rrOwner);
 
-      if (injecting && globalRound == firstKillRound) {
-        // Failure detection + cascading recovery. Each iteration is one
-        // detection allgather over the current communicator (the
-        // simulation's failure detector): newly dead ranks leave with
-        // their volatile state, the survivors shrink the communicator
-        // and run a recovery pass. Ranks scheduled to die *during* that
-        // pass (or at a later round — everything past the first kill is
-        // recovery territory) are caught by the next iteration, and the
-        // loop only exits on an allgather that reports a stable survivor
-        // set. The seal-scan cache makes the repeated recovery-point
-        // scans free; seeded LPT re-homing composes across the shrinks.
-        recovery::SealScanCache sealCache;
-        std::vector<int> cumulativeDead;
-        std::vector<int> priorOwner;
-        bool alive = true;
-        std::size_t wave = 0;
-        while (true) {
-          if (wave == myWave) alive = false;
-          const std::int32_t mine = alive ? comm.worldRank() : ~comm.worldRank();
-          std::vector<std::int32_t> flags(static_cast<std::size_t>(active.size()), 0);
-          active.allgather(&mine, 1, mpi::Datatype::int32(), flags.data());
-          std::vector<int> survivors;
-          std::vector<int> newlyDead;
-          for (const std::int32_t f : flags) {
-            (f >= 0 ? survivors : newlyDead).push_back(f >= 0 ? f : ~f);
-          }
-          if (newlyDead.empty()) break;  // stable survivor set
-          MVIO_WARN("recovery", newlyDead.size() << " rank(s) failed at round " << globalRound
-                                                 << "; survivors: " << survivors.size());
-          mpi::Comm shrunk = active.split(alive ? 1 : 0, active.rank());
-          if (!alive) {
-            stats.recovery.died = true;
-            obs::traceEnd("round");
-            return false;
-          }
-          active = shrunk;
-          std::sort(newlyDead.begin(), newlyDead.end());
-          cumulativeDead.insert(cumulativeDead.end(), newlyDead.begin(), newlyDead.end());
-          std::sort(cumulativeDead.begin(), cumulativeDead.end());
-
-          recovery::RecoveryContext ctx;
-          ctx.checkpoint = ckptCfg;
-          ctx.worldSize = p;
-          ctx.deadRanks = cumulativeDead;
-          ctx.newlyDead = newlyDead;
-          ctx.survivorWorld = survivors;
-          ctx.priorOwner = priorOwner;
-          ctx.failRound = firstKillRound;
-          ctx.roundsPerLayer[0] = roundsR;
-          ctx.roundsPerLayer[1] = roundsS;
-          ctx.map = &map;
-          ctx.locator = locator ? &*locator : nullptr;
-          ctx.sealCache = &sealCache;
-          obs::traceBegin("recovery");
-          recovery::RecoveryOutcome outcome = recovery::recoverFromFailure(
-              active, volume, ctx, ownedR, s != nullptr ? &ownedS : nullptr, &stats.phases);
-          obs::traceEnd("recovery");
-          obs::addCount("recovery.restored_records", outcome.stats.restoredRecords);
-          obs::addCount("recovery.replayed_records", outcome.stats.replayedRecords);
-          obs::addCount("recovery.passes", 1);
-          priorOwner = std::move(outcome.cellOwner);
-          stats.recovery.recovered = true;
-          stats.recovery.deadRanks = cumulativeDead.size();
-          stats.recovery.epochUsed = outcome.stats.epochUsed;
-          stats.recovery.restoredRecords += outcome.stats.restoredRecords;
-          stats.recovery.replayedRecords += outcome.stats.replayedRecords;
-          stats.recovery.recoveryPasses += 1;
-          activeWorld = std::move(survivors);
-          wave += 1;
-        }
-        stats.cellOwner = std::move(priorOwner);
-        recovered = true;
+      if (globalRound == faults.firstKillRound) {
+        // Failure detection + cascading recovery (recovery.hpp); every
+        // remaining round is then re-derived from the durable log.
+        activeWorld = recovery::recoverUntilStable(
+            active, volume, faults, sc, {roundsR, roundsS}, map, locator ? &*locator : nullptr,
+            ownedR, s != nullptr ? &ownedS : nullptr, stats);
         obs::traceEnd("round");
         return false;
       }
@@ -787,7 +677,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
     stats.spill = spill.stats();
     return stats;
   }
-  if (recovered) {
+  if (stats.recovery.recovered) {
     // Every remaining round was re-derived from the chunk log; the
     // staged copies (and the dead ranks' stale deliveries they would
     // duplicate) are discarded. Their deferred prep was still real parse

@@ -71,7 +71,9 @@ struct DatasetHandle {
 /// one checksummed base checkpoint, commits it by writing a
 /// `base.manifest`, and then garbage-collects the folded delta shards,
 /// the superseded base, and the ingest chunk blobs for every round the
-/// new base covers. Recovery loads one base + the bounded delta tail
+/// new base covers. The base is a recovery::ShardSetManifest like the
+/// deltas, and the fold reads the sets it folds through the restore
+/// path's checksum, ownership and record-count checks. Recovery loads one base + the bounded delta tail
 /// instead of scanning the full epoch history; the per-rank epoch
 /// manifests and global seals are kept (they are tiny and the seal scan
 /// validates against them). Bytes written by the fold land in

@@ -12,6 +12,9 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x4853564Du;  // "MVSH" little-endian
 constexpr std::uint32_t kVersion = 1;
+/// Payload bytes every record carries before its arena slices: tag, cell,
+/// envelope and the three end offsets.
+constexpr std::size_t kRecordFixedBytes = 1 + sizeof(int) + sizeof(Envelope) + 24;
 
 using util::fnv1a;
 using util::putBytes;
@@ -88,9 +91,18 @@ struct ShardAccess {
     const auto nUser = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 32));
     const std::uint64_t payloadSum = readScalar<std::uint64_t>(p + 40);
 
-    const std::size_t payloadBytes = n * (1 + sizeof(int) + sizeof(Envelope) + 24) +
-                                     nCoords * sizeof(Coord) + nShape * sizeof(std::uint32_t) + nUser;
-    MVIO_CHECK(bytes.size() == kShardHeaderBytes + payloadBytes, "batch shard: truncated payload");
+    // Bound every count by the payload bytes left, by division — a crafted
+    // count must not wrap the size product — before any count sizes a
+    // column.
+    const std::size_t payloadBytes = bytes.size() - kShardHeaderBytes;
+    std::size_t left = payloadBytes;
+    MVIO_CHECK(n <= left / kRecordFixedBytes, "batch shard: truncated payload");
+    left -= n * kRecordFixedBytes;
+    MVIO_CHECK(nCoords <= left / sizeof(Coord), "batch shard: truncated payload");
+    left -= nCoords * sizeof(Coord);
+    MVIO_CHECK(nShape <= left / sizeof(std::uint32_t), "batch shard: truncated payload");
+    left -= nShape * sizeof(std::uint32_t);
+    MVIO_CHECK(nUser == left, "batch shard: truncated payload");
     const char* payload = p + kShardHeaderBytes;
     MVIO_CHECK(fnv1a(payload, payloadBytes) == payloadSum,
                "batch shard: payload checksum mismatch");
@@ -146,8 +158,7 @@ struct ShardAccess {
 };
 
 std::size_t shardRecordBytes(const GeometryBatch& b, std::size_t i) {
-  constexpr std::size_t perRecord = 1 + sizeof(int) + sizeof(Envelope) + 24;
-  return perRecord + b.vertexCount(i) * sizeof(Coord) +
+  return kRecordFixedBytes + b.vertexCount(i) * sizeof(Coord) +
          b.shapeTokenCount(i) * sizeof(std::uint32_t) + b.userData(i).size();
 }
 

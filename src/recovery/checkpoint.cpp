@@ -32,13 +32,9 @@ std::string chunkName(int layer, std::uint64_t chunk) {
   return std::string("ing.") + layerTag(layer) + "." + std::to_string(chunk);
 }
 
-std::string baseManifestName() { return "base.manifest"; }
-
-std::string deltaName(std::uint64_t epoch, int layer, std::uint64_t shard) {
-  return "ep" + std::to_string(epoch) + "." + layerTag(layer) + "." + std::to_string(shard);
+std::string manifestName(bool base, std::uint64_t epoch) {
+  return base ? "base.manifest" : "ep" + std::to_string(epoch) + ".manifest";
 }
-
-std::string manifestName(std::uint64_t epoch) { return "ep" + std::to_string(epoch) + ".manifest"; }
 
 std::string sealName(std::uint64_t epoch) { return "ep" + std::to_string(epoch) + ".seal"; }
 
@@ -52,23 +48,6 @@ bool fetchIfPresent(pfs::Volume& volume, const std::string& prefix, const std::s
   return true;
 }
 
-/// Split `b` into bounded shards (geom::forEachShardRange — the rule
-/// shared with DistributedIndex::saveShards and migrateShards),
-/// appending {bytes, checksum} refs and handing each blob to `emit`.
-template <typename Emit>
-void encodeDeltaShards(const geom::GeometryBatch& b, std::uint64_t maxShardBytes,
-                       std::vector<RankEpochManifest::Shard>& refs, Emit&& emit) {
-  std::uint64_t shard = 0;
-  geom::forEachShardRange(b, maxShardBytes,
-                          [&](std::size_t lo, std::size_t hi, std::uint64_t bytes) {
-                            std::string blob;
-                            blob.reserve(static_cast<std::size_t>(bytes));
-                            geom::encodeShard(b, lo, hi, blob);
-                            refs.push_back({blob.size(), fnv1a(blob.data(), blob.size())});
-                            emit(shard++, std::move(blob));
-                          });
-}
-
 }  // namespace
 
 std::string rankPrefix(const std::string& dir, int worldRank) {
@@ -77,8 +56,9 @@ std::string rankPrefix(const std::string& dir, int worldRank) {
 
 std::string globalPrefix(const std::string& dir) { return dir + "/global"; }
 
-std::string baseShardName(std::uint64_t baseEpoch, int layer, std::uint64_t shard) {
-  return "base" + std::to_string(baseEpoch) + "." + layerTag(layer) + "." + std::to_string(shard);
+std::string shardName(bool base, std::uint64_t epoch, int layer, std::uint64_t shard) {
+  return (base ? "base" : "ep") + std::to_string(epoch) + "." + layerTag(layer) + "." +
+         std::to_string(shard);
 }
 
 std::string encodeIngestManifest(const IngestLog& log) {
@@ -91,16 +71,16 @@ std::string encodeIngestManifest(const IngestLog& log) {
   return m;
 }
 
-std::string encodeRankManifest(const RankEpochManifest& manifest) {
+std::string encodeShardSetManifest(const ShardSetManifest& set) {
   std::string m;
-  putScalar<std::uint32_t>(m, kManifestMagic);
+  putScalar<std::uint32_t>(m, set.base ? kBaseMagic : kManifestMagic);
   putScalar<std::uint32_t>(m, kVersion);
-  putScalar<std::uint64_t>(m, manifest.epoch);
-  putScalar<std::uint64_t>(m, manifest.globalRound);
+  putScalar<std::uint64_t>(m, set.epoch);
+  putScalar<std::uint64_t>(m, set.rounds);
   for (int layer = 0; layer < 2; ++layer) {
-    putScalar<std::uint64_t>(m, manifest.records[layer]);
-    putScalar<std::uint64_t>(m, manifest.shards[layer].size());
-    for (const auto& s : manifest.shards[layer]) {
+    putScalar<std::uint64_t>(m, set.records[layer]);
+    putScalar<std::uint64_t>(m, set.shards[layer].size());
+    for (const auto& s : set.shards[layer]) {
       putScalar<std::uint64_t>(m, s.bytes);
       putScalar<std::uint64_t>(m, s.checksum);
     }
@@ -126,31 +106,14 @@ std::string encodeEpochSeal(const EpochSeal& seal) {
   return s;
 }
 
-std::string encodeBaseManifest(const BaseManifest& base) {
-  std::string m;
-  putScalar<std::uint32_t>(m, kBaseMagic);
-  putScalar<std::uint32_t>(m, kVersion);
-  putScalar<std::uint64_t>(m, base.baseEpoch);
-  putScalar<std::uint64_t>(m, base.roundsCovered);
-  for (int layer = 0; layer < 2; ++layer) {
-    putScalar<std::uint64_t>(m, base.records[layer]);
-    putScalar<std::uint64_t>(m, base.shards[layer].size());
-    for (const auto& s : base.shards[layer]) {
-      putScalar<std::uint64_t>(m, s.bytes);
-      putScalar<std::uint64_t>(m, s.checksum);
-    }
-  }
-  putScalar<std::uint64_t>(m, fnv1a(m.data(), m.size()));
-  return m;
-}
-
 CheckpointCoordinator::CheckpointCoordinator(mpi::Comm& comm, pfs::Volume& volume,
-                                             CheckpointConfig cfg, core::PhaseBreakdown* phases)
+                                             const core::StreamConfig& cfg,
+                                             core::PhaseBreakdown* phases)
     : comm_(&comm),
       volume_(&volume),
-      cfg_(std::move(cfg)),
+      cfg_(cfg),
       phases_(phases),
-      rankStore_(volume, rankPrefix(cfg_.dir, comm.worldRank())),
+      rankStore_(volume, rankPrefix(cfg_.checkpointDir, comm.worldRank())),
       pricer_(pfs::SpillPricer::onVolume(volume, comm.nodeId())) {}
 
 void CheckpointCoordinator::charge(std::uint64_t bytes, bool isWrite, bool compaction) {
@@ -165,15 +128,38 @@ void CheckpointCoordinator::charge(std::uint64_t bytes, bool isWrite, bool compa
   if (isWrite) (compaction ? phases_->compactionBytes : phases_->checkpointBytes) += bytes;
 }
 
-void CheckpointCoordinator::put(const std::string& name, std::string bytes) {
-  charge(bytes.size(), /*isWrite=*/true);
+void CheckpointCoordinator::put(const std::string& name, std::string bytes, bool compaction) {
+  charge(bytes.size(), /*isWrite=*/true, compaction);
   rankStore_.put(name, std::move(bytes));
+}
+
+std::uint64_t CheckpointCoordinator::writeShardSet(ShardSetManifest& set,
+                                                   geom::GeometryBatch (&batches)[2]) {
+  for (int layer = 0; layer < 2; ++layer) {
+    const geom::GeometryBatch& b = batches[layer];
+    set.records[layer] = b.size();
+    std::uint64_t k = 0;
+    // The bounded-shard rule shared with DistributedIndex::saveShards and
+    // migrateShards.
+    geom::forEachShardRange(b, kMaxShardBytes, [&](std::size_t lo, std::size_t hi,
+                                                   std::uint64_t bytes) {
+      std::string blob;
+      blob.reserve(static_cast<std::size_t>(bytes));
+      geom::encodeShard(b, lo, hi, blob);
+      set.shards[layer].push_back({blob.size(), fnv1a(blob.data(), blob.size())});
+      put(shardName(set.base, set.epoch, layer, k++), std::move(blob), set.base);
+    });
+    batches[layer] = geom::GeometryBatch();
+  }
+  std::string m = encodeShardSetManifest(set);
+  const std::uint64_t checksum = fnv1a(m.data(), m.size() - 8);
+  put(manifestName(set.base, set.epoch), std::move(m), set.base);
+  return checksum;
 }
 
 void CheckpointCoordinator::setRoundSchedule(std::uint64_t roundsR, std::uint64_t roundsS) {
   roundsR_ = roundsR;
   roundsS_ = roundsS;
-  scheduleKnown_ = true;
 }
 
 void CheckpointCoordinator::logChunk(int layer, const geom::GeometryBatch& chunk) {
@@ -182,15 +168,14 @@ void CheckpointCoordinator::logChunk(int layer, const geom::GeometryBatch& chunk
   blob.reserve(geom::shardEncodedSize(chunk, 0, chunk.size()));
   geom::encodeShard(chunk, blob);
   chunkBytes_[layer].push_back(blob.size());
-  put(chunkName(layer, chunks_[layer]), std::move(blob));
-  chunks_[layer] += 1;
+  put(chunkName(layer, chunkBytes_[layer].size() - 1), std::move(blob));
 }
 
 void CheckpointCoordinator::sealIngest() {
   if (!enabled()) return;
   IngestLog log;
-  log.chunks[0] = chunks_[0];
-  log.chunks[1] = chunks_[1];
+  log.chunks[0] = chunkBytes_[0].size();
+  log.chunks[1] = chunkBytes_[1].size();
   put("ing.manifest", encodeIngestManifest(log));
 }
 
@@ -209,24 +194,16 @@ void CheckpointCoordinator::noteRound(int layer, const geom::GeometryBatch& deli
 
 bool CheckpointCoordinator::maybeCheckpoint(std::uint64_t globalRound,
                                             const std::vector<int>& cellOwner) {
-  if (!enabled() || globalRound == 0 || globalRound % cfg_.everyRounds != 0) return false;
+  if (!enabled() || globalRound == 0 || globalRound % cfg_.checkpointEveryRounds != 0) {
+    return false;
+  }
   epoch_ += 1;
 
   // 1. Delta shards + per-rank manifest (rank-local writes).
-  RankEpochManifest manifest;
-  manifest.epoch = epoch_;
-  manifest.globalRound = globalRound;
-  for (int layer = 0; layer < 2; ++layer) {
-    manifest.records[layer] = delta_[layer].size();
-    encodeDeltaShards(delta_[layer], cfg_.maxShardBytes, manifest.shards[layer],
-                      [&](std::uint64_t k, std::string blob) {
-                        put(deltaName(epoch_, layer, k), std::move(blob));
-                      });
-    delta_[layer] = geom::GeometryBatch();
-  }
-  std::string m = encodeRankManifest(manifest);
-  const std::uint64_t manifestChecksum = fnv1a(m.data(), m.size() - 8);
-  put(manifestName(epoch_), std::move(m));
+  ShardSetManifest delta;
+  delta.epoch = epoch_;
+  delta.rounds = globalRound;
+  const std::uint64_t manifestChecksum = writeShardSet(delta, delta_);
 
   // 2. Collective seal: global cumulative loads, every rank's manifest
   // checksum, and the cell→rank map, committed by rank 0's seal write.
@@ -257,7 +234,7 @@ bool CheckpointCoordinator::maybeCheckpoint(std::uint64_t globalRound,
       seal.resize(seal.size() / 2);
     }
     charge(seal.size(), /*isWrite=*/true);
-    pfs::SpillStore globalStore(*volume_, globalPrefix(cfg_.dir));
+    pfs::SpillStore globalStore(*volume_, globalPrefix(cfg_.checkpointDir));
     globalStore.put(sealName(epoch_), std::move(seal));
   }
   // The seal write is the commit point; later rounds (and the kill point
@@ -266,12 +243,13 @@ bool CheckpointCoordinator::maybeCheckpoint(std::uint64_t globalRound,
   comm_->barrier();
   obs::traceInstant("checkpoint.seal", "epoch " + std::to_string(epoch_));
   phases_->checkpointEpochs += 1;
-  maybeCompact();
+  maybeCompact(cellOwner);
   return true;
 }
 
-void CheckpointCoordinator::maybeCompact() {
-  if (cfg_.compactEveryEpochs == 0 || epoch_ % cfg_.compactEveryEpochs != 0) return;
+void CheckpointCoordinator::maybeCompact(const std::vector<int>& cellOwner) {
+  const std::uint64_t every = cfg_.compaction.everyEpochs;
+  if (every == 0 || epoch_ % every != 0) return;
   // A torn seal means this epoch never committed; folding up to it would
   // leave recovery with a base newer than the newest *valid* seal.
   if (cfg_.tearEpochSeal == epoch_) return;
@@ -280,103 +258,60 @@ void CheckpointCoordinator::maybeCompact() {
   if (target == 0 || target <= baseEpoch_) return;
 
   const int me = comm_->worldRank();
+  const std::string& dir = cfg_.checkpointDir;
   std::uint64_t readBytes = 0;
 
   // 1. Splice the current base (if any) and the folding epochs' deltas
   // back together, in epoch order — the same arrival-ordered
-  // concatenation recovery would have produced.
+  // concatenation recovery would have produced, through the same
+  // checksum, ownership and record-count checks.
+  const std::vector<ShardSetManifest> sets = readShardSets(*volume_, dir, me, target, &readBytes);
+  const bool hasBase = !sets.empty() && sets.front().base;
+  MVIO_CHECK(hasBase == (baseEpoch_ != 0) && (!hasBase || sets.front().epoch == baseEpoch_),
+             "compaction: base manifest missing or stale");
   geom::GeometryBatch folded[2];
-  std::optional<BaseManifest> oldBase;
-  if (baseEpoch_ != 0) {
-    oldBase = readBaseManifest(*volume_, cfg_.dir, me, &readBytes);
-    MVIO_CHECK(oldBase.has_value() && oldBase->baseEpoch == baseEpoch_,
-               "compaction: base manifest missing or stale");
+  for (const ShardSetManifest& set : sets) {
     for (int layer = 0; layer < 2; ++layer) {
-      for (std::size_t k = 0; k < oldBase->shards[layer].size(); ++k) {
-        const std::string name = baseShardName(baseEpoch_, layer, k);
-        MVIO_CHECK(rankStore_.contains(name), "compaction: missing base shard " + name);
-        const std::string blob = rankStore_.fetch(name);
-        readBytes += blob.size();
-        geom::decodeShard(blob, folded[layer]);
-      }
+      loadShardSet(*volume_, dir, me, set, layer, cellOwner, folded[layer], &readBytes);
     }
-  }
-  std::vector<RankEpochManifest> foldedManifests;
-  for (std::uint64_t e = baseEpoch_ + 1; e <= target; ++e) {
-    std::optional<RankEpochManifest> man = readRankManifest(*volume_, cfg_.dir, me, e, &readBytes);
-    MVIO_CHECK(man.has_value(), "compaction: epoch manifest " + std::to_string(e) + " unreadable");
-    for (int layer = 0; layer < 2; ++layer) {
-      for (std::size_t k = 0; k < man->shards[layer].size(); ++k) {
-        const std::string name = deltaName(e, layer, k);
-        MVIO_CHECK(rankStore_.contains(name), "compaction: missing delta shard " + name);
-        const std::string blob = rankStore_.fetch(name);
-        readBytes += blob.size();
-        geom::decodeShard(blob, folded[layer]);
-      }
-    }
-    foldedManifests.push_back(std::move(*man));
   }
   charge(readBytes, /*isWrite=*/false, /*compaction=*/true);
 
   // 2. Write the new base shards, then commit with the base manifest.
-  BaseManifest next;
-  next.baseEpoch = target;
-  next.roundsCovered = target * cfg_.everyRounds;
-  for (int layer = 0; layer < 2; ++layer) {
-    next.records[layer] = folded[layer].size();
-    encodeDeltaShards(folded[layer], cfg_.maxShardBytes, next.shards[layer],
-                      [&](std::uint64_t k, std::string blob) {
-                        charge(blob.size(), /*isWrite=*/true, /*compaction=*/true);
-                        rankStore_.put(baseShardName(target, layer, k), std::move(blob));
-                      });
-  }
-  std::string m = encodeBaseManifest(next);
-  charge(m.size(), /*isWrite=*/true, /*compaction=*/true);
-  rankStore_.put(baseManifestName(), std::move(m));
+  ShardSetManifest next;
+  next.base = true;
+  next.epoch = target;
+  next.rounds = target * cfg_.checkpointEveryRounds;
+  writeShardSet(next, folded);
 
   // 3. GC everything the new base supersedes: the old base, the folded
   // delta shards (their manifests stay — the seal scan validates against
   // them), and the chunk-log rounds the base covers. Deletes are metadata
   // operations: no time is charged, only the reclaimed volume counted.
   std::uint64_t reclaimed = 0;
-  if (oldBase.has_value()) {
+  for (const ShardSetManifest& set : sets) {
     for (int layer = 0; layer < 2; ++layer) {
-      for (std::size_t k = 0; k < oldBase->shards[layer].size(); ++k) {
-        const std::string name = baseShardName(oldBase->baseEpoch, layer, k);
+      for (std::size_t k = 0; k < set.shards[layer].size(); ++k) {
+        const std::string name = shardName(set.base, set.epoch, layer, k);
         if (rankStore_.contains(name)) {
-          reclaimed += oldBase->shards[layer][k].bytes;
+          reclaimed += set.shards[layer][k].bytes;
           rankStore_.remove(name);
         }
       }
     }
   }
-  for (std::size_t i = 0; i < foldedManifests.size(); ++i) {
-    const RankEpochManifest& man = foldedManifests[i];
-    for (int layer = 0; layer < 2; ++layer) {
-      for (std::size_t k = 0; k < man.shards[layer].size(); ++k) {
-        const std::string name = deltaName(man.epoch, layer, k);
-        if (rankStore_.contains(name)) {
-          reclaimed += man.shards[layer][k].bytes;
-          rankStore_.remove(name);
-        }
-      }
+  const std::uint64_t coveredRounds = std::min(next.rounds, roundsR_ + roundsS_);
+  for (std::uint64_t t = truncatedRounds_ + 1; t <= coveredRounds; ++t) {
+    const int layer = t <= roundsR_ ? 0 : 1;
+    const std::uint64_t idx = layer == 0 ? t - 1 : t - roundsR_ - 1;
+    if (idx >= chunkBytes_[layer].size()) continue;  // this rank logged fewer chunks
+    const std::string name = chunkName(layer, idx);
+    if (rankStore_.contains(name)) {
+      reclaimed += chunkBytes_[layer][idx];
+      rankStore_.remove(name);
     }
   }
-  if (scheduleKnown_) {
-    const std::uint64_t coveredRounds =
-        std::min(next.roundsCovered, roundsR_ + roundsS_);
-    for (std::uint64_t t = truncatedRounds_ + 1; t <= coveredRounds; ++t) {
-      const int layer = t <= roundsR_ ? 0 : 1;
-      const std::uint64_t idx = layer == 0 ? t - 1 : t - roundsR_ - 1;
-      if (idx >= chunkBytes_[layer].size()) continue;  // this rank logged fewer chunks
-      const std::string name = chunkName(layer, idx);
-      if (rankStore_.contains(name)) {
-        reclaimed += chunkBytes_[layer][idx];
-        rankStore_.remove(name);
-      }
-    }
-    truncatedRounds_ = std::max(truncatedRounds_, coveredRounds);
-  }
+  truncatedRounds_ = std::max(truncatedRounds_, coveredRounds);
   phases_->reclaimedBytes += reclaimed;
   baseEpoch_ = target;
 }
@@ -388,7 +323,7 @@ std::optional<EpochSeal> readEpochSeal(pfs::Volume& volume, const std::string& d
     return std::nullopt;
   }
   constexpr std::size_t kFixed = 4 + 4 + 8 + 8 + 4 + 4;
-  if (blob.size() < kFixed + 8) return std::nullopt;
+  if (blob.size() < kFixed + 4 + 8) return std::nullopt;
   if (readScalar<std::uint32_t>(blob.data()) != kSealMagic) return std::nullopt;
   if (readScalar<std::uint32_t>(blob.data() + 4) != kSealVersion) return std::nullopt;
   EpochSeal seal;
@@ -397,10 +332,15 @@ std::optional<EpochSeal> readEpochSeal(pfs::Volume& volume, const std::string& d
   seal.worldSize = static_cast<int>(readScalar<std::uint32_t>(blob.data() + 24));
   const auto cells = static_cast<std::size_t>(readScalar<std::uint32_t>(blob.data() + 28));
   // v2 layout: fixed header, owner/load arrays, manifest checksums, then
-  // the length-prefixed partition map and the trailing checksum.
+  // the length-prefixed partition map and the trailing checksum. Bound
+  // both counts by the bytes left (by division: a crafted count must not
+  // wrap the product) before any of them sizes an array.
+  std::size_t left = blob.size() - (kFixed + 4 + 8);
+  if (seal.worldSize < 1 || cells > left / (4 + 8)) return std::nullopt;
+  left -= cells * (4 + 8);
+  if (static_cast<std::size_t>(seal.worldSize) > left / 8) return std::nullopt;
   const std::size_t arraysEnd =
       kFixed + cells * (4 + 8) + static_cast<std::size_t>(seal.worldSize) * 8;
-  if (blob.size() < arraysEnd + 4 + 8) return std::nullopt;
   const auto mapBytes = static_cast<std::size_t>(readScalar<std::uint32_t>(blob.data() + arraysEnd));
   const std::size_t expect = arraysEnd + 4 + mapBytes + 8;
   if (blob.size() != expect || seal.epoch != epoch) return std::nullopt;
@@ -431,11 +371,12 @@ std::optional<EpochSeal> readEpochSeal(pfs::Volume& volume, const std::string& d
   return seal;
 }
 
-std::optional<RankEpochManifest> readRankManifest(pfs::Volume& volume, const std::string& dir,
-                                                  int worldRank, std::uint64_t epoch,
-                                                  std::uint64_t* bytesRead) {
+std::optional<ShardSetManifest> readShardSetManifest(pfs::Volume& volume, const std::string& dir,
+                                                     int worldRank, bool base, std::uint64_t epoch,
+                                                     std::uint64_t* bytesRead) {
   std::string blob;
-  if (!fetchIfPresent(volume, rankPrefix(dir, worldRank), manifestName(epoch), blob, bytesRead)) {
+  if (!fetchIfPresent(volume, rankPrefix(dir, worldRank), manifestName(base, epoch), blob,
+                      bytesRead)) {
     return std::nullopt;
   }
   if (blob.size() < 4 + 4 + 8 + 8 + 8) return std::nullopt;
@@ -443,28 +384,52 @@ std::optional<RankEpochManifest> readRankManifest(pfs::Volume& volume, const std
       readScalar<std::uint64_t>(blob.data() + blob.size() - 8)) {
     return std::nullopt;
   }
-  if (readScalar<std::uint32_t>(blob.data()) != kManifestMagic) return std::nullopt;
+  if (readScalar<std::uint32_t>(blob.data()) != (base ? kBaseMagic : kManifestMagic)) {
+    return std::nullopt;
+  }
   if (readScalar<std::uint32_t>(blob.data() + 4) != kVersion) return std::nullopt;
-  RankEpochManifest manifest;
-  manifest.epoch = readScalar<std::uint64_t>(blob.data() + 8);
-  manifest.globalRound = readScalar<std::uint64_t>(blob.data() + 16);
+  ShardSetManifest set;
+  set.base = base;
+  set.epoch = readScalar<std::uint64_t>(blob.data() + 8);
+  set.rounds = readScalar<std::uint64_t>(blob.data() + 16);
   const char* p = blob.data() + 24;
   const char* end = blob.data() + blob.size() - 8;
   for (int layer = 0; layer < 2; ++layer) {
-    if (p + 16 > end) return std::nullopt;
-    manifest.records[layer] = readScalar<std::uint64_t>(p);
+    if (end - p < 16) return std::nullopt;
+    set.records[layer] = readScalar<std::uint64_t>(p);
     const auto shards = readScalar<std::uint64_t>(p + 8);
     p += 16;
-    if (static_cast<std::uint64_t>(end - p) < shards * 16) return std::nullopt;
-    manifest.shards[layer].resize(static_cast<std::size_t>(shards));
-    for (auto& s : manifest.shards[layer]) {
+    if (shards > static_cast<std::uint64_t>(end - p) / 16) return std::nullopt;
+    set.shards[layer].resize(static_cast<std::size_t>(shards));
+    for (auto& s : set.shards[layer]) {
       s.bytes = readScalar<std::uint64_t>(p);
       s.checksum = readScalar<std::uint64_t>(p + 8);
       p += 16;
     }
   }
-  if (p != end || manifest.epoch != epoch) return std::nullopt;
-  return manifest;
+  if (p != end || set.epoch == 0 || (epoch != 0 && set.epoch != epoch)) return std::nullopt;
+  return set;
+}
+
+std::vector<ShardSetManifest> readShardSets(pfs::Volume& volume, const std::string& dir,
+                                            int worldRank, std::uint64_t lastEpoch,
+                                            std::uint64_t* bytesRead) {
+  std::vector<ShardSetManifest> sets;
+  if (std::optional<ShardSetManifest> base =
+          readShardSetManifest(volume, dir, worldRank, /*base=*/true, 0, bytesRead)) {
+    MVIO_CHECK(base->epoch <= lastEpoch,
+               "checkpoint: base of rank " + std::to_string(worldRank) +
+                   " is newer than epoch " + std::to_string(lastEpoch));
+    sets.push_back(std::move(*base));
+  }
+  for (std::uint64_t e = sets.empty() ? 1 : sets.front().epoch + 1; e <= lastEpoch; ++e) {
+    std::optional<ShardSetManifest> delta =
+        readShardSetManifest(volume, dir, worldRank, /*base=*/false, e, bytesRead);
+    MVIO_CHECK(delta.has_value(), "checkpoint: missing or corrupt epoch " + std::to_string(e) +
+                                      " manifest of rank " + std::to_string(worldRank));
+    sets.push_back(std::move(*delta));
+  }
+  return sets;
 }
 
 std::optional<EpochSeal> findLastSealedEpoch(pfs::Volume& volume, const std::string& dir,
@@ -486,7 +451,8 @@ std::optional<EpochSeal> findLastSealedEpoch(pfs::Volume& volume, const std::str
       // The manifest must exist, re-checksum to the value the seal
       // recorded, and name this epoch — otherwise the epoch is partial.
       std::string blob;
-      if (!fetchIfPresent(volume, rankPrefix(dir, r), manifestName(epoch), blob, bytesRead) ||
+      if (!fetchIfPresent(volume, rankPrefix(dir, r), manifestName(false, epoch), blob,
+                          bytesRead) ||
           blob.size() < 8 ||
           fnv1a(blob.data(), blob.size() - 8) !=
               seal->rankManifestChecksums[static_cast<std::size_t>(r)]) {
@@ -502,88 +468,29 @@ std::optional<EpochSeal> findLastSealedEpoch(pfs::Volume& volume, const std::str
   return std::nullopt;
 }
 
-std::optional<BaseManifest> readBaseManifest(pfs::Volume& volume, const std::string& dir,
-                                             int worldRank, std::uint64_t* bytesRead) {
-  std::string blob;
-  if (!fetchIfPresent(volume, rankPrefix(dir, worldRank), baseManifestName(), blob, bytesRead)) {
-    return std::nullopt;
-  }
-  if (blob.size() < 4 + 4 + 8 + 8 + 8) return std::nullopt;
-  if (fnv1a(blob.data(), blob.size() - 8) !=
-      readScalar<std::uint64_t>(blob.data() + blob.size() - 8)) {
-    return std::nullopt;
-  }
-  if (readScalar<std::uint32_t>(blob.data()) != kBaseMagic) return std::nullopt;
-  if (readScalar<std::uint32_t>(blob.data() + 4) != kVersion) return std::nullopt;
-  BaseManifest base;
-  base.baseEpoch = readScalar<std::uint64_t>(blob.data() + 8);
-  base.roundsCovered = readScalar<std::uint64_t>(blob.data() + 16);
-  const char* p = blob.data() + 24;
-  const char* end = blob.data() + blob.size() - 8;
-  for (int layer = 0; layer < 2; ++layer) {
-    if (p + 16 > end) return std::nullopt;
-    base.records[layer] = readScalar<std::uint64_t>(p);
-    const auto shards = readScalar<std::uint64_t>(p + 8);
-    p += 16;
-    if (static_cast<std::uint64_t>(end - p) < shards * 16) return std::nullopt;
-    base.shards[layer].resize(static_cast<std::size_t>(shards));
-    for (auto& s : base.shards[layer]) {
-      s.bytes = readScalar<std::uint64_t>(p);
-      s.checksum = readScalar<std::uint64_t>(p + 8);
-      p += 16;
-    }
-  }
-  if (p != end || base.baseEpoch == 0) return std::nullopt;
-  return base;
-}
-
-std::uint64_t loadBaseCheckpoint(pfs::Volume& volume, const std::string& dir, int worldRank,
-                                 const BaseManifest& base, int layer,
-                                 const std::vector<int>& sealOwner, geom::GeometryBatch& out,
-                                 std::uint64_t* bytesRead) {
+std::uint64_t loadShardSet(pfs::Volume& volume, const std::string& dir, int worldRank,
+                           const ShardSetManifest& set, int layer,
+                           const std::vector<int>& sealOwner, geom::GeometryBatch& out,
+                           std::uint64_t* bytesRead) {
+  const char* what = set.base ? "checkpoint base" : "checkpoint epoch delta";
   const std::size_t before = out.size();
   pfs::SpillStore store(volume, rankPrefix(dir, worldRank));
-  for (std::size_t k = 0; k < base.shards[layer].size(); ++k) {
-    const std::string name = baseShardName(base.baseEpoch, layer, k);
-    MVIO_CHECK(store.contains(name), "recovery: missing base checkpoint shard " + name);
+  for (std::size_t k = 0; k < set.shards[layer].size(); ++k) {
+    const std::string name = shardName(set.base, set.epoch, layer, k);
+    MVIO_CHECK(store.contains(name), std::string(what) + ": missing shard " + name);
     const std::string blob = store.fetch(name);
     if (bytesRead != nullptr) *bytesRead += blob.size();
-    const RankEpochManifest::Shard& ref = base.shards[layer][k];
+    const ShardSetManifest::Shard& ref = set.shards[layer][k];
     MVIO_CHECK(blob.size() == ref.bytes && fnv1a(blob.data(), blob.size()) == ref.checksum,
-               "recovery: base checkpoint shard " + name + " does not match its manifest");
+               std::string(what) + ": shard " + name + " does not match its manifest");
     geom::GeometryBatch piece;
     geom::decodeShard(blob, piece);
-    core::validateCellOwnership(piece, sealOwner, worldRank, "recovery base checkpoint");
+    core::validateCellOwnership(piece, sealOwner, worldRank, what);
     out.splice(std::move(piece));
   }
   const std::uint64_t appended = out.size() - before;
-  MVIO_CHECK(appended == base.records[layer],
-             "recovery: base checkpoint record count does not match its manifest");
-  return appended;
-}
-
-std::uint64_t loadEpochDelta(pfs::Volume& volume, const std::string& dir, int worldRank,
-                             const RankEpochManifest& manifest, int layer,
-                             const std::vector<int>& sealOwner, geom::GeometryBatch& out,
-                             std::uint64_t* bytesRead) {
-  const std::size_t before = out.size();
-  pfs::SpillStore store(volume, rankPrefix(dir, worldRank));
-  for (std::size_t k = 0; k < manifest.shards[layer].size(); ++k) {
-    const std::string name = deltaName(manifest.epoch, layer, k);
-    MVIO_CHECK(store.contains(name), "recovery: missing epoch delta shard " + name);
-    const std::string blob = store.fetch(name);
-    if (bytesRead != nullptr) *bytesRead += blob.size();
-    const RankEpochManifest::Shard& ref = manifest.shards[layer][k];
-    MVIO_CHECK(blob.size() == ref.bytes && fnv1a(blob.data(), blob.size()) == ref.checksum,
-               "recovery: epoch delta shard " + name + " does not match its manifest");
-    geom::GeometryBatch piece;
-    geom::decodeShard(blob, piece);
-    core::validateCellOwnership(piece, sealOwner, worldRank, "recovery epoch delta");
-    out.splice(std::move(piece));
-  }
-  const std::uint64_t appended = out.size() - before;
-  MVIO_CHECK(appended == manifest.records[layer],
-             "recovery: epoch delta record count does not match the manifest");
+  MVIO_CHECK(appended == set.records[layer],
+             std::string(what) + ": record count does not match its manifest");
   return appended;
 }
 

@@ -28,23 +28,31 @@
 //    missing rank manifest) is detectable and recovery falls back to the
 //    previous sealed epoch.
 //
-// The concatenation of a rank's delta shards over epochs 1..E is exactly
-// the records delivered to it in rounds 1..roundsCompleted(E) — the
-// arrival-ordered owned-cell state DistributedIndex::loadShards-style
-// consumers splice back together. Recovery (recovery.hpp) restores a
-// dead rank's cells from these deltas and replays everything after the
-// seal from the chunk log.
+//  * Base checkpoint (StreamConfig::compaction): every few seals each
+//    rank folds its old epochs into one base ("base<E>.<layer>.<k>" +
+//    "base.manifest") and garbage-collects what the base covers.
+//
+// A delta and the base are both a ShardSetManifest: one codec, one
+// loader (loadShardSet), told apart only by magic and blob names. The
+// concatenation of a rank's sets up to epoch E (readShardSets: base,
+// then the later deltas) is exactly the records delivered to it in
+// rounds 1..roundsCompleted(E) — the arrival-ordered owned-cell state.
+// Recovery (recovery.hpp) restores a dead rank's cells from these sets
+// and replays everything after the seal from the chunk log; the
+// compaction fold reads through the same path.
 //
 // All durable traffic is priced through the Volume's storage model
 // (pfs::SpillPricer::onVolume — checkpoints contend with every other
 // rank's PFS traffic) and lands in PhaseBreakdown::{checkpoint,
-// checkpointBytes, checkpointEpochs}.
+// checkpointBytes, checkpointEpochs} (the fold in {compaction,
+// compactionBytes, reclaimedBytes}).
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/framework.hpp"
 #include "core/phases.hpp"
 #include "geom/geometry_batch.hpp"
 #include "mpi/runtime.hpp"
@@ -53,20 +61,9 @@
 
 namespace mvio::recovery {
 
-struct CheckpointConfig {
-  std::uint64_t everyRounds = 0;  ///< seal an epoch every N data rounds (0 = off)
-  std::string dir = "__ckpt";     ///< durable volume directory
-  std::uint64_t tearEpochSeal = 0;  ///< test hook: write this epoch's seal truncated
-  /// Encoded-size bound for one epoch delta shard (a delta larger than
-  /// this splits into several blobs).
-  std::uint64_t maxShardBytes = 1ull << 20;
-  /// Epoch compaction + GC (core::CompactionPolicy semantics): after
-  /// every compactEveryEpochs-th valid seal E, fold epochs up to
-  /// E - kCompactKeepEpochs into the base checkpoint and delete the folded
-  /// delta shards, the superseded base, and the chunk-log blobs the base
-  /// covers. 0 = never compact.
-  std::uint64_t compactEveryEpochs = 0;
-};
+/// Encoded-size bound for one checkpoint shard (a delta or base layer
+/// larger than this splits into several blobs).
+inline constexpr std::uint64_t kMaxShardBytes = 1ull << 20;
 
 /// Epochs a compaction fold keeps as deltas behind the newest seal: a fold
 /// at seal E stops at E-1, so a torn seal E still has a delta tail to fall
@@ -80,14 +77,18 @@ inline const char* layerTag(int layer) { return layer == 0 ? "r" : "s"; }
 std::string rankPrefix(const std::string& dir, int worldRank);
 std::string globalPrefix(const std::string& dir);
 
-/// Writer side, one instance per rank per run. All methods are rank-local
-/// except maybeCheckpoint, which is collective over `comm` when it fires.
+struct ShardSetManifest;
+
+/// Writer side, one instance per rank per run. Reads its settings from
+/// the run's StreamConfig: checkpointEveryRounds (0 = off), checkpointDir,
+/// tearEpochSeal and compaction. All methods are rank-local except
+/// maybeCheckpoint, which is collective over `comm` when it fires.
 class CheckpointCoordinator {
  public:
-  CheckpointCoordinator(mpi::Comm& comm, pfs::Volume& volume, CheckpointConfig cfg,
+  CheckpointCoordinator(mpi::Comm& comm, pfs::Volume& volume, const core::StreamConfig& cfg,
                         core::PhaseBreakdown* phases);
 
-  [[nodiscard]] bool enabled() const { return cfg_.everyRounds != 0; }
+  [[nodiscard]] bool enabled() const { return cfg_.checkpointEveryRounds != 0; }
   [[nodiscard]] std::uint64_t epochsSealed() const { return epoch_; }
 
   /// Write-ahead chunk log: persist one parsed (pre-projection) chunk of
@@ -116,7 +117,7 @@ class CheckpointCoordinator {
 
   /// Tell the coordinator the agreed data-round schedule (allreduced
   /// chunk counts per layer) so chunk-log GC can map covered rounds back
-  /// to blob names. Without it compaction still folds epochs but leaves
+  /// to blob names. Until it is set, compaction folds epochs but leaves
   /// the chunk log alone.
   void setRoundSchedule(std::uint64_t roundsR, std::uint64_t roundsS);
 
@@ -131,34 +132,48 @@ class CheckpointCoordinator {
   /// land in the `checkpoint` span, counters and phase fields; compaction
   /// traffic (`compaction` set) in the `compaction` ones.
   void charge(std::uint64_t bytes, bool isWrite, bool compaction = false);
-  void put(const std::string& name, std::string bytes);
-  void maybeCompact();
+  void put(const std::string& name, std::string bytes, bool compaction = false);
+  /// Write both layers of `batches` (consumed) as bounded shards named
+  /// after `set`, filling its record counts and shard refs, then commit
+  /// `set`'s manifest. A base set is compaction traffic. Returns the
+  /// manifest's checksum.
+  std::uint64_t writeShardSet(ShardSetManifest& set, geom::GeometryBatch (&batches)[2]);
+  void maybeCompact(const std::vector<int>& cellOwner);
 
   mpi::Comm* comm_;
   pfs::Volume* volume_;
-  CheckpointConfig cfg_;
+  core::StreamConfig cfg_;
   core::PhaseBreakdown* phases_;
   pfs::SpillStore rankStore_;
   pfs::SpillPricer pricer_;
 
   geom::GeometryBatch delta_[2];          ///< arrivals since the last epoch, per layer
   std::vector<std::uint64_t> cellLoads_;  ///< cumulative per-cell arrival counts
-  std::uint64_t chunks_[2] = {0, 0};
-  std::vector<std::uint64_t> chunkBytes_[2];  ///< encoded size of each logged chunk (GC accounting)
+  /// Encoded size of each logged chunk, per layer (GC accounting); the
+  /// length is the layer's chunk count.
+  std::vector<std::uint64_t> chunkBytes_[2];
   std::uint64_t epoch_ = 0;
   std::uint64_t baseEpoch_ = 0;           ///< newest committed base (0 = none)
   std::uint64_t truncatedRounds_ = 0;     ///< chunk-log rounds already GC'd
   std::uint64_t roundsR_ = 0, roundsS_ = 0;
-  bool scheduleKnown_ = false;
   std::string partitionMap_;  ///< encoded map embedded in every seal ("" = pre-map runs)
 };
 
 // ---- Reader side (recovery + crash-consistency tests) --------------------
 
-/// One rank's per-epoch manifest, checksum-validated.
-struct RankEpochManifest {
-  std::uint64_t epoch = 0;
-  std::uint64_t globalRound = 0;  ///< data rounds completed at the seal
+/// One rank's checksummed shard set: an epoch delta (the records that
+/// arrived since the previous epoch) or, with `base` set, the compaction
+/// base (epochs 1..epoch folded together). Both share one layout — magic
+/// (MVCR delta / MVCB base), version, epoch, rounds, then per layer a
+/// record count and the {bytes, fnv1a} refs of its shards, then a
+/// trailing checksum — and differ only in magic and blob names:
+/// "ep<E>.manifest" + "ep<E>.<layer>.<k>" for a delta, "base.manifest" +
+/// "base<E>.<layer>.<k>" for the base. The manifest write is the set's
+/// commit point.
+struct ShardSetManifest {
+  bool base = false;         ///< compaction base vs epoch delta
+  std::uint64_t epoch = 0;   ///< the delta's epoch / the newest epoch the base covers
+  std::uint64_t rounds = 0;  ///< data rounds completed by `epoch`
   struct Shard {
     std::uint64_t bytes = 0;
     std::uint64_t checksum = 0;  ///< fnv1a of the encoded shard blob
@@ -182,16 +197,6 @@ struct EpochSeal {
   std::string partitionMap;
 };
 
-/// Base checkpoint manifest: epochs 1..baseEpoch folded into one set of
-/// checksummed shards per layer. Written (and overwritten) by compaction;
-/// the manifest write is the fold's commit point.
-struct BaseManifest {
-  std::uint64_t baseEpoch = 0;      ///< newest epoch the base covers
-  std::uint64_t roundsCovered = 0;  ///< data rounds covered by epochs 1..baseEpoch
-  std::uint64_t records[2] = {0, 0};
-  std::vector<RankEpochManifest::Shard> shards[2];
-};
-
 /// Per-rank chunk counts from the ingest manifest (see readIngestLog).
 struct IngestLog {
   std::uint64_t chunks[2] = {0, 0};
@@ -203,28 +208,35 @@ struct IngestLog {
 // corrupt them. Every encoding ends with a trailing fnv1a checksum of all
 // preceding bytes.
 std::string encodeIngestManifest(const IngestLog& log);
-std::string encodeRankManifest(const RankEpochManifest& manifest);
+std::string encodeShardSetManifest(const ShardSetManifest& set);
 std::string encodeEpochSeal(const EpochSeal& seal);
-std::string encodeBaseManifest(const BaseManifest& base);
 
-/// Blob name of one base-checkpoint shard under the owning rank's prefix.
-std::string baseShardName(std::uint64_t baseEpoch, int layer, std::uint64_t shard);
+/// Blob name of shard `shard` of `layer` in the delta of epoch `epoch`
+/// or (`base`) in the base covering epochs 1..epoch, under the owning
+/// rank's prefix.
+std::string shardName(bool base, std::uint64_t epoch, int layer, std::uint64_t shard);
 
 /// Decode + checksum-validate one epoch seal. nullopt when the blob is
 /// missing, truncated, torn, or fails its checksum.
 std::optional<EpochSeal> readEpochSeal(pfs::Volume& volume, const std::string& dir,
                                        std::uint64_t epoch, std::uint64_t* bytesRead = nullptr);
 
-/// Decode + checksum-validate one rank's epoch manifest.
-std::optional<RankEpochManifest> readRankManifest(pfs::Volume& volume, const std::string& dir,
-                                                  int worldRank, std::uint64_t epoch,
-                                                  std::uint64_t* bytesRead = nullptr);
+/// Decode + checksum-validate one rank's shard-set manifest: the delta of
+/// `epoch`, or (`base`) the base checkpoint, which must cover exactly
+/// `epoch` unless `epoch` is 0. nullopt when the blob is missing (a rank
+/// that never compacted has no base), corrupt, or names another epoch.
+std::optional<ShardSetManifest> readShardSetManifest(pfs::Volume& volume, const std::string& dir,
+                                                     int worldRank, bool base, std::uint64_t epoch,
+                                                     std::uint64_t* bytesRead = nullptr);
 
-/// Decode + checksum-validate one rank's base-checkpoint manifest.
-/// nullopt when the rank has no base (never compacted) or the blob is
-/// corrupt.
-std::optional<BaseManifest> readBaseManifest(pfs::Volume& volume, const std::string& dir,
-                                             int worldRank, std::uint64_t* bytesRead = nullptr);
+/// One rank's durable history up to `lastEpoch`, in order: its base
+/// checkpoint when compaction folded one, then the delta of every later
+/// epoch — the sets whose concatenation is the rank's arrivals in rounds
+/// 1..rounds(lastEpoch). Throws util::Error when a delta manifest is
+/// missing or corrupt, or the base is newer than `lastEpoch`.
+std::vector<ShardSetManifest> readShardSets(pfs::Volume& volume, const std::string& dir,
+                                            int worldRank, std::uint64_t lastEpoch,
+                                            std::uint64_t* bytesRead = nullptr);
 
 /// Memo for findLastSealedEpoch across cascading recovery passes: the
 /// newest fully validated seal and the epochs already rejected. A second
@@ -247,23 +259,16 @@ std::optional<EpochSeal> findLastSealedEpoch(pfs::Volume& volume, const std::str
                                              std::uint64_t* bytesRead = nullptr,
                                              SealScanCache* cache = nullptr);
 
-/// Reload one rank's epoch delta for `layer`, appending to `out`:
-/// validates each blob against the manifest's per-shard checksum, decodes
-/// (the shard codec re-validates header + payload), and applies the
+/// Reload one layer of a rank's shard set, appending to `out`: validates
+/// each blob against the manifest's per-shard checksum, decodes (the
+/// shard codec re-validates header + payload), applies the
 /// stale-manifest guard — every record must sit in a cell `sealOwner`
-/// maps to `worldRank`. Returns the records appended.
-std::uint64_t loadEpochDelta(pfs::Volume& volume, const std::string& dir, int worldRank,
-                             const RankEpochManifest& manifest, int layer,
-                             const std::vector<int>& sealOwner,
-                             geom::GeometryBatch& out, std::uint64_t* bytesRead = nullptr);
-
-/// Reload one rank's base checkpoint for `layer`, appending to `out`,
-/// with the same per-shard checksum + ownership + record-count validation
-/// as loadEpochDelta. Returns the records appended.
-std::uint64_t loadBaseCheckpoint(pfs::Volume& volume, const std::string& dir, int worldRank,
-                                 const BaseManifest& base, int layer,
-                                 const std::vector<int>& sealOwner, geom::GeometryBatch& out,
-                                 std::uint64_t* bytesRead = nullptr);
+/// maps to `worldRank` — and checks the manifest's record count. Returns
+/// the records appended.
+std::uint64_t loadShardSet(pfs::Volume& volume, const std::string& dir, int worldRank,
+                           const ShardSetManifest& set, int layer,
+                           const std::vector<int>& sealOwner, geom::GeometryBatch& out,
+                           std::uint64_t* bytesRead = nullptr);
 
 /// Per-rank chunk counts from the ingest manifest. Throws util::Error
 /// when the manifest is missing or corrupt (the chunk log is the replay

@@ -1,11 +1,15 @@
 #include "recovery/recovery.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "core/exchange.hpp"
 #include "core/grid.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/clock.hpp"
 #include "util/error.hpp"
+#include "util/log.hpp"
 
 namespace mvio::recovery {
 
@@ -31,17 +35,40 @@ void rehomeOrphans(std::vector<int>& owner, const std::vector<char>& orphan,
   }
 }
 
-}  // namespace
+/// The detection loop's state, shared by its recovery passes.
+struct RecoveryContext {
+  const core::StreamConfig& stream;  ///< where the durable blobs live
+  const FaultPlan& faults;           ///< firstKillRound: rounds completed at the first failure
+  const std::uint64_t (&rounds)[2];  ///< original data-round schedule (R, S)
+  /// The run's partition map (uniform or adaptive). Replay re-projects
+  /// through it, and its encoding must match the sealed epoch's embedded
+  /// map — the projection-drift guard.
+  const core::PartitionMap& map;
+  const core::CellLocator* locator;  ///< null = arithmetic cell lookup
+  int worldSize;                     ///< original communicator size
+  SealScanCache sealCache;           ///< cross-pass seal-scan memo
+  std::vector<int> deadRanks;        ///< all world ranks lost so far (sorted, cumulative)
+  std::vector<int> newlyDead;        ///< ranks lost in *this* wave (sorted ⊆ deadRanks)
+  std::vector<int> survivorWorld;    ///< survivor-local rank -> world rank
+};
 
-RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
-                                   const RecoveryContext& ctx, core::CellStore& ownedR,
-                                   core::CellStore* ownedS, core::PhaseBreakdown* phases) {
-  MVIO_CHECK(ctx.map != nullptr && ctx.worldSize >= 2, "recovery: malformed context");
+/// One recovery pass — steps 1–4 of recovery.hpp — on the survivor
+/// communicator, appending restored and replayed records into the owned
+/// stores. The map before the wave is stats.cellOwner (empty on the first
+/// pass: ownership was round-robin); the pass replaces it with the
+/// re-homed map and adds to stats.recovery. Charges modelled read I/O
+/// and replay CPU to the recovery phase fields.
+void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryContext& ctx,
+                        core::CellStore& ownedR, core::CellStore* ownedS,
+                        core::FrameworkStats& stats) {
+  MVIO_CHECK(ctx.worldSize >= 2, "recovery: malformed context");
+  const std::string& dir = ctx.stream.checkpointDir;
+  const std::uint64_t failRound = ctx.faults.firstKillRound;
   const int myWorld = survivors.worldRank();
   const int nSurv = survivors.size();
   // The run's partition map: cells, replay projection and the sealed-map
   // guard all go through it.
-  const core::PartitionMap& map = *ctx.map;
+  const core::PartitionMap& map = ctx.map;
   const std::size_t cells = static_cast<std::size_t>(map.cellCount());
   const double t0 = survivors.clock().now();
   // Decode + re-projection CPU is charged alongside the modelled reads.
@@ -68,17 +95,18 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   for (std::size_t s = 0; s < ctx.survivorWorld.size(); ++s) {
     worldToSurvivor[static_cast<std::size_t>(ctx.survivorWorld[s])] = s;
   }
-
-  RecoveryOutcome out;
+  const bool firstPass = stats.cellOwner.empty();
+  std::uint64_t restoredRecords = 0;
+  std::uint64_t replayedRecords = 0;
 
   // 1. Recovery point: the newest fully sealed epoch at or before the
   // failure. Every survivor reads and validates the same blobs; the
   // cross-pass cache answers repeated (cascading) scans without reads.
-  const std::uint64_t maxEpoch = ctx.failRound / ctx.checkpoint.everyRounds;
-  const std::optional<EpochSeal> seal = findLastSealedEpoch(
-      volume, ctx.checkpoint.dir, ctx.worldSize, maxEpoch, &bytesRead, ctx.sealCache);
+  const std::uint64_t maxEpoch = failRound / ctx.stream.checkpointEveryRounds;
+  const std::optional<EpochSeal> seal =
+      findLastSealedEpoch(volume, dir, ctx.worldSize, maxEpoch, &bytesRead, &ctx.sealCache);
   const std::uint64_t sealedRound = seal ? seal->roundsCompleted : 0;
-  out.stats.epochUsed = seal ? seal->epoch : 0;
+  stats.recovery.epochUsed = seal ? seal->epoch : 0;
   std::vector<std::uint64_t> sealLoads = seal ? seal->cellLoads : std::vector<std::uint64_t>();
   sealLoads.resize(cells, 0);
 
@@ -92,14 +120,15 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   for (std::size_t c = 0; c < cells; ++c) {
     sealOwner[c] = core::roundRobinOwner(static_cast<int>(c), ctx.worldSize);
   }
-  MVIO_CHECK(ctx.priorOwner.empty() || ctx.priorOwner.size() == cells,
+  MVIO_CHECK(firstPass || stats.cellOwner.size() == cells,
              "recovery: prior owner map size mismatch");
-  out.cellOwner = ctx.priorOwner.empty() ? sealOwner : ctx.priorOwner;
+  std::vector<int>& owner = stats.cellOwner;
+  if (firstPass) owner = sealOwner;
   std::vector<char> orphan(cells, 0);
   for (std::size_t c = 0; c < cells; ++c) {
-    orphan[c] = isNewlyDead(out.cellOwner[c]) ? 1 : 0;
+    orphan[c] = isNewlyDead(owner[c]) ? 1 : 0;
   }
-  rehomeOrphans(out.cellOwner, orphan, sealLoads, ctx.survivorWorld, worldToSurvivor);
+  rehomeOrphans(owner, orphan, sealLoads, ctx.survivorWorld, worldToSurvivor);
 
   if (seal) {
     MVIO_CHECK(seal->cellOwner == sealOwner,
@@ -116,8 +145,8 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   // cell's durable shards live under its *round-robin* owner — which is
   // always one of the cumulative dead ranks (a survivor's own cells are
   // never orphaned: it still holds their records). Per source rank the
-  // base checkpoint (when compaction folded one) covers epochs
-  // 1..baseEpoch; the delta tail covers the rest up to the seal.
+  // shard sets up to the seal are the base checkpoint (when compaction
+  // folded one) and the delta tail after it.
   core::CellStore* stores[2] = {&ownedR, ownedS};
   std::vector<char> srcNeeded(static_cast<std::size_t>(ctx.worldSize), 0);
   for (std::size_t c = 0; c < cells; ++c) {
@@ -126,49 +155,22 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
                "recovery: orphaned cell's checkpoint source is not a dead rank");
     srcNeeded[static_cast<std::size_t>(sealOwner[c])] = 1;
   }
-  auto keepRestored = [&](const geom::GeometryBatch& batch, geom::GeometryBatch& kept) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const int cell = batch.cell(i);
-      if (orphan[static_cast<std::size_t>(cell)] &&
-          out.cellOwner[static_cast<std::size_t>(cell)] == myWorld) {
-        kept.appendRecordFrom(batch, i, cell);
-      }
-    }
-  };
   for (const int dead : ctx.deadRanks) {
     if (!srcNeeded[static_cast<std::size_t>(dead)] || !seal) continue;
-    std::uint64_t firstDelta = 1;
-    const std::optional<BaseManifest> base =
-        readBaseManifest(volume, ctx.checkpoint.dir, dead, &bytesRead);
-    if (base) {
-      MVIO_CHECK(base->baseEpoch <= seal->epoch,
-                 "recovery: base checkpoint newer than the recovery point");
-      firstDelta = base->baseEpoch + 1;
+    for (const ShardSetManifest& set : readShardSets(volume, dir, dead, seal->epoch, &bytesRead)) {
       for (int layer = 0; layer < 2; ++layer) {
-        if (stores[layer] == nullptr || base->records[layer] == 0) continue;
+        if (stores[layer] == nullptr || set.records[layer] == 0) continue;
         geom::GeometryBatch restored;
-        loadBaseCheckpoint(volume, ctx.checkpoint.dir, dead, *base, layer, sealOwner, restored,
-                           &bytesRead);
+        loadShardSet(volume, dir, dead, set, layer, sealOwner, restored, &bytesRead);
         geom::GeometryBatch kept;
-        keepRestored(restored, kept);
-        out.stats.restoredRecords += kept.size();
-        stores[layer]->add(std::move(kept));
-      }
-    }
-    for (std::uint64_t epoch = firstDelta; epoch <= seal->epoch; ++epoch) {
-      const std::optional<RankEpochManifest> manifest =
-          readRankManifest(volume, ctx.checkpoint.dir, dead, epoch, &bytesRead);
-      MVIO_CHECK(manifest.has_value(), "recovery: missing or corrupt epoch " +
-                                           std::to_string(epoch) + " manifest for dead rank " +
-                                           std::to_string(dead));
-      for (int layer = 0; layer < 2; ++layer) {
-        if (stores[layer] == nullptr || manifest->records[layer] == 0) continue;
-        geom::GeometryBatch delta;
-        loadEpochDelta(volume, ctx.checkpoint.dir, dead, *manifest, layer, sealOwner, delta,
-                       &bytesRead);
-        geom::GeometryBatch kept;
-        keepRestored(delta, kept);
-        out.stats.restoredRecords += kept.size();
+        for (std::size_t i = 0; i < restored.size(); ++i) {
+          const int cell = restored.cell(i);
+          if (orphan[static_cast<std::size_t>(cell)] &&
+              owner[static_cast<std::size_t>(cell)] == myWorld) {
+            kept.appendRecordFrom(restored, i, cell);
+          }
+        }
+        restoredRecords += kept.size();
         stores[layer]->add(std::move(kept));
       }
     }
@@ -180,9 +182,9 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
   // rounds the failure pre-empted re-deliver everything. The first pass
   // replays every round past the failure, so a cascading pass finds all
   // rounds delivered.
-  const std::uint64_t totalRounds = ctx.roundsPerLayer[0] + ctx.roundsPerLayer[1];
-  const std::uint64_t delivered = ctx.priorOwner.empty() ? ctx.failRound : totalRounds;
-  MVIO_CHECK(ctx.failRound <= totalRounds && sealedRound <= ctx.failRound,
+  const std::uint64_t totalRounds = ctx.rounds[0] + ctx.rounds[1];
+  const std::uint64_t delivered = firstPass ? failRound : totalRounds;
+  MVIO_CHECK(failRound <= totalRounds && sealedRound <= failRound,
              "recovery: round bookkeeping out of range");
   cpu.stop();  // the replay loop charges its CPU per region
 
@@ -194,21 +196,21 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
     return static_cast<int>((static_cast<std::int64_t>(q) * nSurv) / ctx.worldSize);
   };
   const core::CellOwnerFn ownerFn = [&](int cell) {
-    return static_cast<int>(worldToSurvivor[static_cast<std::size_t>(
-        out.cellOwner[static_cast<std::size_t>(cell)])]);
+    return static_cast<int>(
+        worldToSurvivor[static_cast<std::size_t>(owner[static_cast<std::size_t>(cell)])]);
   };
 
   std::vector<IngestLog> logs(static_cast<std::size_t>(ctx.worldSize));
   if (sealedRound < totalRounds) {
     for (int q = 0; q < ctx.worldSize; ++q) {
       if (srcSurvivor(q) != survivors.rank()) continue;
-      logs[static_cast<std::size_t>(q)] = readIngestLog(volume, ctx.checkpoint.dir, q, &bytesRead);
+      logs[static_cast<std::size_t>(q)] = readIngestLog(volume, dir, q, &bytesRead);
     }
   }
   core::ExchangeScratch scratch;
   for (std::uint64_t t = sealedRound + 1; t <= totalRounds; ++t) {
-    const int layer = t <= ctx.roundsPerLayer[0] ? 0 : 1;
-    const std::uint64_t chunk = layer == 0 ? t - 1 : t - ctx.roundsPerLayer[0] - 1;
+    const int layer = t <= ctx.rounds[0] ? 0 : 1;
+    const std::uint64_t chunk = layer == 0 ? t - 1 : t - ctx.rounds[0] - 1;
     if (stores[layer] == nullptr) continue;
     // Each survivor reads + re-projects only its own source block and
     // ships every kept record to the cell's owner.
@@ -218,7 +220,7 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
       if (srcSurvivor(q) != survivors.rank()) continue;
       if (chunk >= logs[static_cast<std::size_t>(q)].chunks[layer]) continue;
       geom::GeometryBatch raw;
-      loadLoggedChunk(volume, ctx.checkpoint.dir, q, layer, chunk, raw, &bytesRead);
+      loadLoggedChunk(volume, dir, q, layer, chunk, raw, &bytesRead);
       const geom::GeometryBatch projected =
           core::projectToCells(map, ctx.locator, std::move(raw));
       for (std::size_t i = 0; i < projected.size(); ++i) {
@@ -234,16 +236,107 @@ RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
         core::exchangeByCell(survivors, std::move(ship), ownerFn, /*windowPhases=*/1,
                              map.cellCount(), nullptr, {}, /*lastRound=*/true, &scratch);
     sim::ThreadCpuTimer storeCpu;
-    out.stats.replayedRecords += got.size();
+    replayedRecords += got.size();
     stores[layer]->add(std::move(got));
     survivors.clock().advanceBy(storeCpu.elapsed());
   }
 
   chargeReads();  // reads accumulated outside the per-round charging
-  phases->recovery += survivors.clock().now() - t0;
-  phases->recoveryBytes += bytesRead;
-  phases->recoveryRounds += totalRounds - sealedRound;
-  return out;
+  stats.phases.recovery += survivors.clock().now() - t0;
+  stats.phases.recoveryBytes += bytesRead;
+  stats.phases.recoveryRounds += totalRounds - sealedRound;
+  obs::addCount("recovery.restored_records", restoredRecords);
+  obs::addCount("recovery.replayed_records", replayedRecords);
+  obs::addCount("recovery.passes", 1);
+  stats.recovery.recovered = true;
+  stats.recovery.deadRanks = ctx.deadRanks.size();
+  stats.recovery.restoredRecords += restoredRecords;
+  stats.recovery.replayedRecords += replayedRecords;
+  stats.recovery.recoveryPasses += 1;
+}
+
+}  // namespace
+
+FaultPlan planFaults(const std::vector<sim::FailureEvent>& schedule, int worldSize, int worldRank,
+                     bool checkpointing) {
+  std::vector<sim::FailureEvent> sorted = schedule;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const sim::FailureEvent& a, const sim::FailureEvent& b) {
+              return std::tie(a.afterRound, a.duringRecoveryPass, a.rank) <
+                     std::tie(b.afterRound, b.duringRecoveryPass, b.rank);
+            });
+  FaultPlan plan;
+  if (sorted.empty()) return plan;
+  MVIO_CHECK(checkpointing, "failure injection requires StreamConfig::checkpointEveryRounds > 0");
+  MVIO_CHECK(static_cast<int>(sorted.size()) < worldSize,
+             "failure injection must leave at least one survivor");
+  std::vector<char> dies(static_cast<std::size_t>(worldSize), 0);
+  for (const sim::FailureEvent& ev : sorted) {
+    MVIO_CHECK(ev.rank >= 0 && ev.rank < worldSize,
+               "fault schedule names a rank outside the communicator");
+    MVIO_CHECK(!dies[static_cast<std::size_t>(ev.rank)], "fault schedule kills the same rank twice");
+    dies[static_cast<std::size_t>(ev.rank)] = 1;
+    MVIO_CHECK(ev.afterRound != 0, "fault schedule event without a kill round");
+    MVIO_CHECK(ev.duringRecoveryPass >= 0, "fault schedule event with a negative recovery pass");
+  }
+  MVIO_CHECK(sorted.front().duringRecoveryPass == 0,
+             "the first failure wave must strike at a round boundary, not during recovery");
+  // A wave is a run of sorted events sharing (afterRound, pass): its
+  // ranks die together, and each later wave is detected by the survivors'
+  // next detection allgather and triggers another recovery pass. A rank
+  // dies at most once, so it only needs the index of its own wave.
+  for (std::size_t i = 0, wave = 0; i < sorted.size(); ++i) {
+    wave += i > 0 && (sorted[i].afterRound != sorted[i - 1].afterRound ||
+                      sorted[i].duringRecoveryPass != sorted[i - 1].duringRecoveryPass);
+    if (sorted[i].rank == worldRank) plan.myWave = wave;
+  }
+  plan.firstKillRound = sorted.front().afterRound;
+  plan.lastKillRound = sorted.back().afterRound;
+  return plan;
+}
+
+std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
+                                    const FaultPlan& faults, const core::StreamConfig& sc,
+                                    const std::uint64_t (&rounds)[2],
+                                    const core::PartitionMap& map,
+                                    const core::CellLocator* locator, core::CellStore& ownedR,
+                                    core::CellStore* ownedS, core::FrameworkStats& stats) {
+  // Each iteration is one detection allgather over the current
+  // communicator: newly dead ranks leave with their volatile state, the
+  // survivors shrink the communicator and run a recovery pass. Ranks
+  // scheduled to die *during* that pass (or at a later round — everything
+  // past the first kill is recovery territory) are caught by the next
+  // iteration. The seal-scan cache makes the repeated recovery-point
+  // scans free; seeded LPT re-homing composes across the shrinks.
+  RecoveryContext ctx{sc, faults, rounds, map, locator, active.size(), {}, {}, {}, {}};
+  const int me = active.worldRank();
+  bool alive = true;
+  for (std::size_t wave = 0;; ++wave) {
+    if (wave == faults.myWave) alive = false;
+    const std::int32_t mine = alive ? me : ~me;
+    std::vector<std::int32_t> flags(static_cast<std::size_t>(active.size()), 0);
+    active.allgather(&mine, 1, mpi::Datatype::int32(), flags.data());
+    std::vector<int> live;
+    ctx.newlyDead.clear();
+    for (const std::int32_t f : flags) (f >= 0 ? live : ctx.newlyDead).push_back(f >= 0 ? f : ~f);
+    if (ctx.newlyDead.empty()) return ctx.survivorWorld;  // stable survivor set
+    MVIO_WARN("recovery", ctx.newlyDead.size() << " rank(s) failed at round "
+                                               << faults.firstKillRound
+                                               << "; survivors: " << live.size());
+    mpi::Comm shrunk = active.split(alive ? 1 : 0, active.rank());
+    if (!alive) {
+      stats.recovery.died = true;
+      return {};
+    }
+    active = shrunk;
+    ctx.survivorWorld = std::move(live);
+    std::sort(ctx.newlyDead.begin(), ctx.newlyDead.end());
+    ctx.deadRanks.insert(ctx.deadRanks.end(), ctx.newlyDead.begin(), ctx.newlyDead.end());
+    std::sort(ctx.deadRanks.begin(), ctx.deadRanks.end());
+    obs::traceBegin("recovery");
+    recoverFromFailure(active, volume, ctx, ownedR, ownedS, stats);
+    obs::traceEnd("recovery");
+  }
 }
 
 }  // namespace mvio::recovery

@@ -1,12 +1,15 @@
 #pragma once
-// Failure recovery: shard re-homing onto survivors (DESIGN.md §9).
+// The failure domain (DESIGN.md §9, §11): the fault schedule, failure
+// detection, and shard re-homing onto survivors.
 //
-// When a fault-schedule wave strikes, every rank of the communicator
-// takes part in one last detection collective (an allgather of alive
-// flags — the simulation's stand-in for a failure detector), the
-// communicator is shrunk to the survivors, and the dead ranks leave with
-// their volatile state. The survivors then rebuild the lost state from
-// the durable blobs the CheckpointCoordinator wrote:
+// planFaults validates FrameworkConfig::failSchedule once, before any
+// round runs, and tells each rank which wave kills it. At the first kill
+// boundary runFilterRefine hands control to recoverUntilStable, the
+// detection loop: every rank of the current communicator takes part in
+// one allgather of alive flags (the simulation's stand-in for a failure
+// detector), the communicator is shrunk to the survivors, and the dead
+// ranks leave with their volatile state. The survivors then rebuild the
+// lost state from the durable blobs the CheckpointCoordinator wrote:
 //
 //  1. Agree on the recovery point: scan epoch seals newest-first and
 //     adopt the newest *fully sealed* epoch E (torn or partial epochs
@@ -22,11 +25,12 @@
 //     cells — their arrivals are already in their cell stores and are
 //     never moved or replayed.
 //
-//  3. Restore: each survivor reloads the dead ranks' base checkpoint
-//     (when compaction folded one) plus the epoch-delta tail up to E
-//     (checksums re-validated against the per-rank manifests, ownership
-//     validated against the sealed cell map — the stale-manifest guard)
-//     and keeps exactly the records of orphaned cells it now owns.
+//  3. Restore: each survivor reloads the dead ranks' shard sets up to E
+//     (readShardSets: the base checkpoint when compaction folded one,
+//     then the delta tail; loadShardSet re-validates checksums against
+//     the manifests and ownership against the sealed cell map — the
+//     stale-manifest guard) and keeps exactly the records of orphaned
+//     cells it now owns.
 //
 //  4. Replay: rounds E_rounds+1..total are re-derived from the chunk
 //     log. The survivors split the logged chunks by source rank
@@ -39,66 +43,65 @@
 //     orphaned-cell records; rounds the failure pre-empted contribute
 //     everything the survivor owns.
 //
-// The function is re-entrant for cascading failures: a wave of deaths
-// detected *during* recovery runs it again on the further-shrunken
-// communicator, with `priorOwner` naming the map the previous pass
-// produced and `newlyDead` the ranks lost since. Only cells orphaned by
-// the new wave are restored/replayed (records already recovered by the
-// survivors stay put), and the seeded LPT re-homing composes across
-// passes. A SealScanCache carried across passes makes the repeated
-// recovery-point scan free.
+// A pass is re-entrant for cascading failures: a wave of deaths detected
+// *during* recovery is the loop's next iteration, which shrinks the
+// communicator again and runs another pass with the map the previous
+// pass produced. Only cells orphaned by the new wave are
+// restored/replayed (records already recovered by the survivors stay
+// put), and the seeded LPT re-homing composes across passes. A
+// SealScanCache carried across passes makes the repeated recovery-point
+// scan free. The loop exits on an allgather that reports no new deaths.
 //
 // The refine phase then runs unchanged over the survivor communicator
 // and the recovered stores — join, index, and overlay results are
 // bit-identical to the failure-free run (tests/test_recovery.cpp,
 // tests/test_fault_soak.cpp).
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/cell_store.hpp"
 #include "core/framework.hpp"
 #include "recovery/checkpoint.hpp"
+#include "sim/machine.hpp"
 
 namespace mvio::recovery {
 
-/// Everything the survivors need to rebuild the dead ranks' state.
-struct RecoveryContext {
-  CheckpointConfig checkpoint;       ///< where the durable blobs live
-  int worldSize = 0;                 ///< original communicator size
-  std::vector<int> deadRanks;        ///< all world ranks lost so far (sorted, cumulative)
-  std::vector<int> newlyDead;        ///< ranks lost in *this* wave (sorted ⊆ deadRanks)
-  std::vector<int> survivorWorld;    ///< survivor-local rank -> world rank
-  /// Cell→world-rank map before this wave struck: empty for the first
-  /// pass (ownership was round-robin), the previous pass's recovered map
-  /// for cascading passes.
-  std::vector<int> priorOwner;
-  std::uint64_t failRound = 0;       ///< data rounds completed when the first failure struck
-  std::uint64_t roundsPerLayer[2] = {0, 0};  ///< original data-round schedule (R, S)
-  /// The run's partition map (uniform or adaptive). Replay re-projects
-  /// through it, and its encoding must match the sealed epoch's embedded
-  /// map — the projection-drift guard.
-  const core::PartitionMap* map = nullptr;
-  const core::CellLocator* locator = nullptr;  ///< null = arithmetic cell lookup
-  SealScanCache* sealCache = nullptr; ///< optional cross-pass seal-scan memo
+/// One rank's view of a validated fault schedule.
+struct FaultPlan {
+  std::uint64_t firstKillRound = 0;  ///< boundary of the first wave (0 = no injection)
+  std::uint64_t lastKillRound = 0;   ///< latest afterRound in the schedule
+  /// Index of the wave that kills this rank, counting the sorted
+  /// schedule's distinct (afterRound, duringRecoveryPass) runs; SIZE_MAX
+  /// when the rank survives.
+  std::size_t myWave = SIZE_MAX;
 };
 
-struct RecoveryOutcome {
-  /// Post-recovery cell→rank map in world ranks: survivors keep the
-  /// cells they held before the wave, orphaned cells are LPT re-homed.
-  /// Identical on every survivor.
-  std::vector<int> cellOwner;
-  /// This pass's epochUsed, restoredRecords and replayedRecords.
-  core::RecoveryStats stats;
-};
+/// Sort `schedule` by (boundary, recovery pass, rank), reject a malformed
+/// one (util::Error: a rank outside [0, worldSize) or listed twice, no
+/// survivor left, a first wave during a recovery pass, an afterRound of
+/// 0, a negative pass, or injection without `checkpointing`) and find
+/// this rank's wave. Whether lastKillRound lies inside the data-round
+/// schedule is the caller's check, once the schedule is agreed.
+FaultPlan planFaults(const std::vector<sim::FailureEvent>& schedule, int worldSize, int worldRank,
+                     bool checkpointing);
 
-/// Run steps 1–4 above on the survivor communicator, appending restored
-/// and replayed records into the (not yet finalized) owned cell stores.
-/// `ownedS` may be null for single-layer runs. Collective over
-/// `survivors`; charges modelled read I/O and replay CPU to
-/// `phases->recovery` / recoveryBytes / recoveryRounds.
-RecoveryOutcome recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume,
-                                   const RecoveryContext& ctx, core::CellStore& ownedR,
-                                   core::CellStore* ownedS, core::PhaseBreakdown* phases);
+/// The detection loop, run by every rank of `active` at the first kill
+/// boundary (`rounds` data rounds per layer, R then S, in the schedule;
+/// `ownedS` null for single-layer runs). Each iteration allgathers alive
+/// flags; new deaths shrink `active` to the survivors, who run one
+/// recovery pass appending restored and replayed records into the (not
+/// yet finalized) owned stores. Fills stats.recovery, stats.cellOwner
+/// (the post-recovery map in world ranks) and the recovery phase fields.
+/// Returns the survivors' world ranks (active-local order); a rank that
+/// dies gets stats.recovery.died, an empty result, and must join no
+/// further collective.
+std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
+                                    const FaultPlan& faults, const core::StreamConfig& sc,
+                                    const std::uint64_t (&rounds)[2],
+                                    const core::PartitionMap& map,
+                                    const core::CellLocator* locator, core::CellStore& ownedR,
+                                    core::CellStore* ownedS, core::FrameworkStats& stats);
 
 }  // namespace mvio::recovery

@@ -1,11 +1,14 @@
 // Durable-codec fuzz (DESIGN.md §11): every checkpoint artifact the
-// recovery path trusts — batch shards, per-rank epoch manifests, base
-// manifests, ingest manifests, and epoch seals — must reject *every*
+// recovery path trusts — batch shards, shard-set manifests (epoch deltas
+// and the base), ingest manifests, and epoch seals — must reject *every*
 // single-bit flip and *every* truncation of a well-formed blob: a
 // corrupted artifact may never crash the reader and may never silently
 // load. The trailing FNV-1a checksums make this exhaustive check cheap:
 // each per-byte step of FNV-1a is a bijection on the 64-bit state, so a
-// one-byte change always changes the checksum.
+// one-byte change always changes the checksum. FNV-1a is not a MAC,
+// though: a writer can recompute it, so the decoders must also bound
+// every count in a checksum-valid blob by the bytes it actually holds
+// (the Crafted* cases).
 //
 // Deliberately runtime-free (no simulated communicator): pure unit
 // coverage that the ASan preset exercises on every CI run.
@@ -16,6 +19,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +31,7 @@
 #include "pfs/lustre.hpp"
 #include "pfs/spill_store.hpp"
 #include "recovery/checkpoint.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace mc = mvio::core;
@@ -196,15 +201,62 @@ TEST(CodecFuzz, EpochSealWithPartitionMapRejectsCorruption) {
            "EpochSeal(v2+map)");
 }
 
+namespace {
+
+/// The delta and base manifests the golden and fuzz cases share.
+mr::ShardSetManifest deltaManifest() {
+  mr::ShardSetManifest set;
+  set.epoch = 1;
+  set.rounds = 2;
+  set.records[0] = 7;
+  set.records[1] = 3;
+  set.shards[0] = {{128, 0xabcdefull}, {64, 0x123456ull}};
+  set.shards[1] = {{32, 0x777777ull}};
+  return set;
+}
+
+mr::ShardSetManifest baseManifest() {
+  mr::ShardSetManifest set;
+  set.base = true;
+  set.epoch = 2;
+  set.rounds = 4;
+  set.records[0] = 21;
+  set.records[1] = 9;
+  set.shards[0] = {{256, 0xfeedull}};
+  set.shards[1] = {{96, 0xbeefull}, {48, 0xcafeull}};
+  return set;
+}
+
+std::string toHex(const std::string& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char c : bytes) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 15];
+  }
+  return hex;
+}
+
+}  // namespace
+
+TEST(CodecFuzz, ShardSetManifestBytesAreStable) {
+  // Durable bytes pinned to the layout both manifest kinds have always
+  // had (MVCR delta / MVCB base): a checkpoint written before the shared
+  // codec must still read back, and vice versa.
+  EXPECT_EQ(toHex(mr::encodeShardSetManifest(deltaManifest())),
+            "4d56435201000000010000000000000002000000000000000700000000000000"
+            "02000000000000008000000000000000efcdab00000000004000000000000000"
+            "5634120000000000030000000000000001000000000000002000000000000000"
+            "777777000000000054581215bd857638");
+  EXPECT_EQ(toHex(mr::encodeShardSetManifest(baseManifest())),
+            "4d56434201000000020000000000000004000000000000001500000000000000"
+            "01000000000000000001000000000000edfe0000000000000900000000000000"
+            "02000000000000006000000000000000efbe0000000000003000000000000000"
+            "feca000000000000bad68750c41a44a3");
+}
+
 TEST(CodecFuzz, RankManifestRejectsCorruption) {
-  mr::RankEpochManifest manifest;
-  manifest.epoch = 1;
-  manifest.globalRound = 2;
-  manifest.records[0] = 7;
-  manifest.records[1] = 3;
-  manifest.shards[0] = {{128, 0xabcdefull}, {64, 0x123456ull}};
-  manifest.shards[1] = {{32, 0x777777ull}};
-  const std::string good = mr::encodeRankManifest(manifest);
+  const std::string good = mr::encodeShardSetManifest(deltaManifest());
 
   auto volume = smallVolume();
   const std::string dir = "__fuzz_manifest";
@@ -212,21 +264,14 @@ TEST(CodecFuzz, RankManifestRejectsCorruption) {
   fuzzBlob(good,
            [&](const std::string& blob) {
              store.put("ep1.manifest", std::string(blob));
-             const auto got = mr::readRankManifest(*volume, dir, 0, 1);
+             const auto got = mr::readShardSetManifest(*volume, dir, 0, /*base=*/false, 1);
              return got.has_value() && got->records[0] == 7 && got->shards[0].size() == 2;
            },
-           "RankEpochManifest");
+           "ShardSetManifest(delta)");
 }
 
 TEST(CodecFuzz, BaseManifestRejectsCorruption) {
-  mr::BaseManifest base;
-  base.baseEpoch = 2;
-  base.roundsCovered = 4;
-  base.records[0] = 21;
-  base.records[1] = 9;
-  base.shards[0] = {{256, 0xfeedull}};
-  base.shards[1] = {{96, 0xbeefull}, {48, 0xcafeull}};
-  const std::string good = mr::encodeBaseManifest(base);
+  const std::string good = mr::encodeShardSetManifest(baseManifest());
 
   auto volume = smallVolume();
   const std::string dir = "__fuzz_base";
@@ -234,10 +279,10 @@ TEST(CodecFuzz, BaseManifestRejectsCorruption) {
   fuzzBlob(good,
            [&](const std::string& blob) {
              store.put("base.manifest", std::string(blob));
-             const auto got = mr::readBaseManifest(*volume, dir, 0);
-             return got.has_value() && got->baseEpoch == 2 && got->shards[1].size() == 2;
+             const auto got = mr::readShardSetManifest(*volume, dir, 0, /*base=*/true, 0);
+             return got.has_value() && got->epoch == 2 && got->shards[1].size() == 2;
            },
-           "BaseManifest");
+           "ShardSetManifest(base)");
 }
 
 TEST(CodecFuzz, IngestManifestRejectsCorruption) {
@@ -281,6 +326,76 @@ TEST(CodecFuzz, TornSealTailsAlwaysReject) {
     // And the full scan must agree the epoch is unusable.
     EXPECT_FALSE(mr::findLastSealedEpoch(*volume, dir, 1, 2).has_value());
   }
+}
+
+// ---- Crafted blobs: checksum-valid, hostile counts ------------------------
+//
+// Each blob below carries a correct checksum around a count the bytes
+// cannot back. The decoder must reject it before the count sizes any
+// allocation — never over-read, never wrap a size product.
+
+TEST(CodecFuzz, CraftedSealWithNegativeWorldSizeRejects) {
+  // worldSize 0xFFFFFFFD is -3 as an int; with 2 cells the unchecked
+  // array-end sum wraps back to exactly this 44-byte blob.
+  std::string blob;
+  mvio::util::putScalar<std::uint32_t>(blob, 0x4743564Du);  // "MVCG"
+  mvio::util::putScalar<std::uint32_t>(blob, 2);            // seal version
+  mvio::util::putScalar<std::uint64_t>(blob, 1);            // epoch
+  mvio::util::putScalar<std::uint64_t>(blob, 1);            // rounds completed
+  mvio::util::putScalar<std::uint32_t>(blob, 0xFFFFFFFDu);  // worldSize
+  mvio::util::putScalar<std::uint32_t>(blob, 2);            // cells
+  mvio::util::putScalar<std::uint32_t>(blob, 0);            // partition-map bytes
+  mvio::util::putScalar<std::uint64_t>(blob, mvio::util::fnv1a(blob.data(), blob.size()));
+  ASSERT_EQ(blob.size(), 44u);
+
+  auto volume = smallVolume();
+  const std::string dir = "__fuzz_crafted_seal";
+  mp::SpillStore store(*volume, mr::globalPrefix(dir));
+  store.put("ep1.seal", std::move(blob));
+  EXPECT_FALSE(mr::readEpochSeal(*volume, dir, 1).has_value());
+}
+
+TEST(CodecFuzz, CraftedManifestShardCountRejects) {
+  // shards = 2^60: times 16 bytes per ref the product wraps to 0, which
+  // an unchecked comparison against the 0 bytes left would accept.
+  std::string blob;
+  mvio::util::putScalar<std::uint32_t>(blob, 0x5243564Du);  // "MVCR"
+  mvio::util::putScalar<std::uint32_t>(blob, 1);            // version
+  mvio::util::putScalar<std::uint64_t>(blob, 1);            // epoch
+  mvio::util::putScalar<std::uint64_t>(blob, 2);            // rounds
+  mvio::util::putScalar<std::uint64_t>(blob, 0);            // layer-0 records
+  mvio::util::putScalar<std::uint64_t>(blob, 1ull << 60);   // layer-0 shards
+  mvio::util::putScalar<std::uint64_t>(blob, mvio::util::fnv1a(blob.data(), blob.size()));
+
+  auto volume = smallVolume();
+  const std::string dir = "__fuzz_crafted_manifest";
+  mp::SpillStore store(*volume, mr::rankPrefix(dir, 0));
+  store.put("ep1.manifest", std::move(blob));
+  std::optional<mr::ShardSetManifest> got;
+  noThrow([&] { got = mr::readShardSetManifest(*volume, dir, 0, /*base=*/false, 1); });
+  EXPECT_FALSE(got.has_value());
+}
+
+TEST(CodecFuzz, CraftedShardRecordCountRejects) {
+  // n = 302405640552615601: times the 61 fixed bytes per record the
+  // product wraps to 45, the payload this blob actually holds.
+  constexpr std::uint64_t kRecords = 302405640552615601ull;
+  const std::string payload(45, '\0');
+  std::string blob;
+  mvio::util::putScalar<std::uint32_t>(blob, 0x4853564Du);  // "MVSH"
+  mvio::util::putScalar<std::uint32_t>(blob, 1);            // version
+  mvio::util::putScalar<std::uint64_t>(blob, kRecords);
+  mvio::util::putScalar<std::uint64_t>(blob, 0);  // coords
+  mvio::util::putScalar<std::uint64_t>(blob, 0);  // shape tokens
+  mvio::util::putScalar<std::uint64_t>(blob, 0);  // userData bytes
+  mvio::util::putScalar<std::uint64_t>(blob, mvio::util::fnv1a(payload.data(), payload.size()));
+  mvio::util::putScalar<std::uint64_t>(blob, mvio::util::fnv1a(blob.data(), blob.size()));
+  ASSERT_EQ(blob.size(), mg::kShardHeaderBytes);
+  blob += payload;
+
+  mg::GeometryBatch out;
+  EXPECT_FALSE(noThrow([&] { mg::decodeShard(blob, out); }));
+  EXPECT_EQ(out.size(), 0u);
 }
 
 // ---- WKB record stream (core/format.hpp framing) --------------------------

@@ -20,6 +20,7 @@
 #include "core/indexing.hpp"
 #include "core/overlay.hpp"
 #include "core/spatial_join.hpp"
+#include "geom/batch_shard.hpp"
 #include "geom/wkb.hpp"
 #include "geom/wkt.hpp"
 #include "osm/datasets.hpp"
@@ -123,9 +124,9 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
 
   mm::Runtime::run(1, [&](mm::Comm& comm) {
     mc::PhaseBreakdown phases;
-    mr::CheckpointConfig cfg;
-    cfg.everyRounds = 1;
-    cfg.dir = "__ck_rt";
+    mc::StreamConfig cfg;
+    cfg.checkpointEveryRounds = 1;
+    cfg.checkpointDir = "__ck_rt";
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
     ASSERT_TRUE(ckpt.enabled());
 
@@ -139,27 +140,28 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
     EXPECT_EQ(phases.checkpointEpochs, 1u);
 
     // Seal + manifest validate and the delta reproduces every record.
-    const auto seal = mr::findLastSealedEpoch(*volume, cfg.dir, 1, 1);
+    const auto seal = mr::findLastSealedEpoch(*volume, cfg.checkpointDir, 1, 1);
     ASSERT_TRUE(seal.has_value());
     EXPECT_EQ(seal->epoch, 1u);
     EXPECT_EQ(seal->roundsCompleted, 1u);
     ASSERT_EQ(seal->cellLoads.size(), owner.size());
     EXPECT_EQ(seal->cellLoads[3], 1u);
 
-    const auto manifest = mr::readRankManifest(*volume, cfg.dir, 0, 1);
+    const auto manifest =
+        mr::readShardSetManifest(*volume, cfg.checkpointDir, 0, /*base=*/false, 1);
     ASSERT_TRUE(manifest.has_value());
     EXPECT_EQ(manifest->records[0], batch.size());
     mg::GeometryBatch delta;
-    mr::loadEpochDelta(*volume, cfg.dir, 0, *manifest, 0, owner, delta);
+    mr::loadShardSet(*volume, cfg.checkpointDir, 0, *manifest, 0, owner, delta);
     ASSERT_EQ(delta.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) expectRecordsEqual(batch, i, delta, i);
 
     // The chunk log round-trips the pre-projection records too.
-    const mr::IngestLog log = mr::readIngestLog(*volume, cfg.dir, 0);
+    const mr::IngestLog log = mr::readIngestLog(*volume, cfg.checkpointDir, 0);
     EXPECT_EQ(log.chunks[0], 1u);
     EXPECT_EQ(log.chunks[1], 0u);
     mg::GeometryBatch chunk;
-    mr::loadLoggedChunk(*volume, cfg.dir, 0, 0, 0, chunk);
+    mr::loadLoggedChunk(*volume, cfg.checkpointDir, 0, 0, 0, chunk);
     ASSERT_EQ(chunk.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) expectRecordsEqual(batch, i, chunk, i);
 
@@ -168,7 +170,7 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
     std::vector<int> stale(owner);
     stale[2] = 1;
     mg::GeometryBatch rejected;
-    EXPECT_THROW(mr::loadEpochDelta(*volume, cfg.dir, 0, *manifest, 0, stale, rejected),
+    EXPECT_THROW(mr::loadShardSet(*volume, cfg.checkpointDir, 0, *manifest, 0, stale, rejected),
                  mvio::util::Error);
   });
 }
@@ -179,9 +181,9 @@ TEST(Checkpoint, TornSealFallsBackToPreviousEpoch) {
 
   mm::Runtime::run(1, [&](mm::Comm& comm) {
     mc::PhaseBreakdown phases;
-    mr::CheckpointConfig cfg;
-    cfg.everyRounds = 1;
-    cfg.dir = "__ck_torn";
+    mc::StreamConfig cfg;
+    cfg.checkpointEveryRounds = 1;
+    cfg.checkpointDir = "__ck_torn";
     cfg.tearEpochSeal = 2;  // epoch 2's seal is written truncated
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
     const std::vector<int> owner(8, 0);
@@ -191,18 +193,18 @@ TEST(Checkpoint, TornSealFallsBackToPreviousEpoch) {
     ASSERT_TRUE(ckpt.maybeCheckpoint(2, owner));
 
     // The torn epoch-2 seal is rejected; the scan falls back to epoch 1.
-    EXPECT_FALSE(mr::readEpochSeal(*volume, cfg.dir, 2).has_value());
-    const auto seal = mr::findLastSealedEpoch(*volume, cfg.dir, 1, 2);
+    EXPECT_FALSE(mr::readEpochSeal(*volume, cfg.checkpointDir, 2).has_value());
+    const auto seal = mr::findLastSealedEpoch(*volume, cfg.checkpointDir, 1, 2);
     ASSERT_TRUE(seal.has_value());
     EXPECT_EQ(seal->epoch, 1u);
 
     // A corrupted rank manifest makes epoch 1 partial too: no epoch
     // survives validation.
-    mp::SpillStore rankStore(*volume, mr::rankPrefix(cfg.dir, 0));
+    mp::SpillStore rankStore(*volume, mr::rankPrefix(cfg.checkpointDir, 0));
     std::string m = rankStore.fetch("ep1.manifest");
     m[10] ^= 0x40;
     rankStore.put("ep1.manifest", std::move(m));
-    EXPECT_FALSE(mr::findLastSealedEpoch(*volume, cfg.dir, 1, 2).has_value());
+    EXPECT_FALSE(mr::findLastSealedEpoch(*volume, cfg.checkpointDir, 1, 2).has_value());
   });
 }
 
@@ -618,10 +620,10 @@ TEST(Checkpoint, CompactionFoldsAndReclaims) {
 
   mm::Runtime::run(1, [&](mm::Comm& comm) {
     mc::PhaseBreakdown phases;
-    mr::CheckpointConfig cfg;
-    cfg.everyRounds = 1;
-    cfg.dir = "__ck_gc";
-    cfg.compactEveryEpochs = 2;
+    mc::StreamConfig cfg;
+    cfg.checkpointEveryRounds = 1;
+    cfg.checkpointDir = "__ck_gc";
+    cfg.compaction.everyEpochs = 2;
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
     ckpt.setRoundSchedule(4, 0);
     for (int i = 0; i < 4; ++i) ckpt.logChunk(0, batch);
@@ -633,45 +635,46 @@ TEST(Checkpoint, CompactionFoldsAndReclaims) {
     }
 
     // Epoch 4's seal triggered the second fold: base 3 supersedes base 1.
-    const auto baseM = mr::readBaseManifest(*volume, cfg.dir, 0);
+    const auto baseM =
+        mr::readShardSetManifest(*volume, cfg.checkpointDir, 0, /*base=*/true, 0);
     ASSERT_TRUE(baseM.has_value());
-    EXPECT_EQ(baseM->baseEpoch, 3u);
-    EXPECT_EQ(baseM->roundsCovered, 3u);
+    EXPECT_EQ(baseM->epoch, 3u);
+    EXPECT_EQ(baseM->rounds, 3u);
     EXPECT_EQ(baseM->records[0], 3 * batch.size());
     mg::GeometryBatch restored;
-    EXPECT_EQ(mr::loadBaseCheckpoint(*volume, cfg.dir, 0, *baseM, 0, owner, restored),
+    EXPECT_EQ(mr::loadShardSet(*volume, cfg.checkpointDir, 0, *baseM, 0, owner, restored),
               3 * batch.size());
 
     // The seal scan still validates after GC: manifests and seals are
     // kept even for folded epochs.
-    const auto seal = mr::findLastSealedEpoch(*volume, cfg.dir, 1, 4);
+    const auto seal = mr::findLastSealedEpoch(*volume, cfg.checkpointDir, 1, 4);
     ASSERT_TRUE(seal.has_value());
     EXPECT_EQ(seal->epoch, 4u);
 
     // Folded delta shards are gone (their manifest survives as metadata).
-    const auto m1 = mr::readRankManifest(*volume, cfg.dir, 0, 1);
+    const auto m1 = mr::readShardSetManifest(*volume, cfg.checkpointDir, 0, /*base=*/false, 1);
     ASSERT_TRUE(m1.has_value());
     mg::GeometryBatch dropped;
-    EXPECT_THROW(mr::loadEpochDelta(*volume, cfg.dir, 0, *m1, 0, owner, dropped),
+    EXPECT_THROW(mr::loadShardSet(*volume, cfg.checkpointDir, 0, *m1, 0, owner, dropped),
                  mvio::util::Error);
     // Epoch 4 is outside the base: its delta must still load.
-    const auto m4 = mr::readRankManifest(*volume, cfg.dir, 0, 4);
+    const auto m4 = mr::readShardSetManifest(*volume, cfg.checkpointDir, 0, /*base=*/false, 4);
     ASSERT_TRUE(m4.has_value());
     mg::GeometryBatch tail;
-    EXPECT_EQ(mr::loadEpochDelta(*volume, cfg.dir, 0, *m4, 0, owner, tail), batch.size());
+    EXPECT_EQ(mr::loadShardSet(*volume, cfg.checkpointDir, 0, *m4, 0, owner, tail), batch.size());
 
     // Chunk-log truncation: rounds the base covers are deleted, the
     // unsealed tail stays replayable.
     mg::GeometryBatch chunk;
-    EXPECT_THROW(mr::loadLoggedChunk(*volume, cfg.dir, 0, 0, 0, chunk), mvio::util::Error);
-    EXPECT_THROW(mr::loadLoggedChunk(*volume, cfg.dir, 0, 0, 2, chunk), mvio::util::Error);
+    EXPECT_THROW(mr::loadLoggedChunk(*volume, cfg.checkpointDir, 0, 0, 0, chunk), mvio::util::Error);
+    EXPECT_THROW(mr::loadLoggedChunk(*volume, cfg.checkpointDir, 0, 0, 2, chunk), mvio::util::Error);
     chunk = mg::GeometryBatch();
-    EXPECT_EQ(mr::loadLoggedChunk(*volume, cfg.dir, 0, 0, 3, chunk), batch.size());
+    EXPECT_EQ(mr::loadLoggedChunk(*volume, cfg.checkpointDir, 0, 0, 3, chunk), batch.size());
 
     // The superseded base-1 shards were reclaimed too.
-    mp::SpillStore rankStore(*volume, mr::rankPrefix(cfg.dir, 0));
-    EXPECT_FALSE(rankStore.contains(mr::baseShardName(1, 0, 0)));
-    EXPECT_TRUE(rankStore.contains(mr::baseShardName(3, 0, 0)));
+    mp::SpillStore rankStore(*volume, mr::rankPrefix(cfg.checkpointDir, 0));
+    EXPECT_FALSE(rankStore.contains(mr::shardName(/*base=*/true, 1, 0, 0)));
+    EXPECT_TRUE(rankStore.contains(mr::shardName(/*base=*/true, 3, 0, 0)));
 
     EXPECT_GT(phases.compactionBytes, 0u);
     EXPECT_GT(phases.reclaimedBytes, 0u);
@@ -685,10 +688,10 @@ TEST(Checkpoint, CompactionSkipsTornSeal) {
 
   mm::Runtime::run(1, [&](mm::Comm& comm) {
     mc::PhaseBreakdown phases;
-    mr::CheckpointConfig cfg;
-    cfg.everyRounds = 1;
-    cfg.dir = "__ck_gc_torn";
-    cfg.compactEveryEpochs = 2;
+    mc::StreamConfig cfg;
+    cfg.checkpointEveryRounds = 1;
+    cfg.checkpointDir = "__ck_gc_torn";
+    cfg.compaction.everyEpochs = 2;
     cfg.tearEpochSeal = 2;  // the epoch that would trigger the fold
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
     ckpt.setRoundSchedule(2, 0);
@@ -702,11 +705,46 @@ TEST(Checkpoint, CompactionSkipsTornSeal) {
 
     // A torn seal must not anchor a fold: compaction would GC chunks that
     // the fallback recovery (epoch 1) still needs.
-    EXPECT_FALSE(mr::readBaseManifest(*volume, cfg.dir, 0).has_value());
+    EXPECT_FALSE(
+        mr::readShardSetManifest(*volume, cfg.checkpointDir, 0, /*base=*/true, 0).has_value());
     EXPECT_EQ(phases.compactionBytes, 0u);
     EXPECT_EQ(phases.reclaimedBytes, 0u);
     mg::GeometryBatch chunk;
-    EXPECT_EQ(mr::loadLoggedChunk(*volume, cfg.dir, 0, 0, 0, chunk), batch.size());
+    EXPECT_EQ(mr::loadLoggedChunk(*volume, cfg.checkpointDir, 0, 0, 0, chunk), batch.size());
+  });
+}
+
+TEST(Checkpoint, CompactionRejectsSwappedDeltaShard) {
+  auto volume = lustreVolume(2);
+  const mg::GeometryBatch batch = mixedBatch();
+
+  mm::Runtime::run(1, [&](mm::Comm& comm) {
+    mc::PhaseBreakdown phases;
+    mc::StreamConfig cfg;
+    cfg.checkpointEveryRounds = 1;
+    cfg.checkpointDir = "__ck_gc_swap";
+    cfg.compaction.everyEpochs = 2;
+    mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
+    const std::vector<int> owner(8, 0);
+    ckpt.noteRound(0, batch);
+    ASSERT_TRUE(ckpt.maybeCheckpoint(1, owner));
+
+    // Replace epoch 1's delta shard with a well-formed shard of other
+    // records: it decodes cleanly, but no longer matches its manifest.
+    mg::GeometryBatch other;
+    other.appendRecordFrom(batch, 0, 0);
+    std::string swapped;
+    mg::encodeShard(other, swapped);
+    mp::SpillStore rankStore(*volume, mr::rankPrefix(cfg.checkpointDir, 0));
+    ASSERT_TRUE(rankStore.contains(mr::shardName(/*base=*/false, 1, 0, 0)));
+    rankStore.put(mr::shardName(/*base=*/false, 1, 0, 0), std::move(swapped));
+
+    // Epoch 2's seal fires the fold over epoch 1: it must refuse the
+    // swapped shard rather than fold its records into the base.
+    ckpt.noteRound(0, batch);
+    EXPECT_THROW(ckpt.maybeCheckpoint(2, owner), mvio::util::Error);
+    EXPECT_FALSE(
+        mr::readShardSetManifest(*volume, cfg.checkpointDir, 0, /*base=*/true, 0).has_value());
   });
 }
 
@@ -716,9 +754,9 @@ TEST(Checkpoint, SealScanCacheSkipsRevalidation) {
 
   mm::Runtime::run(1, [&](mm::Comm& comm) {
     mc::PhaseBreakdown phases;
-    mr::CheckpointConfig cfg;
-    cfg.everyRounds = 1;
-    cfg.dir = "__ck_cache";
+    mc::StreamConfig cfg;
+    cfg.checkpointEveryRounds = 1;
+    cfg.checkpointDir = "__ck_cache";
     cfg.tearEpochSeal = 3;  // the newest epoch is rejected on every scan
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
     const std::vector<int> owner(8, 0);
@@ -729,7 +767,7 @@ TEST(Checkpoint, SealScanCacheSkipsRevalidation) {
 
     mr::SealScanCache cache;
     std::uint64_t firstBytes = 0, secondBytes = 0;
-    const auto first = mr::findLastSealedEpoch(*volume, cfg.dir, 1, 3, &firstBytes, &cache);
+    const auto first = mr::findLastSealedEpoch(*volume, cfg.checkpointDir, 1, 3, &firstBytes, &cache);
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->epoch, 2u);
     EXPECT_GT(firstBytes, 0u);
@@ -738,7 +776,7 @@ TEST(Checkpoint, SealScanCacheSkipsRevalidation) {
 
     // A cascading pass re-runs the scan: the cache answers both the
     // rejected epoch 3 and the validated epoch 2 with zero reads.
-    const auto second = mr::findLastSealedEpoch(*volume, cfg.dir, 1, 3, &secondBytes, &cache);
+    const auto second = mr::findLastSealedEpoch(*volume, cfg.checkpointDir, 1, 3, &secondBytes, &cache);
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->epoch, 2u);
     EXPECT_EQ(secondBytes, 0u) << "cached scan must not re-read any seal or manifest";
