@@ -10,7 +10,8 @@
 #
 # It also checks member citations: every `FrameworkConfig::x`,
 # `FrameworkStats::x`, `StreamConfig::x`, `CompactionPolicy::x`,
-# `RebalanceStats::x` or `RecoveryStats::x` (src/core/framework.hpp),
+# `RebalanceStats::x`, `RecoveryStats::x` or `RefineTask::x`
+# (src/core/framework.hpp), `DistributedIndex::x` (src/core/indexing.hpp),
 # each workload's `<Workload>Stats::x` / `<Workload>Config::x` (its own
 # header: spatial_join, overlay, range_query, indexing),
 # `PartitionerConfig::x` (src/core/partition_map.hpp),
@@ -51,7 +52,9 @@ set(CITED_TYPES
     "CellStore=core/cell_store.hpp"
     "(Text|Wkb)?FormatReader=core/format.hpp"
     "CheckpointCoordinator|ShardSetManifest|EpochSeal|SealScanCache=recovery/checkpoint.hpp"
-    "FaultPlan=recovery/recovery.hpp")
+    "FaultPlan=recovery/recovery.hpp"
+    "DistributedIndex=core/indexing.hpp"
+    "RefineTask=core/framework.hpp")
 
 set(MISSING "")
 foreach(doc README.md DESIGN.md)

@@ -121,12 +121,13 @@ struct ShardTransportStats {
   std::uint64_t blobsReceived = 0;
 };
 
-/// Stale-manifest guard, shared by DistributedIndex::loadShards and the
-/// recovery restore path: throws util::Error unless every record of `b`
-/// sits in a cell that `owner` maps to `expectedRank`. A persisted shard
-/// set whose cells no longer belong to the loading rank (the cell→rank
-/// map moved on since the manifest was written) is rejected instead of
-/// silently double-serving cells. `context` prefixes the error message.
+/// Stale-manifest guard of the recovery restore path and the compaction
+/// fold (recovery::loadShardSet): throws util::Error unless every record
+/// of `b` sits in a cell that `owner` maps to `expectedRank`. A persisted
+/// shard set whose cells no longer belong to the loading rank (the
+/// cell→rank map moved on since the manifest was written) is rejected
+/// instead of silently double-serving cells. `context` prefixes the
+/// error message.
 void validateCellOwnership(const geom::GeometryBatch& b, const std::vector<int>& owner,
                            int expectedRank, const char* context);
 

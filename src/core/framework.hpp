@@ -227,12 +227,10 @@ class RefineTask {
   /// once, after the last refineCellBatch, with the whole owned batch
   /// (records migrated away by rebalancing are tombstoned with kNoCell);
   /// in the streaming regime (StreamConfig::memoryBudget set) it is
-  /// called once per refined cell with that cell's records — and other
-  /// streaming consumers (shard reloads, DistributedIndex::loadShards)
-  /// deliver incrementally too — so an implementation that keeps state
-  /// must splice subsequent batches onto what it already holds rather
-  /// than replace it. The default discards the batches, which is correct
-  /// for tasks that fully reduce in refine.
+  /// called once per refined cell with that cell's records — so an
+  /// implementation that keeps state must splice subsequent batches onto
+  /// what it already holds rather than replace it. The default discards
+  /// the batches, which is correct for tasks that fully reduce in refine.
   virtual void adoptBatches(geom::GeometryBatch&& r, geom::GeometryBatch&& s);
 
   // ---- Parallel refine (FrameworkConfig::threadsPerRank > 1) ----------
@@ -328,10 +326,10 @@ struct FrameworkStats {
   /// dead ranks will never participate again. Dead ranks (recovery.died)
   /// must skip those collectives entirely.
   std::optional<mpi::Comm> activeComm;
-  /// Post-rebalance / post-recovery cell→rank map in *world* ranks,
-  /// identical on every live rank. Empty when neither rebalancing nor
-  /// recovery ran — ownership is then roundRobinOwner, which consumers
-  /// with per-owned-cell output (the overlay writer) fall back to.
+  /// The run's one cell→rank map in ranks of the launch communicator,
+  /// identical on every live rank and always filled: roundRobinOwners
+  /// once the partition map is built, re-homed in place by recovery and
+  /// rewritten by rebalancing. Exchange, seals and the overlay read it.
   std::vector<int> cellOwner;
   /// Peak bytes resident in the refine phase's serving structures
   /// (resident tail + current cell in the streaming regime, summed over

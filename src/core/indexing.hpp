@@ -16,23 +16,17 @@
 // lists, marking touched cells stale; stale R-trees re-bulk-load lazily
 // at first query (or eagerly via buildTrees()), so a streaming run that
 // delivers many batches pays one tree build per cell, not one per round.
-// The same mechanism persists a rank's owned cells across runs:
-// saveShards() writes the adopted batch as BatchShards on a SpillStore
-// plus a manifest, and loadShards() rebuilds the index from them without
-// re-running the pipeline. The resulting DistributedIndex supports batch
-// rectangle queries against the local portion plus a helper to reduce
-// global match counts.
+// The resulting DistributedIndex supports batch rectangle queries against
+// the local portion plus a helper to reduce global match counts.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/framework.hpp"
 #include "geom/rtree.hpp"
-#include "pfs/spill_store.hpp"
 
 namespace mvio::core {
 
@@ -58,7 +52,7 @@ class DistributedIndex {
   /// The partition map the records were exchanged under. Cell ids in
   /// cells_ are *partition* cells; the reference-point dedup must resolve
   /// through the same map or replicated records double-count. Defaults to
-  /// uniform (ids == grid cells), matching fromBatch and pre-map shards.
+  /// uniform (ids == grid cells), matching fromBatch.
   [[nodiscard]] const PartitionMap& partition() const { return map_; }
   [[nodiscard]] std::size_t cellCount() const { return cells_.size(); }
   [[nodiscard]] std::uint64_t localGeometries() const { return localGeometries_; }
@@ -91,31 +85,6 @@ class DistributedIndex {
   /// Rebuild one matched record as a standalone Geometry (allocates).
   [[nodiscard]] geom::Geometry materialize(std::size_t id) const { return batch_.materialize(id); }
 
-  /// Persist the rank's owned cells: the adopted batch split into shards
-  /// of at most `maxShardBytes` encoded bytes (0 = one shard) plus a
-  /// "<base>.manifest" blob recording the grid and shard count. The blobs
-  /// survive on the store's volume, so a later run (or rank) can
-  /// loadShards() without re-reading and re-exchanging the input.
-  void saveShards(pfs::SpillStore& store, const std::string& base,
-                  std::uint64_t maxShardBytes = 0) const;
-
-  /// Rebuild an index from saveShards() output: reads the manifest,
-  /// decodes every shard, and addBatch()es them in order. Record ids are
-  /// assigned afresh (shard order), cell membership comes from the
-  /// serialized cell tags, and the R-tree fanout is the one the manifest
-  /// recorded. Throws util::Error on a missing/corrupt manifest or shard.
-  ///
-  /// Stale-manifest guard: when `cellOwner` is non-null it is the active
-  /// cell→rank map and every decoded record must sit in a cell it
-  /// assigns to `selfRank` — shards persisted under an older ownership
-  /// (the map moved on: rebalancing, recovery re-homing) are rejected
-  /// with util::Error instead of silently double-serving cells the
-  /// current owner also serves. The recovery restore path applies the
-  /// same validation (core::validateCellOwnership) to epoch deltas.
-  static DistributedIndex loadShards(pfs::SpillStore& store, const std::string& base,
-                                     const std::vector<int>* cellOwner = nullptr,
-                                     int selfRank = -1);
-
   /// Build locally from an already cell-tagged batch — the single-rank
   /// form of the MPI build (the collective path produces exactly this per
   /// rank), with geom::RTree's default fanout. Used by tests and the micro
@@ -131,7 +100,6 @@ class DistributedIndex {
   geom::GeometryBatch batch_;
   std::unordered_map<int, CellIndex> cells_;
   std::uint64_t localGeometries_ = 0;
-  std::size_t fanout_ = 16;  ///< geom::RTree's default; loadShards restores the manifest's
 };
 
 /// The pipeline's run result plus the global index size. Packing the

@@ -71,7 +71,7 @@ OverlayStats gridCoverageOverlay(mpi::Comm& comm, pfs::Volume& volume, const Dat
 
   // The collective write (and the totals reduction) runs on the
   // communicator the pipeline finished on — after a recovery that is the
-  // survivors, whose owned-cell map stats.cellOwner names world ranks.
+  // survivors.
   mpi::Comm active = stats.activeComm ? *stats.activeComm : comm;
   const int p = active.size();
   const int cellCount = stats.grid.cellCount();
@@ -90,28 +90,22 @@ OverlayStats gridCoverageOverlay(mpi::Comm& comm, pfs::Volume& volume, const Dat
   const double writeStart = active.clock().now();
   io::File out = io::File::open(active, volume, cfg.outputPath);
 
-  // My owned cells, ascending: the round-robin stride {c : c % P == rank}
-  // by default, or the rebalanced/recovered cell→rank map (world ranks)
-  // when the framework reassigned ownership. Under an adaptive partition
-  // map the raster stays keyed by *uniform* cells (the refine sub-spans
-  // see uniform cells, so the output bytes are scheme-independent), but a
-  // uniform cell is written by whichever rank owns its partition cell.
-  // The task only has entries for non-empty cells, so fill the gaps with
-  // zero records.
+  // My owned cells, ascending: every uniform cell whose partition cell
+  // stats.cellOwner (launch ranks) assigns to this rank. Under an adaptive
+  // partition map the raster stays keyed by *uniform* cells (the refine
+  // sub-spans see uniform cells, so the output bytes are
+  // scheme-independent), but a uniform cell is written by whichever rank
+  // owns its partition cell. The task only has entries for non-empty
+  // cells, so fill the gaps with zero records.
   const PartitionMap& pm = stats.partition;
   std::vector<int> myCells;
-  if (stats.cellOwner.empty() && pm.isUniform()) {
-    for (int c = active.rank(); c < cellCount; c += p) myCells.push_back(c);
-  } else {
-    for (int c = 0; c < cellCount; ++c) {
-      const int part = pm.groupOf(c);
-      const bool mine =
-          stats.cellOwner.empty()
-              ? roundRobinOwner(part, p) == active.rank()
-              : stats.cellOwner[static_cast<std::size_t>(part)] == active.worldRank();
-      if (mine) myCells.push_back(c);
+  for (int c = 0; c < cellCount; ++c) {
+    if (stats.cellOwner[static_cast<std::size_t>(pm.groupOf(c))] == comm.rank()) {
+      myCells.push_back(c);
     }
   }
+  const bool strided = pm.isUniform() && p == comm.size() &&
+                       stats.cellOwner == roundRobinOwners(stats.cellOwner.size(), p);
   std::vector<CellCoverage> mine;
   mine.reserve(myCells.size());
   for (const int c : myCells) {
@@ -120,9 +114,10 @@ OverlayStats gridCoverageOverlay(mpi::Comm& comm, pfs::Volume& volume, const Dat
   }
 
   const auto record = mpi::Datatype::contiguous(static_cast<int>(kRecordBytes), mpi::Datatype::byte());
-  if (stats.cellOwner.empty() && pm.isUniform()) {
+  if (strided) {
     // Figure 4's view: record `rank` of every group of P records (the
-    // round-robin cell ownership), written collectively in one call.
+    // round-robin cell ownership of a uniform map on the full launch
+    // communicator), written collectively in one call.
     const auto filetype = record.resized(0, static_cast<std::uint64_t>(p) * kRecordBytes);
     out.setView(static_cast<std::uint64_t>(active.rank()) * kRecordBytes, mpi::Datatype::byte(),
                 filetype);

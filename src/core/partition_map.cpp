@@ -135,13 +135,21 @@ void rankLoadStats(const std::vector<std::uint64_t>& cellLoads, const std::vecto
   meanLoad = nprocs > 0 ? static_cast<double>(total) / nprocs : 0.0;
 }
 
+}  // namespace
+
 std::vector<int> roundRobinOwners(std::size_t cells, int nprocs) {
   std::vector<int> owner(cells);
   for (std::size_t c = 0; c < cells; ++c) owner[c] = roundRobinOwner(static_cast<int>(c), nprocs);
   return owner;
 }
 
-}  // namespace
+double loadImbalance(const std::vector<std::uint64_t>& loads, const std::vector<int>& owner,
+                     int nprocs) {
+  std::uint64_t maxLoad = 0;
+  double meanLoad = 0.0;
+  rankLoadStats(loads, owner, nprocs, maxLoad, meanLoad);
+  return meanLoad > 0 ? static_cast<double>(maxLoad) / meanLoad : 0.0;
+}
 
 const char* partitionSchemeName(PartitionScheme scheme) {
   switch (scheme) {

@@ -127,6 +127,14 @@ class PartitionMap {
                                              const std::vector<geom::Envelope>& samples,
                                              int worldSize);
 
+/// The round-robin cell→rank map (roundRobinOwner) over `cells` cells.
+[[nodiscard]] std::vector<int> roundRobinOwners(std::size_t cells, int nprocs);
+
+/// Max/mean per-rank load of the cell→rank map `owner` (ranks in
+/// [0, nprocs)); 0 when the cells hold no load.
+[[nodiscard]] double loadImbalance(const std::vector<std::uint64_t>& loads,
+                                   const std::vector<int>& owner, int nprocs);
+
 // ---- Cost model -----------------------------------------------------------
 // Prices partition and rebalance decisions in seconds instead of raw load
 // ratios: projected refine cost of the most-loaded rank plus migration

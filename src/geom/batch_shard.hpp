@@ -25,11 +25,11 @@
 // bytes (so a corrupted or truncated header is rejected before any size
 // field is trusted), payloadChecksum covers the payload. decodeShard
 // *appends* to its output batch — reloading k shards in order is exactly
-// GeometryBatch::splice, which is what the spill/reload path and
-// DistributedIndex::loadShards rely on.
+// GeometryBatch::splice, which is what the spill/reload path and the
+// checkpoint restore path rely on.
 //
 // Shards are the unit the streaming pipeline spills through
-// pfs::SpillStore and the unit DistributedIndex persists across runs.
+// pfs::SpillStore, checkpoints persist and migrateShards ships.
 // The codec is byte-order-native (spill files never leave the node).
 
 #include <cstdint>

@@ -139,8 +139,7 @@ std::uint64_t CheckpointCoordinator::writeShardSet(ShardSetManifest& set,
     const geom::GeometryBatch& b = batches[layer];
     set.records[layer] = b.size();
     std::uint64_t k = 0;
-    // The bounded-shard rule shared with DistributedIndex::saveShards and
-    // migrateShards.
+    // The bounded-shard rule shared with migrateShards.
     geom::forEachShardRange(b, kMaxShardBytes, [&](std::size_t lo, std::size_t hi,
                                                    std::uint64_t bytes) {
       std::string blob;

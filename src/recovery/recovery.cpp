@@ -54,10 +54,9 @@ struct RecoveryContext {
 
 /// One recovery pass — steps 1–4 of recovery.hpp — on the survivor
 /// communicator, appending restored and replayed records into the owned
-/// stores. The map before the wave is stats.cellOwner (empty on the first
-/// pass: ownership was round-robin); the pass replaces it with the
-/// re-homed map and adds to stats.recovery. Charges modelled read I/O
-/// and replay CPU to the recovery phase fields.
+/// stores. The pass re-homes stats.cellOwner (the map before the wave,
+/// round-robin on the first pass) in place and adds to stats.recovery.
+/// Charges modelled read I/O and replay CPU to the recovery phase fields.
 void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryContext& ctx,
                         core::CellStore& ownedR, core::CellStore* ownedS,
                         core::FrameworkStats& stats) {
@@ -95,7 +94,7 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
   for (std::size_t s = 0; s < ctx.survivorWorld.size(); ++s) {
     worldToSurvivor[static_cast<std::size_t>(ctx.survivorWorld[s])] = s;
   }
-  const bool firstPass = stats.cellOwner.empty();
+  const bool firstPass = stats.recovery.recoveryPasses == 0;
   std::uint64_t restoredRecords = 0;
   std::uint64_t replayedRecords = 0;
 
@@ -116,14 +115,9 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
   // reference for every durable shard — is always the round-robin map
   // the checkpoints were written under, regardless of how many times
   // ownership was re-homed since.
-  std::vector<int> sealOwner(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    sealOwner[c] = core::roundRobinOwner(static_cast<int>(c), ctx.worldSize);
-  }
-  MVIO_CHECK(firstPass || stats.cellOwner.size() == cells,
-             "recovery: prior owner map size mismatch");
+  const std::vector<int> sealOwner = core::roundRobinOwners(cells, ctx.worldSize);
+  MVIO_CHECK(stats.cellOwner.size() == cells, "recovery: prior owner map size mismatch");
   std::vector<int>& owner = stats.cellOwner;
-  if (firstPass) owner = sealOwner;
   std::vector<char> orphan(cells, 0);
   for (std::size_t c = 0; c < cells; ++c) {
     orphan[c] = isNewlyDead(owner[c]) ? 1 : 0;

@@ -92,8 +92,8 @@ FaultPlan planFaults(const std::vector<sim::FailureEvent>& schedule, int worldSi
 /// `ownedS` null for single-layer runs). Each iteration allgathers alive
 /// flags; new deaths shrink `active` to the survivors, who run one
 /// recovery pass appending restored and replayed records into the (not
-/// yet finalized) owned stores. Fills stats.recovery, stats.cellOwner
-/// (the post-recovery map in world ranks) and the recovery phase fields.
+/// yet finalized) owned stores. Fills stats.recovery and the recovery
+/// phase fields and re-homes stats.cellOwner (world ranks) in place.
 /// Returns the survivors' world ranks (active-local order); a rank that
 /// dies gets stats.recovery.died, an empty result, and must join no
 /// further collective.

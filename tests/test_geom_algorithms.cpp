@@ -1,16 +1,12 @@
-// Tests for the extended GIS algorithms: space-filling curves (Z-order +
-// Hilbert, including locality properties), convex hull and
-// Douglas-Peucker simplification.
+// Tests for the space-filling curves (Z-order + Hilbert, including
+// locality properties) that paper §4.1 names for spatial partitioning.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
-#include "geom/algorithms.hpp"
 #include "geom/space_curve.hpp"
-#include "geom/wkt.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mg = mvio::geom;
@@ -115,88 +111,4 @@ TEST(CurveGrid, SortingImprovesLocality) {
   std::sort(zsorted.begin(), zsorted.end(),
             [&](const mg::Coord& a, const mg::Coord& b) { return grid.zKey(a) < grid.zKey(b); });
   EXPECT_LT(avgStep(zsorted), randomStep / 4.0);
-}
-
-// ---- Convex hull -----------------------------------------------------------
-
-TEST(ConvexHull, Square) {
-  const auto hull = mg::convexHull(std::vector<mg::Coord>{{0, 0}, {4, 0}, {4, 4}, {0, 4}, {2, 2}, {1, 1}});
-  EXPECT_EQ(hull.type(), mg::GeometryType::kPolygon);
-  EXPECT_EQ(hull.rings()[0].coords.size(), 5u);  // 4 corners + closure
-  EXPECT_DOUBLE_EQ(mg::area(hull), 16.0);
-}
-
-TEST(ConvexHull, RejectsDegenerate) {
-  EXPECT_THROW(mg::convexHull(std::vector<mg::Coord>{{0, 0}, {1, 1}}), mvio::util::Error);
-  EXPECT_THROW(mg::convexHull(std::vector<mg::Coord>{{0, 0}, {1, 1}, {2, 2}, {3, 3}}),
-               mvio::util::Error);  // collinear
-}
-
-TEST(ConvexHull, ContainsAllInputPoints) {
-  mvio::util::Rng rng(5);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<mg::Coord> pts;
-    for (int i = 0; i < 60; ++i) pts.push_back({rng.uniform(-10, 10), rng.uniform(-10, 10)});
-    const auto hull = mg::convexHull(pts);
-    for (const auto& p : pts) {
-      EXPECT_TRUE(mg::containsPoint(hull, p));
-    }
-    // Hull of the hull is the hull (idempotence).
-    const auto again = mg::convexHull(hull);
-    EXPECT_NEAR(mg::area(again), mg::area(hull), 1e-9);
-  }
-}
-
-// ---- Simplification ----------------------------------------------------------
-
-TEST(Simplify, RemovesCollinearNoise) {
-  std::vector<mg::Coord> path;
-  for (int i = 0; i <= 100; ++i) path.push_back({static_cast<double>(i), (i % 2) * 0.001});
-  const auto out = mg::simplifyPath(path, 0.01);
-  EXPECT_LE(out.size(), 3u);  // nearly straight line collapses
-  EXPECT_EQ(out.front(), path.front());
-  EXPECT_EQ(out.back(), path.back());
-}
-
-TEST(Simplify, KeepsSalientCorners) {
-  const std::vector<mg::Coord> path = {{0, 0}, {5, 0.01}, {10, 0}, {10, 10}};
-  const auto out = mg::simplifyPath(path, 0.1);
-  ASSERT_EQ(out.size(), 3u);  // the 90-degree corner survives
-  EXPECT_EQ(out[1].x, 10);
-  EXPECT_EQ(out[1].y, 0);
-}
-
-TEST(Simplify, ErrorBoundHolds) {
-  mvio::util::Rng rng(6);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<mg::Coord> path;
-    mg::Coord cur{0, 0};
-    for (int i = 0; i < 80; ++i) {
-      cur = {cur.x + rng.uniform(0.1, 1.0), cur.y + rng.uniform(-1, 1)};
-      path.push_back(cur);
-    }
-    const double tol = 0.5;
-    const auto out = mg::simplifyPath(path, tol);
-    // Every original point must be within tol of the simplified chain.
-    for (const auto& p : path) {
-      double best = 1e18;
-      for (std::size_t i = 1; i < out.size(); ++i) {
-        best = std::min(best, mg::pointSegmentDistance(p, out[i - 1], out[i]));
-      }
-      EXPECT_LE(best, tol + 1e-9);
-    }
-  }
-}
-
-TEST(Simplify, GeometryVariantsAndRingSafety) {
-  // A tiny ring must survive (never drop below 4 coords).
-  const auto g = mg::readWkt("POLYGON ((0 0, 1 0, 1 1, 0 0))");
-  const auto s = mg::simplify(g, 100.0);
-  EXPECT_EQ(s.rings()[0].coords.size(), 4u);
-
-  const auto line = mg::Geometry::lineString({{0, 0}, {1, 0.0001}, {2, 0}});
-  EXPECT_EQ(mg::simplify(line, 0.01).coords().size(), 2u);
-
-  const auto pt = mg::Geometry::point({3, 4});
-  EXPECT_EQ(mg::simplify(pt, 1.0).pointCoord().x, 3);
 }

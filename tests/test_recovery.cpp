@@ -1,10 +1,9 @@
 // Checkpoint/recovery subsystem tests (DESIGN.md §9): epoch checkpoint
 // round trips over all seven OGC types + userData, torn-seal and
 // corrupt-manifest crash consistency (recovery falls back to the previous
-// sealed epoch), the stale-manifest ownership guard shared by
-// DistributedIndex::loadShards and the recovery loader, the adaptive
-// rebalance trigger, and the headline acceptance property — killing
-// k ≥ 1 ranks mid-stream yields join, index, and overlay results
+// sealed epoch), the recovery loader's stale-manifest ownership guard,
+// the adaptive rebalance trigger, and the headline acceptance property —
+// killing k ≥ 1 ranks mid-stream yields join, index, and overlay results
 // bit-identical to the failure-free run, with PhaseBreakdown reporting
 // the checkpoint and recovery byte/round volumes.
 
@@ -206,38 +205,6 @@ TEST(Checkpoint, TornSealFallsBackToPreviousEpoch) {
     rankStore.put("ep1.manifest", std::move(m));
     EXPECT_FALSE(mr::findLastSealedEpoch(*volume, cfg.checkpointDir, 1, 2).has_value());
   });
-}
-
-// ---- DistributedIndex::loadShards stale-manifest guard -------------------
-
-TEST(DistributedIndex, LoadShardsRejectsStaleOwnership) {
-  mo::SynthSpec spec = mo::datasetSpec(mo::DatasetId::kCemetery, 43);
-  spec.space.world = mg::Envelope(0, 0, 20, 20);
-  const mo::RecordGenerator gen(spec);
-  const mc::GridSpec grid(mg::Envelope(0, 0, 20, 20), 4, 4);
-  mg::GeometryBatch batch;
-  for (std::uint64_t i = 0; i < 80; ++i) {
-    const mg::Geometry g = gen.geometry(i);
-    batch.append(g, grid.cellOfPoint(g.envelope().center()));
-  }
-  const auto original = mc::DistributedIndex::fromBatch(std::move(batch), grid);
-
-  auto volume = lustreVolume(2);
-  mp::SpillStore store(*volume, "__cells/rank0");
-  original.saveShards(store, "owned", 8 << 10);
-
-  // Validation against the map that assigns every cell to this rank: ok.
-  std::vector<int> owner(static_cast<std::size_t>(grid.cellCount()), 0);
-  const auto loaded = mc::DistributedIndex::loadShards(store, "owned", &owner, 0);
-  EXPECT_EQ(loaded.localGeometries(), original.localGeometries());
-
-  // Move one populated cell to another rank: the manifest is stale for
-  // rank 0 and the load must fail instead of double-serving the cell.
-  ASSERT_GT(original.batch().size(), 0u);
-  const int movedCell = original.batch().cell(0);
-  std::vector<int> stale(owner);
-  stale[static_cast<std::size_t>(movedCell)] = 1;
-  EXPECT_THROW(mc::DistributedIndex::loadShards(store, "owned", &stale, 0), mvio::util::Error);
 }
 
 // ---- Adaptive rebalance trigger ------------------------------------------

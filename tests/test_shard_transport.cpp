@@ -4,7 +4,8 @@
 // wire blobs and mismatched stream summaries, ownership-map consistency
 // after a rebalanced pipeline run, and the acceptance property — a
 // rebalanced run produces identical task results while reducing the
-// maximum per-rank owned-record count on a skewed input.
+// maximum per-rank owned-record count on a skewed input, also on a
+// sub-communicator.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <mutex>
 
 #include "core/indexing.hpp"
+#include "core/overlay.hpp"
 #include "core/spatial_join.hpp"
 #include "geom/batch_shard.hpp"
 #include "geom/wkb.hpp"
@@ -396,4 +398,43 @@ TEST(ShardTransport, RebalancedIndexAnswersIdentically) {
   }
   EXPECT_EQ(counts[0], counts[1]);
   EXPECT_GT(counts[0][1], 0u);
+}
+
+TEST(Overlay, RebalancedOnSubCommunicatorMatchesWorld) {
+  // FrameworkStats::cellOwner names ranks of the communicator the
+  // pipeline ran on, so a rebalanced overlay on each half of a split
+  // 4-rank world must write the raster a 2-rank world writes.
+  SkewedFixture fx;
+  std::atomic<std::uint64_t> cellsMoved{0};
+  int cellCount = 0;
+  const auto overlay = [&](mm::Comm& comm, const std::string& path) {
+    mc::OverlayConfig cfg;
+    cfg.framework.gridCells = 64;
+    cfg.framework.rebalanceCells = true;
+    cfg.outputPath = path;
+    mc::DatasetHandle r{"skew_r.wkt", &fx.parser, {}};
+    const auto stats = mc::gridCoverageOverlay(comm, *fx.volume, r, nullptr, cfg);
+    if (comm.rank() == 0) cellsMoved += stats.balance.cellsMoved;
+    return stats.grid.cellCount();
+  };
+  mm::Runtime::run(2, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+    const int cells = overlay(comm, "world.bin");
+    if (comm.rank() == 0) cellCount = cells;
+  });
+  mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+    mm::Comm half = comm.split(comm.rank() % 2, comm.rank());
+    overlay(half, "half" + std::to_string(comm.rank() % 2) + ".bin");
+  });
+
+  const auto raster = [&](const std::string& path) {
+    std::string bytes(static_cast<std::size_t>(cellCount) * sizeof(mc::CellCoverage), '\0');
+    fx.volume->lookup(path)->data->read(0, bytes.data(), bytes.size());
+    return bytes;
+  };
+  ASSERT_GT(cellCount, 0);
+  EXPECT_GT(cellsMoved.load(), 0u) << "the skewed input must make every run rebalance";
+  const std::string world = raster("world.bin");
+  EXPECT_TRUE(world != std::string(world.size(), '\0')) << "empty world raster";
+  EXPECT_TRUE(raster("half0.bin") == world) << "the even half's raster differs";
+  EXPECT_TRUE(raster("half1.bin") == world) << "the odd half's raster differs";
 }

@@ -2,11 +2,10 @@
 // round trips (all seven OGC types, empty batch, userData blobs) and
 // corruption rejection, the SpillStore blob lifecycle, the CellStore's
 // streaming regime against its resident regime, batch splice /
-// incremental index adoption, DistributedIndex shard persistence, the
-// batch-native WKB join key, and the headline acceptance property —
-// a chunked run with a memory budget smaller than the input spills
-// (bytes-spilled > 0) yet produces bit-identical join/index/overlay
-// results to the one-shot pass.
+// incremental index adoption, the batch-native WKB join key, and the
+// headline acceptance property — a chunked run with a memory budget
+// smaller than the input spills (bytes-spilled > 0) yet produces
+// bit-identical join/index/overlay results to the one-shot pass.
 
 #include <gtest/gtest.h>
 
@@ -393,49 +392,6 @@ TEST(DistributedIndex, IncrementalAddBatchMatchesOneShot) {
     const mg::Envelope box(x, y, x + rng.uniform(0.1, 6), y + rng.uniform(0.1, 6));
     EXPECT_EQ(incremental.queryCount(box), oneShot.queryCount(box));
   }
-}
-
-TEST(DistributedIndex, SaveLoadShardsRoundTrip) {
-  mo::SynthSpec spec = mo::datasetSpec(mo::DatasetId::kCemetery, 43);
-  spec.space.world = mg::Envelope(0, 0, 20, 20);
-  const mo::RecordGenerator gen(spec);
-  const mc::GridSpec grid(mg::Envelope(0, 0, 20, 20), 4, 4);
-  mg::GeometryBatch batch;
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    const mg::Geometry g = gen.geometry(i);
-    batch.append(g, grid.cellOfPoint(g.envelope().center()));
-  }
-  const auto original = mc::DistributedIndex::fromBatch(std::move(batch), grid);
-
-  auto volume = lustreVolume(2);
-  mp::SpillStore store(*volume, "__cells/rank0");
-  // Small shard bound: forces a multi-shard split.
-  original.saveShards(store, "owned", 8 << 10);
-  ASSERT_TRUE(store.contains("owned.manifest"));
-  ASSERT_TRUE(store.contains("owned.1")) << "expected more than one shard";
-
-  const auto loaded = mc::DistributedIndex::loadShards(store, "owned");
-  EXPECT_EQ(loaded.localGeometries(), original.localGeometries());
-  EXPECT_EQ(loaded.cellCount(), original.cellCount());
-  EXPECT_EQ(loaded.grid().bounds(), original.grid().bounds());
-  mvio::util::Rng rng(9);
-  for (int q = 0; q < 30; ++q) {
-    const double x = rng.uniform(-2, 18), y = rng.uniform(-2, 18);
-    const mg::Envelope box(x, y, x + rng.uniform(0.1, 6), y + rng.uniform(0.1, 6));
-    EXPECT_EQ(loaded.queryCount(box), original.queryCount(box));
-  }
-
-  // A corrupt manifest is rejected, not misread — including a flip in
-  // the grid-bounds region that only the manifest checksum catches.
-  const std::string manifest = store.fetch("owned.manifest");
-  std::string badMagic = manifest;
-  badMagic[0] ^= 0x1;
-  store.put("owned.manifest", std::move(badMagic));
-  EXPECT_THROW(mc::DistributedIndex::loadShards(store, "owned"), mvio::util::Error);
-  std::string badBounds = manifest;
-  badBounds[40] ^= 0x1;
-  store.put("owned.manifest", std::move(badBounds));
-  EXPECT_THROW(mc::DistributedIndex::loadShards(store, "owned"), mvio::util::Error);
 }
 
 // ---- Streaming vs one-shot end-to-end equivalence ------------------------
