@@ -1,5 +1,5 @@
 #pragma once
-// Shared scaffolding for the per-table / per-figure bench harnesses.
+// Shared scaffolding for the bench harnesses (bench_paper and the rest).
 //
 // Every harness reproduces one table or figure of the paper at a
 // documented scale factor (bench_e2e/README.md):
@@ -131,12 +131,6 @@ inline std::uint64_t scaledBytes(double paperBytes, double scale, std::uint64_t 
   const auto v = static_cast<std::uint64_t>(paperBytes * scale);
   return std::max(v, floor);
 }
-
-/// Measured series point: virtual seconds for a phase, max across ranks.
-struct Sample {
-  double seconds = 0;
-  double bandwidth = 0;  // bytes/s where applicable
-};
 
 // ---- Flight recorder / run reports (DESIGN.md §14) ----------------------
 // The CI obs lane drives these through the environment:

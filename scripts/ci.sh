@@ -21,16 +21,21 @@
 # scheme changes the join result, or if the pilot cost model's predicted
 # winner drifts from the measured one outside its noise band, and
 # bench_refine_budget, which hard-fails if a rank's refine reloads more
-# spilled bytes than it wrote (the read-once spill layout, DESIGN.md §8).
+# spilled bytes than it wrote (the read-once spill layout, DESIGN.md §8),
+# and smoke_bench_paper (table1, table2 and three ablations of the paper
+# driver), which hard-fails on a broken figure invariant.
 #
 # The default preset also runs the obs lane (DESIGN.md §14): bench_overlap
-# and bench_fig08_l0_allobjects re-run with the flight recorder on
+# and `bench_paper fig08` re-run with the flight recorder on
 # (MVIO_TRACE_OUT/MVIO_REPORT_OUT), scripts/check_bench.py validates the
 # Perfetto trace and run-report JSON, and the perf-regression comparator
-# gates the reports against the committed bench/baselines/*.json. It
-# ends with the end-to-end benchmark's smoke run (bench_e2e/e2e.py run
-# --smoke: every workload at about 1/50 scale, built under .bench_build),
-# which exits non-zero when any rep fails its ground-truth check.
+# gates the reports against the committed bench/baselines/*.json. The
+# paper lane then runs every figure of bench_paper (the list comes from
+# `bench_paper --list`), each with its own report, and validates all of
+# them; a broken figure invariant fails it (about a minute). It ends with
+# the end-to-end benchmark's smoke run (bench_e2e/e2e.py run --smoke:
+# every workload at about 1/50 scale, built under .bench_build), which
+# exits non-zero when any rep fails its ground-truth check.
 #
 # Usage: scripts/ci.sh [preset...]   (default: "default asan tsan")
 # Useful subsets once built: ctest -L recovery / -L mpi / -L threads /
@@ -63,7 +68,7 @@ for preset in "${presets[@]}"; do
       ./build/bench_overlap > "${obs_dir}/overlap.log"
     MVIO_TRACE_OUT="${obs_dir}/trace_fig08.json" \
       MVIO_REPORT_OUT="${obs_dir}/BENCH_fig08.json" \
-      ./build/bench_fig08_l0_allobjects > "${obs_dir}/fig08.log"
+      ./build/bench_paper fig08 > "${obs_dir}/fig08.log"
     # bench_overlap's instrumented row streams with threads + overlap but
     # no memory pressure, so every framework phase except spill appears;
     # fig08's addendum traces its read → parse → partition → comm cascade.
@@ -75,6 +80,13 @@ for preset in "${presets[@]}"; do
     python3 scripts/check_bench.py validate-report "${obs_dir}/BENCH_fig08.json"
     python3 scripts/check_bench.py compare "${obs_dir}/BENCH_overlap.json" bench/baselines/overlap.json
     python3 scripts/check_bench.py compare "${obs_dir}/BENCH_fig08.json" bench/baselines/fig08.json
+
+    echo "==> paper lane: every bench_paper figure with its own run report (preset: default)"
+    for figure in $(./build/bench_paper --list); do
+      MVIO_REPORT_OUT="${obs_dir}/BENCH_paper_${figure}.json" \
+        ./build/bench_paper "${figure}" > "${obs_dir}/paper_${figure}.log"
+      python3 scripts/check_bench.py validate-report "${obs_dir}/BENCH_paper_${figure}.json"
+    done
 
     echo "==> e2e smoke: every benchmark workload at about 1/50 scale (preset: default)"
     python3 bench_e2e/e2e.py run --smoke

@@ -385,9 +385,4 @@ void GeometryBatch::reserveRecords(std::size_t records, std::size_t coordsPerRec
   userData_.reserve(userData_.size() + records * userBytesPerRecord);
 }
 
-void BatchSpan::materializeAll(std::vector<Geometry>& out) const {
-  out.reserve(out.size() + count_);
-  for (std::size_t k = 0; k < count_; ++k) out.push_back(batch_->materialize(idx_[k]));
-}
-
 }  // namespace mvio::geom

@@ -34,8 +34,8 @@
 // never heap-allocate; recordClippedMeasure allocates only the transient
 // clipped-ring buffers of the clipping kernel, never a Geometry;
 // beginRecord/commitRecord/appendRecordFrom pay only amortized arena
-// growth; materialize() and materializeAll() allocate one heap Geometry
-// per record and are reserved for records that leave the batch world.
+// growth; materialize() allocates one heap Geometry per record and is
+// reserved for records that leave the batch world.
 
 #include <cstdint>
 #include <string>
@@ -86,7 +86,6 @@ class GeometryBatch {
 
   // ---- Whole-batch accessors ------------------------------------------
   [[nodiscard]] std::size_t totalVertices() const { return coords_.size(); }
-  [[nodiscard]] std::size_t userDataBytes() const { return userData_.size(); }
   /// Union of all record envelopes (for global-grid construction).
   [[nodiscard]] Envelope bounds() const;
 
@@ -239,10 +238,6 @@ class BatchSpan {
   [[nodiscard]] double clippedMeasure(std::size_t k, const Envelope& rect) const {
     return recordClippedMeasure(*batch_, idx_[k], rect);
   }
-
-  /// Materialize every record in order (one heap Geometry per record —
-  /// bulk-export only, never a refine hot path).
-  void materializeAll(std::vector<Geometry>& out) const;
 
  private:
   const GeometryBatch* batch_ = nullptr;

@@ -63,7 +63,6 @@ Datatype Datatype::char_() { return Datatype(Impl::builtin(1, "CHAR", ScalarKind
 Datatype Datatype::int32() { return Datatype(Impl::builtin(4, "INT32", ScalarKind::kInt32)); }
 Datatype Datatype::int64() { return Datatype(Impl::builtin(8, "INT64", ScalarKind::kInt64)); }
 Datatype Datatype::uint64() { return Datatype(Impl::builtin(8, "UINT64", ScalarKind::kUint64)); }
-Datatype Datatype::float32() { return Datatype(Impl::builtin(4, "FLOAT32", ScalarKind::kFloat32)); }
 Datatype Datatype::float64() { return Datatype(Impl::builtin(8, "FLOAT64", ScalarKind::kFloat64)); }
 
 Datatype Datatype::contiguous(int count, const Datatype& base) {

@@ -37,7 +37,7 @@ class Datatype {
 
   /// Underlying scalar of the typemap, when homogeneous. Built-in
   /// reduction ops dispatch on this; heterogeneous structs report kNone.
-  enum class ScalarKind : std::uint8_t { kNone, kByte, kChar, kInt32, kInt64, kUint64, kFloat32, kFloat64 };
+  enum class ScalarKind : std::uint8_t { kNone, kByte, kChar, kInt32, kInt64, kUint64, kFloat64 };
 
   Datatype();  ///< defaults to byte()
 
@@ -47,7 +47,6 @@ class Datatype {
   static Datatype int32();
   static Datatype int64();
   static Datatype uint64();
-  static Datatype float32();
   static Datatype float64();
 
   // ---- Constructors ------------------------------------------------------

@@ -49,9 +49,6 @@ void applyBasic(const void* in, void* inout, int count, const Datatype& type, Co
   const std::uint64_t totalBytes = type.size() * static_cast<std::uint64_t>(count);
 
   switch (type.scalarKind()) {
-    case Datatype::ScalarKind::kFloat32:
-      combine(static_cast<const float*>(in), static_cast<float*>(inout), totalBytes / 4);
-      return;
     case Datatype::ScalarKind::kFloat64:
       combine(static_cast<const double*>(in), static_cast<double*>(inout), totalBytes / 8);
       return;

@@ -26,7 +26,7 @@ class Op {
   /// MPI_Op_create equivalent.
   static Op create(Function fn, bool commutative, std::string name = "user");
 
-  /// Built-ins; defined for INT32/INT64/UINT64/FLOAT32/FLOAT64.
+  /// Built-ins; defined for INT32/INT64/UINT64/FLOAT64.
   static Op sum();
   static Op min();
   static Op max();

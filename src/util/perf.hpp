@@ -35,6 +35,4 @@ inline void addBytesCopied(std::uint64_t n) {
   return bytesCopiedCounter().load(std::memory_order_relaxed);
 }
 
-inline void resetBytesCopied() { bytesCopiedCounter().store(0, std::memory_order_relaxed); }
-
 }  // namespace mvio::util::perf
