@@ -16,8 +16,10 @@ namespace {
 constexpr std::uint64_t kTagModulus = 32768;
 
 /// Number of ranks that actually read bytes in the iteration starting at
-/// `globalOffset` (the paper's "subset of processes call the file read
-/// function" in the last iteration).
+/// `globalOffset`. Under the equal split that is every rank; a subset —
+/// the paper's "subset of processes call the file read function" — reads
+/// only in the last iteration of an explicit block size or streaming
+/// chunk, or after the kMessage fallback to the clamped block.
 int readerCount(std::uint64_t globalOffset, std::uint64_t fileSize, std::uint64_t blockSize, int nprocs) {
   if (globalOffset >= fileSize) return 0;
   const std::uint64_t remaining = fileSize - globalOffset;
@@ -39,25 +41,35 @@ PartitionReader::PartitionReader(mpi::Comm& comm, io::File& file, const Partitio
 
   blockSize_ = streaming_ ? chunkBytes : cfg.blockSize;
   if (blockSize_ == 0) {
+    // Algorithm 1's equal split: one block per rank, every rank reads.
     blockSize_ = (fileSize_ + static_cast<std::uint64_t>(comm.size()) - 1) /
                  static_cast<std::uint64_t>(comm.size());
-    // Algorithm 1 requires at least one delimiter per full block, i.e. a
-    // block must be able to hold the largest record. For small files the
-    // equal split is clamped up, leaving trailing ranks without a block —
-    // "a subset of processes call the file read function".
-    blockSize_ = std::max<std::uint64_t>(blockSize_, cfg.maxGeometryBytes);
     blockSize_ = std::max<std::uint64_t>(blockSize_, 1);
+    // Algorithm 1 also needs a record boundary in every full block. A
+    // block of maxGeometryBytes always holds one; a smaller block is
+    // checked after the read (stepMessage), and if any lacks one, every
+    // rank re-reads at the clamped size. kOverlap needs no check: a block
+    // inside one record keeps nothing, and the predecessor's halo still
+    // covers that record.
+    probeBoundaries_ =
+        cfg.strategy == BoundaryStrategy::kMessage && blockSize_ < cfg.maxGeometryBytes;
   }
+  layout();
+}
+
+void PartitionReader::layout() {
   MVIO_CHECK(blockSize_ <= io::kRomioMaxBytes,
              "block size exceeds ROMIO's 2 GB single-operation limit; use a smaller blockSize");
-
-  const std::uint64_t fileChunkSize = static_cast<std::uint64_t>(comm.size()) * blockSize_;
+  const std::uint64_t fileChunkSize = static_cast<std::uint64_t>(comm_->size()) * blockSize_;
   iterations_ = (fileSize_ + fileChunkSize - 1) / fileChunkSize;
   result_.iterations = iterations_;
 
   if (cfg_.strategy == BoundaryStrategy::kMessage) {
     buf_.resize(static_cast<std::size_t>(blockSize_));
-    recvBuf_.resize(static_cast<std::size_t>(cfg_.maxGeometryBytes));
+    // A fragment is a suffix of the predecessor's block and at most one
+    // record long.
+    recvBuf_.resize(
+        static_cast<std::size_t>(std::min<std::uint64_t>(blockSize_, cfg_.maxGeometryBytes)));
   }
 }
 
@@ -85,35 +97,43 @@ bool PartitionReader::stepMessage(std::string& out) {
   }
   result_.bytesRead += myLen;
 
+  // The EOF-tail holder keeps everything up to EOF; a missing trailing
+  // delimiter just means the final record is EOF-terminated. Every other
+  // reader cuts at the last record boundary in its block (Algorithm 1
+  // lines 9-11: a backward delimiter scan for text, a header walk for
+  // framed records that never touches payloads). The dangling partial
+  // record past it rings to the successor.
+  const bool tailHolder = reading && lastIteration && rank == k - 1;
+  const std::int64_t cut =
+      reading && !tailHolder
+          ? fmt_->splitBoundary(std::string_view(buf_.data(), static_cast<std::size_t>(myLen)),
+                                cfg_.maxGeometryBytes)
+          : static_cast<std::int64_t>(myLen);
+
+  if (probeBoundaries_) {
+    // Equal split below the record bound: one flag over all ranks, non-
+    // readers included, says whether some block lacks a boundary. If one
+    // does, fall back to the clamped layout — max(ceil(fileSize/p),
+    // maxGeometryBytes), with trailing ranks left without a block — and
+    // read again. bytesRead keeps both reads.
+    probeBoundaries_ = false;
+    if (comm_->allreduceMax(cut < 0 ? 1.0 : 0.0) > 0.0) {
+      blockSize_ = cfg_.maxGeometryBytes;
+      layout();
+      return stepMessage(out);
+    }
+  }
+
   if (!reading) {
     if (lastIteration) MVIO_CHECK(carry_.empty() || rank != 0, "unconsumed carry fragment");
     return true;
   }
-
-  const bool tailHolder = lastIteration && rank == k - 1;  // holds the EOF tail
-
-  std::string_view keep;
-  std::string_view fragment;
-  if (tailHolder) {
-    // Everything up to EOF is mine; a missing trailing delimiter just
-    // means the final record is EOF-terminated.
-    keep = std::string_view(buf_.data(), static_cast<std::size_t>(myLen));
-  } else {
-    // The last record boundary in the block (Algorithm 1 lines 9-11: a
-    // backward delimiter scan for text, a header walk for framed records
-    // that never touches payloads). The dangling partial record past it
-    // rings to the successor; maxGeometryBytes bounds it, so it always
-    // fits recvBuf_.
-    const std::int64_t cut =
-        fmt_->splitBoundary(std::string_view(buf_.data(), static_cast<std::size_t>(myLen)),
-                            cfg_.maxGeometryBytes);
-    MVIO_CHECK(cut >= 0,
-               "no record boundary inside a file block: block size is smaller than a record; "
-               "increase blockSize or maxGeometryBytes");
-    keep = std::string_view(buf_.data(), static_cast<std::size_t>(cut));
-    fragment = std::string_view(buf_.data() + cut, static_cast<std::size_t>(myLen) -
-                                                       static_cast<std::size_t>(cut));
-  }
+  MVIO_CHECK(cut >= 0,
+             "no record boundary inside a file block: block size is smaller than a record; "
+             "increase blockSize or maxGeometryBytes");
+  const std::string_view keep(buf_.data(), static_cast<std::size_t>(cut));
+  const std::string_view fragment(buf_.data() + cut, static_cast<std::size_t>(myLen) -
+                                                          static_cast<std::size_t>(cut));
 
   const bool willSend = !tailHolder;  // every reader except the EOF-tail holder
   const int succ = (rank + 1) % nprocs;

@@ -17,6 +17,13 @@
 //    and keeps exactly the records that *begin* inside its own block.
 //    No messages, but O(N * halo) redundant bytes per iteration.
 //
+// Without an explicit block size the file is split equally, so every rank
+// reads ceil(fileSize / nprocs) bytes, as in Algorithm 1. kMessage needs a
+// record boundary in every block but the EOF tail's; when an equal block
+// is smaller than `maxGeometryBytes` that is checked after the read, and
+// if any block lacks one, all ranks agree on it with one flag and re-read
+// at max(ceil(fileSize / nprocs), maxGeometryBytes).
+//
 // Both honour the ROMIO 2 GB-per-operation limit via block iteration, and
 // both support Level 0 (independent) and Level 1 (collective) reads.
 
@@ -38,10 +45,13 @@ enum class BoundaryStrategy {
 
 struct PartitionConfig {
   /// Bytes per rank per iteration. 0 means "divide the file equally"
-  /// (single iteration, the paper's default when no block size is given).
+  /// (single iteration, every rank reads; the paper's default when no
+  /// block size is given).
   std::uint64_t blockSize = 0;
-  /// Upper bound on one record's size. Sizes the kOverlap halo and the
-  /// kMessage receive buffer (the paper's 11 MB "largest polygon").
+  /// Upper bound on one record's size (the paper's 11 MB "largest
+  /// polygon"). Sizes the kOverlap halo and caps the kMessage receive
+  /// buffer; the kMessage equal split falls back to blocks of this size
+  /// when a smaller block holds no record boundary.
   std::uint64_t maxGeometryBytes = 11ull << 20;
   BoundaryStrategy strategy = BoundaryStrategy::kMessage;
   /// Level 1 (collective read_at_all) instead of Level 0 (independent).
@@ -68,16 +78,17 @@ struct PartitionResult {
 ///
 /// With `chunkBytes` == 0 the reader is the one-shot path: a single
 /// next() call yields the rank's entire partition, with the block size
-/// resolved exactly as readPartitioned always has. With `chunkBytes` > 0
+/// resolved exactly as readPartitioned resolves it. With `chunkBytes` > 0
 /// the per-iteration block size *is* chunkBytes (it must still fit the
 /// largest record, as Algorithm 1 requires) and every next() call yields
 /// one iteration's records.
 ///
 /// Collective: every rank constructs the reader and calls next() in
 /// lockstep until it returns false. The iteration count derives from the
-/// file size, so all ranks agree on it without communication; trailing
-/// ranks that read no bytes in the last iteration still participate and
-/// simply yield empty text.
+/// file size, so all ranks agree on it without communication (the one-shot
+/// kMessage fallback agrees on its new layout with one allreduce); ranks
+/// that read no bytes in an iteration still participate and simply yield
+/// empty text.
 class PartitionReader {
  public:
   /// `format` (optional, non-owning) answers every record-boundary
@@ -98,6 +109,8 @@ class PartitionReader {
   [[nodiscard]] const PartitionResult& counters() const { return result_; }
 
  private:
+  /// Iteration count and kMessage buffers for the current blockSize_.
+  void layout();
   bool stepMessage(std::string& out);
   bool stepOverlap(std::string& out);
 
@@ -106,6 +119,9 @@ class PartitionReader {
   PartitionConfig cfg_;
   const FormatReader* fmt_;  ///< record-boundary resolution (never null)
   bool streaming_ = false;
+  /// kMessage equal split below maxGeometryBytes: check every block for a
+  /// record boundary on the first read, and fall back if one lacks it.
+  bool probeBoundaries_ = false;
   std::uint64_t blockSize_ = 0;
   std::uint64_t fileSize_ = 0;
   std::uint64_t iterations_ = 0;

@@ -91,6 +91,40 @@ TEST(Framework, SingleLayerOverVirtualFile) {
   }
 }
 
+TEST(Framework, DefaultPartitionParsesOnEveryRank) {
+  // The default PartitionConfig splits a file far below nprocs x 11 MiB
+  // equally, so every rank parses records and none are lost or repeated.
+  mp::LustreParams params;
+  params.nodes = 4;
+  auto vol = std::make_shared<mp::Volume>(std::make_shared<mp::LustreModel>(params));
+  mo::SynthSpec spec = mo::datasetSpec(mo::DatasetId::kCemetery, 31);
+  spec.space.world = mg::Envelope(0, 0, 20, 20);
+  const std::string text = mo::generateWktText(mo::RecordGenerator(spec), 600);
+  ASSERT_GT(text.size(), 80'000u);
+  vol->create("a.wkt", std::make_shared<mp::MemoryBackingStore>(text));
+
+  mc::WktParser parser;
+  std::uint64_t expected = 0;
+  parser.parseAll(text, [&](mg::Geometry&&) { ++expected; });
+
+  constexpr int kProcs = 4;
+  std::array<std::uint64_t, kProcs> parsed{};
+  CountTask task;
+  mm::Runtime::run(kProcs, mvio::sim::MachineModel::comet(4), [&](mm::Comm& comm) {
+    mc::FrameworkConfig cfg;
+    cfg.gridCells = 16;
+    mc::DatasetHandle data{"a.wkt", &parser, {}};
+    const auto stats = mc::runFilterRefine(comm, *vol, data, nullptr, cfg, task);
+    parsed[static_cast<std::size_t>(comm.rank())] = stats.parseR.records;
+  });
+  std::uint64_t total = 0;
+  for (int r = 0; r < kProcs; ++r) {
+    EXPECT_GT(parsed[static_cast<std::size_t>(r)], 0u) << "rank " << r;
+    total += parsed[static_cast<std::size_t>(r)];
+  }
+  EXPECT_EQ(total, expected);
+}
+
 TEST(Framework, CsvPointLayer) {
   // CSV taxi-style points flow through the identical pipeline.
   mp::LustreParams params;

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <mutex>
+#include <vector>
 
 #include "core/file_partition.hpp"
 #include "core/parser.hpp"
@@ -98,6 +99,25 @@ void runLossless(const Combo& combo, std::uint64_t seed, int records, bool trail
   if (combo.strategy == mc::BoundaryStrategy::kOverlap) {
     EXPECT_EQ(totalFragments, 0u);
   }
+}
+
+/// Every rank's PartitionResult, indexed by rank.
+std::vector<mc::PartitionResult> readEveryRank(int nprocs, mp::Volume& vol,
+                                               const mc::PartitionConfig& cfg) {
+  std::vector<mc::PartitionResult> out(static_cast<std::size_t>(nprocs));
+  mm::Runtime::run(nprocs, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+    auto file = mvio::io::File::open(comm, vol, "data");
+    out[static_cast<std::size_t>(comm.rank())] = mc::readPartitioned(comm, file, cfg);
+  });
+  return out;
+}
+
+std::map<std::string, int> unionOfRecords(const std::vector<mc::PartitionResult>& results) {
+  std::map<std::string, int> got;
+  for (const auto& res : results) {
+    for (const auto& [rec, cnt] : splitRecords(res.text)) got[rec] += cnt;
+  }
+  return got;
 }
 
 }  // namespace
@@ -226,4 +246,77 @@ TEST(Partition, TextOrderPreservedWithinRank) {
       pos += 3;
     }
   });
+}
+
+TEST(Partition, EqualSplitReachesEveryRank) {
+  // A file far below nprocs x maxGeometryBytes (the default 11 MiB bound)
+  // is still split equally: every rank reads its share and keeps records.
+  auto [text, expect] = makeRecordFile(9, 3000, true);
+  const std::uint64_t fileSize = text.size();
+  ASSERT_GT(fileSize, 150'000u);
+  auto vol = volumeWith("data", text);
+  constexpr int kProcs = 4;
+  const std::uint64_t share = (fileSize + kProcs - 1) / kProcs;
+
+  for (const auto strategy : {mc::BoundaryStrategy::kMessage, mc::BoundaryStrategy::kOverlap}) {
+    for (const bool collective : {false, true}) {
+      mc::PartitionConfig cfg;
+      cfg.strategy = strategy;
+      cfg.collectiveRead = collective;
+      const auto results = readEveryRank(kProcs, *vol, cfg);
+      const bool message = strategy == mc::BoundaryStrategy::kMessage;
+      SCOPED_TRACE(std::string(message ? "msg" : "ovl") + (collective ? " level1" : " level0"));
+
+      EXPECT_EQ(unionOfRecords(results), expect);
+      std::uint64_t total = 0;
+      for (int r = 0; r < kProcs; ++r) {
+        const auto& res = results[static_cast<std::size_t>(r)];
+        EXPECT_FALSE(res.text.empty()) << "rank " << r;
+        EXPECT_EQ(res.iterations, 1u);
+        if (message) {
+          const std::uint64_t mine = r + 1 < kProcs ? share : fileSize - (kProcs - 1) * share;
+          EXPECT_EQ(res.bytesRead, mine) << "rank " << r;
+        }
+        total += res.bytesRead;
+      }
+      if (message) EXPECT_EQ(total, fileSize);
+    }
+  }
+}
+
+TEST(Partition, OversizedRecordFallsBack) {
+  // One 5,000-byte record is longer than a third of the file, so the
+  // middle of three equal blocks holds no record boundary. kMessage falls
+  // back to the clamped block (here the whole file on rank 0) and reads
+  // again; kOverlap's halo covers the record without a second read.
+  std::string text;
+  std::map<std::string, int> expect;
+  const auto add = [&](const std::string& rec) {
+    text += rec + "\n";
+    expect[rec]++;
+  };
+  for (int i = 0; i < 40; ++i) add("head" + std::to_string(i));
+  add(std::string(5000, 'x'));
+  for (int i = 0; i < 40; ++i) add("tail" + std::to_string(i));
+  const std::uint64_t fileSize = text.size();
+  ASSERT_GT(5000u, fileSize / 3);
+  auto vol = volumeWith("data", text);
+  constexpr int kProcs = 3;
+  const std::uint64_t share = (fileSize + kProcs - 1) / kProcs;
+
+  for (const auto strategy : {mc::BoundaryStrategy::kMessage, mc::BoundaryStrategy::kOverlap}) {
+    mc::PartitionConfig cfg;
+    cfg.strategy = strategy;
+    const auto results = readEveryRank(kProcs, *vol, cfg);
+    EXPECT_EQ(unionOfRecords(results), expect);
+    if (strategy == mc::BoundaryStrategy::kMessage) {
+      // The first read gave each rank its equal share; the re-read gave
+      // the whole file to rank 0 alone.
+      EXPECT_EQ(results[0].bytesRead, share + fileSize);
+      EXPECT_EQ(results[1].bytesRead, share);
+      EXPECT_EQ(results[2].bytesRead, fileSize - 2 * share);
+      EXPECT_EQ(results[0].text, text);
+      for (const auto& res : results) EXPECT_EQ(res.iterations, 1u);
+    }
+  }
 }
