@@ -7,7 +7,8 @@
 // WKT (checked hard below; in practice the gap is an order of
 // magnitude), with bit-identical arenas out of every path. A final row
 // fans the columnar decode over a 4-thread pool via the record-aligned
-// slicer.
+// slicer. With MVIO_REPORT_OUT set, every row's parse CPU, records and
+// allocations land in a run report (bench/common.hpp).
 
 #include "common.hpp"
 
@@ -35,16 +36,20 @@ int main() {
 
   struct Mode {
     const char* label;
+    const char* key;  ///< run-report key prefix
     const std::string* input;
     const core::FormatReader* fmt;
     util::ThreadPool* pool;
   };
   const Mode modes[] = {
-      {"wkt text", &wktText, wkt, nullptr},
-      {"wkb materialized", &wkbText, &materialized, nullptr},
-      {"wkb columnar", &wkbText, &columnar, nullptr},
-      {"wkb columnar t=4", &wkbText, &columnar, &pool},
+      {"wkt text", "wkt", &wktText, wkt, nullptr},
+      {"wkb materialized", "wkb_materialized", &wkbText, &materialized, nullptr},
+      {"wkb columnar", "wkb_columnar", &wkbText, &columnar, nullptr},
+      {"wkb columnar t=4", "wkb_columnar_t4", &wkbText, &columnar, &pool},
   };
+  obs::RunReport report;
+  report.name = "ingest_formats";
+  report.setup = "20000 cemetery polygons, WKT text vs WKB records, serial + 4-thread decode, best of 3";
 
   util::TextTable table({"mode", "input MB", "records", "parse cpu ms", "Mrec/s", "allocs",
                          "alloc MB", "vs wkt cpu"});
@@ -86,8 +91,15 @@ int main() {
                   std::to_string(delta.allocs),
                   util::formatFixed(static_cast<double>(delta.allocBytes) / 1.0e6, 2),
                   util::formatFixed(wktCpu / cpu, 1) + "x"});
+    const std::string key = m.key;
+    report.addValue(key + "_parse_cpu_ms", cpu * 1e3);
+    report.addValue(key + "_records", static_cast<double>(stats.records));
+    report.addValue(key + "_allocs", static_cast<double>(delta.allocs));
+    report.addValue(key + "_alloc_mb", static_cast<double>(delta.allocBytes) / 1.0e6);
   }
   std::printf("%s\n", table.str().c_str());
+  report.addValue("wkt_vs_columnar_cpu", wktCpu / columnarCpu);
+  bench::maybeWriteReport(report);
 
   MVIO_CHECK(wktCpu >= 2.0 * columnarCpu,
              "binary fast path must cut parse-phase CPU at least 2x vs WKT");

@@ -29,13 +29,15 @@
 # and `bench_paper fig08` re-run with the flight recorder on
 # (MVIO_TRACE_OUT/MVIO_REPORT_OUT), scripts/check_bench.py validates the
 # Perfetto trace and run-report JSON, and the perf-regression comparator
-# gates the reports against the committed bench/baselines/*.json. The
-# paper lane then runs every figure of bench_paper (the list comes from
-# `bench_paper --list`), each with its own report, and validates all of
-# them; a broken figure invariant fails it (about a minute). It ends with
-# the end-to-end benchmark's smoke run (bench_e2e/e2e.py run --smoke:
-# every workload at about 1/50 scale, built under .bench_build), which
-# exits non-zero when any rep fails its ground-truth check.
+# gates the reports against the committed bench/baselines/*.json;
+# bench_ingest_formats' report (parse CPU, records and allocations per
+# ingest mode) is validated alongside. The paper lane then runs every
+# figure of bench_paper (the list comes from `bench_paper --list`), each
+# with its own report, and validates all of them; a broken figure
+# invariant fails it (about a minute). It ends with the end-to-end
+# benchmark's smoke run (bench_e2e/e2e.py run --smoke: every workload at
+# about 1/50 scale, built under .bench_build), which exits non-zero when
+# any rep fails its ground-truth check.
 #
 # Usage: scripts/ci.sh [preset...]   (default: "default asan tsan")
 # Useful subsets once built: ctest -L recovery / -L mpi / -L threads /
@@ -80,6 +82,10 @@ for preset in "${presets[@]}"; do
     python3 scripts/check_bench.py validate-report "${obs_dir}/BENCH_fig08.json"
     python3 scripts/check_bench.py compare "${obs_dir}/BENCH_overlap.json" bench/baselines/overlap.json
     python3 scripts/check_bench.py compare "${obs_dir}/BENCH_fig08.json" bench/baselines/fig08.json
+    # bench_ingest_formats: per-mode parse CPU, records and allocations.
+    MVIO_REPORT_OUT="${obs_dir}/BENCH_ingest_formats.json" \
+      ./build/bench_ingest_formats > "${obs_dir}/ingest_formats.log"
+    python3 scripts/check_bench.py validate-report "${obs_dir}/BENCH_ingest_formats.json"
 
     echo "==> paper lane: every bench_paper figure with its own run report (preset: default)"
     for figure in $(./build/bench_paper --list); do

@@ -1,11 +1,11 @@
 #include "core/parser.hpp"
 
-#include <charconv>
 #include <cstring>
 
 #include "geom/wkt.hpp"
 #include "obs/trace.hpp"
 #include "sim/clock.hpp"
+#include "util/decimal.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -27,12 +27,12 @@ bool splitCsvPoint(std::string_view record, double& x, double& y, std::string_vi
   if (line.empty()) return false;
   const char* cur = line.data();
   const char* end = line.data() + line.size();
-  auto r1 = std::from_chars(cur, end, x);
+  auto r1 = util::parseDouble(cur, end, x);
   MVIO_CHECK(r1.ec == std::errc(), "CSV point: bad x coordinate");
   cur = r1.ptr;
   MVIO_CHECK(cur < end && *cur == ',', "CSV point: expected comma after x");
   ++cur;
-  auto r2 = std::from_chars(cur, end, y);
+  auto r2 = util::parseDouble(cur, end, y);
   MVIO_CHECK(r2.ec == std::errc(), "CSV point: bad y coordinate");
   cur = r2.ptr;
   if (cur < end && *cur == ',') {

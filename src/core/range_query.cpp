@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "geom/rtree.hpp"
+#include "util/decimal.hpp"
 #include "util/error.hpp"
 
 namespace mvio::core {
@@ -80,7 +81,7 @@ class QueryBatchParser final : public Parser {
     cur = ri.ptr;
     for (double& x : v) {
       skipSpace();
-      auto rd = std::from_chars(cur, end, x);
+      auto rd = util::parseDouble(cur, end, x);
       MVIO_CHECK(rd.ec == std::errc(), "bad query record coordinate");
       cur = rd.ptr;
     }

@@ -24,9 +24,20 @@ bool onSegment(const Coord& a, const Coord& b, const Coord& p) {
          p.y <= std::max(a.y, b.y);
 }
 
+/// Segment uv's closed box misses `e`, so uv meets no segment or point
+/// inside `e`.
+bool segmentMissesEnvelope(const Coord& u, const Coord& v, const Envelope& e) {
+  return std::max(u.x, v.x) < e.minX() || std::min(u.x, v.x) > e.maxX() || std::max(u.y, v.y) < e.minY() ||
+         std::min(u.y, v.y) > e.maxY();
+}
+
 }  // namespace
 
 bool segmentsIntersect(const Coord& a, const Coord& b, const Coord& c, const Coord& d) {
+  // Two segments can only meet inside both boxes, so this rejects
+  // exactly; it also keeps near-collinear pairs, whose orientation signs
+  // are rounding noise, from passing the proper-crossing test below.
+  if (segmentMissesEnvelope(a, b, Envelope(c.x, c.y, d.x, d.y))) return false;
   const int d1 = orientationSign(c, d, a);
   const int d2 = orientationSign(c, d, b);
   const int d3 = orientationSign(a, b, c);
@@ -151,8 +162,11 @@ Coord firstVertex(const Geometry& g) {
 bool intersectsScalar(const Geometry& a, const Geometry& b);
 
 bool polygonIntersectsScalar(const Geometry& poly, const Geometry& other) {
-  // 1) Any boundary crossing?
+  // 1) Any boundary crossing? A segment whose box misses `other`'s
+  // envelope can meet none of its segments or points.
+  const Envelope& otherEnv = other.envelope();
   const bool boundaryHit = anySegment(poly, [&](const Coord& u, const Coord& v) {
+    if (segmentMissesEnvelope(u, v, otherEnv)) return false;
     if (other.type() == GeometryType::kPoint) {
       return orientationSign(u, v, other.pointCoord()) == 0 && onSegment(u, v, other.pointCoord());
     }
@@ -186,7 +200,9 @@ bool intersectsScalar(const Geometry& a, const Geometry& b) {
   if (b.type() == GeometryType::kPoint) return intersectsScalar(b, a);
 
   // LineString vs LineString.
+  const Envelope& bEnv = b.envelope();
   return anySegment(a, [&](const Coord& u, const Coord& v) {
+    if (segmentMissesEnvelope(u, v, bEnv)) return false;
     return anySegment(b, [&](const Coord& s, const Coord& t) { return segmentsIntersect(u, v, s, t); });
   });
 }

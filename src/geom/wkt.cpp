@@ -1,15 +1,19 @@
 #include "geom/wkt.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 
+#include "util/decimal.hpp"
 #include "util/error.hpp"
 
 namespace mvio::geom {
 
 namespace {
+
+// ASCII class tests. WKT keywords and numbers are ASCII, and the <cctype>
+// forms consult the C locale on every call.
+bool isAsciiAlpha(char c) { return static_cast<unsigned char>((c | 0x20) - 'a') < 26; }
+char asciiUpper(char c) { return static_cast<unsigned char>(c - 'a') < 26 ? static_cast<char>(c - 0x20) : c; }
 
 /// Cursor over the WKT text. All scanning helpers skip leading whitespace.
 struct Scanner {
@@ -49,7 +53,7 @@ struct Scanner {
   std::string_view keyword() {
     skipSpace();
     const char* start = cur;
-    while (cur < end && std::isalpha(static_cast<unsigned char>(*cur))) ++cur;
+    while (cur < end && isAsciiAlpha(*cur)) ++cur;
     if (cur == start) fail("expected keyword");
     return {start, static_cast<std::size_t>(cur - start)};
   }
@@ -57,7 +61,7 @@ struct Scanner {
   double number() {
     skipSpace();
     double value = 0;
-    const auto [ptr, ec] = std::from_chars(cur, end, value);
+    const auto [ptr, ec] = util::parseDouble(cur, end, value);
     if (ec != std::errc()) fail("expected number");
     cur = ptr;
     return value;
@@ -68,7 +72,7 @@ struct Scanner {
     const double y = number();
     // A third ordinate would mean Z/M data, which we do not support.
     skipSpace();
-    if (cur < end && (*cur == '-' || *cur == '+' || std::isdigit(static_cast<unsigned char>(*cur)))) {
+    if (cur < end && (*cur == '-' || *cur == '+' || util::isAsciiDigit(*cur))) {
       fail("3D/measured coordinates are not supported");
     }
     return {x, y};
@@ -80,7 +84,7 @@ struct Scanner {
     if (static_cast<std::size_t>(end - cur) >= kEmpty.size()) {
       bool match = true;
       for (std::size_t i = 0; i < kEmpty.size(); ++i) {
-        if (std::toupper(static_cast<unsigned char>(cur[i])) != kEmpty[i]) {
+        if (asciiUpper(cur[i]) != kEmpty[i]) {
           match = false;
           break;
         }
@@ -98,7 +102,7 @@ struct Scanner {
 bool kwIs(std::string_view kw, std::string_view upper) {
   if (kw.size() != upper.size()) return false;
   for (std::size_t i = 0; i < kw.size(); ++i) {
-    if (std::toupper(static_cast<unsigned char>(kw[i])) != upper[i]) return false;
+    if (asciiUpper(kw[i]) != upper[i]) return false;
   }
   return true;
 }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "geom/geometry.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -123,6 +126,48 @@ TEST(Segments, ProperAndImproperIntersections) {
   EXPECT_TRUE(mg::segmentsIntersect({0, 0}, {2, 0}, {2, 0}, {3, 1}));   // endpoint touch
   EXPECT_FALSE(mg::segmentsIntersect({0, 0}, {1, 0}, {2, 0}, {3, 0}));  // collinear disjoint
   EXPECT_FALSE(mg::segmentsIntersect({0, 0}, {1, 1}, {2, 0}, {3, 1}));  // parallel
+  // Near-collinear with disjoint x-ranges: the rounded orientation signs
+  // are -,+,+,- (a "proper crossing"), the exact ones -,+,-,-.
+  EXPECT_FALSE(mg::segmentsIntersect({0.90244863541763531, 3.20172201094694},
+                                     {7.6166843336871004, 1.8592339040162413},
+                                     {11.056525642398086, 1.1714495821367363},
+                                     {22.89100746880715, -1.1948139536721964}));
+}
+
+namespace {
+
+bool segmentBoxesOverlap(const mg::Coord& a, const mg::Coord& b, const mg::Coord& c, const mg::Coord& d) {
+  return mg::Envelope(a.x, a.y, b.x, b.y).intersects(mg::Envelope(c.x, c.y, d.x, d.y));
+}
+
+}  // namespace
+
+TEST(Segments, NearCollinearHitsHaveOverlappingBoxes) {
+  // Four points rounded off one random line, the two segments separated
+  // or overlapping along it: orientation signs are rounding noise here,
+  // yet a reported intersection must lie inside both segments' boxes.
+  mvio::util::Rng rng(7);
+  constexpr int kProbes = 2'000'000;
+  int hits = 0;
+  int badHits = 0;
+  for (int i = 0; i < kProbes; ++i) {
+    const mg::Coord p{rng.uniform(-20, 20), rng.uniform(-20, 20)};
+    const double angle = rng.uniform(0, 6.283185307179586);
+    const mg::Coord dir{std::cos(angle), std::sin(angle)};
+    double t[4];
+    for (double& v : t) v = rng.uniform(-30, 30);
+    std::sort(t, t + 4);
+    if (rng.below(2)) std::swap(t[1], t[2]);  // overlapping along the line
+    const auto at = [&](double s) { return mg::Coord{p.x + s * dir.x, p.y + s * dir.y}; };
+    const mg::Coord a = at(t[0]), b = at(t[1]), c = at(t[2]), d = at(t[3]);
+    if (!mg::segmentsIntersect(a, b, c, d)) continue;
+    ++hits;
+    if (!segmentBoxesOverlap(a, b, c, d) && ++badHits <= 5) {
+      ADD_FAILURE() << "hit with disjoint boxes at probe " << i;
+    }
+  }
+  EXPECT_GT(hits, 0);
+  EXPECT_EQ(badHits, 0) << "of " << hits << " hits";
 }
 
 TEST(Segments, Distances) {

@@ -1,11 +1,18 @@
 // Unit tests for mvio::util: RNG determinism and distributions, running
-// statistics, formatting, histogram, CLI parsing.
+// statistics, formatting, histogram, CLI parsing, decimal decoding.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <string>
 
 #include "util/cli.hpp"
+#include "util/decimal.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
@@ -172,4 +179,116 @@ TEST(Cli, RejectsUnknownFlag) {
 TEST(Error, CheckMacroThrows) {
   EXPECT_THROW(MVIO_CHECK(false, "boom"), mu::Error);
   EXPECT_NO_THROW(MVIO_CHECK(true, "fine"));
+}
+
+// ---- Decimal decoding ------------------------------------------------------
+
+namespace {
+
+/// One token's decode through parseDouble and through std::from_chars,
+/// from a heap buffer of exactly the token's size (so a sanitizer build
+/// catches any read past the end). Empty on agreement, else a description.
+std::string decodeMismatch(const std::string& text) {
+  const std::unique_ptr<char[]> buf(new char[text.size() + (text.empty() ? 1 : 0)]);
+  std::memcpy(buf.get(), text.data(), text.size());
+  const char* first = buf.get();
+  const char* last = first + text.size();
+  double got = 12345.5;
+  double want = 12345.5;
+  const auto g = mu::parseDouble(first, last, got);
+  const auto w = std::from_chars(first, last, want);
+  const bool sameBits = std::bit_cast<std::uint64_t>(got) == std::bit_cast<std::uint64_t>(want);
+  if (g.ptr == w.ptr && g.ec == w.ec && sameBits) return {};
+  char msg[256];
+  std::snprintf(msg, sizeof msg, "'%s': parseDouble %.17g end %td ec %d, from_chars %.17g end %td ec %d",
+                text.c_str(), got, g.ptr - first, static_cast<int>(g.ec), want, w.ptr - first,
+                static_cast<int>(w.ec));
+  return msg;
+}
+
+const char* const kEdgeTokens[] = {
+    ".5", "1.", "+1", "-", "1e", "1e-", "1.5e", "e5", "inf", "-inf", "infinity", "nan", "NaN", "-nan",
+    "-0", "-0.0", "0", "0.000", "-.5", ".", "", "0x1p3", "--1", "1..2", "12.34.5", "00012.5000", "0.1",
+    "-123.456", "9007199254740992", "9007199254740993", "9007199254740992.5", "9007199254740993.0",
+    "1234567890123456789", "12345678901234567890", "0.0000000000000000000000001",
+    "1.0000000000000000000000", "123456789012.3456789", "1e23", "1.7976931348623157e308", "1e309",
+    "4.9e-324", "1e-400", "17.5)", "3 4", "-12345678.87654321,"};
+
+std::string randomDigits(mu::Rng& rng, int n) {
+  std::string s;
+  for (int i = 0; i < n; ++i) s.push_back(static_cast<char>('0' + rng.below(10)));
+  return s;
+}
+
+/// A number-shaped token from one of the families the ingest paths see or
+/// that sit on an edge of the fast path.
+std::string randomNumberToken(mu::Rng& rng) {
+  char buf[64];
+  switch (rng.below(8)) {
+    case 0: {  // printf %g at every precision, over many magnitudes
+      const double v = std::ldexp(rng.uniform(-1, 1), static_cast<int>(rng.between(-80, 80)));
+      std::snprintf(buf, sizeof buf, "%.*g", static_cast<int>(rng.between(1, 17)), v);
+      return buf;
+    }
+    case 1: {  // fixed-point coordinates, the common WKT shape
+      const double v = rng.uniform(-200, 200) * std::pow(10.0, static_cast<double>(rng.between(-3, 5)));
+      std::snprintf(buf, sizeof buf, "%.*f", static_cast<int>(rng.between(0, 24)), v);
+      return buf;
+    }
+    case 2: {  // 16-20 digit significands with the point anywhere
+      std::string d = randomDigits(rng, static_cast<int>(rng.between(16, 20)));
+      const auto at = rng.below(d.size() + 1);
+      if (at < d.size()) d.insert(at, ".");
+      if (d.front() == '.') d.insert(0, "0");
+      return (rng.below(2) ? "-" : "") + d;
+    }
+    case 3: {  // around 2^53, with and without a fraction
+      const std::uint64_t m = (std::uint64_t{1} << 53) - 4 + rng.below(9);
+      std::string d = std::to_string(m);
+      const auto at = rng.below(d.size() + 1);
+      if (at > 0 && at < d.size()) d.insert(at, ".");
+      return d;
+    }
+    case 4: {  // integers and leading zeros, some with a fraction
+      std::string d = std::string(rng.below(25), '0');
+      d += randomDigits(rng, static_cast<int>(rng.between(1, 12)));
+      if (rng.below(2)) d += "." + randomDigits(rng, static_cast<int>(rng.between(1, 14)));
+      return (rng.below(3) == 0 ? "-" : "") + d;
+    }
+    case 5: {  // exponents, in and out of range
+      std::snprintf(buf, sizeof buf, "%s%s%c%s%d", rng.below(2) ? "-" : "",
+                    randomDigits(rng, static_cast<int>(rng.between(1, 6))).c_str(), rng.below(2) ? 'e' : 'E',
+                    rng.below(2) ? "+" : "", static_cast<int>(rng.between(-400, 400)));
+      return buf;
+    }
+    case 6: {  // long fractions past 10^22, and tiny leading-zero fractions
+      return "0." + std::string(rng.below(30), '0') + randomDigits(rng, static_cast<int>(rng.between(1, 20)));
+    }
+    default:  // malformed, signed, non-finite, zero and boundary forms
+      return kEdgeTokens[rng.below(std::size(kEdgeTokens))];
+  }
+}
+
+}  // namespace
+
+TEST(Decimal, EdgeTokensMatchFromChars) {
+  for (const char* t : kEdgeTokens) EXPECT_EQ(decodeMismatch(t), "") << t;
+}
+
+TEST(Decimal, MatchesFromCharsOnSeededStrings) {
+  // Each token is followed by a random tail of up to 20 bytes, so many
+  // decodes end fewer than 16 bytes before the buffer's end, and some
+  // tails continue a digit run or add an exponent.
+  static const char kTail[] = " ,()\t.eE+-0123456789xn";
+  mu::Rng rng(20240917);
+  constexpr int kStrings = 1'000'000;
+  int mismatches = 0;
+  for (int i = 0; i < kStrings; ++i) {
+    std::string text = randomNumberToken(rng);
+    const auto tail = rng.below(21);
+    for (std::uint64_t t = 0; t < tail; ++t) text.push_back(kTail[rng.below(sizeof kTail - 1)]);
+    const std::string diff = decodeMismatch(text);
+    if (!diff.empty() && ++mismatches <= 10) ADD_FAILURE() << diff;
+  }
+  EXPECT_EQ(mismatches, 0);
 }
