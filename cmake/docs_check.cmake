@@ -16,11 +16,12 @@
 # header: spatial_join, overlay, range_query, indexing),
 # `PartitionerConfig::x` (src/core/partition_map.hpp),
 # `PartitionConfig::x` (src/core/file_partition.hpp), `CellStore::x`
-# (src/core/cell_store.hpp) and `FormatReader::x` /
-# `TextFormatReader::x` / `WkbFormatReader::x` (src/core/format.hpp) in
-# the two documents must name a field or method `x` declared in that
-# header, so a deleted or renamed option or method cannot linger in the
-# docs.
+# (src/core/cell_store.hpp), `FormatReader::x` / `WkbFormatReader::x`
+# (src/core/format.hpp), `Parser::x` / `WktParser::x` /
+# `CsvPointParser::x` (src/core/parser.hpp) and `DatasetHandle::x`
+# (src/core/framework.hpp) in the two documents must name a field or
+# method `x` declared in that header, so a deleted or renamed option or
+# method cannot linger in the docs.
 #
 # Usage: cmake -DREPO_ROOT=<repo> -P cmake/docs_check.cmake
 
@@ -50,7 +51,9 @@ set(CITED_TYPES
     "PartitionerConfig=core/partition_map.hpp"
     "PartitionConfig=core/file_partition.hpp"
     "CellStore=core/cell_store.hpp"
-    "(Text|Wkb)?FormatReader=core/format.hpp"
+    "(Wkb)?FormatReader=core/format.hpp"
+    "(Wkt|CsvPoint)?Parser=core/parser.hpp"
+    "DatasetHandle=core/framework.hpp"
     "CheckpointCoordinator|ShardSetManifest|EpochSeal|SealScanCache=recovery/checkpoint.hpp"
     "FaultPlan=recovery/recovery.hpp"
     "DistributedIndex=core/indexing.hpp"

@@ -93,7 +93,7 @@ class PartitionReader {
  public:
   /// `format` (optional, non-owning) answers every record-boundary
   /// question — under both strategies and in streaming chunk rounds alike:
-  /// a text format scans for its parser's delimiter, the framed WKB format
+  /// a text Parser scans for the newline, the framed WKB format
   /// walks record headers. Null resolves the registry's "wkt" reader.
   PartitionReader(mpi::Comm& comm, io::File& file, const PartitionConfig& cfg,
                   std::uint64_t chunkBytes = 0, const FormatReader* format = nullptr);
@@ -101,9 +101,6 @@ class PartitionReader {
   /// Fill `text` with the next chunk's records (cleared first). Returns
   /// false once the stream is exhausted — on the same call on every rank.
   bool next(std::string& text);
-
-  /// Number of next() calls that return true; identical on every rank.
-  [[nodiscard]] std::uint64_t chunkCount() const { return streaming_ ? iterations_ : 1; }
 
   /// Read counters accumulated so far (the `text` field stays empty).
   [[nodiscard]] const PartitionResult& counters() const { return result_; }

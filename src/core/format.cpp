@@ -1,10 +1,10 @@
 #include "core/format.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <map>
-#include <mutex>
 
+#include "core/parser.hpp"
 #include "geom/wkb.hpp"
 #include "obs/trace.hpp"
 #include "sim/clock.hpp"
@@ -23,7 +23,7 @@ constexpr std::uint64_t kMinWkbPayload = 5;
 /// for parallel decode (parseChunk has no PartitionConfig in hand). Only
 /// insane lengths need rejecting there; a record bigger than this simply
 /// leaves the chunk tail in one slice.
-constexpr std::uint64_t kWkbSliceRecordBound = 1ull << 30;
+constexpr std::uint64_t kSliceRecordBound = 1ull << 30;
 
 struct RecordHeader {
   std::uint32_t magic = 0;
@@ -82,14 +82,6 @@ std::uint64_t findMagic(std::string_view buf, std::uint64_t from) {
   return FormatReader::npos;
 }
 
-/// Offset of the first `delim` in buf[from, n), or npos.
-std::uint64_t findDelim(std::string_view buf, std::uint64_t from, char delim) {
-  if (from >= buf.size()) return FormatReader::npos;
-  const void* p = std::memchr(buf.data() + from, delim, static_cast<std::size_t>(buf.size() - from));
-  return p == nullptr ? FormatReader::npos
-                      : static_cast<std::uint64_t>(static_cast<const char*>(p) - buf.data());
-}
-
 }  // namespace
 
 // ---- Framed record writer ----------------------------------------------
@@ -114,56 +106,71 @@ void appendWkbRecord(const geom::Geometry& g, std::string_view userData, std::st
   out.append(wkb);
 }
 
-// ---- TextFormatReader ---------------------------------------------------
+// ---- FormatReader: the slicer and the parallel parse --------------------
 
-TextFormatReader::TextFormatReader(const Parser* parser, std::string name)
-    : name_(std::move(name)), parser_(parser) {
-  MVIO_CHECK(parser_ != nullptr, "TextFormatReader needs a parser");
-}
-
-TextFormatReader::TextFormatReader(std::string name, std::unique_ptr<const Parser> parser)
-    : name_(std::move(name)), owned_(std::move(parser)), parser_(owned_.get()) {
-  MVIO_CHECK(parser_ != nullptr, "TextFormatReader needs a parser");
-}
-
-std::int64_t TextFormatReader::splitBoundary(std::string_view block,
-                                             std::uint64_t /*maxRecordBytes*/) const {
-  // One past the last delimiter (Algorithm 1 lines 9-11's backward scan).
-  const char delim = parser_->delimiter();
-  if (block.empty()) return -1;
-#if defined(__GLIBC__)
-  const void* p = ::memrchr(block.data(), delim, block.size());
-  return p == nullptr ? -1 : static_cast<const char*>(p) - block.data() + 1;
-#else
-  std::int64_t pos = static_cast<std::int64_t>(block.size()) - 1;
-  while (pos >= 0 && block[static_cast<std::size_t>(pos)] != delim) --pos;
-  return pos < 0 ? -1 : pos + 1;
-#endif
-}
-
-std::uint64_t TextFormatReader::firstBoundary(std::string_view buf, std::uint64_t from,
-                                              std::uint64_t /*maxRecordBytes*/) const {
-  if (from == 0) return 0;  // the window start is a boundary by convention
-  const std::uint64_t d = findDelim(buf, from - 1, parser_->delimiter());
-  return d == npos ? npos : d + 1;
-}
-
-std::uint64_t TextFormatReader::nextBoundary(std::string_view buf,
-                                             std::uint64_t /*knownBoundary*/, std::uint64_t from,
-                                             std::uint64_t /*maxRecordBytes*/) const {
-  if (from == 0) return 0;  // the window start is a boundary by convention
-  const std::uint64_t d = findDelim(buf, from - 1, parser_->delimiter());
-  return d == npos ? npos : d + 1;
-}
-
-ParseStats TextFormatReader::parseChunk(std::string_view text, geom::GeometryBatch& out,
-                                        util::ThreadPool* pool, ParseTiming* timing) const {
-  if (pool != nullptr && pool->threads() > 1) {
-    return parser_->parseAllParallel(text, out, *pool, timing);
+std::vector<std::string_view> FormatReader::sliceChunk(std::string_view text, int slices) const {
+  MVIO_CHECK(slices >= 1, "sliceChunk: need at least one slice");
+  const std::uint64_t n = text.size();
+  const auto count = static_cast<std::size_t>(slices);
+  // Cut points: raw k*n/slices offsets (at least one byte past the previous
+  // cut), each advanced to the next record boundary from the previous cut.
+  // Monotone, so the slices tile the chunk and ParseStats::bytes sums to
+  // the serial value. Where no boundary follows — a garbage frame chain, an
+  // unterminated last line — the remaining cuts stay at n: the tail lands
+  // in one slice, so bad-record accounting matches the serial decode.
+  std::vector<std::uint64_t> cuts(count + 1, n);
+  cuts[0] = 0;
+  for (std::size_t k = 1; k < count; ++k) {
+    const std::uint64_t raw = std::max<std::uint64_t>(k * n / count, cuts[k - 1] + 1);
+    const std::uint64_t b = nextBoundary(text, cuts[k - 1], raw, kSliceRecordBound);
+    if (b == npos) break;
+    cuts[k] = b;
   }
-  sim::ThreadCpuTimer timer;
-  const ParseStats stats = parser_->parseAll(text, out);
-  if (timing != nullptr) timing->cpuSum = timing->critical = timer.elapsed();
+  std::vector<std::string_view> out;
+  out.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    out.push_back(text.substr(static_cast<std::size_t>(cuts[k]),
+                              static_cast<std::size_t>(cuts[k + 1] - cuts[k])));
+  }
+  return out;
+}
+
+ParseStats FormatReader::parseChunk(std::string_view text, geom::GeometryBatch& out,
+                                    util::ThreadPool* pool, ParseTiming* timing) const {
+  const int slices = pool != nullptr ? pool->threads() : 1;
+  if (slices <= 1) {
+    sim::ThreadCpuTimer timer;
+    const ParseStats stats = parseAll(text, out);
+    if (timing != nullptr) timing->cpuSum = timing->critical = timer.elapsed();
+    return stats;
+  }
+
+  const std::vector<std::string_view> parts = sliceChunk(text, slices);
+  std::vector<geom::GeometryBatch> batches(parts.size());
+  std::vector<ParseStats> partStats(parts.size());
+  const util::PoolTiming pt = pool->runOnWorkers([&](int w) {
+    const auto k = static_cast<std::size_t>(w);
+    partStats[k] = parseAll(parts[k], batches[k]);
+  });
+  if (const obs::ObsContext& octx = obs::obsContext(); octx.tracer != nullptr && octx.clock != nullptr) {
+    obs::traceWorkerSpans("parse", octx.clock->now(), pt.perWorker);
+  }
+
+  // Splice back in slice order — the only serial step, charged on the
+  // critical path. Slice 0 into an empty `out` adopts the arenas (no copy).
+  sim::ThreadCpuTimer mergeTimer;
+  ParseStats stats;
+  for (std::size_t k = 0; k < parts.size(); ++k) {
+    out.splice(std::move(batches[k]));
+    stats.records += partStats[k].records;
+    stats.badRecords += partStats[k].badRecords;
+    stats.bytes += partStats[k].bytes;
+  }
+  const double merge = mergeTimer.elapsed();
+  if (timing != nullptr) {
+    timing->cpuSum = pt.cpuSum + merge;
+    timing->critical = pt.cpuMax + merge;
+  }
   return stats;
 }
 
@@ -211,7 +218,7 @@ std::uint64_t WkbFormatReader::nextBoundary(std::string_view buf, std::uint64_t 
   return pos;
 }
 
-ParseStats WkbFormatReader::parseSerial(std::string_view text, geom::GeometryBatch& out) const {
+ParseStats WkbFormatReader::parseAll(std::string_view text, geom::GeometryBatch& out) const {
   const std::uint64_t n = text.size();
   out.reserveRecords(static_cast<std::size_t>(n) / 64 + 1, 8, 8);
   ParseStats stats;
@@ -258,104 +265,31 @@ ParseStats WkbFormatReader::parseSerial(std::string_view text, geom::GeometryBat
   return stats;
 }
 
-std::vector<std::string_view> WkbFormatReader::sliceFramedRecords(
-    std::string_view text, int slices, std::uint64_t maxRecordBytes) const {
-  MVIO_CHECK(slices >= 1, "sliceFramedRecords: need at least one slice");
-  const std::uint64_t n = text.size();
-  const auto count = static_cast<std::uint64_t>(slices);
-  // Cut points: raw k*n/slices offsets, each advanced along the record
-  // chain to the next boundary — the framed analogue of sliceRecords'
-  // delimiter advance. On a garbage chain the remainder lands in one
-  // slice, so badRecord accounting matches the serial scan exactly.
-  std::vector<std::uint64_t> cuts(static_cast<std::size_t>(count) + 1, n);
-  cuts[0] = 0;
-  std::uint64_t walker = 0;  // last known boundary, monotone across cuts
-  for (std::uint64_t k = 1; k < count; ++k) {
-    std::uint64_t raw = k * n / count;
-    if (raw < cuts[static_cast<std::size_t>(k - 1)]) raw = cuts[static_cast<std::size_t>(k - 1)];
-    const std::uint64_t b = nextBoundary(text, walker, raw, maxRecordBytes);
-    if (b == npos) break;  // remaining cuts stay at n: tail in one slice
-    cuts[static_cast<std::size_t>(k)] = b;
-    walker = b;
-  }
-  std::vector<std::string_view> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t k = 0; k < count; ++k) {
-    const std::uint64_t lo = cuts[static_cast<std::size_t>(k)];
-    const std::uint64_t hi = cuts[static_cast<std::size_t>(k) + 1];
-    out.push_back(text.substr(static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo)));
-  }
-  return out;
-}
-
-ParseStats WkbFormatReader::parseChunk(std::string_view text, geom::GeometryBatch& out,
-                                       util::ThreadPool* pool, ParseTiming* timing) const {
-  const int slices = pool != nullptr ? pool->threads() : 1;
-  if (slices <= 1) {
-    sim::ThreadCpuTimer timer;
-    const ParseStats stats = parseSerial(text, out);
-    if (timing != nullptr) timing->cpuSum = timing->critical = timer.elapsed();
-    return stats;
-  }
-
-  // Mirror Parser::parseAllParallel: record-aligned slices, per-worker
-  // private batches, splice back in slice order — bit-identical to serial.
-  const std::vector<std::string_view> parts =
-      sliceFramedRecords(text, slices, kWkbSliceRecordBound);
-  std::vector<geom::GeometryBatch> batches(parts.size());
-  std::vector<ParseStats> partStats(parts.size());
-  const util::PoolTiming pt = pool->runOnWorkers([&](int w) {
-    const auto k = static_cast<std::size_t>(w);
-    partStats[k] = parseSerial(parts[k], batches[k]);
-  });
-  if (const obs::ObsContext& octx = obs::obsContext(); octx.tracer != nullptr && octx.clock != nullptr) {
-    obs::traceWorkerSpans("parse", octx.clock->now(), pt.perWorker);
-  }
-
-  sim::ThreadCpuTimer mergeTimer;
-  ParseStats stats;
-  for (std::size_t k = 0; k < parts.size(); ++k) {
-    out.splice(std::move(batches[k]));
-    stats.records += partStats[k].records;
-    stats.badRecords += partStats[k].badRecords;
-    stats.bytes += partStats[k].bytes;
-  }
-  const double merge = mergeTimer.elapsed();
-  if (timing != nullptr) {
-    timing->cpuSum = pt.cpuSum + merge;
-    timing->critical = pt.cpuMax + merge;
-  }
-  return stats;
-}
-
 // ---- FormatRegistry ------------------------------------------------------
 
-struct FormatRegistry::Impl {
-  mutable std::mutex mu;
-  std::map<std::string, std::shared_ptr<const FormatReader>, std::less<>> readers;
-};
+namespace {
 
-FormatRegistry::FormatRegistry() : impl_(std::make_shared<Impl>()) {
-  add(std::make_shared<TextFormatReader>("wkt", std::make_unique<WktParser>()));
-  add(std::make_shared<TextFormatReader>("csv", std::make_unique<CsvPointParser>()));
-  add(std::make_shared<WkbFormatReader>());
+/// The builtin readers, in name order.
+const std::array<const FormatReader*, 3>& builtins() {
+  static const CsvPointParser csv{};
+  static const WkbFormatReader wkb{};
+  static const WktParser wkt{};
+  static const std::array<const FormatReader*, 3> readers = {&csv, &wkb, &wkt};
+  return readers;
 }
+
+}  // namespace
 
 FormatRegistry& FormatRegistry::instance() {
   static FormatRegistry registry;
   return registry;
 }
 
-void FormatRegistry::add(std::shared_ptr<const FormatReader> reader) {
-  MVIO_CHECK(reader != nullptr, "cannot register a null format");
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->readers[std::string(reader->name())] = std::move(reader);
-}
-
 const FormatReader* FormatRegistry::find(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  const auto it = impl_->readers.find(name);
-  return it == impl_->readers.end() ? nullptr : it->second.get();
+  for (const FormatReader* r : builtins()) {
+    if (r->name() == name) return r;
+  }
+  return nullptr;
 }
 
 const FormatReader* FormatRegistry::get(std::string_view name) const {
@@ -367,10 +301,8 @@ const FormatReader* FormatRegistry::get(std::string_view name) const {
 }
 
 std::vector<std::string> FormatRegistry::names() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
   std::vector<std::string> out;
-  out.reserve(impl_->readers.size());
-  for (const auto& [name, reader] : impl_->readers) out.push_back(name);
+  for (const FormatReader* r : builtins()) out.emplace_back(r->name());
   return out;
 }
 

@@ -1,17 +1,23 @@
 #pragma once
-// Pluggable ingest formats (DESIGN.md §12).
+// The ingest interface (paper §4.3 "Parsing module", DESIGN.md §12).
 //
-// Everything the pipeline reads used to funnel through the WKT text
-// scanner; with fast parallel I/O that made parse the dominant CPU cost
-// (bench_fig14). A FormatReader abstracts the two things the pipeline
-// actually needs from an input encoding:
+// Parsing is one extension point: a file partition is cut at record
+// boundaries and each record is decoded into a geometry. A FormatReader
+// answers the two questions that takes:
 //
 //   * record boundary resolution — where may a raw file block be cut so
 //     both sides hold whole records? Text formats answer with delimiter
 //     scans; the binary WKB record format walks length-prefixed headers
 //     (no scan ever touches record payloads).
-//   * chunk parsing — turn one boundary-aligned chunk into GeometryBatch
-//     arenas, fanning out over the rank's worker pool when one exists.
+//   * serial decode — turn one boundary-aligned chunk into GeometryBatch
+//     arenas (parseAll).
+//
+// parseChunk is the one entry point on top: it runs the serial decode, or cuts
+// the chunk at record boundaries (sliceChunk) and decodes the slices on
+// the rank's worker pool. Parser (core/parser.hpp) is the implementation
+// for newline-delimited text (WKT, CSV, user formats); WkbFormatReader
+// below is the binary one. Text decode is a major CPU cost, which is why
+// `bench_paper fig14` measures parse apart from I/O.
 //
 // The length-prefixed WKB record format framed here mirrors the exchange
 // wire layout (core/exchange.cpp — [cell][userLen][wkbLen][user][wkb])
@@ -25,15 +31,31 @@
 // zero-parse columnar ingest path.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/parser.hpp"
+#include "geom/geometry.hpp"
 #include "geom/geometry_batch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mvio::core {
+
+/// Statistics from a bulk parse.
+struct ParseStats {
+  std::uint64_t records = 0;     ///< geometries successfully produced
+  std::uint64_t badRecords = 0;  ///< malformed records skipped
+  std::uint64_t bytes = 0;       ///< input bytes consumed
+};
+
+/// CPU accounting of one parseChunk call. `critical` is the time a rank
+/// with a real `slices`-wide pool would block for — the slowest worker
+/// plus the serial splice-back — and is what the framework charges to the
+/// rank clock; `cpuSum` is the total CPU all workers burned.
+struct ParseTiming {
+  double cpuSum = 0;
+  double critical = 0;
+};
 
 /// Record header magic: the bytes 'W','K','B','1' in file order
 /// (little-endian u32). A header never begins with anything else.
@@ -48,10 +70,10 @@ void appendWkbRecord(const geom::GeometryBatch& b, std::size_t i, std::string& o
 /// corpus-writer convenience; the batch overload is the hot path).
 void appendWkbRecord(const geom::Geometry& g, std::string_view userData, std::string& out);
 
-/// One ingest format: boundary resolution + chunk parsing. Implementations
-/// must be stateless per call (const, shared across ranks and worker
-/// threads). Register instances in the FormatRegistry or hand them to
-/// DatasetHandle::format directly.
+/// One ingest format: boundary resolution + serial decode, and the
+/// parallel parse over them. Implementations must be stateless per call
+/// (const, shared across ranks and worker threads). The registry holds the
+/// builtins; any other reader goes to DatasetHandle::format directly.
 class FormatReader {
  public:
   virtual ~FormatReader() = default;
@@ -81,47 +103,34 @@ class FormatReader {
                                                    std::uint64_t knownBoundary, std::uint64_t from,
                                                    std::uint64_t maxRecordBytes) const = 0;
 
-  /// Parse one boundary-aligned chunk into `out`. With a pool of >1
-  /// threads the format fans out over record-boundary slices exactly like
-  /// Parser::parseAllParallel (results bit-identical to serial); `timing`
-  /// (optional) reports the region's total CPU and critical path for the
-  /// caller to charge to the rank clock.
-  virtual ParseStats parseChunk(std::string_view text, geom::GeometryBatch& out,
-                                util::ThreadPool* pool, ParseTiming* timing = nullptr) const = 0;
+  /// Serial decode of one boundary-aligned chunk, appending every record
+  /// to `out`. Malformed records are counted, not fatal (a 100-GB run
+  /// should not die on one bad record).
+  virtual ParseStats parseAll(std::string_view text, geom::GeometryBatch& out) const = 0;
+
+  /// Parse one boundary-aligned chunk into `out` (DESIGN.md §10). Without
+  /// a pool of >1 threads this is parseAll. Otherwise sliceChunk cuts the
+  /// chunk, each pool worker decodes its slice into a private batch, and
+  /// the slice batches splice back into `out` in slice order — records,
+  /// arena bytes and the summed ParseStats are identical to parseAll.
+  /// The caller's clock is NOT charged; `timing` (optional) reports the
+  /// region's critical path and total CPU for the caller to charge.
+  ParseStats parseChunk(std::string_view text, geom::GeometryBatch& out, util::ThreadPool* pool,
+                        ParseTiming* timing = nullptr) const;
+
+  /// Cut a boundary-aligned chunk into `slices` contiguous ranges that
+  /// tile it exactly: each raw k·n/slices cut advances to the next record
+  /// boundary (nextBoundary), so a record crossing a raw cut belongs
+  /// wholly to the slice where it starts. Trailing slices may be empty
+  /// (short chunks); concatenating the result in order always reproduces
+  /// `text` byte for byte.
+  [[nodiscard]] std::vector<std::string_view> sliceChunk(std::string_view text, int slices) const;
 
   static constexpr std::uint64_t npos = UINT64_MAX;
 };
 
-/// Adapter wrapping a delimiter-based text Parser (WKT, CSV, user
-/// formats) as a FormatReader — the behavior-preserving default every
-/// existing pipeline runs through.
-class TextFormatReader final : public FormatReader {
- public:
-  /// Non-owning view over an externally held parser (the framework shim
-  /// for DatasetHandle::parser).
-  explicit TextFormatReader(const Parser* parser, std::string name = "text");
-  /// Owning form for registry builtins.
-  TextFormatReader(std::string name, std::unique_ptr<const Parser> parser);
-
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] std::int64_t splitBoundary(std::string_view block,
-                                           std::uint64_t maxRecordBytes) const override;
-  [[nodiscard]] std::uint64_t firstBoundary(std::string_view buf, std::uint64_t from,
-                                            std::uint64_t maxRecordBytes) const override;
-  [[nodiscard]] std::uint64_t nextBoundary(std::string_view buf, std::uint64_t knownBoundary,
-                                           std::uint64_t from,
-                                           std::uint64_t maxRecordBytes) const override;
-  ParseStats parseChunk(std::string_view text, geom::GeometryBatch& out, util::ThreadPool* pool,
-                        ParseTiming* timing) const override;
-
- private:
-  std::string name_;
-  std::unique_ptr<const Parser> owned_;
-  const Parser* parser_;
-};
-
 /// Length-prefixed WKB records: boundary resolution walks the 12-byte
-/// headers, parseChunk decodes each record's WKB payload straight into the
+/// headers, parseAll decodes each record's WKB payload straight into the
 /// batch arenas (columnar, the default) or through a materialized Geometry
 /// (the equivalence/bench reference when `columnar` is false).
 class WkbFormatReader final : public FormatReader {
@@ -136,39 +145,27 @@ class WkbFormatReader final : public FormatReader {
   [[nodiscard]] std::uint64_t nextBoundary(std::string_view buf, std::uint64_t knownBoundary,
                                            std::uint64_t from,
                                            std::uint64_t maxRecordBytes) const override;
-  ParseStats parseChunk(std::string_view text, geom::GeometryBatch& out, util::ThreadPool* pool,
-                        ParseTiming* timing) const override;
-
-  /// Cut a boundary-aligned chunk into at most `slices` record-aligned
-  /// ranges tiling it exactly (the framed analogue of sliceRecords;
-  /// exposed for the slice tests).
-  [[nodiscard]] std::vector<std::string_view> sliceFramedRecords(
-      std::string_view text, int slices, std::uint64_t maxRecordBytes) const;
+  ParseStats parseAll(std::string_view text, geom::GeometryBatch& out) const override;
 
  private:
-  ParseStats parseSerial(std::string_view text, geom::GeometryBatch& out) const;
   bool columnar_;
 };
 
-/// Name → FormatReader registry; "wkt", "csv" (text defaults), and "wkb"
-/// (framed binary) are pre-registered. Thread-safe.
+/// Name → FormatReader lookup over the builtins: "wkt" and "csv" (text
+/// Parsers) and "wkb" (framed binary). Thread-safe; the readers live for
+/// the whole process.
 class FormatRegistry {
  public:
   static FormatRegistry& instance();
 
-  /// Register (or replace) a format under reader->name().
-  void add(std::shared_ptr<const FormatReader> reader);
-  /// Lookup; nullptr when unknown. The pointer stays valid for the process
-  /// lifetime (readers are never destroyed once registered).
+  /// Lookup; nullptr when unknown.
   [[nodiscard]] const FormatReader* find(std::string_view name) const;
   /// Lookup; throws util::Error when unknown.
   [[nodiscard]] const FormatReader* get(std::string_view name) const;
   [[nodiscard]] std::vector<std::string> names() const;
 
  private:
-  FormatRegistry();
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
+  FormatRegistry() = default;
 };
 
 }  // namespace mvio::core

@@ -3,7 +3,7 @@
 //
 // Steps, executed collectively by every rank:
 //   1. Partitioned read of the input file(s)     (file_partition.hpp)
-//   2. Parse records into geometries             (parser.hpp)
+//   2. Parse records into geometries             (format.hpp)
 //   3. Global grid from MPI_UNION of local MBRs  (grid.hpp)
 //   4. Project geometries to overlapping cells   (filter: MBR vs cells)
 //   5. All-to-all exchange for spatial locality  (exchange.hpp)
@@ -52,12 +52,13 @@
 namespace mvio::core {
 
 /// One input layer: a file on a volume plus how to partition and parse it.
-/// Exactly one of `parser` / `format` must be set. `parser` is the classic
-/// delimited-text entry point (WKT/CSV/user parsers, wrapped internally in
-/// a TextFormatReader); `format` selects any registered FormatReader —
-/// including the framed binary WKB fast path, whose boundary resolution
-/// walks record length headers and whose parseChunk decodes straight into
-/// the batch arenas (DESIGN.md §12).
+/// Exactly one of `parser` / `format` must be set; both name the layer's
+/// FormatReader (DESIGN.md §12). `parser` takes a delimited-text Parser
+/// (WKT/CSV/user parsers); `format` takes any FormatReader, including the
+/// framed binary WKB fast path, whose boundary resolution walks record
+/// length headers and whose decode writes straight into the batch arenas.
+/// The two fields are one entry point kept apart only for the existing
+/// positional `{path, parser, partition, format}` initializers.
 struct DatasetHandle {
   std::string path;
   const Parser* parser = nullptr;

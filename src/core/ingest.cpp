@@ -48,18 +48,12 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
                  ParseStats& parseStats, PartitionResult& ioStats, PhaseBreakdown& phases,
                  recovery::CheckpointCoordinator& ckpt, int layer, util::ThreadPool* pool,
                  bool deferPrep, PilotSampler* pilot) {
-  // Resolve the layer's ingest format: an explicit FormatReader wins; a
-  // bare Parser is wrapped in a TextFormatReader shim (byte-identical to
-  // the classic text path).
-  const FormatReader* fmt = ds.format;
-  std::optional<TextFormatReader> textShim;
-  if (fmt == nullptr) {
-    MVIO_CHECK(ds.parser != nullptr, "dataset needs a parser or format");
-    textShim.emplace(ds.parser);
-    fmt = &*textShim;
-  } else {
-    MVIO_CHECK(ds.parser == nullptr, "dataset has both a parser and a format; set exactly one");
-  }
+  // The layer's ingest format: `format`, or the text Parser (itself a
+  // FormatReader) when `format` is unset.
+  MVIO_CHECK(ds.parser == nullptr || ds.format == nullptr,
+             "dataset has both a parser and a format; set exactly one");
+  const FormatReader* fmt = ds.format != nullptr ? ds.format : ds.parser;
+  MVIO_CHECK(fmt != nullptr, "dataset needs a parser or format");
   io::File file = io::File::open(comm, volume, ds.path);
   PartitionReader reader(comm, file, ds.partition, cfg.stream.chunkBytes, fmt);
 

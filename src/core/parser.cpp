@@ -3,15 +3,14 @@
 #include <cstring>
 
 #include "geom/wkt.hpp"
-#include "obs/trace.hpp"
-#include "sim/clock.hpp"
 #include "util/decimal.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace mvio::core {
 
 namespace {
+
+constexpr char kDelim = '\n';
 
 std::string_view trim(std::string_view s) {
   std::size_t b = 0, e = s.size();
@@ -55,18 +54,18 @@ void splitWktRecord(std::string_view record, std::string_view& wktPart, std::str
   wktPart = trim(wktPart);
 }
 
-/// Delimiter-splitting driver shared by both parseAll overloads. `handle`
+/// Line-splitting loop shared by both parseAll overloads. `handle`
 /// parses one non-empty record and returns whether a geometry was produced;
 /// it may throw util::Error for malformed content.
 template <typename Handler>
-ParseStats splitRecords(std::string_view text, char delim, Handler&& handle) {
+ParseStats splitRecords(std::string_view text, Handler&& handle) {
   ParseStats stats;
   stats.bytes = text.size();
   const char* cur = text.data();
   const char* const end = text.data() + text.size();
   while (cur <= end) {
     const char* nl =
-        cur < end ? static_cast<const char*>(std::memchr(cur, delim, static_cast<std::size_t>(end - cur)))
+        cur < end ? static_cast<const char*>(std::memchr(cur, kDelim, static_cast<std::size_t>(end - cur)))
                   : nullptr;
     const char* recEnd = nl != nullptr ? nl : end;
     if (recEnd > cur) {
@@ -85,34 +84,30 @@ ParseStats splitRecords(std::string_view text, char delim, Handler&& handle) {
 
 }  // namespace
 
-std::vector<std::string_view> sliceRecords(std::string_view text, char delim, int slices) {
-  MVIO_CHECK(slices >= 1, "sliceRecords: need at least one slice");
-  const std::size_t n = text.size();
-  const auto count = static_cast<std::size_t>(slices);
-  // Cut points: raw k*n/slices offsets, each advanced to one past the next
-  // delimiter (or the end). Monotonic by construction, so the slices tile
-  // the text exactly and ParseStats::bytes sums to the serial value.
-  std::vector<std::size_t> cuts(count + 1, n);
-  cuts[0] = 0;
-  for (std::size_t k = 1; k < count; ++k) {
-    std::size_t raw = k * n / count;
-    if (raw < cuts[k - 1]) raw = cuts[k - 1];
-    const char* nl = raw < n ? static_cast<const char*>(std::memchr(text.data() + raw, delim, n - raw))
-                             : nullptr;
-    cuts[k] = nl != nullptr ? static_cast<std::size_t>(nl - text.data()) + 1 : n;
-  }
-  std::vector<std::string_view> out;
-  out.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    out.push_back(text.substr(cuts[k], cuts[k + 1] - cuts[k]));
-  }
-  return out;
+std::int64_t Parser::splitBoundary(std::string_view block, std::uint64_t /*maxRecordBytes*/) const {
+  if (block.empty()) return -1;
+#if defined(__GLIBC__)
+  const void* p = ::memrchr(block.data(), kDelim, block.size());
+  return p == nullptr ? -1 : static_cast<const char*>(p) - block.data() + 1;
+#else
+  std::int64_t pos = static_cast<std::int64_t>(block.size()) - 1;
+  while (pos >= 0 && block[static_cast<std::size_t>(pos)] != kDelim) --pos;
+  return pos < 0 ? -1 : pos + 1;
+#endif
+}
+
+std::uint64_t Parser::nextBoundary(std::string_view buf, std::uint64_t /*knownBoundary*/,
+                                   std::uint64_t from, std::uint64_t /*maxRecordBytes*/) const {
+  if (from == 0) return 0;  // the window start is a boundary by convention
+  if (from - 1 >= buf.size()) return npos;
+  const void* p = std::memchr(buf.data() + from - 1, kDelim, static_cast<std::size_t>(buf.size() - from + 1));
+  return p == nullptr ? npos : static_cast<std::uint64_t>(static_cast<const char*>(p) - buf.data()) + 1;
 }
 
 ParseStats Parser::parseAll(std::string_view text,
                             const std::function<void(geom::Geometry&&)>& sink) const {
   geom::Geometry g;
-  return splitRecords(text, delimiter(), [&](std::string_view record) {
+  return splitRecords(text, [&](std::string_view record) {
     if (!parseRecord(record, g)) return false;
     sink(std::move(g));
     g = geom::Geometry();
@@ -124,45 +119,7 @@ ParseStats Parser::parseAll(std::string_view text, geom::GeometryBatch& out) con
   // Records average well under 100 bytes in the paper's datasets; a rough
   // pre-size avoids the early arena doublings without overshooting much.
   out.reserveRecords(text.size() / 64 + 1, 8, 8);
-  return splitRecords(text, delimiter(),
-                      [&](std::string_view record) { return parseRecordInto(record, out); });
-}
-
-ParseStats Parser::parseAllParallel(std::string_view text, geom::GeometryBatch& out,
-                                    util::ThreadPool& pool, ParseTiming* timing) const {
-  const int slices = pool.threads();
-  if (slices <= 1) {
-    sim::ThreadCpuTimer timer;
-    const ParseStats stats = parseAll(text, out);
-    if (timing != nullptr) timing->cpuSum = timing->critical = timer.elapsed();
-    return stats;
-  }
-
-  const std::vector<std::string_view> parts = sliceRecords(text, delimiter(), slices);
-  std::vector<geom::GeometryBatch> batches(parts.size());
-  std::vector<ParseStats> partStats(parts.size());
-  const util::PoolTiming pt = pool.runOnWorkers(
-      [&](int w) { partStats[static_cast<std::size_t>(w)] = parseAll(parts[static_cast<std::size_t>(w)], batches[static_cast<std::size_t>(w)]); });
-  if (const obs::ObsContext& octx = obs::obsContext(); octx.tracer != nullptr && octx.clock != nullptr) {
-    obs::traceWorkerSpans("parse", octx.clock->now(), pt.perWorker);
-  }
-
-  // Splice back in slice order — the only serial step, charged on the
-  // critical path. Slice 0 into an empty `out` adopts the arenas (no copy).
-  sim::ThreadCpuTimer mergeTimer;
-  ParseStats stats;
-  for (std::size_t k = 0; k < parts.size(); ++k) {
-    out.splice(std::move(batches[k]));
-    stats.records += partStats[k].records;
-    stats.badRecords += partStats[k].badRecords;
-    stats.bytes += partStats[k].bytes;
-  }
-  const double merge = mergeTimer.elapsed();
-  if (timing != nullptr) {
-    timing->cpuSum = pt.cpuSum + merge;
-    timing->critical = pt.cpuMax + merge;
-  }
-  return stats;
+  return splitRecords(text, [&](std::string_view record) { return parseRecordInto(record, out); });
 }
 
 bool Parser::parseRecordInto(std::string_view record, geom::GeometryBatch& out) const {

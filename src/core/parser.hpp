@@ -1,58 +1,49 @@
 #pragma once
-// Flexible parsing interface (paper §4.3 "Parsing module").
+// Delimited-text parsing (paper §4.3 "Parsing module").
 //
 // MPI-Vector-IO presents file partitions and communication buffers as
-// collections of delimiter-separated strings; a Parser turns each string
-// into a GEOS-style geometry. The library ships parsers for WKT lines
+// collections of newline-separated strings; a Parser is the FormatReader
+// (core/format.hpp) for such text. It resolves record boundaries with
+// memchr/memrchr scans for the newline and decodes each string into a
+// GEOS-style geometry. The library ships parsers for WKT lines
 // (optionally followed by tab-separated attributes, which land in
 // Geometry::userData) and CSV point data (lon,lat[,attrs] — the New York
 // Taxi style the paper cites). Users plug in their own Parser for other
-// text formats (OSM XML, GeoJSON lines, ...), which is exactly the
-// extension point the paper describes.
+// text formats (OSM XML, GeoJSON lines, ...) by implementing
+// parseRecord, which is exactly the extension point the paper describes.
 
 #include <cstdint>
 #include <functional>
 #include <string_view>
-#include <vector>
 
+#include "core/format.hpp"
 #include "geom/geometry.hpp"
 #include "geom/geometry_batch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mvio::core {
 
-/// Statistics from a bulk parse.
-struct ParseStats {
-  std::uint64_t records = 0;     ///< geometries successfully produced
-  std::uint64_t badRecords = 0;  ///< malformed records skipped
-  std::uint64_t bytes = 0;       ///< input bytes consumed
-};
-
-/// CPU accounting of one parseAllParallel call. `critical` is the time a
-/// rank with a real `slices`-wide pool would block for — the slowest
-/// worker plus the serial splice-back — and is what the framework charges
-/// to the rank clock; `cpuSum` is the total CPU all workers burned.
-struct ParseTiming {
-  double cpuSum = 0;
-  double critical = 0;
-};
-
-/// Cut `text` into at most `slices` contiguous ranges that tile it
-/// exactly, moving each interior cut forward to one past the next
-/// `delim` so no record straddles a slice: a record crossing a raw cut
-/// point belongs wholly to the slice where it starts. Trailing slices
-/// may be empty (short texts); concatenating the result in order always
-/// reproduces `text` byte for byte. Exposed for the slice-boundary tests.
-std::vector<std::string_view> sliceRecords(std::string_view text, char delim, int slices);
-
-class Parser {
+class Parser : public FormatReader {
  public:
-  virtual ~Parser() = default;
+  [[nodiscard]] std::string_view name() const override { return "text"; }
 
-  /// Parse a single record (one delimiter-separated string, delimiter
-  /// excluded). Returns false for records that should be skipped (blank
-  /// lines, padding) and throws util::Error for malformed content when
-  /// `strict` parsing is on.
+  /// One past the last newline in `block` (Algorithm 1 lines 9-11's
+  /// backward scan), or -1 when the block holds none.
+  [[nodiscard]] std::int64_t splitBoundary(std::string_view block,
+                                           std::uint64_t maxRecordBytes) const override;
+  /// One past the first newline at offset >= from - 1; offset 0 is a
+  /// boundary by convention. A newline marks a boundary on its own, so
+  /// `knownBoundary` is not needed.
+  [[nodiscard]] std::uint64_t nextBoundary(std::string_view buf, std::uint64_t knownBoundary,
+                                           std::uint64_t from,
+                                           std::uint64_t maxRecordBytes) const override;
+  [[nodiscard]] std::uint64_t firstBoundary(std::string_view buf, std::uint64_t from,
+                                            std::uint64_t maxRecordBytes) const override {
+    return nextBoundary(buf, 0, from, maxRecordBytes);
+  }
+
+  /// Parse a single record (one line, newline excluded). Returns false for
+  /// records that should be skipped (blank lines, padding) and throws
+  /// util::Error for malformed content.
   [[nodiscard]] virtual bool parseRecord(std::string_view record, geom::Geometry& out) const = 0;
 
   /// Batch sink: parse one record straight into `out`'s arenas. The default
@@ -60,36 +51,22 @@ class Parser {
   /// parsers override it with allocation-free direct-to-arena writes.
   [[nodiscard]] virtual bool parseRecordInto(std::string_view record, geom::GeometryBatch& out) const;
 
-  /// Record delimiter in the file (newline for all shipped formats).
-  [[nodiscard]] virtual char delimiter() const { return '\n'; }
-
-  /// Split `text` on the delimiter and parse every record, invoking `sink`
-  /// for each geometry. Malformed records are counted, not fatal (a
-  /// 100-GB run should not die on one bad line).
+  /// Split `text` into lines and parse every record, invoking `sink` for
+  /// each geometry (the per-Geometry reference path). Malformed records
+  /// are counted, not fatal.
   ParseStats parseAll(std::string_view text, const std::function<void(geom::Geometry&&)>& sink) const;
 
-  /// Batch bulk parse: split on the delimiter (memchr scan) and parse every
+  /// The serial decode: split into lines (memchr scan) and parse every
   /// record into `out` via parseRecordInto(). This is the pipeline's hot
   /// path — no per-record Geometry objects are created.
-  ParseStats parseAll(std::string_view text, geom::GeometryBatch& out) const;
-
-  /// Parallel bulk parse (DESIGN.md §10): sliceRecords() cuts `text` at
-  /// record boundaries, each pool worker parses its slice into a private
-  /// arena-backed batch, and the slice batches splice back into `out` in
-  /// slice order — records, arena bytes, and the summed ParseStats are
-  /// identical to the serial parseAll. The caller's clock is NOT charged;
-  /// `timing` (optional) reports the region's critical path and total CPU
-  /// for the caller to charge. Thread-safe per the Parser contract:
-  /// parseRecordInto must be const and touch no shared mutable state
-  /// (true of the shipped parsers).
-  ParseStats parseAllParallel(std::string_view text, geom::GeometryBatch& out,
-                              util::ThreadPool& pool, ParseTiming* timing = nullptr) const;
+  ParseStats parseAll(std::string_view text, geom::GeometryBatch& out) const final;
 };
 
 /// WKT records: "<wkt>" or "<wkt>\t<attributes...>". Attributes are stored
 /// in Geometry::userData verbatim.
 class WktParser final : public Parser {
  public:
+  [[nodiscard]] std::string_view name() const override { return "wkt"; }
   [[nodiscard]] bool parseRecord(std::string_view record, geom::Geometry& out) const override;
   [[nodiscard]] bool parseRecordInto(std::string_view record, geom::GeometryBatch& out) const override;
 };
@@ -97,6 +74,7 @@ class WktParser final : public Parser {
 /// CSV point records: "x,y" or "x,y,<attributes...>" (taxi-trip style).
 class CsvPointParser final : public Parser {
  public:
+  [[nodiscard]] std::string_view name() const override { return "csv"; }
   [[nodiscard]] bool parseRecord(std::string_view record, geom::Geometry& out) const override;
   [[nodiscard]] bool parseRecordInto(std::string_view record, geom::GeometryBatch& out) const override;
 };

@@ -1,16 +1,19 @@
 #pragma once
 // Umbrella header: the public API of MPI-Vector-IO.
 //
-// Typical use (see examples/quickstart.cpp):
+// Typical use:
 //
 //   mvio::mpi::Runtime::run(nprocs, machine, [&](mvio::mpi::Comm& comm) {
 //     auto file = mvio::io::File::open(comm, volume, "lakes.wkt");
 //     auto part = mvio::core::readPartitioned(comm, file, {});
-//     mvio::core::WktParser parser;
-//     std::vector<mvio::geom::Geometry> geoms;
-//     parser.parseAll(part.text, [&](auto&& g) { geoms.push_back(std::move(g)); });
+//     const mvio::core::WktParser parser;  // a FormatReader, as is "wkb"
+//     mvio::geom::GeometryBatch batch;
+//     parser.parseChunk(part.text, batch, /*pool=*/nullptr);
 //     ...
 //   });
+//
+// examples/quickstart.cpp does the same with Parser::parseAll's
+// per-Geometry sink instead of the batch.
 //
 // Layering (bottom to top):
 //   geom  — geometry engine (WKT/WKB, predicates, R-tree/quadtree)

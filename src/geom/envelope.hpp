@@ -23,8 +23,6 @@ class Envelope {
         maxX_(std::max(minX, maxX)),
         maxY_(std::max(minY, maxY)) {}
 
-  static Envelope ofPoint(const Coord& c) { return Envelope(c.x, c.y, c.x, c.y); }
-
   [[nodiscard]] bool isNull() const { return minX_ > maxX_; }
 
   [[nodiscard]] double minX() const { return minX_; }

@@ -34,6 +34,12 @@ enum class GeometryType : std::uint8_t {
 /// OGC name ("POLYGON", ...) for diagnostics and WKT output.
 const char* typeName(GeometryType t);
 
+/// Deepest part nesting the WKT and WKB decoders accept (GDAL's limit):
+/// "POINT (1 2)" is depth 0, a collection holding it depth 1. A deeper
+/// record is malformed. This bounds the decoders' recursion, so one
+/// untrusted record cannot overflow the stack.
+inline constexpr int kMaxNestingDepth = 32;
+
 /// A closed ring of a polygon. `coords` repeats the first coordinate last.
 struct Ring {
   std::vector<Coord> coords;

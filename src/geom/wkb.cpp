@@ -65,9 +65,10 @@ struct Reader {
   }
 };
 
-/// Decode one node straight into the batch arenas (the single copy of the
-/// WKB decode grammar; readWkb() materializes from a scratch batch).
-void readNodeInto(Reader& r, GeometryBatch& b) {
+/// Decode one node at nesting `depth` straight into the batch arenas (the
+/// single copy of the WKB decode grammar; readWkb() materializes from a
+/// scratch batch).
+void readNodeInto(Reader& r, GeometryBatch& b, int depth) {
   const std::uint8_t order = r.u8();
   if (order != kLittleEndian && order != kBigEndian) r.fail("bad byte-order marker");
   r.swap = (order == kBigEndian);
@@ -106,10 +107,13 @@ void readNodeInto(Reader& r, GeometryBatch& b) {
     }
     default: {
       const std::uint32_t nParts = r.u32();
+      // Parts sit one level deeper: a non-empty node at the limit is
+      // rejected (the WKT reader draws the same line).
+      if (nParts > 0 && depth >= kMaxNestingDepth) r.fail("geometry nested too deeply");
       b.pushShape(nParts);
       for (std::uint32_t i = 0; i < nParts; ++i) {
         const bool savedSwap = r.swap;  // nested geometries carry their own marker
-        readNodeInto(r, b);
+        readNodeInto(r, b, depth + 1);
         r.swap = savedSwap;
       }
       return;
@@ -170,7 +174,7 @@ void readWkbInto(std::string_view bytes, std::string_view userData, GeometryBatc
   Reader r{bytes.data(), bytes.data() + bytes.size(), false};
   out.beginRecord();
   try {
-    readNodeInto(r, out);
+    readNodeInto(r, out, 0);
   } catch (...) {
     out.rollbackRecord();
     throw;

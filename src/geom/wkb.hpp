@@ -4,6 +4,7 @@
 // compact binary wire format is preferred over coordinate-array framing.
 // Both byte orders are read; writing emits the host's native order
 // (little-endian on every platform we target) with the standard order byte.
+// The reader rejects nesting deeper than kMaxNestingDepth.
 
 #include <cstdint>
 #include <string>

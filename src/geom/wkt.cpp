@@ -163,9 +163,19 @@ void emptyNodeInto(GeometryBatch& b, GeometryType type) {
   b.pushShape(0);  // zero parts
 }
 
-void parseNodeInto(Scanner& s, GeometryBatch& b);
+/// Open a non-empty multi-part node at nesting `depth`: its parts sit one
+/// level deeper, so a node at kMaxNestingDepth is rejected. Returns the
+/// part-count placeholder to patch once the parts are scanned.
+std::size_t openPartsInto(Scanner& s, GeometryBatch& b, GeometryType type, int depth) {
+  if (depth >= kMaxNestingDepth) s.fail("geometry nested too deeply");
+  b.pushShape(static_cast<std::uint32_t>(type));
+  s.expect('(');
+  return b.pushShape(0);
+}
 
-void parseTypedInto(Scanner& s, std::string_view type, GeometryBatch& b) {
+void parseNodeInto(Scanner& s, GeometryBatch& b, int depth);
+
+void parseTypedInto(Scanner& s, std::string_view type, GeometryBatch& b, int depth) {
   if (kwIs(type, "POINT")) {
     if (s.consumeEmpty()) return emptyNodeInto(b, GeometryType::kGeometryCollection);
     b.pushShape(static_cast<std::uint32_t>(GeometryType::kPoint));
@@ -188,9 +198,7 @@ void parseTypedInto(Scanner& s, std::string_view type, GeometryBatch& b) {
   }
   if (kwIs(type, "MULTIPOINT")) {
     if (s.consumeEmpty()) return emptyNodeInto(b, GeometryType::kMultiPoint);
-    b.pushShape(static_cast<std::uint32_t>(GeometryType::kMultiPoint));
-    s.expect('(');
-    const std::size_t partCountAt = b.pushShape(0);
+    const std::size_t partCountAt = openPartsInto(s, b, GeometryType::kMultiPoint, depth);
     std::uint32_t nParts = 0;
     do {
       // Both "MULTIPOINT ((1 2), (3 4))" and "MULTIPOINT (1 2, 3 4)" occur
@@ -210,9 +218,7 @@ void parseTypedInto(Scanner& s, std::string_view type, GeometryBatch& b) {
   }
   if (kwIs(type, "MULTILINESTRING")) {
     if (s.consumeEmpty()) return emptyNodeInto(b, GeometryType::kMultiLineString);
-    b.pushShape(static_cast<std::uint32_t>(GeometryType::kMultiLineString));
-    s.expect('(');
-    const std::size_t partCountAt = b.pushShape(0);
+    const std::size_t partCountAt = openPartsInto(s, b, GeometryType::kMultiLineString, depth);
     std::uint32_t nParts = 0;
     do {
       b.pushShape(static_cast<std::uint32_t>(GeometryType::kLineString));
@@ -225,9 +231,7 @@ void parseTypedInto(Scanner& s, std::string_view type, GeometryBatch& b) {
   }
   if (kwIs(type, "MULTIPOLYGON")) {
     if (s.consumeEmpty()) return emptyNodeInto(b, GeometryType::kMultiPolygon);
-    b.pushShape(static_cast<std::uint32_t>(GeometryType::kMultiPolygon));
-    s.expect('(');
-    const std::size_t partCountAt = b.pushShape(0);
+    const std::size_t partCountAt = openPartsInto(s, b, GeometryType::kMultiPolygon, depth);
     std::uint32_t nParts = 0;
     do {
       b.pushShape(static_cast<std::uint32_t>(GeometryType::kPolygon));
@@ -240,12 +244,10 @@ void parseTypedInto(Scanner& s, std::string_view type, GeometryBatch& b) {
   }
   if (kwIs(type, "GEOMETRYCOLLECTION")) {
     if (s.consumeEmpty()) return emptyNodeInto(b, GeometryType::kGeometryCollection);
-    b.pushShape(static_cast<std::uint32_t>(GeometryType::kGeometryCollection));
-    s.expect('(');
-    const std::size_t partCountAt = b.pushShape(0);
+    const std::size_t partCountAt = openPartsInto(s, b, GeometryType::kGeometryCollection, depth);
     std::uint32_t nParts = 0;
     do {
-      parseNodeInto(s, b);
+      parseNodeInto(s, b, depth + 1);
       ++nParts;
     } while (s.consume(','));
     s.expect(')');
@@ -255,7 +257,9 @@ void parseTypedInto(Scanner& s, std::string_view type, GeometryBatch& b) {
   s.fail("unknown geometry type: " + std::string(type));
 }
 
-void parseNodeInto(Scanner& s, GeometryBatch& b) { parseTypedInto(s, s.keyword(), b); }
+void parseNodeInto(Scanner& s, GeometryBatch& b, int depth) {
+  parseTypedInto(s, s.keyword(), b, depth);
+}
 
 void writeCoord(std::string& out, const Coord& c, int precision) {
   char buf[64];
@@ -356,24 +360,13 @@ void readWktInto(std::string_view text, std::string_view userData, GeometryBatch
   Scanner s{text.data(), text.data() + text.size(), text.data()};
   out.beginRecord();
   try {
-    parseNodeInto(s, out);
+    parseNodeInto(s, out, 0);
     if (!s.atEnd()) s.fail("trailing characters after geometry");
   } catch (...) {
     out.rollbackRecord();
     throw;
   }
   out.commitRecord(userData, cell);
-}
-
-bool tryReadWktInto(std::string_view text, std::string_view userData, GeometryBatch& out, int cell,
-                    std::string* error) {
-  try {
-    readWktInto(text, userData, out, cell);
-    return true;
-  } catch (const util::Error& e) {
-    if (error != nullptr) *error = e.what();
-    return false;
-  }
 }
 
 Geometry readWkt(std::string_view text) {

@@ -9,7 +9,8 @@
 // Supported: POINT, LINESTRING, POLYGON, MULTIPOINT (with or without
 // per-point parentheses), MULTILINESTRING, MULTIPOLYGON,
 // GEOMETRYCOLLECTION, and EMPTY for all of them. Z/M ordinates are
-// rejected (the pipeline is 2D, matching the paper's OSM data).
+// rejected (the pipeline is 2D, matching the paper's OSM data), and so is
+// nesting deeper than kMaxNestingDepth.
 
 #include <string>
 #include <string_view>
@@ -27,10 +28,6 @@ Geometry readWkt(std::string_view text);
 /// allocation) and attach `userData` / `cell` to the committed record.
 /// Throws util::Error on malformed input; `out` is left unchanged then.
 void readWktInto(std::string_view text, std::string_view userData, GeometryBatch& out, int cell = 0);
-
-/// Non-throwing variant of readWktInto.
-bool tryReadWktInto(std::string_view text, std::string_view userData, GeometryBatch& out,
-                    int cell = 0, std::string* error = nullptr);
 
 /// Non-throwing variant; returns false and fills `error` (if non-null) on
 /// malformed input. Used by the bulk parsers where a bad record is counted

@@ -48,8 +48,6 @@ LogLevel logLevel() {
   return static_cast<LogLevel>(lvl);
 }
 
-void setLogLevel(LogLevel level) { g_level.store(static_cast<int>(level), std::memory_order_relaxed); }
-
 void logLine(LogLevel level, const std::string& tag, const std::string& message) {
   // Rank id + virtual time come from the thread-local context the MPI
   // runtime installs; off-rank threads (main, tests) get the bare form.

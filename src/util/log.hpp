@@ -20,7 +20,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 /// Global minimum level; initialised from MVIO_LOG on first use.
 LogLevel logLevel();
-void setLogLevel(LogLevel level);
 
 /// Emit one line (thread-safe, single write). `tag` is the module name;
 /// the rank id and virtual time are prefixed automatically on rank

@@ -22,11 +22,14 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/format.hpp"
+#include "core/parser.hpp"
 #include "core/partition_map.hpp"
 #include "geom/batch_shard.hpp"
+#include "geom/wkb.hpp"
 #include "geom/wkt.hpp"
 #include "pfs/lustre.hpp"
 #include "pfs/spill_store.hpp"
@@ -463,6 +466,82 @@ TEST(CodecFuzz, WkbRecordStreamBitFlipsNeverCrashOrInventRecords) {
     if (st.records < framed) {
       EXPECT_GE(st.badRecords, 1u)
           << "flip at byte " << i << " silently dropped a record";
+    }
+  }
+}
+
+// ---- Nesting depth: both geometry decoders bound their recursion ----------
+//
+// A collection nested 100,000 deep is a 2 MB WKT line or a 0.9 MB framed
+// WKB record, far below the record-size bound, and overflowed the stack of
+// an unbounded recursive descent. Past kMaxNestingDepth a record is bad:
+// counted, skipped, and the chunk goes on.
+
+namespace {
+
+constexpr int kOverflowDepth = 100000;
+
+/// `collections` GEOMETRYCOLLECTIONs around `leaf`, as WKT.
+std::string nestedWkt(int collections, const std::string& leaf = "POINT (1 2)") {
+  std::string wkt;
+  for (int i = 0; i < collections; ++i) wkt += "GEOMETRYCOLLECTION (";
+  wkt += leaf;
+  wkt.append(static_cast<std::size_t>(collections), ')');
+  return wkt;
+}
+
+/// The same nesting as one framed WKB record.
+std::string nestedWkbRecord(int collections, const std::string& leaf = "POINT (1 2)") {
+  std::string wkb;
+  for (int i = 0; i < collections; ++i) {
+    wkb.push_back(1);                              // little-endian
+    mvio::util::putScalar<std::uint32_t>(wkb, 7);  // GeometryCollection
+    mvio::util::putScalar<std::uint32_t>(wkb, 1);  // one part
+  }
+  wkb += mg::writeWkb(mg::readWkt(leaf));
+  std::string record;
+  mvio::util::putScalar<std::uint32_t>(record, mc::kWkbRecordMagic);
+  mvio::util::putScalar<std::uint32_t>(record, 0);
+  mvio::util::putScalar<std::uint32_t>(record, static_cast<std::uint32_t>(wkb.size()));
+  return record + wkb;
+}
+
+}  // namespace
+
+TEST(CodecFuzz, WktTooDeepRecordIsCountedBadNotACrash) {
+  const std::string text = "POINT (0 0)\n" + nestedWkt(kOverflowDepth) + "\nPOINT (3 4)\n";
+  mg::GeometryBatch out;
+  const mc::ParseStats st = mc::WktParser().parseAll(text, out);
+  EXPECT_EQ(st.records, 2u);
+  EXPECT_EQ(st.badRecords, 1u);
+  EXPECT_EQ(out.size(), 2u);
+}
+
+TEST(CodecFuzz, WkbTooDeepRecordIsCountedBadNotACrash) {
+  const std::string good = nestedWkbRecord(0);
+  const std::string text = good + nestedWkbRecord(kOverflowDepth) + good;
+  mg::GeometryBatch out;
+  const mc::ParseStats st = mc::FormatRegistry::instance().get("wkb")->parseChunk(text, out, nullptr);
+  EXPECT_EQ(st.records, 2u);
+  EXPECT_EQ(st.badRecords, 1u);
+  EXPECT_EQ(out.size(), 2u);
+}
+
+TEST(CodecFuzz, NestingLimitIsExactInBothEncodings) {
+  const mc::FormatReader& wkt = *mc::FormatRegistry::instance().get("wkt");
+  const mc::FormatReader& wkb = *mc::FormatRegistry::instance().get("wkb");
+  // A multi-part leaf holds its parts one level down, like a collection.
+  for (const auto& [leaf, leafDepth] :
+       {std::pair<std::string, int>{"POINT (1 2)", 0}, {"MULTIPOINT ((1 2), (3 4))", 1}}) {
+    for (const int depth : {mg::kMaxNestingDepth, mg::kMaxNestingDepth + 1}) {
+      const int collections = depth - leafDepth;
+      const bool accepted = depth <= mg::kMaxNestingDepth;
+      mg::GeometryBatch a, b;
+      const mc::ParseStats sa = wkt.parseChunk(nestedWkt(collections, leaf), a, nullptr);
+      const mc::ParseStats sb = wkb.parseChunk(nestedWkbRecord(collections, leaf), b, nullptr);
+      EXPECT_EQ(sa.records, accepted ? 1u : 0u) << leaf << " at depth " << depth;
+      EXPECT_EQ(sb.records, sa.records) << leaf << " at depth " << depth;
+      EXPECT_EQ(sa.badRecords + sb.badRecords, accepted ? 0u : 2u) << leaf << " at depth " << depth;
     }
   }
 }

@@ -22,6 +22,7 @@
 #include "core/format.hpp"
 #include "core/indexing.hpp"
 #include "core/overlay.hpp"
+#include "core/parser.hpp"
 #include "core/spatial_join.hpp"
 #include "geom/batch_shard.hpp"
 #include "geom/wkb.hpp"
@@ -375,7 +376,7 @@ TEST(WkbFormat, ParallelDecodeByteIdenticalToSerial) {
   const std::string want = shardBytes(serial);
 
   for (const int slices : {1, 2, 3, 4, 7, 16}) {
-    const auto parts = fmt.sliceFramedRecords(stream, slices, kMaxRec);
+    const auto parts = fmt.sliceChunk(stream, slices);
     ASSERT_EQ(static_cast<int>(parts.size()), slices);
     std::string joined;
     std::size_t offset = 0;

@@ -99,7 +99,7 @@ TEST(ThreadPool, SingleThreadRunsInlineOnCaller) {
   EXPECT_EQ(seen, caller);
 }
 
-// ---- sliceRecords: record-boundary slicing --------------------------------
+// ---- FormatReader::sliceChunk: record-boundary slicing --------------------
 
 namespace {
 
@@ -127,8 +127,9 @@ TEST(SliceRecords, TilesAtRecordBoundaries) {
   const std::string text =
       "POINT (1 2)\nLINESTRING (0 0, 9 9)\nPOLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))\n"
       "POINT (3 4)\nPOINT (5 6)\nPOINT (7 8)\n";
+  const mc::WktParser parser;
   for (const int slices : {1, 2, 3, 4, 7, 16}) {
-    const auto parts = mc::sliceRecords(text, '\n', slices);
+    const auto parts = parser.sliceChunk(text, slices);
     ASSERT_EQ(static_cast<int>(parts.size()), slices);
     expectValidSlicing(text, parts);
   }
@@ -140,8 +141,9 @@ TEST(SliceRecords, RecordStraddlingTheRawCutStaysWhole) {
   // record must end up whole in exactly one slice.
   const std::string big(600, 'x');
   const std::string text = "POINT (1 1)\n" + big + "\nPOINT (2 2)\n";
+  const mc::WktParser parser;
   for (const int slices : {2, 3, 8}) {
-    const auto parts = mc::sliceRecords(text, '\n', slices);
+    const auto parts = parser.sliceChunk(text, slices);
     expectValidSlicing(text, parts);
     int holders = 0;
     for (const std::string_view part : parts) {
@@ -152,13 +154,14 @@ TEST(SliceRecords, RecordStraddlingTheRawCutStaysWhole) {
 }
 
 TEST(SliceRecords, ShortTextsLeaveTrailingSlicesEmpty) {
+  const mc::WktParser parser;
   const std::string text = "POINT (1 2)\n";
-  const auto parts = mc::sliceRecords(text, '\n', 8);
+  const auto parts = parser.sliceChunk(text, 8);
   ASSERT_EQ(parts.size(), 8u);
   EXPECT_EQ(parts[0], text);
   for (std::size_t k = 1; k < parts.size(); ++k) EXPECT_TRUE(parts[k].empty());
   // No trailing delimiter: the final record still lands in one slice.
-  const auto open = mc::sliceRecords("POINT (1 2)\nPOINT (3 4)", '\n', 4);
+  const auto open = parser.sliceChunk("POINT (1 2)\nPOINT (3 4)", 4);
   expectValidSlicing("POINT (1 2)\nPOINT (3 4)", open);
 }
 
@@ -208,7 +211,7 @@ TEST(ParallelParse, ByteIdenticalToSerialAtEveryThreadCount) {
     mu::ThreadPool pool(threads);
     mg::GeometryBatch out;
     mc::ParseTiming timing;
-    const mc::ParseStats ps = parser.parseAllParallel(text, out, pool, &timing);
+    const mc::ParseStats ps = parser.parseChunk(text, out, &pool, &timing);
     EXPECT_EQ(ps.records, base.records) << "threads=" << threads;
     EXPECT_EQ(ps.badRecords, base.badRecords)
         << "bad records must be attributed identically at threads=" << threads;
