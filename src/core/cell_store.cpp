@@ -59,7 +59,14 @@ void CellStore::flushSegment(const geom::GeometryBatch& b) {
   // next to the sorted segment (the flush-time slack of DESIGN.md §8).
   Segment segment;
   segment.name = base_ + ".seg" + std::to_string(segments_.size());
+  // Sized once: every record's payload plus one shard header per cell.
+  std::size_t blobBytes = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k == 0 || b.cell(order[k]) != b.cell(order[k - 1])) blobBytes += geom::kShardHeaderBytes;
+    blobBytes += geom::shardRecordBytes(b, order[k]);
+  }
   std::string blob;
+  blob.reserve(blobBytes);
   geom::GeometryBatch piece;
   for (std::size_t k = 0; k < n;) {
     const int cell = b.cell(order[k]);
@@ -71,6 +78,7 @@ void CellStore::flushSegment(const geom::GeometryBatch& b) {
     segment.pieces.push_back({cell, offset, blob.size() - offset,
                               static_cast<std::uint32_t>(piece.size()), false});
   }
+  MVIO_CHECK(blob.size() == blobBytes, "CellStore: segment size drift");
   charge_(blob.size(), /*isWrite=*/true);
   if (obs::tracingOn()) {
     obs::traceInstant("store.spill", segment.name + " (" + std::to_string(blob.size()) + " bytes)");

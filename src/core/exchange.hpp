@@ -104,7 +104,7 @@ struct ExchangeScratch {
 // deterministic computation every rank repeats bit-identically), then each
 // leaving cell's records travel point-to-point as checksummed BatchShard
 // wire blobs (geom/batch_shard.hpp — the same codec the spill path uses;
-// header and payload are FNV-1a checksummed, so a truncated or corrupted
+// header and payload are CRC-32C checksummed, so a truncated or corrupted
 // blob is rejected at decode). Each sender closes its per-peer stream with
 // a summary frame carrying blob/record/byte totals, which the receiver
 // cross-checks before trusting the migrated records.

@@ -1,8 +1,10 @@
 #include "geom/batch_shard.hpp"
 
 #include <cstring>
+#include <iterator>
 
 #include "util/bytes.hpp"
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/perf.hpp"
 
@@ -11,15 +13,118 @@ namespace mvio::geom {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4853564Du;  // "MVSH" little-endian
-constexpr std::uint32_t kVersion = 1;
+/// v2: both checksums are CRC-32C (v1 used FNV-1a).
+constexpr std::uint32_t kVersion = 2;
+/// Header offsets of the two checksum words; the header checksum covers
+/// every header byte before it.
+constexpr std::size_t kPayloadSumAt = 40;
+constexpr std::size_t kHeaderSumAt = 48;
 /// Payload bytes every record carries before its arena slices: tag, cell,
 /// envelope and the three end offsets.
 constexpr std::size_t kRecordFixedBytes = 1 + sizeof(int) + sizeof(Envelope) + 24;
 
-using util::fnv1a;
-using util::putBytes;
-using util::putScalar;
 using util::readScalar;
+
+/// The shard checksum, charged to the bytes-checksummed counter.
+std::uint32_t checksum(const char* p, std::size_t n) {
+  util::perf::addBytesChecksummed(n);
+  return util::crc32c(p, n);
+}
+
+template <typename T>
+char* putWord(char* cur, T v) {
+  std::memcpy(cur, &v, sizeof(T));
+  return cur + sizeof(T);
+}
+
+/// Writes a shard payload through a cursor, folding each column into the
+/// payload CRC as it is copied (one pass over the bytes).
+struct PayloadWriter {
+  char* cur = nullptr;
+  std::uint32_t crc = 0;
+
+  void raw(const void* src, std::size_t n) {
+    crc = util::crc32cCopy(cur, src, n, crc);
+    cur += n;
+  }
+  /// ends[lo, hi) rebased by -base, as u64 words.
+  void ends(const std::vector<std::size_t>& e, std::size_t lo, std::size_t hi, std::size_t base) {
+    char* const at = cur;
+    for (std::size_t i = lo; i < hi; ++i) cur = putWord<std::uint64_t>(cur, e[i] - base);
+    crc = util::crc32c(at, static_cast<std::size_t>(cur - at), crc);
+  }
+};
+
+/// Check one encoded end-offset column: monotone, within `total`, and
+/// ending exactly at it.
+void checkEnds(const char* ends, std::size_t n, std::size_t total, const char* what) {
+  std::uint64_t prev = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t e = readScalar<std::uint64_t>(ends + i * 8);
+    MVIO_CHECK(e >= prev && e <= total, std::string("batch shard: bad ") + what + " offsets");
+    prev = e;
+  }
+  MVIO_CHECK(n == 0 || prev == total, std::string("batch shard: short ") + what + " arena");
+}
+
+/// Random-access iterator over `T` values stored unaligned in a byte
+/// range, so vector::insert appends a wire column in one sized pass
+/// (resize would zero-fill the new tail before the copy).
+template <typename T>
+struct WireColumn {
+  using iterator_category = std::random_access_iterator_tag;
+  using value_type = T;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const T*;
+  using reference = T;
+
+  const char* at = nullptr;
+
+  T operator*() const { return readScalar<T>(at); }
+  T operator[](difference_type k) const { return *(*this + k); }
+  WireColumn& operator+=(difference_type k) {
+    at += k * static_cast<difference_type>(sizeof(T));
+    return *this;
+  }
+  WireColumn& operator-=(difference_type k) { return *this += -k; }
+  WireColumn& operator++() { return *this += 1; }
+  WireColumn& operator--() { return *this -= 1; }
+  WireColumn operator++(int) {
+    WireColumn was = *this;
+    ++*this;
+    return was;
+  }
+  WireColumn operator--(int) {
+    WireColumn was = *this;
+    --*this;
+    return was;
+  }
+  friend WireColumn operator+(WireColumn it, difference_type k) { return it += k; }
+  friend WireColumn operator-(WireColumn it, difference_type k) { return it -= k; }
+  friend difference_type operator-(const WireColumn& a, const WireColumn& b) {
+    return (a.at - b.at) / static_cast<difference_type>(sizeof(T));
+  }
+  friend auto operator<=>(const WireColumn&, const WireColumn&) = default;
+};
+
+/// Append `n` values of `T` read from `src`. Byte columns need no
+/// alignment and insert straight from the bytes (one memcpy).
+template <typename T>
+void appendColumn(std::vector<T>& dst, const char* src, std::size_t n) {
+  if constexpr (sizeof(T) == 1) {
+    dst.insert(dst.end(), reinterpret_cast<const T*>(src), reinterpret_cast<const T*>(src) + n);
+  } else {
+    dst.insert(dst.end(), WireColumn<T>{src}, WireColumn<T>{src + n * sizeof(T)});
+  }
+}
+
+/// Append a checked u64 end-offset column, rebased onto the arena's `base`.
+void appendEnds(std::vector<std::size_t>& dst, const char* src, std::size_t n,
+                std::size_t base) {
+  const std::size_t at = dst.size();
+  appendColumn(dst, src, n);
+  for (std::size_t i = at; i < dst.size(); ++i) dst[i] += base;
+}
 
 }  // namespace
 
@@ -37,51 +142,46 @@ struct ShardAccess {
     const std::size_t nCoords = n == 0 ? 0 : b.coordEnd_[hi - 1] - coordLo;
     const std::size_t nShape = n == 0 ? 0 : b.shapeEnd_[hi - 1] - shapeLo;
     const std::size_t nUser = n == 0 ? 0 : b.userEnd_[hi - 1] - userLo;
+    const std::size_t payloadBytes = n * kRecordFixedBytes + nCoords * sizeof(Coord) +
+                                     nShape * sizeof(std::uint32_t) + nUser;
 
-    // Payload first (into a scratch region of `out`), so the checksum is
-    // computed over the final bytes without a second buffer.
+    // Size `out` once, then write payload and header through cursors.
     const std::size_t headerAt = out.size();
-    out.append(kShardHeaderBytes, '\0');
-    const std::size_t payloadAt = out.size();
+    out.resize(headerAt + kShardHeaderBytes + payloadBytes);
+    char* const header = out.data() + headerAt;
+    char* const payload = header + kShardHeaderBytes;
 
-    putBytes(out, b.tags_.data() + lo, n * sizeof(std::uint8_t));
-    putBytes(out, b.cells_.data() + lo, n * sizeof(int));
-    putBytes(out, b.envelopes_.data() + lo, n * sizeof(Envelope));
-    for (std::size_t i = lo; i < hi; ++i) {
-      putScalar<std::uint64_t>(out, b.coordEnd_[i] - coordLo);
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      putScalar<std::uint64_t>(out, b.shapeEnd_[i] - shapeLo);
-    }
-    for (std::size_t i = lo; i < hi; ++i) {
-      putScalar<std::uint64_t>(out, b.userEnd_[i] - userLo);
-    }
-    putBytes(out, b.coords_.data() + coordLo, nCoords * sizeof(Coord));
-    putBytes(out, b.shape_.data() + shapeLo, nShape * sizeof(std::uint32_t));
-    putBytes(out, b.userData_.data() + userLo, nUser);
+    PayloadWriter w{payload};
+    w.raw(b.tags_.data() + lo, n * sizeof(std::uint8_t));
+    w.raw(b.cells_.data() + lo, n * sizeof(int));
+    w.raw(b.envelopes_.data() + lo, n * sizeof(Envelope));
+    w.ends(b.coordEnd_, lo, hi, coordLo);
+    w.ends(b.shapeEnd_, lo, hi, shapeLo);
+    w.ends(b.userEnd_, lo, hi, userLo);
+    w.raw(b.coords_.data() + coordLo, nCoords * sizeof(Coord));
+    w.raw(b.shape_.data() + shapeLo, nShape * sizeof(std::uint32_t));
+    w.raw(b.userData_.data() + userLo, nUser);
+    MVIO_CHECK(w.cur == payload + payloadBytes, "shard payload size drift");
+    util::perf::addBytesChecksummed(payloadBytes);
 
-    const std::uint64_t payloadSum = fnv1a(out.data() + payloadAt, out.size() - payloadAt);
-
-    // Header, written into the reserved region.
-    std::string header;
-    header.reserve(kShardHeaderBytes);
-    putScalar<std::uint32_t>(header, kMagic);
-    putScalar<std::uint32_t>(header, kVersion);
-    putScalar<std::uint64_t>(header, n);
-    putScalar<std::uint64_t>(header, nCoords);
-    putScalar<std::uint64_t>(header, nShape);
-    putScalar<std::uint64_t>(header, nUser);
-    putScalar<std::uint64_t>(header, payloadSum);
-    putScalar<std::uint64_t>(header, fnv1a(header.data(), header.size()));
-    MVIO_CHECK(header.size() == kShardHeaderBytes, "shard header size drift");
-    std::memcpy(out.data() + headerAt, header.data(), kShardHeaderBytes);
+    char* h = header;
+    h = putWord<std::uint32_t>(h, kMagic);
+    h = putWord<std::uint32_t>(h, kVersion);
+    h = putWord<std::uint64_t>(h, n);
+    h = putWord<std::uint64_t>(h, nCoords);
+    h = putWord<std::uint64_t>(h, nShape);
+    h = putWord<std::uint64_t>(h, nUser);
+    h = putWord<std::uint64_t>(h, w.crc);
+    h = putWord<std::uint64_t>(h, checksum(header, kHeaderSumAt));
+    MVIO_CHECK(h == payload, "shard header size drift");
     util::perf::addBytesCopied(out.size() - headerAt);
   }
 
   static std::size_t decode(std::string_view bytes, GeometryBatch& out) {
+    MVIO_CHECK(!out.recordOpen_, "decodeShard with a record open");
     MVIO_CHECK(bytes.size() >= kShardHeaderBytes, "batch shard: truncated header");
     const char* p = bytes.data();
-    MVIO_CHECK(fnv1a(p, 48) == readScalar<std::uint64_t>(p + 48),
+    MVIO_CHECK(checksum(p, kHeaderSumAt) == readScalar<std::uint64_t>(p + kHeaderSumAt),
                "batch shard: corrupted header (checksum mismatch)");
     MVIO_CHECK(readScalar<std::uint32_t>(p) == kMagic, "batch shard: bad magic");
     MVIO_CHECK(readScalar<std::uint32_t>(p + 4) == kVersion, "batch shard: unsupported version");
@@ -89,7 +189,6 @@ struct ShardAccess {
     const auto nCoords = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 16));
     const auto nShape = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 24));
     const auto nUser = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 32));
-    const std::uint64_t payloadSum = readScalar<std::uint64_t>(p + 40);
 
     // Bound every count by the payload bytes left, by division — a crafted
     // count must not wrap the size product — before any count sizes a
@@ -103,55 +202,34 @@ struct ShardAccess {
     MVIO_CHECK(nShape <= left / sizeof(std::uint32_t), "batch shard: truncated payload");
     left -= nShape * sizeof(std::uint32_t);
     MVIO_CHECK(nUser == left, "batch shard: truncated payload");
-    const char* payload = p + kShardHeaderBytes;
-    MVIO_CHECK(fnv1a(payload, payloadBytes) == payloadSum,
+    const char* tags = p + kShardHeaderBytes;
+    MVIO_CHECK(checksum(tags, payloadBytes) == readScalar<std::uint64_t>(p + kPayloadSumAt),
                "batch shard: payload checksum mismatch");
 
-    MVIO_CHECK(!out.recordOpen_, "decodeShard with a record open");
-    const std::size_t coordBase = out.coords_.size();
-    const std::size_t shapeBase = out.shape_.size();
-    const std::size_t userBase = out.userData_.size();
+    const char* cells = tags + n;
+    const char* envelopes = cells + n * sizeof(int);
+    const char* coordEnds = envelopes + n * sizeof(Envelope);
+    const char* shapeEnds = coordEnds + n * 8;
+    const char* userEnds = shapeEnds + n * 8;
+    const char* coords = userEnds + n * 8;
+    const char* shape = coords + nCoords * sizeof(Coord);
+    const char* userData = shape + nShape * sizeof(std::uint32_t);
 
-    const char* cur = payload;
-    out.tags_.insert(out.tags_.end(), reinterpret_cast<const std::uint8_t*>(cur),
-                     reinterpret_cast<const std::uint8_t*>(cur) + n);
-    cur += n;
-    const std::size_t cellsAt = out.cells_.size();
-    out.cells_.resize(cellsAt + n);
-    util::copyBytes(out.cells_.data() + cellsAt, cur, n * sizeof(int));
-    cur += n * sizeof(int);
-    const std::size_t envAt = out.envelopes_.size();
-    out.envelopes_.resize(envAt + n);
-    util::copyBytes(out.envelopes_.data() + envAt, cur, n * sizeof(Envelope));
-    cur += n * sizeof(Envelope);
+    // End offsets become arena slice bounds: check all three columns
+    // before `out` is touched, so a rejected shard leaves it as it was.
+    checkEnds(coordEnds, n, nCoords, "coord");
+    checkEnds(shapeEnds, n, nShape, "shape");
+    checkEnds(userEnds, n, nUser, "userData");
 
-    // End offsets: validate monotone, in-range, and matching the totals the
-    // header promised before trusting them as arena slice bounds.
-    auto readEnds = [&](std::vector<std::size_t>& dst, std::size_t base, std::size_t total,
-                        const char* what) {
-      std::uint64_t prev = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t e = readScalar<std::uint64_t>(cur + i * 8);
-        MVIO_CHECK(e >= prev && e <= total, std::string("batch shard: bad ") + what + " offsets");
-        dst.push_back(static_cast<std::size_t>(e) + base);
-        prev = e;
-      }
-      MVIO_CHECK(n == 0 || prev == total, std::string("batch shard: short ") + what + " arena");
-      cur += n * 8;
-    };
-    readEnds(out.coordEnd_, coordBase, nCoords, "coord");
-    readEnds(out.shapeEnd_, shapeBase, nShape, "shape");
-    readEnds(out.userEnd_, userBase, nUser, "userData");
-
-    const std::size_t coordAt = out.coords_.size();
-    out.coords_.resize(coordAt + nCoords);
-    util::copyBytes(out.coords_.data() + coordAt, cur, nCoords * sizeof(Coord));
-    cur += nCoords * sizeof(Coord);
-    const std::size_t shapeAt = out.shape_.size();
-    out.shape_.resize(shapeAt + nShape);
-    util::copyBytes(out.shape_.data() + shapeAt, cur, nShape * sizeof(std::uint32_t));
-    cur += nShape * sizeof(std::uint32_t);
-    out.userData_.insert(out.userData_.end(), cur, cur + nUser);
+    appendColumn(out.tags_, tags, n);
+    appendColumn(out.cells_, cells, n);
+    appendColumn(out.envelopes_, envelopes, n);
+    appendEnds(out.coordEnd_, coordEnds, n, out.coords_.size());
+    appendEnds(out.shapeEnd_, shapeEnds, n, out.shape_.size());
+    appendEnds(out.userEnd_, userEnds, n, out.userData_.size());
+    appendColumn(out.coords_, coords, nCoords);
+    appendColumn(out.shape_, shape, nShape);
+    appendColumn(out.userData_, userData, nUser);
     util::perf::addBytesCopied(bytes.size());
     return n;
   }
@@ -176,6 +254,11 @@ void encodeShard(const GeometryBatch& b, std::size_t lo, std::size_t hi, std::st
 
 std::size_t decodeShard(std::string_view bytes, GeometryBatch& out) {
   return ShardAccess::decode(bytes, out);
+}
+
+std::uint64_t shardChecksum(std::string_view shard) {
+  MVIO_CHECK(shard.size() >= kShardHeaderBytes, "batch shard: truncated header");
+  return readScalar<std::uint64_t>(shard.data() + kHeaderSumAt);
 }
 
 }  // namespace mvio::geom

@@ -21,12 +21,16 @@
 //     shape     u32     × shapeTokens
 //     userData  u8      × userBytes
 //
-// Both checksums are FNV-1a: headerChecksum covers the preceding header
-// bytes (so a corrupted or truncated header is rejected before any size
-// field is trusted), payloadChecksum covers the payload. decodeShard
-// *appends* to its output batch — reloading k shards in order is exactly
-// GeometryBatch::splice, which is what the spill/reload path and the
-// checkpoint restore path rely on.
+// Both checksums are CRC-32C (util/crc32c.hpp), zero-extended to u64:
+// headerChecksum covers the preceding header bytes (so a corrupted or
+// truncated header is rejected before any size field is trusted),
+// payloadChecksum covers the payload. A durable reference to a shard
+// records its headerChecksum word (shardChecksum), which binds the header
+// and through it the payload, so each shard byte is hashed once on write
+// and once on load. decodeShard validates everything before it *appends*
+// to its output batch — a rejected shard leaves the batch untouched, and
+// reloading k shards in order is exactly GeometryBatch::splice, which is
+// what the spill/reload path and the checkpoint restore path rely on.
 //
 // Shards are the unit the streaming pipeline spills through
 // pfs::SpillStore, checkpoints persist and migrateShards ships.
@@ -88,7 +92,13 @@ inline void encodeShard(const GeometryBatch& b, std::string& out) { encodeShard(
 /// untouched; the shard's record k becomes out.size()+k). Returns the
 /// number of records appended. Throws util::Error on a bad magic/version,
 /// a corrupted or truncated header, a payload checksum mismatch, or
-/// structurally inconsistent offsets.
+/// structurally inconsistent offsets, and then leaves `out` unchanged.
 std::size_t decodeShard(std::string_view bytes, GeometryBatch& out);
+
+/// The headerChecksum word of an encoded shard, read without hashing.
+/// decodeShard checks the header against it and the payload against the
+/// header, so a reference that records {size, this word} pins the whole
+/// blob. Throws util::Error on a blob shorter than the header.
+[[nodiscard]] std::uint64_t shardChecksum(std::string_view shard);
 
 }  // namespace mvio::geom

@@ -145,7 +145,7 @@ std::uint64_t CheckpointCoordinator::writeShardSet(ShardSetManifest& set,
       std::string blob;
       blob.reserve(static_cast<std::size_t>(bytes));
       geom::encodeShard(b, lo, hi, blob);
-      set.shards[layer].push_back({blob.size(), fnv1a(blob.data(), blob.size())});
+      set.shards[layer].push_back({blob.size(), geom::shardChecksum(blob)});
       put(shardName(set.base, set.epoch, layer, k++), std::move(blob), set.base);
     });
     batches[layer] = geom::GeometryBatch();
@@ -480,7 +480,10 @@ std::uint64_t loadShardSet(pfs::Volume& volume, const std::string& dir, int worl
     const std::string blob = store.fetch(name);
     if (bytesRead != nullptr) *bytesRead += blob.size();
     const ShardSetManifest::Shard& ref = set.shards[layer][k];
-    MVIO_CHECK(blob.size() == ref.bytes && fnv1a(blob.data(), blob.size()) == ref.checksum,
+    // The ref pins the header word; decodeShard checks the header against
+    // it and the payload against the header.
+    MVIO_CHECK(blob.size() == ref.bytes && blob.size() >= geom::kShardHeaderBytes &&
+                   geom::shardChecksum(blob) == ref.checksum,
                std::string(what) + ": shard " + name + " does not match its manifest");
     geom::GeometryBatch piece;
     geom::decodeShard(blob, piece);

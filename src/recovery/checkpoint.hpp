@@ -165,8 +165,9 @@ class CheckpointCoordinator {
 /// arrived since the previous epoch) or, with `base` set, the compaction
 /// base (epochs 1..epoch folded together). Both share one layout — magic
 /// (MVCR delta / MVCB base), version, epoch, rounds, then per layer a
-/// record count and the {bytes, fnv1a} refs of its shards, then a
-/// trailing checksum — and differ only in magic and blob names:
+/// record count and the {bytes, header-checksum word} refs of its
+/// shards, then a trailing checksum — and differ only in magic and blob
+/// names:
 /// "ep<E>.manifest" + "ep<E>.<layer>.<k>" for a delta, "base.manifest" +
 /// "base<E>.<layer>.<k>" for the base. The manifest write is the set's
 /// commit point.
@@ -176,7 +177,7 @@ struct ShardSetManifest {
   std::uint64_t rounds = 0;  ///< data rounds completed by `epoch`
   struct Shard {
     std::uint64_t bytes = 0;
-    std::uint64_t checksum = 0;  ///< fnv1a of the encoded shard blob
+    std::uint64_t checksum = 0;  ///< the shard's header-checksum word (geom::shardChecksum)
   };
   std::uint64_t records[2] = {0, 0};
   std::vector<Shard> shards[2];

@@ -1,9 +1,10 @@
 #pragma once
 // Byte-level helpers shared by the little codecs scattered through the
 // tree: the shard/manifest writers (geom/batch_shard.cpp,
-// core/indexing.cpp) and the content hashing of join keys and shard
-// checksums (core/spatial_join.cpp). One definition each, so the hash
-// constants and scalar layout cannot silently diverge between the
+// recovery/checkpoint.cpp) and the FNV-1a content hashing of join keys
+// (core/spatial_join.cpp), manifests, seals and partition maps. Shard
+// checksums are CRC-32C (util/crc32c.hpp). One definition each, so the
+// hash constants and scalar layout cannot silently diverge between the
 // writers and the readers.
 
 #include <cstdint>

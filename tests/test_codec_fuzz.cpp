@@ -3,11 +3,13 @@
 // and the base), ingest manifests, and epoch seals — must reject *every*
 // single-bit flip and *every* truncation of a well-formed blob: a
 // corrupted artifact may never crash the reader and may never silently
-// load. The trailing FNV-1a checksums make this exhaustive check cheap:
-// each per-byte step of FNV-1a is a bijection on the 64-bit state, so a
-// one-byte change always changes the checksum. FNV-1a is not a MAC,
-// though: a writer can recompute it, so the decoders must also bound
-// every count in a checksum-valid blob by the bytes it actually holds
+// load. The checksums make this exhaustive check cheap. Manifests, seals
+// and maps end in FNV-1a, each of whose per-byte steps is a bijection on
+// the 64-bit state, so a one-byte change always changes the checksum.
+// Shards carry CRC-32C, which catches every burst of at most 32 bits.
+// Neither is a MAC, though: a writer can recompute it, so the decoders
+// must also bound every count in a checksum-valid blob by the bytes it
+// actually holds, and check every offset before they touch their output
 // (the Crafted* cases).
 //
 // Deliberately runtime-free (no simulated communicator): pure unit
@@ -17,6 +19,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -35,6 +38,7 @@
 #include "pfs/spill_store.hpp"
 #include "recovery/checkpoint.hpp"
 #include "util/bytes.hpp"
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 
 namespace mc = mvio::core;
@@ -379,26 +383,81 @@ TEST(CodecFuzz, CraftedManifestShardCountRejects) {
   EXPECT_FALSE(got.has_value());
 }
 
+namespace {
+
+/// Recompute a shard's payload and header CRC-32C words (header offsets
+/// 40 and 48), so a hand-edited blob is checksum-valid again.
+void resealShard(std::string& blob) {
+  const std::uint64_t payloadSum =
+      mvio::util::crc32c(blob.data() + mg::kShardHeaderBytes, blob.size() - mg::kShardHeaderBytes);
+  std::memcpy(blob.data() + 40, &payloadSum, 8);
+  const std::uint64_t headerSum = mvio::util::crc32c(blob.data(), 48);
+  std::memcpy(blob.data() + 48, &headerSum, 8);
+}
+
+/// The util::Error message `body` throws ("" when it returns).
+std::string rejection(const std::function<void()>& body) {
+  try {
+    body();
+  } catch (const mvio::util::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
 TEST(CodecFuzz, CraftedShardRecordCountRejects) {
   // n = 302405640552615601: times the 61 fixed bytes per record the
   // product wraps to 45, the payload this blob actually holds.
   constexpr std::uint64_t kRecords = 302405640552615601ull;
-  const std::string payload(45, '\0');
   std::string blob;
   mvio::util::putScalar<std::uint32_t>(blob, 0x4853564Du);  // "MVSH"
-  mvio::util::putScalar<std::uint32_t>(blob, 1);            // version
+  mvio::util::putScalar<std::uint32_t>(blob, 2);            // version
   mvio::util::putScalar<std::uint64_t>(blob, kRecords);
   mvio::util::putScalar<std::uint64_t>(blob, 0);  // coords
   mvio::util::putScalar<std::uint64_t>(blob, 0);  // shape tokens
   mvio::util::putScalar<std::uint64_t>(blob, 0);  // userData bytes
-  mvio::util::putScalar<std::uint64_t>(blob, mvio::util::fnv1a(payload.data(), payload.size()));
-  mvio::util::putScalar<std::uint64_t>(blob, mvio::util::fnv1a(blob.data(), blob.size()));
+  mvio::util::putScalar<std::uint64_t>(blob, 0);  // payload checksum (resealed)
+  mvio::util::putScalar<std::uint64_t>(blob, 0);  // header checksum (resealed)
   ASSERT_EQ(blob.size(), mg::kShardHeaderBytes);
-  blob += payload;
+  blob += std::string(45, '\0');
+  resealShard(blob);
+
+  // Every check before the count bound passes, so the rejection must
+  // come from the bound itself.
+  mg::GeometryBatch out;
+  const std::string why = rejection([&] { mg::decodeShard(blob, out); });
+  EXPECT_NE(why.find("truncated payload"), std::string::npos) << why;
+  EXPECT_EQ(out.size(), 0u);
+}
+
+TEST(CodecFuzz, CraftedShardBadOffsetsLeaveOutputUntouched) {
+  // A checksum-valid 2-record shard whose first coordEnd (7) runs past
+  // the 6 coordinates the header promises. The decoder must reject it
+  // before it appends any column, so the batch it decodes into keeps
+  // exactly its one earlier record.
+  mg::GeometryBatch pair;
+  pair.append(mg::readWkt("LINESTRING (0 0, 1 1, 2 2)"), 0);
+  pair.append(mg::readWkt("LINESTRING (5 5, 6 6, 7 7)"), 1);
+  std::string blob;
+  mg::encodeShard(pair, blob);
+  // coordEnd column: header, then 2 tags, 2 cells, 2 envelopes.
+  const std::size_t coordEndAt =
+      mg::kShardHeaderBytes + 2 * (1 + sizeof(int) + sizeof(mg::Envelope));
+  ASSERT_EQ(mvio::util::readScalar<std::uint64_t>(blob.data() + coordEndAt), 3u);
+  const std::uint64_t bad = 7;
+  std::memcpy(blob.data() + coordEndAt, &bad, 8);
+  resealShard(blob);
 
   mg::GeometryBatch out;
-  EXPECT_FALSE(noThrow([&] { mg::decodeShard(blob, out); }));
-  EXPECT_EQ(out.size(), 0u);
+  out.append(mg::readWkt("POINT (9 9)"), 2);
+  const std::uint64_t bytesBefore = out.memoryBytes();
+  const std::string why = rejection([&] { mg::decodeShard(blob, out); });
+  EXPECT_NE(why.find("bad coord offsets"), std::string::npos) << why;
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.memoryBytes(), bytesBefore);
+  EXPECT_EQ(mg::writeWkt(out.materialize(0)), "POINT (9 9)");
 }
 
 // ---- WKB record stream (core/format.hpp framing) --------------------------

@@ -28,6 +28,7 @@
 #include "recovery/checkpoint.hpp"
 #include "recovery/recovery.hpp"
 #include "util/error.hpp"
+#include "util/perf.hpp"
 
 namespace mc = mvio::core;
 namespace mg = mvio::geom;
@@ -171,6 +172,54 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
     mg::GeometryBatch rejected;
     EXPECT_THROW(mr::loadShardSet(*volume, cfg.checkpointDir, 0, *manifest, 0, stale, rejected),
                  mvio::util::Error);
+  });
+}
+
+TEST(Checkpoint, EachShardByteIsHashedOncePerSide) {
+  // A manifest ref is the shard's own header-checksum word, so writing a
+  // delta hashes each shard byte once (the codec's two CRCs) and loading
+  // it hashes each byte once more — no second pass over the blob.
+  auto volume = lustreVolume(2);
+  const mg::GeometryBatch batch = mixedBatch();
+  mg::GeometryBatch big;  // > kMaxShardBytes, so layer 1 spans several shards
+  for (int k = 0; k < 4000; ++k) {
+    for (std::size_t i = 0; i < batch.size(); ++i) big.appendRecordFrom(batch, i, batch.cell(i));
+  }
+
+  mm::Runtime::run(1, [&](mm::Comm& comm) {
+    mc::PhaseBreakdown phases;
+    mc::StreamConfig cfg;
+    cfg.checkpointEveryRounds = 1;
+    cfg.checkpointDir = "__ck_hash_once";
+    mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
+    ckpt.noteRound(0, batch);
+    ckpt.noteRound(1, big);
+    const std::vector<int> owner(8, 0);
+    const std::uint64_t beforeWrite = mvio::util::perf::bytesChecksummed();
+    ASSERT_TRUE(ckpt.maybeCheckpoint(1, owner));
+    const std::uint64_t written = mvio::util::perf::bytesChecksummed() - beforeWrite;
+
+    const auto manifest =
+        mr::readShardSetManifest(*volume, cfg.checkpointDir, 0, /*base=*/false, 1);
+    ASSERT_TRUE(manifest.has_value());
+    ASSERT_EQ(manifest->shards[0].size(), 1u);
+    ASSERT_GT(manifest->shards[1].size(), 1u);
+    // Each shard's bytes bar its 8-byte header-checksum word.
+    std::uint64_t hashable = 0;
+    for (int layer = 0; layer < 2; ++layer) {
+      for (const mr::ShardSetManifest::Shard& ref : manifest->shards[layer]) {
+        hashable += ref.bytes - 8;
+      }
+    }
+    EXPECT_EQ(written, hashable);
+
+    const std::uint64_t beforeLoad = mvio::util::perf::bytesChecksummed();
+    mg::GeometryBatch loaded[2];
+    EXPECT_EQ(mr::loadShardSet(*volume, cfg.checkpointDir, 0, *manifest, 0, owner, loaded[0]),
+              batch.size());
+    EXPECT_EQ(mr::loadShardSet(*volume, cfg.checkpointDir, 0, *manifest, 1, owner, loaded[1]),
+              big.size());
+    EXPECT_EQ(mvio::util::perf::bytesChecksummed() - beforeLoad, hashable);
   });
 }
 

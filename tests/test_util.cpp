@@ -1,8 +1,10 @@
 // Unit tests for mvio::util: RNG determinism and distributions, running
-// statistics, formatting, histogram, CLI parsing, decimal decoding.
+// statistics, formatting, histogram, CLI parsing, decimal decoding,
+// CRC-32C.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cmath>
@@ -10,8 +12,10 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "util/cli.hpp"
+#include "util/crc32c.hpp"
 #include "util/decimal.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -291,4 +295,64 @@ TEST(Decimal, MatchesFromCharsOnSeededStrings) {
     if (!diff.empty() && ++mismatches <= 10) ADD_FAILURE() << diff;
   }
   EXPECT_EQ(mismatches, 0);
+}
+
+// ---- CRC-32C ---------------------------------------------------------------
+
+TEST(Crc32c, Rfc3720Vectors) {
+  // RFC 3720 appendix B.4, plus the catalogue check value.
+  unsigned char buf[32];
+  std::memset(buf, 0x00, sizeof buf);
+  EXPECT_EQ(mu::crc32c(buf, sizeof buf), 0x8A9136AAu);
+  EXPECT_EQ(mu::detail::crc32cTable(buf, sizeof buf), 0x8A9136AAu);
+  std::memset(buf, 0xFF, sizeof buf);
+  EXPECT_EQ(mu::crc32c(buf, sizeof buf), 0x62A8AB43u);
+  EXPECT_EQ(mu::detail::crc32cTable(buf, sizeof buf), 0x62A8AB43u);
+  for (int i = 0; i < 32; ++i) buf[i] = static_cast<unsigned char>(i);
+  EXPECT_EQ(mu::crc32c(buf, sizeof buf), 0x46DD794Eu);
+  EXPECT_EQ(mu::detail::crc32cTable(buf, sizeof buf), 0x46DD794Eu);
+  EXPECT_EQ(mu::crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(mu::detail::crc32cTable("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(mu::crc32c(nullptr, 0), 0u);
+}
+
+TEST(Crc32c, DispatchedPathMatchesTableAtEveryAlignment) {
+  // crc32c runs the SSE4.2 instruction where the CPU has it; the table
+  // path is the reference. Every start offset mod 8 and lengths across
+  // 0..4 KiB cover the word loop, the byte tail and their seams.
+  mu::Rng rng(20261018);
+  std::string buf(4096 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.next());
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (int i = 0; i < 256; ++i) lengths.push_back(rng.below(4097));
+  lengths.push_back(4096);
+  std::string copy(buf.size(), '\0');
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t n : lengths) {
+      const char* p = buf.data() + offset;
+      const std::uint32_t want = mu::detail::crc32cTable(p, n);
+      ASSERT_EQ(mu::crc32c(p, n), want) << "offset " << offset << ", length " << n;
+      // The copying form returns the same CRC and lands exactly n bytes.
+      std::fill(copy.begin(), copy.end(), '\x5A');
+      ASSERT_EQ(mu::crc32cCopy(copy.data() + 7 - offset, p, n), want)
+          << "offset " << offset << ", length " << n;
+      ASSERT_EQ(copy.compare(7 - offset, n, p, n), 0) << "offset " << offset << ", length " << n;
+      ASSERT_EQ(copy[7 - offset + n], '\x5A') << "offset " << offset << ", length " << n;
+    }
+  }
+}
+
+TEST(Crc32c, ContinuesAcrossSplits) {
+  const std::string text = "The quick brown fox jumps over the lazy dog, twice over.";
+  const std::uint32_t whole = mu::crc32c(text.data(), text.size());
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    EXPECT_EQ(mu::crc32c(text.data() + cut, text.size() - cut, mu::crc32c(text.data(), cut)),
+              whole)
+        << "cut at " << cut;
+    EXPECT_EQ(mu::detail::crc32cTable(text.data() + cut, text.size() - cut,
+                                      mu::detail::crc32cTable(text.data(), cut)),
+              whole)
+        << "cut at " << cut;
+  }
 }
