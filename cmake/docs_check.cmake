@@ -14,7 +14,8 @@
 # (src/core/framework.hpp), `DistributedIndex::x` (src/core/indexing.hpp),
 # each workload's `<Workload>Stats::x` / `<Workload>Config::x` (its own
 # header: spatial_join, overlay, range_query, indexing),
-# `PartitionerConfig::x` (src/core/partition_map.hpp),
+# `PartitionerConfig::x` / `PartitionMap::x` (src/core/partition_map.hpp),
+# `GridSpec::x` / `CellLocator::x` (src/core/grid.hpp),
 # `PartitionConfig::x` (src/core/file_partition.hpp), `CellStore::x`
 # (src/core/cell_store.hpp), `FormatReader::x` / `WkbFormatReader::x`
 # (src/core/format.hpp), `Parser::x` / `WktParser::x` /
@@ -49,6 +50,8 @@ set(CITED_TYPES
     "RangeQuery(Stats|Config)=core/range_query.hpp"
     "Indexing(Stats|Config)=core/indexing.hpp"
     "PartitionerConfig=core/partition_map.hpp"
+    "PartitionMap=core/partition_map.hpp"
+    "GridSpec|CellLocator=core/grid.hpp"
     "PartitionConfig=core/file_partition.hpp"
     "CellStore=core/cell_store.hpp"
     "(Wkb)?FormatReader=core/format.hpp"

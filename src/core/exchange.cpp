@@ -16,6 +16,8 @@ using util::fnv1a;
 using util::putScalar;
 using util::readScalar;
 
+constexpr SerializationCostModel kCosts{};  ///< charged by the exchange and the migration
+
 void serializeCellGeometry(const CellGeometry& cg, std::string& out) {
   MVIO_CHECK(cg.cell >= 0, "negative cell id");
   const std::size_t start = out.size();
@@ -56,8 +58,7 @@ void deserializeCellGeometries(std::string_view bytes, std::vector<CellGeometry>
 
 geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoing,
                                    const CellOwnerFn& owner, int windowPhases, int totalCells,
-                                   ExchangeStats* stats, const SerializationCostModel& costs,
-                                   bool lastRound, ExchangeScratch* scratch) {
+                                   ExchangeStats* stats, bool lastRound, ExchangeScratch* scratch) {
   MVIO_CHECK(windowPhases >= 1, "need at least one exchange phase");
   MVIO_CHECK(totalCells >= 1, "need at least one cell");
   const int p = comm.size();
@@ -161,8 +162,8 @@ geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoi
       at = static_cast<std::size_t>(end - sendBuf.data());
     }
     if (multiPhase) src = geom::GeometryBatch();  // this phase's records are packed; free them
-    comm.clock().advanceBy(static_cast<double>(sendTotal) / costs.bytesPerSecond +
-                           static_cast<double>(nRecords) * costs.perGeometrySeconds);
+    comm.clock().advanceBy(static_cast<double>(sendTotal) / kCosts.bytesPerSecond +
+                           static_cast<double>(nRecords) * kCosts.perGeometrySeconds);
 
     // Round 1: exchange round headers (MPI_Alltoall), so receivers can
     // size their buffers, anticipate record counts, and verify that all
@@ -195,8 +196,8 @@ geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoi
     mine.deserializeRecords(std::string_view(recvBuf.data(), recvTotal));
     MVIO_CHECK(mine.size() - before == expectedRecords,
                "round header record count does not match the deserialized stream");
-    comm.clock().advanceBy(static_cast<double>(recvTotal) / costs.bytesPerSecond +
-                           static_cast<double>(mine.size() - before) * costs.perGeometrySeconds);
+    comm.clock().advanceBy(static_cast<double>(recvTotal) / kCosts.bytesPerSecond +
+                           static_cast<double>(mine.size() - before) * kCosts.perGeometrySeconds);
 
     if (stats != nullptr) {
       stats->bytesSent += sendTotal;
@@ -292,8 +293,7 @@ void lptAssignCellsSeeded(const std::vector<std::uint64_t>& cellLoads,
 }
 
 geom::GeometryBatch migrateShards(mpi::Comm& comm, std::vector<geom::GeometryBatch>&& outgoing,
-                                  std::uint64_t maxBlobBytes, ShardTransportStats* stats,
-                                  const SerializationCostModel& costs) {
+                                  std::uint64_t maxBlobBytes, ShardTransportStats* stats) {
   const int p = comm.size();
   MVIO_CHECK(outgoing.size() == static_cast<std::size_t>(p),
              "migrateShards: need one outgoing batch per rank");
@@ -315,8 +315,8 @@ geom::GeometryBatch migrateShards(mpi::Comm& comm, std::vector<geom::GeometryBat
           blob.clear();
           blob.reserve(static_cast<std::size_t>(bytes));
           geom::encodeShard(batch, lo, hi, blob);
-          comm.clock().advanceBy(static_cast<double>(blob.size()) / costs.bytesPerSecond +
-                                 static_cast<double>(hi - lo) * costs.perGeometrySeconds);
+          comm.clock().advanceBy(static_cast<double>(blob.size()) / kCosts.bytesPerSecond +
+                                 static_cast<double>(hi - lo) * kCosts.perGeometrySeconds);
           comm.send(blob.data(), static_cast<int>(blob.size()), byteType, d, kShardMigrationTag);
           payloadBytes += blob.size();
         });
@@ -365,8 +365,8 @@ geom::GeometryBatch migrateShards(mpi::Comm& comm, std::vector<geom::GeometryBat
       records += decoded;
       payloadBytes += buf.size();
       ++blobs;
-      comm.clock().advanceBy(static_cast<double>(buf.size()) / costs.bytesPerSecond +
-                             static_cast<double>(decoded) * costs.perGeometrySeconds);
+      comm.clock().advanceBy(static_cast<double>(buf.size()) / kCosts.bytesPerSecond +
+                             static_cast<double>(decoded) * kCosts.perGeometrySeconds);
     }
     if (stats != nullptr) {
       stats->bytesReceived += payloadBytes;

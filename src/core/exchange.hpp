@@ -57,9 +57,9 @@ void deserializeCellGeometries(std::string_view bytes, std::vector<CellGeometry>
 
 /// Deterministic cost model for communication-buffer management (the
 /// paper's "serialization and deserialization" overhead). Measured thread
-/// CPU is too coarse on quantized-clock hosts for sub-10ms phases, so the
-/// exchange charges these calibrated rates instead; bench_micro_datatype
-/// reports the real hot-path numbers for comparison.
+/// CPU is too coarse on quantized-clock hosts for sub-10ms phases, so
+/// exchangeByCell and migrateShards charge these default rates instead;
+/// bench_micro_datatype reports the real hot-path numbers for comparison.
 struct SerializationCostModel {
   double bytesPerSecond = 2.5e9;      ///< WKB encode/decode streaming rate
   double perGeometrySeconds = 3e-7;   ///< fixed per-record overhead
@@ -161,8 +161,7 @@ void lptAssignCellsSeeded(const std::vector<std::uint64_t>& cellLoads,
 /// util::Error on a corrupted/truncated blob or a summary mismatch.
 /// Collective over `comm`.
 geom::GeometryBatch migrateShards(mpi::Comm& comm, std::vector<geom::GeometryBatch>&& outgoing,
-                                  std::uint64_t maxBlobBytes, ShardTransportStats* stats = nullptr,
-                                  const SerializationCostModel& costs = {});
+                                  std::uint64_t maxBlobBytes, ShardTransportStats* stats = nullptr);
 
 /// Personalized all-to-all of a cell-tagged GeometryBatch — the pipeline's
 /// hot path. `outgoing` is consumed; records with cell == kNoCell are
@@ -180,8 +179,7 @@ geom::GeometryBatch migrateShards(mpi::Comm& comm, std::vector<geom::GeometryBat
 /// that all senders agree with its own view of termination.
 geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoing,
                                    const CellOwnerFn& owner, int windowPhases, int totalCells,
-                                   ExchangeStats* stats = nullptr,
-                                   const SerializationCostModel& costs = {}, bool lastRound = true,
+                                   ExchangeStats* stats = nullptr, bool lastRound = true,
                                    ExchangeScratch* scratch = nullptr);
 
 }  // namespace mvio::core

@@ -106,8 +106,6 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   const PartitionMap& map = stats.partition;
   if (ckpt.enabled()) ckpt.setPartitionMap(encodePartitionMap(map));
 
-  std::optional<CellLocator> locator;
-  if (cfg.rtreeCellLocator) locator.emplace(stats.grid);
   const CellOwnerFn owner = [&stats](int c) { return stats.cellOwner[static_cast<std::size_t>(c)]; };
 
   // 4+5: project + exchange rounds per layer (communication phase).
@@ -180,7 +178,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
       double projectSeconds = 0;
       {
         sim::ThreadCpuTimer timer;
-        chunk = projectToCells(map, locator ? &*locator : nullptr, std::move(chunk));
+        chunk = projectToCells(map, nullptr, std::move(chunk));
         projectSeconds = timer.elapsed();
       }
       if (overlap) {
@@ -225,7 +223,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
       const std::uint64_t wire0 = stats.exchange.bytesReceived;
       geom::GeometryBatch got =
           exchangeByCell(comm, std::move(chunk), owner, cfg.windowPhases, map.cellCount(),
-                         &stats.exchange, {}, last, &xscratch);
+                         &stats.exchange, last, &xscratch);
       stats.phases.comm += comm.clock().now() - t0;
       stats.phases.rounds += 1;
       obs::traceSpanAt("comm", t0, comm.clock().now());
@@ -264,8 +262,8 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
         // Failure detection + cascading recovery (recovery.hpp); every
         // remaining round is then re-derived from the durable log.
         launchRanks = recovery::recoverUntilStable(
-            active, volume, faults, sc, {roundsR, roundsS}, map, locator ? &*locator : nullptr,
-            ownedR, s != nullptr ? &ownedS : nullptr, stats);
+            active, volume, faults, sc, {roundsR, roundsS}, map, ownedR,
+            s != nullptr ? &ownedS : nullptr, stats);
         obs::traceEnd("round");
         return false;
       }
@@ -278,7 +276,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
       const double t0 = comm.clock().now();
       geom::GeometryBatch got =
           exchangeByCell(comm, geom::GeometryBatch(), owner, cfg.windowPhases, map.cellCount(),
-                         &stats.exchange, {}, /*lastRound=*/true, &xscratch);
+                         &stats.exchange, /*lastRound=*/true, &xscratch);
       stats.phases.comm += comm.clock().now() - t0;
       stats.phases.rounds += 1;
       owned.add(std::move(got));

@@ -160,7 +160,6 @@ struct FrameworkConfig {
   /// parallel refine visits ascending contiguous cell blocks merged in
   /// worker order (DESIGN.md §10).
   int threadsPerRank = 1;
-  bool rtreeCellLocator = true;  ///< cell lookup via R-tree (paper) vs arithmetic
   /// Sample-based adaptive partitioning (DESIGN.md §13): a pilot pass
   /// samples record envelopes during ingest, the samples are allgathered,
   /// and every rank builds the same variable-extent PartitionMap —
@@ -347,11 +346,12 @@ struct FrameworkStats {
 
 /// Phase-4 grid projection: map every record of `geoms` to its
 /// overlapping partition cells in place (a k-cell geometry appends k-1
-/// replicas; no-cell records are tombstoned with kNoCell). `locator`,
-/// when given, resolves uniform cells via the R-tree of cell boundaries
-/// and the map translates them. Deterministic for a given map — the
-/// recovery replay re-derives lost exchange rounds by re-running it over
-/// the durable chunk log.
+/// replicas; no-cell records are tombstoned with kNoCell). Deterministic
+/// for a given map — the recovery replay re-derives lost exchange rounds
+/// by re-running it over the durable chunk log. The pipeline passes a null
+/// `locator` (PartitionMap::overlappingCells, cellOfPoint's arithmetic);
+/// a locator's R-tree can miss a pair's reference cell (grid.hpp) and is
+/// taken only by the end-to-end benchmark's projection probe.
 geom::GeometryBatch projectToCells(const PartitionMap& map, const CellLocator* locator,
                                    geom::GeometryBatch&& geoms);
 

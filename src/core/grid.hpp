@@ -10,10 +10,13 @@
 // The global extent comes from an MPI_UNION allreduce of per-rank local
 // MBRs — the paper's flagship use of the spatial reduction operators.
 //
-// Cell lookup offers two equivalent engines: the R-tree of cell
-// boundaries the paper describes (build an R-tree over cell rectangles,
-// query with each geometry MBR) and closed-form index arithmetic. Tests
-// assert they agree; a bench measures the difference.
+// Cell lookup has two engines that differ at cell edges: the paper's
+// R-tree over cellEnvelope rectangles (minX + k·cellW), and closed-form
+// arithmetic, floor((x − minX)·invCellW), which cellOfPoint — the
+// duplicate-avoidance lookup — shares. Being monotone, the arithmetic puts
+// any point of a box in one of the box's cells; within an ulp of an edge
+// the R-tree can miss that cell. The pipeline projects through the
+// arithmetic; CellLocator serves bench_paper ablation_locator.
 
 #include <cstdint>
 #include <vector>
@@ -65,7 +68,7 @@ class GridSpec {
 /// Cell lookup through an R-tree of cell boundaries — the construction the
 /// paper uses ("an R-tree is first built by inserting the individual cell
 /// boundaries; the overlapping grid cells are determined by querying with
-/// the geometry's MBR").
+/// the geometry's MBR"). The pipeline does not use it (see above).
 class CellLocator {
  public:
   explicit CellLocator(const GridSpec& grid);

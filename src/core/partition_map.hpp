@@ -89,11 +89,12 @@ class PartitionMap {
   }
 
   /// Append every partition cell whose extent intersects `box`; the
-  /// appended tail is sorted and deduped (same contract as CellLocator).
+  /// appended tail is sorted and deduped. Uses cellOfPoint's arithmetic,
+  /// so the cell of any point inside `box` is among them.
   void overlappingCells(const geom::Envelope& box, std::vector<int>& out) const;
 
-  /// Translate uniform cell ids appended past `first` (e.g. a CellLocator
-  /// result) into partition ids in place; sorts + dedupes the tail.
+  /// Translate uniform cell ids appended past `first` into partition ids
+  /// in place; sorts + dedupes the tail.
   void translateCells(std::vector<int>& cells, std::size_t first) const;
 
   friend bool operator==(const PartitionMap& a, const PartitionMap& b);

@@ -44,7 +44,6 @@ struct RecoveryContext {
   /// through it, and its encoding must match the sealed epoch's embedded
   /// map — the projection-drift guard.
   const core::PartitionMap& map;
-  const core::CellLocator* locator;  ///< null = arithmetic cell lookup
   int worldSize;                     ///< original communicator size
   SealScanCache sealCache;           ///< cross-pass seal-scan memo
   std::vector<int> deadRanks;        ///< all world ranks lost so far (sorted, cumulative)
@@ -215,8 +214,7 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
       if (chunk >= logs[static_cast<std::size_t>(q)].chunks[layer]) continue;
       geom::GeometryBatch raw;
       loadLoggedChunk(volume, dir, q, layer, chunk, raw, &bytesRead);
-      const geom::GeometryBatch projected =
-          core::projectToCells(map, ctx.locator, std::move(raw));
+      const geom::GeometryBatch projected = core::projectToCells(map, nullptr, std::move(raw));
       for (std::size_t i = 0; i < projected.size(); ++i) {
         const int cell = projected.cell(i);
         if (cell == geom::GeometryBatch::kNoCell) continue;
@@ -228,7 +226,7 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
     chargeReads();
     geom::GeometryBatch got =
         core::exchangeByCell(survivors, std::move(ship), ownerFn, /*windowPhases=*/1,
-                             map.cellCount(), nullptr, {}, /*lastRound=*/true, &scratch);
+                             map.cellCount(), nullptr, /*lastRound=*/true, &scratch);
     sim::ThreadCpuTimer storeCpu;
     replayedRecords += got.size();
     stores[layer]->add(std::move(got));
@@ -292,8 +290,7 @@ FaultPlan planFaults(const std::vector<sim::FailureEvent>& schedule, int worldSi
 std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
                                     const FaultPlan& faults, const core::StreamConfig& sc,
                                     const std::uint64_t (&rounds)[2],
-                                    const core::PartitionMap& map,
-                                    const core::CellLocator* locator, core::CellStore& ownedR,
+                                    const core::PartitionMap& map, core::CellStore& ownedR,
                                     core::CellStore* ownedS, core::FrameworkStats& stats) {
   // Each iteration is one detection allgather over the current
   // communicator: newly dead ranks leave with their volatile state, the
@@ -302,7 +299,7 @@ std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
   // past the first kill is recovery territory) are caught by the next
   // iteration. The seal-scan cache makes the repeated recovery-point
   // scans free; seeded LPT re-homing composes across the shrinks.
-  RecoveryContext ctx{sc, faults, rounds, map, locator, active.size(), {}, {}, {}, {}};
+  RecoveryContext ctx{sc, faults, rounds, map, active.size(), {}, {}, {}, {}};
   const int me = active.worldRank();
   bool alive = true;
   for (std::size_t wave = 0;; ++wave) {

@@ -100,8 +100,7 @@ FaultPlan planFaults(const std::vector<sim::FailureEvent>& schedule, int worldSi
 std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
                                     const FaultPlan& faults, const core::StreamConfig& sc,
                                     const std::uint64_t (&rounds)[2],
-                                    const core::PartitionMap& map,
-                                    const core::CellLocator* locator, core::CellStore& ownedR,
+                                    const core::PartitionMap& map, core::CellStore& ownedR,
                                     core::CellStore* ownedS, core::FrameworkStats& stats);
 
 }  // namespace mvio::recovery

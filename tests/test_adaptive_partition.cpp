@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <iomanip>
 #include <mutex>
 #include <set>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "pfs/lustre.hpp"
 #include "recovery/checkpoint.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace mc = mvio::core;
 namespace mg = mvio::geom;
@@ -273,6 +276,91 @@ TEST(PartitionMap, BuildersAreDeterministic) {
   EXPECT_TRUE(mc::buildPartitionMap(cfg, grid, {}, 4).isUniform());
   cfg.scheme = mc::PartitionScheme::kUniform;
   EXPECT_TRUE(mc::buildPartitionMap(cfg, grid, samples, 4).isUniform());
+}
+
+TEST(PartitionMap, ProjectionCarriesReferenceCellOnComputedEdges) {
+  // Boxes whose corners sit on computed cell edges (cellEnvelope's
+  // minX + k·cellW), nudged by -1, 0 or +1 ulp: there an R-tree of cell
+  // rectangles and the floor arithmetic of cellOfPoint can put a
+  // coordinate on different sides of the edge. Reference-point duplicate
+  // avoidance reports a pair only in the cell cellOfPoint gives the
+  // intersection's min corner, so the pipeline's projection must carry
+  // that cell for every box — for a uniform and a quadtree map alike.
+  mvio::util::Rng rng(20261018);
+  std::uint64_t rtreeMisses = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const double x0 = rng.uniform(-200, 100);
+    const double y0 = rng.uniform(-90, 40);
+    const mg::Envelope bounds(x0, y0, x0 + rng.uniform(1, 300), y0 + rng.uniform(1, 130));
+    const mc::GridSpec grid =
+        mc::GridSpec::squarish(bounds, static_cast<int>(rng.between(64, 2048)));
+    const mc::CellLocator locator(grid);
+    std::vector<mg::Envelope> samples;
+    for (int k = 0; k < 400; ++k) {
+      // Skewed toward the lower-left quarter so the quadtree splits.
+      const double f = k % 4 == 0 ? 1.0 : 0.25;
+      const double x = bounds.minX() + rng.uniform(0, f * bounds.width());
+      const double y = bounds.minY() + rng.uniform(0, f * bounds.height());
+      samples.emplace_back(x, y, x, y);
+    }
+    mc::PartitionerConfig cfg;
+    cfg.scheme = mc::PartitionScheme::kQuadtree;
+    cfg.targetCells = 16;
+    const mc::PartitionMap quadtree = mc::buildPartitionMap(cfg, grid, samples, 4);
+    ASSERT_FALSE(quadtree.isUniform()) << "trial " << trial;
+
+    // Corners on a random cell's edges, nudged, then clamped into the
+    // grid bounds (no record lies outside them: they are the union of
+    // every record's MBR).
+    const auto onEdge = [&](double edge, double lo, double hi) {
+      const double toward = rng.below(2) == 0 ? -INFINITY : INFINITY;
+      const double v = rng.below(3) == 0 ? edge : std::nextafter(edge, toward);
+      return std::clamp(v, lo, hi);
+    };
+    std::vector<mg::Coord> minCorners;
+    mg::GeometryBatch boxes;
+    for (int k = 0; k < 3000; ++k) {
+      const auto u = static_cast<int>(rng.below(static_cast<std::uint64_t>(grid.cellCount())));
+      const mg::Envelope cell = grid.cellEnvelope(u);
+      const double ex = rng.below(2) == 0 ? cell.minX() : cell.maxX();
+      const double ey = rng.below(2) == 0 ? cell.minY() : cell.maxY();
+      const mg::Coord lo{onEdge(ex, bounds.minX(), bounds.maxX()),
+                         onEdge(ey, bounds.minY(), bounds.maxY())};
+      // A third are points; the rest reach up to two cells further.
+      const bool point = rng.below(3) == 0;
+      const mg::Coord hi{
+          point ? lo.x : std::min(bounds.maxX(), lo.x + rng.uniform(0, 2 * cell.width())),
+          point ? lo.y : std::min(bounds.maxY(), lo.y + rng.uniform(0, 2 * cell.height()))};
+      minCorners.push_back(lo);
+      boxes.append(mg::Geometry::lineString({lo, hi}), std::to_string(k));
+      std::vector<int> viaRtree;
+      locator.overlappingCells(boxes.envelope(boxes.size() - 1), viaRtree);
+      if (!std::binary_search(viaRtree.begin(), viaRtree.end(), grid.cellOfPoint(lo))) {
+        ++rtreeMisses;
+      }
+    }
+
+    const mc::PartitionMap uniform = mc::PartitionMap::uniform(grid);
+    for (const mc::PartitionMap* map : {&uniform, &quadtree}) {
+      const mg::GeometryBatch projected =
+          mc::projectToCells(*map, nullptr, mg::GeometryBatch(boxes));
+      std::vector<std::vector<int>> cellsOf(minCorners.size());
+      for (std::size_t i = 0; i < projected.size(); ++i) {
+        const auto k = static_cast<std::size_t>(std::stoul(std::string(projected.userData(i))));
+        cellsOf[k].push_back(projected.cell(i));
+      }
+      for (std::size_t k = 0; k < minCorners.size(); ++k) {
+        const int ref = map->cellOfPoint(minCorners[k]);
+        EXPECT_NE(std::find(cellsOf[k].begin(), cellsOf[k].end(), ref), cellsOf[k].end())
+            << mc::partitionSchemeName(map->scheme()) << " trial " << trial << " box " << k
+            << std::setprecision(17) << " min corner (" << minCorners[k].x << ", "
+            << minCorners[k].y << ")";
+      }
+    }
+  }
+  // The data reaches the disagreement: the R-tree engine misses the
+  // reference cell for some of these boxes.
+  EXPECT_GT(rtreeMisses, 0u);
 }
 
 // ---- Cost model ----------------------------------------------------------

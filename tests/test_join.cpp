@@ -149,3 +149,51 @@ TEST(SpatialJoin, MoreCellsThanGeometries) {
       runDistributedJoin(fx, 3, 400, 1, mc::BoundaryStrategy::kMessage, mc::JoinPredicate::kIntersects);
   EXPECT_EQ(got, expected);
 }
+
+TEST(SpatialJoin, PointOnComputedCellEdgeKeepsItsPair) {
+  // Two corner points pin the grid's bounds; with 1024 cells the probe
+  // point's x lands on a computed cell edge. cellOfPoint (the
+  // duplicate-avoidance lookup) puts the point in cell 383, while an
+  // R-tree of cellEnvelope rectangles (minX + k·cellW) would project it
+  // only to cell 382, so the one pair would be reported nowhere. The
+  // projection must use the same arithmetic as cellOfPoint. Constants
+  // are printed %.17g.
+  const std::string r =
+      "POINT (-30.940000000000001 -37.130000000000003)\n"
+      "POINT (211.84999999999999 25.138999999999999)\n"
+      "POINT (-11.670952380952384 -11.833218750000004)\n";
+  const std::string s = "POLYGON ((-12.5 -12.5, -10.5 -12.5, -10.5 -11, -12.5 -11, -12.5 -12.5))\n";
+  mp::LustreParams params;
+  params.nodes = 4;
+  mp::Volume volume(std::make_shared<mp::LustreModel>(params));
+  volume.create("r.wkt", std::make_shared<mp::MemoryBackingStore>(r));
+  volume.create("s.wkt", std::make_shared<mp::MemoryBackingStore>(s));
+
+  mc::WktParser parser;
+  std::vector<mg::Geometry> geomsR, geomsS;
+  parser.parseAll(r, [&](mg::Geometry&& g) { geomsR.push_back(std::move(g)); });
+  parser.parseAll(s, [&](mg::Geometry&& g) { geomsS.push_back(std::move(g)); });
+  const auto expected = mc::serialJoin(geomsR, geomsS, mc::JoinPredicate::kIntersects);
+  ASSERT_EQ(expected.size(), 1u);
+
+  for (const auto scheme : {mc::PartitionScheme::kUniform, mc::PartitionScheme::kQuadtree}) {
+    for (const int nprocs : {1, 4}) {
+      std::mutex mu;
+      std::vector<mc::JoinPair> got;
+      mm::Runtime::run(nprocs, mvio::sim::MachineModel::comet(4), [&](mm::Comm& comm) {
+        mc::JoinConfig cfg;
+        cfg.framework.gridCells = 1024;
+        cfg.framework.partition.scheme = scheme;
+        cfg.framework.partition.sampleRate = 1.0;
+        mc::DatasetHandle dr{"r.wkt", &parser, {}};
+        mc::DatasetHandle ds{"s.wkt", &parser, {}};
+        std::vector<mc::JoinPair> local;
+        (void)mc::spatialJoin(comm, volume, dr, ds, cfg, &local);
+        std::lock_guard<std::mutex> lock(mu);
+        got.insert(got.end(), local.begin(), local.end());
+      });
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected) << mc::partitionSchemeName(scheme) << " nprocs=" << nprocs;
+    }
+  }
+}
