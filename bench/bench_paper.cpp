@@ -275,6 +275,15 @@ struct PhaseRun {
   double makespan = 0;
 };
 
+/// The paper's pipeline for Figures 17–20: each layer read in one round,
+/// no round overlap, so every phase of the breakdown stays exposed.
+core::StreamConfig paperStream() {
+  core::StreamConfig sc;
+  sc.chunkBytes = core::StreamConfig::kWholePartition;
+  sc.overlapRounds = false;
+  return sc;
+}
+
 PhaseRun indexRun(pfs::Volume& volume, const std::string& path, int procs,
                   const sim::MachineModel& machine, const core::FrameworkConfig& framework) {
   PhaseRun out;
@@ -300,6 +309,7 @@ PhaseRun joinRun(pfs::Volume& volume, const char* r, const char* s, int procs, i
   mpi::Runtime::run(procs, machine, [&](mpi::Comm& comm) {
     core::JoinConfig cfg;
     cfg.framework.gridCells = cells;
+    cfg.framework.stream = paperStream();
     const auto stats = core::spatialJoin(comm, volume, {r, &parser, {}}, {s, &parser, {}}, cfg);
     const auto reduced = stats.phases.maxAcross(comm);
     const double end = comm.allreduceMax(comm.clock().now());
@@ -1056,6 +1066,7 @@ void fig20(obs::RunReport& report) {
   installText(*volume, "road_network.wkt", spec, 150'000);
   core::FrameworkConfig fw;
   fw.gridCells = 2048;
+  fw.stream = paperStream();
   const PhaseSeries cols =
       breakdownSweep(report, "index", "indexed", {80, 160, 240, 320}, [&](int p) {
         return indexRun(*volume, "road_network.wkt", p, sim::MachineModel::roger(p / 20), fw);

@@ -29,41 +29,53 @@ int readerCount(std::uint64_t globalOffset, std::uint64_t fileSize, std::uint64_
 
 }  // namespace
 
+std::uint64_t resolveChunkBytes(std::uint64_t chunkBytes, std::uint64_t fileSize, int nprocs,
+                                std::uint64_t stripeSize, const PartitionConfig& cfg) {
+  if (chunkBytes != 0) return chunkBytes;
+  if (cfg.blockSize != 0 || cfg.strategy == BoundaryStrategy::kOverlap) {
+    return PartitionReader::kWholePartition;
+  }
+  const std::uint64_t p = static_cast<std::uint64_t>(std::max(nprocs, 1));
+  const std::uint64_t floor = std::max<std::uint64_t>(stripeSize, 1);
+  const std::uint64_t rounds =
+      std::clamp<std::uint64_t>(fileSize / p / floor, 1, PartitionReader::kDerivedRounds);
+  if (rounds == 1) return PartitionReader::kWholePartition;
+  return (fileSize + rounds * p - 1) / (rounds * p);
+}
+
 PartitionReader::PartitionReader(mpi::Comm& comm, io::File& file, const PartitionConfig& cfg,
                                  std::uint64_t chunkBytes, const FormatReader* format)
     : comm_(&comm),
       file_(&file),
       cfg_(cfg),
-      fmt_(format != nullptr ? format : FormatRegistry::instance().get("wkt")),
-      streaming_(chunkBytes > 0) {
+      fmt_(format != nullptr ? format : FormatRegistry::instance().get("wkt")) {
   fileSize_ = file.size();
   MVIO_CHECK(fileSize_ > 0, "cannot partition an empty file");
 
+  chunkBytes =
+      resolveChunkBytes(chunkBytes, fileSize_, comm.size(), file.stripe().stripeSize, cfg);
+  streaming_ = chunkBytes != kWholePartition;
   blockSize_ = streaming_ ? chunkBytes : cfg.blockSize;
   if (blockSize_ == 0) {
     // Algorithm 1's equal split: one block per rank, every rank reads.
-    blockSize_ = (fileSize_ + static_cast<std::uint64_t>(comm.size()) - 1) /
-                 static_cast<std::uint64_t>(comm.size());
-    blockSize_ = std::max<std::uint64_t>(blockSize_, 1);
-    // Algorithm 1 also needs a record boundary in every full block. A
-    // block of maxGeometryBytes always holds one; a smaller block is
-    // checked after the read (stepMessage), and if any lacks one, every
-    // rank re-reads at the clamped size. kOverlap needs no check: a block
-    // inside one record keeps nothing, and the predecessor's halo still
-    // covers that record.
-    probeBoundaries_ =
-        cfg.strategy == BoundaryStrategy::kMessage && blockSize_ < cfg.maxGeometryBytes;
+    const auto p = static_cast<std::uint64_t>(comm.size());
+    blockSize_ = (fileSize_ + p - 1) / p;
   }
+  // Algorithm 1 also needs a record boundary in every full block. A
+  // block of maxGeometryBytes always holds one; a smaller equal block or
+  // streamed chunk is checked after each read (stepMessage), and if any
+  // lacks one, every rank re-reads the rest at the clamped size. kOverlap
+  // needs no check: a block inside one record keeps nothing, and the
+  // predecessor's halo still covers that record. An explicit
+  // PartitionConfig::blockSize read one-shot is taken as given.
+  probeBoundaries_ = cfg.strategy == BoundaryStrategy::kMessage &&
+                     (streaming_ || cfg.blockSize == 0) && blockSize_ < cfg.maxGeometryBytes;
   layout();
 }
 
 void PartitionReader::layout() {
   MVIO_CHECK(blockSize_ <= io::kRomioMaxBytes,
              "block size exceeds ROMIO's 2 GB single-operation limit; use a smaller blockSize");
-  const std::uint64_t fileChunkSize = static_cast<std::uint64_t>(comm_->size()) * blockSize_;
-  iterations_ = (fileSize_ + fileChunkSize - 1) / fileChunkSize;
-  result_.iterations = iterations_;
-
   if (cfg_.strategy == BoundaryStrategy::kMessage) {
     buf_.resize(static_cast<std::size_t>(blockSize_));
     // A fragment is a suffix of the predecessor's block and at most one
@@ -73,18 +85,16 @@ void PartitionReader::layout() {
   }
 }
 
-bool PartitionReader::stepMessage(std::string& out) {
+void PartitionReader::stepMessage(std::string& out) {
   const int nprocs = comm_->size();
   const int rank = comm_->rank();
   const std::uint64_t fileChunkSize = static_cast<std::uint64_t>(nprocs) * blockSize_;
-  const std::uint64_t i = iter_;
-
-  const std::uint64_t globalOffset = i * fileChunkSize;
+  const std::uint64_t globalOffset = offset_;
   const std::uint64_t start = globalOffset + static_cast<std::uint64_t>(rank) * blockSize_;
   const std::uint64_t myLen =
       start < fileSize_ ? std::min<std::uint64_t>(blockSize_, fileSize_ - start) : 0;
   const int k = readerCount(globalOffset, fileSize_, blockSize_, nprocs);
-  const bool lastIteration = (i + 1 == iterations_);
+  const bool lastIteration = globalOffset + fileChunkSize >= fileSize_;
   const bool reading = myLen > 0;
 
   // File read (Level 0 or Level 1). Collective calls include non-readers.
@@ -110,23 +120,24 @@ bool PartitionReader::stepMessage(std::string& out) {
                                 cfg_.maxGeometryBytes)
           : static_cast<std::int64_t>(myLen);
 
-  if (probeBoundaries_) {
-    // Equal split below the record bound: one flag over all ranks, non-
-    // readers included, says whether some block lacks a boundary. If one
-    // does, fall back to the clamped layout — max(ceil(fileSize/p),
-    // maxGeometryBytes), with trailing ranks left without a block — and
-    // read again. bytesRead keeps both reads.
+  // Blocks below the record bound: one flag over all ranks, non-readers
+  // included, says whether some block lacks a boundary. If one does, the
+  // rest of the file from this iteration's offset falls back to blocks of
+  // maxGeometryBytes — for the equal split that is the clamped layout,
+  // with trailing ranks left without a block — and is read again (no
+  // fragment has moved yet, and rank 0's carry still ends at the offset).
+  // bytesRead keeps both reads.
+  if (probeBoundaries_ && comm_->allreduceMax(cut < 0 ? 1.0 : 0.0) > 0.0) {
     probeBoundaries_ = false;
-    if (comm_->allreduceMax(cut < 0 ? 1.0 : 0.0) > 0.0) {
-      blockSize_ = cfg_.maxGeometryBytes;
-      layout();
-      return stepMessage(out);
-    }
+    blockSize_ = cfg_.maxGeometryBytes;
+    layout();
+    stepMessage(out);
+    return;
   }
 
   if (!reading) {
     if (lastIteration) MVIO_CHECK(carry_.empty() || rank != 0, "unconsumed carry fragment");
-    return true;
+    return;
   }
   MVIO_CHECK(cut >= 0,
              "no record boundary inside a file block: block size is smaller than a record; "
@@ -141,7 +152,7 @@ bool PartitionReader::stepMessage(std::string& out) {
   // Rank 0 receives the chunk-junction fragment from rank N-1, to be
   // prepended to its next-iteration block.
   const bool willRecv = rank > 0 ? true : !lastIteration;
-  const int tag = static_cast<int>(i % kTagModulus);
+  const int tag = static_cast<int>(result_.iterations % kTagModulus);
 
   std::string received;
   auto doSend = [&] {
@@ -174,18 +185,12 @@ bool PartitionReader::stepMessage(std::string& out) {
   }
   out.append(keep);
   if (lastIteration) MVIO_CHECK(carry_.empty() || rank != 0, "unconsumed carry fragment");
-  return true;
 }
 
-bool PartitionReader::stepOverlap(std::string& out) {
-  const int nprocs = comm_->size();
+void PartitionReader::stepOverlap(std::string& out) {
   const int rank = comm_->rank();
   const std::uint64_t halo = cfg_.maxGeometryBytes;
-  const std::uint64_t fileChunkSize = static_cast<std::uint64_t>(nprocs) * blockSize_;
-  const std::uint64_t i = iter_;
-
-  const std::uint64_t globalOffset = i * fileChunkSize;
-  const std::uint64_t start = globalOffset + static_cast<std::uint64_t>(rank) * blockSize_;
+  const std::uint64_t start = offset_ + static_cast<std::uint64_t>(rank) * blockSize_;
   const std::uint64_t myLen =
       start < fileSize_ ? std::min<std::uint64_t>(blockSize_, fileSize_ - start) : 0;
 
@@ -206,7 +211,7 @@ bool PartitionReader::stepOverlap(std::string& out) {
     MVIO_CHECK(got == readLen, "independent read returned short");
   }
   result_.bytesRead += readLen;
-  if (myLen == 0) return true;
+  if (myLen == 0) return;
 
   const std::uint64_t blockEnd = start + myLen;  // absolute file offset
   const std::string_view window(buf_.data(), static_cast<std::size_t>(readLen));
@@ -217,9 +222,9 @@ bool PartitionReader::stepOverlap(std::string& out) {
   std::uint64_t firstStart = 0;  // absolute
   if (start != 0) {
     const std::uint64_t b = fmt_->firstBoundary(window, start - readStart, cfg_.maxGeometryBytes);
-    if (b == FormatReader::npos) return true;  // no record begins in this block
+    if (b == FormatReader::npos) return;  // no record begins in this block
     firstStart = readStart + b;
-    if (firstStart >= blockEnd) return true;  // boundary record belongs to successor
+    if (firstStart >= blockEnd) return;  // boundary record belongs to successor
   }
 
   // End of the record containing byte blockEnd-1: first boundary at an
@@ -232,19 +237,20 @@ bool PartitionReader::stepOverlap(std::string& out) {
 
   out.append(buf_.data() + (firstStart - readStart),
              static_cast<std::size_t>(keepEndExclusive - firstStart));
-  return true;
 }
 
 bool PartitionReader::next(std::string& text) {
   text.clear();
-  if (iter_ >= iterations_) return false;
+  if (offset_ >= fileSize_) return false;
 
+  const std::uint64_t p = static_cast<std::uint64_t>(comm_->size());
   if (!streaming_) {
     // One-shot: run every iteration into one string. This rank keeps
     // ~blockSize bytes per iteration (capped by the file), so pre-size
     // the output once instead of paying append-growth copies.
+    const std::uint64_t iterations = (fileSize_ + p * blockSize_ - 1) / (p * blockSize_);
     text.reserve(
-        static_cast<std::size_t>(std::min<std::uint64_t>(iterations_ * blockSize_, fileSize_)));
+        static_cast<std::size_t>(std::min<std::uint64_t>(iterations * blockSize_, fileSize_)));
   }
   do {
     switch (cfg_.strategy) {
@@ -255,13 +261,15 @@ bool PartitionReader::next(std::string& text) {
         stepOverlap(text);
         break;
     }
-    ++iter_;
-  } while (!streaming_ && iter_ < iterations_);
+    // After the step: a kMessage fallback has already switched blockSize_.
+    offset_ += p * blockSize_;
+    ++result_.iterations;
+  } while (!streaming_ && offset_ < fileSize_);
   return true;
 }
 
 PartitionResult readPartitioned(mpi::Comm& comm, io::File& file, const PartitionConfig& cfg) {
-  PartitionReader reader(comm, file, cfg);
+  PartitionReader reader(comm, file, cfg, PartitionReader::kWholePartition);
   std::string text;
   reader.next(text);
   PartitionResult out = reader.counters();

@@ -20,9 +20,9 @@
 // Without an explicit block size the file is split equally, so every rank
 // reads ceil(fileSize / nprocs) bytes, as in Algorithm 1. kMessage needs a
 // record boundary in every block but the EOF tail's; when an equal block
-// is smaller than `maxGeometryBytes` that is checked after the read, and
-// if any block lacks one, all ranks agree on it with one flag and re-read
-// at max(ceil(fileSize / nprocs), maxGeometryBytes).
+// (or a streamed chunk) is smaller than `maxGeometryBytes` that is checked
+// after the read, and if any block lacks one, all ranks agree on it with
+// one flag and re-read in blocks of `maxGeometryBytes`.
 //
 // Both honour the ROMIO 2 GB-per-operation limit via block iteration, and
 // both support Level 0 (independent) and Level 1 (collective) reads.
@@ -50,8 +50,8 @@ struct PartitionConfig {
   std::uint64_t blockSize = 0;
   /// Upper bound on one record's size (the paper's 11 MB "largest
   /// polygon"). Sizes the kOverlap halo and caps the kMessage receive
-  /// buffer; the kMessage equal split falls back to blocks of this size
-  /// when a smaller block holds no record boundary.
+  /// buffer; the kMessage equal split and streamed chunks fall back to
+  /// blocks of this size when a smaller block holds no record boundary.
   std::uint64_t maxGeometryBytes = 11ull << 20;
   BoundaryStrategy strategy = BoundaryStrategy::kMessage;
   /// Level 1 (collective read_at_all) instead of Level 0 (independent).
@@ -76,27 +76,40 @@ struct PartitionResult {
 /// records to the parser, and release the text before touching the next
 /// chunk — the whole-partition string never exists.
 ///
-/// With `chunkBytes` == 0 the reader is the one-shot path: a single
-/// next() call yields the rank's entire partition, with the block size
-/// resolved exactly as readPartitioned resolves it. With `chunkBytes` > 0
-/// the per-iteration block size *is* chunkBytes (it must still fit the
-/// largest record, as Algorithm 1 requires) and every next() call yields
-/// one iteration's records.
+/// `chunkBytes` picks the per-iteration block size:
+///  * kWholePartition — the one-shot path: a single next() call yields the
+///    rank's entire partition, with the block size resolved exactly as
+///    readPartitioned resolves it.
+///  * 0 — derive it from the file size, nprocs and the file's stripe size
+///    (resolveChunkBytes below). When one derived chunk would cover the
+///    partition, or `cfg` sets its own blockSize or kOverlap, the reader
+///    takes the one-shot path above; otherwise it streams.
+///  * anything else — stream with exactly that block size.
+/// A streamed next() call yields one iteration's records. Under kMessage a
+/// streamed block below maxGeometryBytes may hold no record boundary; the
+/// ranks check each iteration and, if any block lacks one, re-read the
+/// rest of the file in blocks of maxGeometryBytes (the one-shot fallback's
+/// clamped size), so a record larger than the chunk still ingests.
 ///
 /// Collective: every rank constructs the reader and calls next() in
-/// lockstep until it returns false. The iteration count derives from the
-/// file size, so all ranks agree on it without communication (the one-shot
-/// kMessage fallback agrees on its new layout with one allreduce); ranks
-/// that read no bytes in an iteration still participate and simply yield
-/// empty text.
+/// lockstep until it returns false. The layout derives from the file size,
+/// the stripe size and nprocs, so all ranks agree on it without
+/// communication (the kMessage boundary check agrees on a fallback with
+/// one allreduce per probed iteration); ranks that read no bytes in an
+/// iteration still participate and simply yield empty text.
 class PartitionReader {
  public:
+  /// The `chunkBytes` value that reads the whole partition in one round.
+  static constexpr std::uint64_t kWholePartition = ~std::uint64_t{0};
+  /// Data rounds per rank a derived chunk aims at.
+  static constexpr std::uint64_t kDerivedRounds = 3;
+
   /// `format` (optional, non-owning) answers every record-boundary
   /// question — under both strategies and in streaming chunk rounds alike:
   /// a text Parser scans for the newline, the framed WKB format
   /// walks record headers. Null resolves the registry's "wkt" reader.
   PartitionReader(mpi::Comm& comm, io::File& file, const PartitionConfig& cfg,
-                  std::uint64_t chunkBytes = 0, const FormatReader* format = nullptr);
+                  std::uint64_t chunkBytes = kWholePartition, const FormatReader* format = nullptr);
 
   /// Fill `text` with the next chunk's records (cleared first). Returns
   /// false once the stream is exhausted — on the same call on every rank.
@@ -106,28 +119,44 @@ class PartitionReader {
   [[nodiscard]] const PartitionResult& counters() const { return result_; }
 
  private:
-  /// Iteration count and kMessage buffers for the current blockSize_.
+  /// kMessage buffers for the current blockSize_.
   void layout();
-  bool stepMessage(std::string& out);
-  bool stepOverlap(std::string& out);
+  void stepMessage(std::string& out);
+  void stepOverlap(std::string& out);
 
   mpi::Comm* comm_;
   io::File* file_;
   PartitionConfig cfg_;
   const FormatReader* fmt_;  ///< record-boundary resolution (never null)
   bool streaming_ = false;
-  /// kMessage equal split below maxGeometryBytes: check every block for a
-  /// record boundary on the first read, and fall back if one lacks it.
+  /// kMessage equal split or streamed chunk below maxGeometryBytes: check
+  /// every block for a record boundary, and fall back if one lacks it.
   bool probeBoundaries_ = false;
   std::uint64_t blockSize_ = 0;
   std::uint64_t fileSize_ = 0;
-  std::uint64_t iterations_ = 0;
-  std::uint64_t iter_ = 0;  ///< next iteration to execute
+  std::uint64_t offset_ = 0;  ///< file offset of the next iteration
   std::vector<char> buf_;
   std::vector<char> recvBuf_;  ///< kMessage: predecessor-fragment landing area
   std::string carry_;          ///< kMessage rank 0: fragment for the next iteration
   PartitionResult result_;
 };
+
+/// The block size a PartitionReader over a file of `fileSize` bytes on
+/// `nprocs` ranks under `cfg` streams with for `chunkBytes`, or
+/// kWholePartition when it reads one-shot. 0 derives the chunk:
+/// kDerivedRounds data rounds per rank, fewer when the partition
+/// ceil(fileSize / nprocs) holds fewer stripes, with the chunk rounded so
+/// the rounds split the file evenly:
+///   rounds = clamp(fileSize / (nprocs × stripeSize), 1, kDerivedRounds)
+///   chunk  = ceil(fileSize / (rounds × nprocs))
+/// A derived chunk is never below the stripe nor above the partition, and
+/// one round is the one-shot read. Deriving always gives one-shot for an
+/// explicit `cfg.blockSize` (the caller's own Algorithm 1 blocks, e.g. to
+/// stay under ROMIO's 2 GB limit) and for kOverlap, whose every streamed
+/// iteration re-reads a maxGeometryBytes halo. A pure function of values
+/// every rank shares, so all ranks agree on it without talking.
+std::uint64_t resolveChunkBytes(std::uint64_t chunkBytes, std::uint64_t fileSize, int nprocs,
+                                std::uint64_t stripeSize, const PartitionConfig& cfg);
 
 /// Read `file` partitioned across all ranks of `comm`. Collective: every
 /// rank must call. Afterwards the concatenation of all ranks' `text` (in

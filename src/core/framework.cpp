@@ -84,10 +84,6 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
     }
   }
 
-  // Round overlap is defined on the chunked round schedule; a one-shot
-  // run (chunkBytes == 0) has a single round and nothing to pipeline.
-  const bool overlap = sc.overlapRounds && sc.chunkBytes > 0;
-
   // Rank-local scratch for spilled shards; blobs are dropped on exit.
   pfs::SpillStore spill(volume, sc.spillDir + "/rank" + std::to_string(comm.worldRank()));
   const pfs::SpillPricer pricer = sc.spillOnPfs
@@ -99,9 +95,24 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   // the exchange rounds; PlanPartition builds the grid, map and owners.
   BatchStager stageR(spiller, "pend_r", budget);
   BatchStager stageS(spiller, "pend_s", budget);
+  // Each layer's read chunk, resolved once from values every rank shares
+  // (file size and stripe, rank count, the layer's partition config), so
+  // all ranks know the round schedule up front. Round overlap is defined
+  // on that schedule: a run whose layers are all read one-shot has
+  // nothing to pipeline.
+  const auto resolveChunk = [&](const DatasetHandle& ds) {
+    const std::shared_ptr<pfs::FileObject> file = volume.lookup(ds.path);
+    return resolveChunkBytes(sc.chunkBytes, file->data->size(), p, file->stripe.stripeSize,
+                             ds.partition);
+  };
+  const std::array<std::uint64_t, 2> layerChunk = {
+      resolveChunk(r), s != nullptr ? resolveChunk(*s) : PartitionReader::kWholePartition};
+  const bool streamed[2] = {layerChunk[0] != PartitionReader::kWholePartition,
+                            layerChunk[1] != PartitionReader::kWholePartition};
+  const bool overlap = sc.overlapRounds && (streamed[0] || streamed[1]);
   runPlanPartition(comm, cfg,
-                   runIngest(comm, volume, r, s, cfg, pool ? &*pool : nullptr, overlap, ckpt,
-                             stageR, stageS, stats),
+                   runIngest(comm, volume, r, s, cfg, pool ? &*pool : nullptr, layerChunk, overlap,
+                             ckpt, stageR, stageS, stats),
                    stats);
   const PartitionMap& map = stats.partition;
   if (ckpt.enabled()) ckpt.setPartitionMap(encodePartitionMap(map));
@@ -169,7 +180,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   // the durable log (no further exchanges happen either way).
   const auto runLayerRounds = [&](int layer, BatchStager& stage, CellStore& owned,
                                   std::uint64_t rounds) -> bool {
-    const bool streaming = sc.chunkBytes > 0;
+    const bool streaming = streamed[layer];
     for (std::uint64_t round = 0; round < rounds; ++round) {
       obs::traceBegin("round");
       geom::GeometryBatch chunk;

@@ -14,17 +14,19 @@
 //      the (possibly rebalanced) rank-to-cell mapping
 //
 // The pipeline runs in bounded-memory *rounds* (DESIGN.md §7–8): each
-// rank reads and parses its partition in StreamConfig::chunkBytes chunks,
-// steps 4–5 execute once per chunk (a multi-round exchange closed by a
-// final empty round), and received records accumulate into the rank's
-// owned CellStore (core/cell_store.hpp). Whenever a stage's working set
+// rank reads and parses its partition in StreamConfig::chunkBytes chunks
+// (by default derived from the file size: about three per rank), steps
+// 4–5 execute once per chunk (a multi-round exchange closed by a final
+// empty round), and received records accumulate into the rank's owned
+// CellStore (core/cell_store.hpp). Whenever a stage's working set
 // exceeds StreamConfig::memoryBudget, pending batches are spilled to a
 // pfs::SpillStore as BatchShards — the owned set as *cell-sorted*
 // segments of per-cell pieces — and the refine phase streams cell by
 // cell, reading each piece back once, instead of reassembling the owned
-// batch. The
-// default StreamConfig — one round, unlimited budget — is exactly the
-// classic one-shot pass with a fully resident refine.
+// batch. A layer whose derived chunk covers the partition (small files)
+// is read in one round; StreamConfig::kWholePartition with overlapRounds
+// off and an unlimited budget is exactly the classic one-shot pass with a
+// fully resident refine.
 //
 // Applications extend RefineTask — "spatial computation can be carried
 // out by extending [the] refine interface that receives two collections
@@ -85,14 +87,24 @@ struct CompactionPolicy {
   std::uint64_t everyEpochs = 0;
 };
 
-/// Streaming-round controls (DESIGN.md §7). The defaults reproduce the
-/// one-shot pipeline: a single round over the whole partition, nothing
-/// ever spilled.
+/// Streaming-round controls (DESIGN.md §7). The defaults pipeline the
+/// ingest: each layer is read in chunks derived from its size (about three
+/// rounds per rank; small files stay one round), each round's parse and
+/// projection overlap earlier exchanges, and nothing is ever spilled.
 struct StreamConfig {
-  /// Per-rank read/parse chunk size; 0 = one-shot (whole partition in one
-  /// round). When set it becomes the per-iteration file block size, so it
-  /// must still fit the largest record (PartitionConfig::maxGeometryBytes
-  /// semantics apply unchanged).
+  /// The chunkBytes value that reads the whole partition in one round:
+  /// the paper's one-shot pipeline.
+  static constexpr std::uint64_t kWholePartition = PartitionReader::kWholePartition;
+  /// Per-rank read/parse chunk size. 0 = derive it per layer from the
+  /// file size, the rank count and the file's stripe size
+  /// (resolveChunkBytes in core/file_partition.hpp), so every rank agrees
+  /// on the round schedule without communicating; a derived chunk that
+  /// covers the partition is the one-shot read, and so is a layer with its
+  /// own PartitionConfig::blockSize or the kOverlap strategy.
+  /// kWholePartition = always one-shot. Any other value becomes the
+  /// per-iteration file block size.
+  /// Under kMessage a chunk smaller than a record falls back to blocks of
+  /// PartitionConfig::maxGeometryBytes for the rest of the file.
   std::uint64_t chunkBytes = 0;
   /// Per-rank byte bound on each streaming stage's resident batch set
   /// (pending parsed chunks; the accumulating owned batch). 0 = unbounded.
@@ -143,10 +155,11 @@ struct StreamConfig {
   /// unchanged; the overlap is applied in the sim-clock accounting, which
   /// replays each chunk's deferred prep time through a two-deep pipeline
   /// recurrence and charges only the *exposed* remainder to its phase
-  /// (the hidden seconds land in PhaseBreakdown::overlapped). Requires
-  /// chunkBytes > 0; ignored in one-shot runs, which have no rounds to
-  /// overlap.
-  bool overlapRounds = false;
+  /// (the hidden seconds land in PhaseBreakdown::overlapped). Applies to
+  /// every layer whenever the run has rounds (some layer read in chunks);
+  /// a run read entirely one-shot has nothing to overlap. Not the paper's
+  /// kOverlap boundary strategy.
+  bool overlapRounds = true;
 };
 
 struct FrameworkConfig {

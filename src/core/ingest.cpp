@@ -47,7 +47,7 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
                  const FrameworkConfig& cfg, BatchStager& stage, geom::Envelope& localBounds,
                  ParseStats& parseStats, PartitionResult& ioStats, PhaseBreakdown& phases,
                  recovery::CheckpointCoordinator& ckpt, int layer, util::ThreadPool* pool,
-                 bool deferPrep, PilotSampler* pilot) {
+                 std::uint64_t chunkBytes, bool deferPrep, PilotSampler* pilot) {
   // The layer's ingest format: `format`, or the text Parser (itself a
   // FormatReader) when `format` is unset.
   MVIO_CHECK(ds.parser == nullptr || ds.format == nullptr,
@@ -55,7 +55,7 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
   const FormatReader* fmt = ds.format != nullptr ? ds.format : ds.parser;
   MVIO_CHECK(fmt != nullptr, "dataset needs a parser or format");
   io::File file = io::File::open(comm, volume, ds.path);
-  PartitionReader reader(comm, file, ds.partition, cfg.stream.chunkBytes, fmt);
+  PartitionReader reader(comm, file, ds.partition, chunkBytes, fmt);
 
   std::string text;
   while (true) {
@@ -97,18 +97,19 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
 
 IngestResult runIngest(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& r,
                        const DatasetHandle* s, const FrameworkConfig& cfg, util::ThreadPool* pool,
-                       bool deferPrep, recovery::CheckpointCoordinator& ckpt,
-                       BatchStager& stageR, BatchStager& stageS, FrameworkStats& stats) {
+                       const std::array<std::uint64_t, 2>& chunk, bool deferPrep,
+                       recovery::CheckpointCoordinator& ckpt, BatchStager& stageR,
+                       BatchStager& stageS, FrameworkStats& stats) {
   IngestResult out;
   // Adaptive partitioning piggybacks a pilot sample on the ingest scan —
   // no extra read pass (DESIGN.md §13).
   std::optional<PilotSampler> pilot;
   if (cfg.partition.scheme != PartitionScheme::kUniform) pilot.emplace(cfg.partition);
   ingestLayer(comm, volume, r, cfg, stageR, out.localBounds, stats.parseR, stats.ioR, stats.phases,
-              ckpt, 0, pool, deferPrep, pilot ? &*pilot : nullptr);
+              ckpt, 0, pool, chunk[0], deferPrep, pilot ? &*pilot : nullptr);
   if (s != nullptr) {
     ingestLayer(comm, volume, *s, cfg, stageS, out.localBounds, stats.parseS, stats.ioS,
-                stats.phases, ckpt, 1, pool, deferPrep, pilot ? &*pilot : nullptr);
+                stats.phases, ckpt, 1, pool, chunk[1], deferPrep, pilot ? &*pilot : nullptr);
   }
   ckpt.sealIngest();
   if (pilot) out.pilot = std::move(pilot->envelopes);

@@ -9,6 +9,7 @@
 //   runRebalance      step 5b     rebalance.cpp  LPT reassignment + migration
 //   runRefine         step 6      refine.cpp     cell-major refine group loop
 
+#include <array>
 #include <deque>
 
 #include "core/cell_store.hpp"
@@ -179,13 +180,15 @@ struct IngestResult {
 };
 
 /// Ingest (steps 1–2): read and parse `r` (and `s`) chunk by chunk into
-/// the stagers and the durable chunk log. Fills stats.{parseR, parseS,
-/// ioR, ioS}; `deferPrep` (round overlap) leaves the parse charge in the
-/// chunk's stager slot.
+/// the stagers and the durable chunk log, layer L in blocks of the
+/// resolved `chunk[L]` (resolveChunkBytes; kWholePartition = one-shot).
+/// Fills stats.{parseR, parseS, ioR, ioS}; `deferPrep` (round overlap)
+/// leaves the parse charge in the chunk's stager slot.
 IngestResult runIngest(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& r,
                        const DatasetHandle* s, const FrameworkConfig& cfg, util::ThreadPool* pool,
-                       bool deferPrep, recovery::CheckpointCoordinator& ckpt,
-                       BatchStager& stageR, BatchStager& stageS, FrameworkStats& stats);
+                       const std::array<std::uint64_t, 2>& chunk, bool deferPrep,
+                       recovery::CheckpointCoordinator& ckpt, BatchStager& stageR,
+                       BatchStager& stageS, FrameworkStats& stats);
 
 /// PlanPartition (steps 3–3b): fills stats.{grid, partition, plan}
 /// identically on every rank and starts stats.cellOwner as round-robin

@@ -10,7 +10,6 @@ namespace mvio::geom {
 
 RTree::RTree(std::size_t maxEntries) : maxEntries_(maxEntries) {
   MVIO_CHECK(maxEntries_ >= 4, "R-tree fan-out must be >= 4");
-  minEntries_ = std::max<std::size_t>(2, maxEntries_ * 2 / 5);
 }
 
 std::int32_t RTree::newNode(bool leaf) {
@@ -97,214 +96,6 @@ void RTree::bulkLoad(const BatchSpan& span) {
     entries.push_back({span.envelope(k), static_cast<std::uint64_t>(k)});
   }
   bulkLoad(std::move(entries));
-}
-
-// ---- Dynamic insert ------------------------------------------------------
-
-namespace {
-
-double enlargement(const Envelope& box, const Envelope& add) {
-  Envelope u = box;
-  u.expandToInclude(add);
-  return u.area() - box.area();
-}
-
-}  // namespace
-
-std::int32_t RTree::chooseLeaf(std::int32_t n, const Envelope& box) {
-  while (!nodes_[static_cast<std::size_t>(n)].leaf) {
-    const Node& node = nodes_[static_cast<std::size_t>(n)];
-    std::int32_t best = node.children.front();
-    double bestGrow = std::numeric_limits<double>::max();
-    double bestArea = std::numeric_limits<double>::max();
-    for (auto c : node.children) {
-      const Envelope& cb = nodes_[static_cast<std::size_t>(c)].box;
-      const double grow = enlargement(cb, box);
-      const double areaNow = cb.area();
-      if (grow < bestGrow || (grow == bestGrow && areaNow < bestArea)) {
-        best = c;
-        bestGrow = grow;
-        bestArea = areaNow;
-      }
-    }
-    n = best;
-  }
-  return n;
-}
-
-std::int32_t RTree::splitNode(std::int32_t n) {
-  Node& node = nodes_[static_cast<std::size_t>(n)];
-  const bool leaf = node.leaf;
-  const std::int32_t sibling = newNode(leaf);
-  Node& nodeRef = nodes_[static_cast<std::size_t>(n)];  // re-fetch: newNode may reallocate
-  Node& sibRef = nodes_[static_cast<std::size_t>(sibling)];
-
-  // Collect all member boxes.
-  struct Member {
-    Envelope box;
-    std::size_t index;
-  };
-  std::vector<Member> members;
-  const std::size_t total = leaf ? nodeRef.entries.size() : nodeRef.children.size();
-  members.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    members.push_back(
-        {leaf ? nodeRef.entries[i].box : nodes_[static_cast<std::size_t>(nodeRef.children[i])].box, i});
-  }
-
-  // Quadratic pick-seeds: the pair wasting the most area together.
-  std::size_t seedA = 0, seedB = 1;
-  double worst = -1.0;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    for (std::size_t j = i + 1; j < members.size(); ++j) {
-      Envelope u = members[i].box;
-      u.expandToInclude(members[j].box);
-      const double waste = u.area() - members[i].box.area() - members[j].box.area();
-      if (waste > worst) {
-        worst = waste;
-        seedA = i;
-        seedB = j;
-      }
-    }
-  }
-
-  std::vector<std::size_t> groupA{seedA}, groupB{seedB};
-  Envelope boxA = members[seedA].box, boxB = members[seedB].box;
-  std::vector<bool> assigned(members.size(), false);
-  assigned[seedA] = assigned[seedB] = true;
-  std::size_t remaining = members.size() - 2;
-
-  while (remaining > 0) {
-    // Force-assign when one group must take everything left to reach min fill.
-    if (groupA.size() + remaining == minEntries_) {
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        if (!assigned[i]) {
-          groupA.push_back(i);
-          boxA.expandToInclude(members[i].box);
-          assigned[i] = true;
-        }
-      }
-      remaining = 0;
-      break;
-    }
-    if (groupB.size() + remaining == minEntries_) {
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        if (!assigned[i]) {
-          groupB.push_back(i);
-          boxB.expandToInclude(members[i].box);
-          assigned[i] = true;
-        }
-      }
-      remaining = 0;
-      break;
-    }
-    // Pick-next: the member with the greatest preference difference.
-    std::size_t pick = 0;
-    double bestDiff = -1.0;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (assigned[i]) continue;
-      const double dA = enlargement(boxA, members[i].box);
-      const double dB = enlargement(boxB, members[i].box);
-      const double diff = std::abs(dA - dB);
-      if (diff > bestDiff) {
-        bestDiff = diff;
-        pick = i;
-      }
-    }
-    const double dA = enlargement(boxA, members[pick].box);
-    const double dB = enlargement(boxB, members[pick].box);
-    if (dA < dB || (dA == dB && groupA.size() < groupB.size())) {
-      groupA.push_back(pick);
-      boxA.expandToInclude(members[pick].box);
-    } else {
-      groupB.push_back(pick);
-      boxB.expandToInclude(members[pick].box);
-    }
-    assigned[pick] = true;
-    --remaining;
-  }
-
-  // Materialize the two groups.
-  if (leaf) {
-    std::vector<Entry> keep, move;
-    for (auto i : groupA) keep.push_back(nodeRef.entries[members[i].index]);
-    for (auto i : groupB) move.push_back(nodeRef.entries[members[i].index]);
-    nodeRef.entries = std::move(keep);
-    sibRef.entries = std::move(move);
-  } else {
-    std::vector<std::int32_t> keep, move;
-    for (auto i : groupA) keep.push_back(nodeRef.children[members[i].index]);
-    for (auto i : groupB) move.push_back(nodeRef.children[members[i].index]);
-    nodeRef.children = std::move(keep);
-    sibRef.children = std::move(move);
-  }
-  recomputeBox(n);
-  recomputeBox(sibling);
-  return sibling;
-}
-
-void RTree::adjustTree(std::vector<std::int32_t>& path, std::int32_t splitSibling) {
-  // Walk back up the insertion path, fixing boxes and propagating splits.
-  while (!path.empty()) {
-    const std::int32_t child = path.back();
-    path.pop_back();
-    if (path.empty()) {
-      // child is the root.
-      if (splitSibling >= 0) {
-        const std::int32_t newRoot = newNode(false);
-        nodes_[static_cast<std::size_t>(newRoot)].children = {child, splitSibling};
-        recomputeBox(newRoot);
-        root_ = newRoot;
-      }
-      return;
-    }
-    const std::int32_t parent = path.back();
-    recomputeBox(parent);
-    if (splitSibling >= 0) {
-      nodes_[static_cast<std::size_t>(parent)].children.push_back(splitSibling);
-      recomputeBox(parent);
-      splitSibling = nodes_[static_cast<std::size_t>(parent)].children.size() > maxEntries_
-                         ? splitNode(parent)
-                         : -1;
-    }
-  }
-}
-
-void RTree::insert(const Envelope& box, std::uint64_t id) {
-  MVIO_CHECK(!box.isNull(), "cannot index a null envelope");
-  if (root_ < 0) {
-    root_ = newNode(true);
-  }
-  // Record the root-to-leaf path for adjustTree.
-  std::vector<std::int32_t> path;
-  std::int32_t n = root_;
-  path.push_back(n);
-  while (!nodes_[static_cast<std::size_t>(n)].leaf) {
-    const Node& node = nodes_[static_cast<std::size_t>(n)];
-    std::int32_t best = node.children.front();
-    double bestGrow = std::numeric_limits<double>::max();
-    double bestArea = std::numeric_limits<double>::max();
-    for (auto c : node.children) {
-      const Envelope& cb = nodes_[static_cast<std::size_t>(c)].box;
-      const double grow = enlargement(cb, box);
-      const double areaNow = cb.area();
-      if (grow < bestGrow || (grow == bestGrow && areaNow < bestArea)) {
-        best = c;
-        bestGrow = grow;
-        bestArea = areaNow;
-      }
-    }
-    n = best;
-    path.push_back(n);
-  }
-
-  nodes_[static_cast<std::size_t>(n)].entries.push_back({box, id});
-  nodes_[static_cast<std::size_t>(n)].box.expandToInclude(box);
-  ++count_;
-
-  const std::int32_t sibling =
-      nodes_[static_cast<std::size_t>(n)].entries.size() > maxEntries_ ? splitNode(n) : -1;
-  adjustTree(path, sibling);
 }
 
 // ---- Query ---------------------------------------------------------------

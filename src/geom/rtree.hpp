@@ -1,11 +1,10 @@
 #pragma once
 // R-tree spatial index over (Envelope, id) entries — the filter-phase index
-// GEOS provides in the paper's pipeline. Two construction modes:
-//
-//  * bulkLoad(): Sort-Tile-Recursive packing, used when the entry set is
-//    known up front (grid-cell boundary index, per-cell join index).
-//  * insert(): dynamic insertion with quadratic split (Guttman), used by
-//    streaming consumers.
+// GEOS provides in the paper's pipeline. Built by Sort-Tile-Recursive
+// packing (bulkLoad) over an entry set known up front: the grid-cell
+// boundary index and the per-cell join, range-query and distributed-index
+// trees. Consumers whose entry set grows (DistributedIndex adopting a
+// streamed cell's records) re-bulk-load.
 //
 // Queries report ids of entries whose rectangle intersects the query
 // rectangle; exact geometry tests happen in the caller's refine step.
@@ -27,8 +26,7 @@ class RTree {
     std::uint64_t id = 0;
   };
 
-  /// `maxEntries` is the node fan-out M; minimum fill is M*0.4 (Guttman's
-  /// recommendation).
+  /// `maxEntries` is the node fan-out M.
   explicit RTree(std::size_t maxEntries = 16);
 
   /// Build by STR packing; replaces any existing content.
@@ -39,9 +37,6 @@ class RTree {
   /// materialized geometries. Query callbacks receive span positions
   /// (0..span.size()-1), not underlying batch record ids.
   void bulkLoad(const BatchSpan& span);
-
-  /// Insert one entry (Guttman, quadratic split).
-  void insert(const Envelope& box, std::uint64_t id);
 
   /// Invoke `fn(id)` for every entry whose box intersects `query`.
   void query(const Envelope& query, const std::function<void(std::uint64_t)>& fn) const;
@@ -89,15 +84,10 @@ class RTree {
   std::vector<Node> nodes_;
   std::int32_t root_ = -1;
   std::size_t maxEntries_;
-  std::size_t minEntries_;
   std::size_t count_ = 0;
 
   std::int32_t newNode(bool leaf);
   void recomputeBox(std::int32_t n);
-  std::int32_t chooseLeaf(std::int32_t n, const Envelope& box);
-  /// Split node `n`; returns the index of the new sibling.
-  std::int32_t splitNode(std::int32_t n);
-  void adjustTree(std::vector<std::int32_t>& path, std::int32_t splitSibling);
   std::int32_t buildStr(std::vector<Entry>& entries, std::size_t lo, std::size_t hi, int level);
 };
 

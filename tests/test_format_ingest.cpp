@@ -458,14 +458,16 @@ void runPartitionedDecode(mc::BoundaryStrategy strategy, std::uint64_t chunkByte
 }  // namespace
 
 TEST(FramedPartitioning, MessageStrategyOneShotAndStreamed) {
-  runPartitionedDecode(mc::BoundaryStrategy::kMessage, 0, 900);
+  runPartitionedDecode(mc::BoundaryStrategy::kMessage, mc::PartitionReader::kWholePartition,
+                       900);
   runPartitionedDecode(mc::BoundaryStrategy::kMessage, 4 << 10, 900);
   // Tiny chunks force record headers to straddle nearly every block edge.
   runPartitionedDecode(mc::BoundaryStrategy::kMessage, 640, 300, /*smallRecords=*/true);
 }
 
 TEST(FramedPartitioning, OverlapStrategyOneShotAndStreamed) {
-  runPartitionedDecode(mc::BoundaryStrategy::kOverlap, 0, 900);
+  runPartitionedDecode(mc::BoundaryStrategy::kOverlap, mc::PartitionReader::kWholePartition,
+                       900);
   runPartitionedDecode(mc::BoundaryStrategy::kOverlap, 4 << 10, 900);
   runPartitionedDecode(mc::BoundaryStrategy::kOverlap, 640, 300, /*smallRecords=*/true);
 }

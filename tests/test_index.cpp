@@ -7,7 +7,6 @@
 
 #include "geom/quadtree.hpp"
 #include "geom/rtree.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mg = mvio::geom;
@@ -57,22 +56,6 @@ TEST(RTree, EmptyTree) {
   EXPECT_TRUE(t.bounds().isNull());
 }
 
-TEST(RTree, SingleEntry) {
-  mg::RTree t;
-  t.insert(mg::Envelope(0, 0, 1, 1), 42);
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.height(), 1u);
-  auto r = t.search(mg::Envelope(0.5, 0.5, 2, 2));
-  ASSERT_EQ(r.size(), 1u);
-  EXPECT_EQ(r[0], 42u);
-  EXPECT_TRUE(t.search(mg::Envelope(5, 5, 6, 6)).empty());
-}
-
-TEST(RTree, RejectsNullBox) {
-  mg::RTree t;
-  EXPECT_THROW(t.insert(mg::Envelope(), 1), mvio::util::Error);
-}
-
 class RTreeProperty : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(RTreeProperty, BulkLoadMatchesLinearScan) {
@@ -80,19 +63,6 @@ TEST_P(RTreeProperty, BulkLoadMatchesLinearScan) {
   Workload w = makeWorkload(static_cast<std::uint64_t>(seed), static_cast<std::size_t>(n), 40);
   mg::RTree t(8);
   t.bulkLoad(w.entries);
-  EXPECT_EQ(t.size(), w.entries.size());
-  for (const auto& q : w.queries) {
-    auto got = t.search(q);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, linearScan(w.entries, q));
-  }
-}
-
-TEST_P(RTreeProperty, DynamicInsertMatchesLinearScan) {
-  const auto [seed, n] = GetParam();
-  Workload w = makeWorkload(static_cast<std::uint64_t>(seed) + 77, static_cast<std::size_t>(n), 40);
-  mg::RTree t(8);
-  for (const auto& e : w.entries) t.insert(e.box, e.id);
   EXPECT_EQ(t.size(), w.entries.size());
   for (const auto& q : w.queries) {
     auto got = t.search(q);

@@ -325,6 +325,7 @@ TEST(HybridPipeline, RoundOverlapPreservesResultsAndHidesPrep) {
   HybridFixture fx;
   const JoinOutcome base = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = HybridFixture::streamed();
+    cfg.framework.stream.overlapRounds = false;
   });
   ASSERT_FALSE(base.pairs.empty());
   EXPECT_EQ(base.overlapped, 0.0) << "without overlapRounds nothing may be credited as hidden";

@@ -438,6 +438,7 @@ TEST(StreamingPipeline, JoinMatchesOneShotAndSpills) {
     mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
       mc::JoinConfig cfg;
       cfg.framework.gridCells = 36;
+      cfg.framework.stream.chunkBytes = mc::StreamConfig::kWholePartition;
       if (mode == 1) cfg.framework.stream = TwoLayerFixture::streamedConfig();
       mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
       mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
