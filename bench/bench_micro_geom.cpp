@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): the geometry-engine hot paths that
 // dominate the pipeline's compute phases — WKT parsing (per-Geometry vs
 // arena-backed batch), exchange packing (per-destination staging vs
-// single-pack), WKB round trips, R-tree construction/query, exact
-// predicates. The parse/pack pairs report allocations and payload bytes
+// single-pack), WKB round trips, R-tree construction/query, the exact
+// record predicate. The parse/pack pairs report allocations and payload bytes
 // copied per record via the bench/common.hpp counters.
 
 #include <benchmark/benchmark.h>
@@ -429,15 +429,18 @@ void BM_PolygonIntersects(benchmark::State& state) {
   spec.maxRadius = 5.0;
   spec.space.world = geom::Envelope(0, 0, 20, 20);
   osm::RecordGenerator gen(spec);
-  std::vector<geom::Geometry> geoms;
-  for (std::uint64_t i = 0; i < 64; ++i) geoms.push_back(gen.geometry(i));
+  geom::GeometryBatch batch;
+  for (std::uint64_t i = 0; i < 64; ++i) batch.append(gen.geometry(i));
   std::size_t i = 0;
+  const bench::Counters t0 = bench::countersNow();
   for (auto _ : state) {
-    const auto& a = geoms[i % geoms.size()];
-    const auto& b = geoms[(i + 7) % geoms.size()];
-    benchmark::DoNotOptimize(geom::intersects(a, b));
+    // The record predicate the join refine runs, on arena records in place.
+    benchmark::DoNotOptimize(
+        geom::recordIntersects(batch, i % batch.size(), batch, (i + 7) % batch.size()));
     ++i;
   }
+  const bench::Counters delta = bench::countersSince(t0);
+  state.counters["allocs/call"] = static_cast<double>(delta.allocs) / static_cast<double>(i);
 }
 BENCHMARK(BM_PolygonIntersects);
 

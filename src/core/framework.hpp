@@ -222,9 +222,9 @@ struct FrameworkConfig {
 /// (grid.cellOfPoint on a reference point).
 ///
 /// The interface is batch-native: envelopes, userData, and the exact
-/// predicates (BatchSpan::intersectsBox / clippedMeasure) read straight
-/// from the batch arenas; materialize only the records a general
-/// geometry-vs-geometry test actually needs. The spans are valid only for
+/// predicates (recordIntersects / recordContains, BatchSpan::intersectsBox
+/// / clippedMeasure) read straight from the batch arenas; no task needs a
+/// materialized Geometry. The spans are valid only for
 /// the duration of the call — a task whose output must outlive the
 /// pipeline (e.g. the distributed index) records the *record indices* and
 /// takes ownership of the underlying batches via adoptBatches().

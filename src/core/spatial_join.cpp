@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
 #include "geom/rtree.hpp"
 #include "geom/wkb.hpp"
@@ -15,24 +14,24 @@ namespace {
 
 using util::fnv1a;
 
-bool applyPredicate(JoinPredicate predicate, const geom::Geometry& r, const geom::Geometry& s) {
+/// The join's refine test on record `i` of `r` and record `j` of `s`.
+bool applyPredicate(JoinPredicate predicate, const geom::GeometryBatch& r, std::size_t i,
+                    const geom::GeometryBatch& s, std::size_t j) {
   switch (predicate) {
     case JoinPredicate::kIntersects:
-      return geom::intersects(r, s);
+      return geom::recordIntersects(r, i, s, j);
     case JoinPredicate::kContains:
-      return geom::contains(r, s);
+      return geom::recordContains(r, i, s, j);
   }
   return false;
 }
 
 /// RefineTask running the per-cell filter (R-tree) + refine (exact
 /// predicate) with reference-point duplicate avoidance. Operates on batch
-/// spans: the filter index bulk-loads from arena-resident envelopes, the
-/// result keys hash WKB written straight from the arenas (no Geometry,
-/// no per-pair WKB string), and the general geometry-vs-geometry
-/// predicates are the one place the refine layer still materializes — at
-/// most once per record, and only when a candidate pair survives
-/// duplicate avoidance.
+/// spans and never leaves the arenas: the filter index bulk-loads from
+/// arena-resident envelopes, the refine runs the record predicates on the
+/// two records in place, and the result keys hash WKB written straight
+/// from the arenas (no Geometry, no per-pair WKB string).
 class JoinTask final : public RefineTask {
  public:
   JoinTask(const JoinConfig& cfg, std::vector<JoinPair>* results)
@@ -57,10 +56,8 @@ class JoinTask final : public RefineTask {
       return rKeys[id];
     };
 
-    std::vector<std::optional<geom::Geometry>> rCache(r.size());
     for (std::size_t k = 0; k < s.size(); ++k) {
       const geom::Envelope& sEnv = s.envelope(k);
-      std::optional<geom::Geometry> sg;
       std::uint64_t sKey = 0;
       bool sKeySet = false;
       index.visit(sEnv, [&](std::uint64_t id) {
@@ -70,10 +67,9 @@ class JoinTask final : public RefineTask {
         // point (lower-left corner of the MBR intersection) reports.
         const geom::Coord ref{std::max(rEnv.minX(), sEnv.minX()), std::max(rEnv.minY(), sEnv.minY())};
         if (grid.cellOfPoint(ref) != cell) return;
-        auto& rg = rCache[static_cast<std::size_t>(id)];
-        if (!rg) rg = r.materialize(id);
-        if (!sg) sg = s.materialize(k);
-        if (!applyPredicate(cfg_.predicate, *rg, *sg)) return;
+        if (!applyPredicate(cfg_.predicate, r.batch(), r.recordIndex(id), s.batch(), s.recordIndex(k))) {
+          return;
+        }
         ++pairs_;
         if (results_ != nullptr) {
           if (!sKeySet) {
@@ -148,12 +144,18 @@ JoinStats spatialJoin(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle&
 
 std::vector<JoinPair> serialJoin(const std::vector<geom::Geometry>& r,
                                  const std::vector<geom::Geometry>& s, JoinPredicate predicate) {
+  // Encoded once, so the pair loop runs the record predicates as the
+  // distributed refine does.
+  geom::GeometryBatch rb;
+  geom::GeometryBatch sb;
+  for (const auto& g : r) rb.append(g, std::string_view());
+  for (const auto& g : s) sb.append(g, std::string_view());
   std::vector<JoinPair> out;
-  for (const auto& rg : r) {
-    for (const auto& sg : s) {
-      if (!rg.envelope().intersects(sg.envelope())) continue;
-      if (!applyPredicate(predicate, rg, sg)) continue;
-      out.push_back({geometryKey(rg), geometryKey(sg)});
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    for (std::size_t j = 0; j < s.size(); ++j) {
+      if (!rb.envelope(i).intersects(sb.envelope(j))) continue;
+      if (!applyPredicate(predicate, rb, i, sb, j)) continue;
+      out.push_back({geometryKey(r[i]), geometryKey(s[j])});
     }
   }
   std::sort(out.begin(), out.end());

@@ -41,8 +41,8 @@ double clippedLength(const Geometry& g, const Envelope& rect);
 double clippedMeasure(const Geometry& g, const Envelope& rect);
 
 // Span primitives shared by the Geometry overloads above and the
-// batch-native refine layer (geom/batch_refine.cpp), so both paths run
-// bit-identical arithmetic.
+// overlay's record walk (recordClippedMeasure in geom/predicates.cpp), so
+// both paths run bit-identical arithmetic.
 
 /// |area| of ring ∩ `rect` (Sutherland-Hodgman, then the shoelace formula).
 double clippedRingArea(const Coord* ring, std::size_t n, const Envelope& rect);

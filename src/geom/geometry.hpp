@@ -103,13 +103,14 @@ double length(const Geometry& g);
 Coord centroid(const Geometry& g);
 
 // ---- Predicates (see predicates.cpp) ------------------------------------
+// Thin wrappers: each encodes both arguments into a per-thread scratch
+// GeometryBatch and runs the record predicate layer (recordIntersects /
+// recordContains in geometry_batch.hpp), the code the refine phase runs.
 
 /// True iff the geometries share at least one point (exact test).
 bool intersects(const Geometry& a, const Geometry& b);
 /// True iff every point of `b` lies in `a` (supported for polygon `a`).
 bool contains(const Geometry& a, const Geometry& b);
-/// Point-in-polygon test including the boundary.
-bool containsPoint(const Geometry& polygon, const Coord& c);
 /// Minimum distance between the two geometries (0 when intersecting).
 double distance(const Geometry& a, const Geometry& b);
 

@@ -27,15 +27,17 @@
 // malformed input), the exchange serializes records directly from the
 // arenas into the MPI send buffer, and received bytes deserialize back
 // into a batch without intermediate per-record objects. materialize()
-// converts one record back into a Geometry for the algorithm layer.
+// converts one record back into a Geometry for callers outside the
+// pipeline (readWkt/readWkb, tests, examples).
 //
 // Allocation discipline (what the refine layer relies on): the in-place
-// accessors (envelope/userData/coordsOf/shapeOf) and recordIntersectsBox
-// never heap-allocate; recordClippedMeasure allocates only the transient
+// accessors (envelope/userData/coordsOf/shapeOf) and the record predicates
+// (recordIntersects / recordContains / recordIntersectsBox) never
+// heap-allocate; recordClippedMeasure allocates only the transient
 // clipped-ring buffers of the clipping kernel, never a Geometry;
 // beginRecord/commitRecord/appendRecordFrom pay only amortized arena
-// growth; materialize() allocates one heap Geometry per record and is
-// reserved for records that leave the batch world.
+// growth; materialize() allocates one heap Geometry per record, and no
+// refine task calls it.
 
 #include <cstdint>
 #include <string>
@@ -74,9 +76,10 @@ class GeometryBatch {
     return coords_.data() + coordBegin(i);
   }
   /// Record `i`'s shape-token stream (see the encoding above). Together
-  /// with coordsOf() this is the raw material of the batch-native refine
-  /// predicates (recordIntersectsBox / recordClippedMeasure), which walk
-  /// records in place instead of materializing them.
+  /// with coordsOf() this is the raw material of the record predicates
+  /// (recordIntersects / recordContains / recordIntersectsBox /
+  /// recordClippedMeasure), which walk records in place instead of
+  /// materializing them.
   [[nodiscard]] const std::uint32_t* shapeOf(std::size_t i) const {
     return shape_.data() + shapeBegin(i);
   }
@@ -128,11 +131,9 @@ class GeometryBatch {
   [[nodiscard]] std::uint64_t memoryBytes() const;
 
   /// Rebuild record `i` as a standalone Geometry (userData included).
-  /// This is the materialization boundary: it heap-allocates the
-  /// Geometry's coordinate vectors and userData string. Refine code
-  /// should prefer the in-place accessors above and the batch-native
-  /// predicates in batch_refine.cpp, and materialize only records an
-  /// exact general-geometry test actually needs.
+  /// This heap-allocates the Geometry's coordinate vectors and userData
+  /// string; refine code reads records in place through the accessors
+  /// above and the record predicates below instead.
   [[nodiscard]] Geometry materialize(std::size_t i) const;
 
   // ---- Exchange wire format -------------------------------------------
@@ -187,14 +188,28 @@ class GeometryBatch {
   std::size_t openShapeMark_ = 0;
 };
 
-// ---- Batch-native refine predicates (batch_refine.cpp) -------------------
-// Exact tests that walk a record's shape stream and arena coordinates in
+// ---- Record predicates (predicates.cpp) ----------------------------------
+// Exact tests that walk records' shape streams and arena coordinates in
 // place — no Geometry is materialized and no heap allocation happens.
-// Results are identical to running the Geometry-based predicate on
-// materialize(i); tests/test_batch_refine.cpp asserts the equivalence.
+// This is the one predicate layer: the Geometry predicates of geometry.hpp
+// encode their arguments and call it. tests/test_batch_refine.cpp checks
+// it against the Geometry-walking reference in tests/support/.
 
-/// Exact intersection test of record `i` against an axis-aligned box.
-/// Equals intersects(Geometry::box(box), b.materialize(i)).
+/// True iff record `i` of `a` and record `j` of `b` share a point (the
+/// refine test of JoinPredicate::kIntersects). `a` and `b` may be the same
+/// batch.
+[[nodiscard]] bool recordIntersects(const GeometryBatch& a, std::size_t i, const GeometryBatch& b,
+                                    std::size_t j);
+
+/// True iff every point of record `j` of `b` lies in record `i` of `a`
+/// (JoinPredicate::kContains). Throws unless the container is polygonal,
+/// or a collection whose parts that reach the test are.
+[[nodiscard]] bool recordContains(const GeometryBatch& a, std::size_t i, const GeometryBatch& b,
+                                  std::size_t j);
+
+/// Exact intersection test of record `i` against an axis-aligned box: the
+/// record layer with the box as a 5-vertex polygon node in Geometry::box()
+/// vertex order, so it equals intersects(Geometry::box(box), g).
 [[nodiscard]] bool recordIntersectsBox(const GeometryBatch& b, std::size_t i, const Envelope& box);
 
 /// Type-appropriate measure of record `i` ∩ `rect` (area / length /
@@ -205,7 +220,7 @@ class GeometryBatch {
 
 /// A cell's records inside a batch: an index view used by the refine
 /// phase. Algorithms read envelopes/userData straight from the arena and
-/// materialize only the records they actually need.
+/// test records in place with the record predicates.
 ///
 /// Lifetime: a BatchSpan is a non-owning view. It borrows both the batch
 /// and the index array; neither may be destroyed, cleared, or appended to
@@ -213,7 +228,7 @@ class GeometryBatch {
 /// hands refine tasks spans that are valid only for the duration of the
 /// refineCellBatch call — tasks that need the records afterwards either
 /// copy the *record indices* (cheap, stable across RefineTask::adoptBatches)
-/// or materialize the geometries they keep.
+/// or copy the records out of the batch.
 class BatchSpan {
  public:
   BatchSpan() = default;
@@ -229,7 +244,6 @@ class BatchSpan {
   [[nodiscard]] GeometryType type(std::size_t k) const { return batch_->type(idx_[k]); }
   [[nodiscard]] const Envelope& envelope(std::size_t k) const { return batch_->envelope(idx_[k]); }
   [[nodiscard]] std::string_view userData(std::size_t k) const { return batch_->userData(idx_[k]); }
-  [[nodiscard]] Geometry materialize(std::size_t k) const { return batch_->materialize(idx_[k]); }
 
   /// Batch-native exact tests on the k-th record (no materialization).
   [[nodiscard]] bool intersectsBox(std::size_t k, const Envelope& box) const {

@@ -263,7 +263,8 @@ std::vector<std::string> recordKeys(const mg::BatchSpan& span) {
   std::vector<std::string> out;
   for (std::size_t k = 0; k < span.size(); ++k) {
     out.push_back(std::to_string(span.batch().cell(span.recordIndex(k))) + "|" +
-                  std::string(span.userData(k)) + "|" + mg::writeWkb(span.materialize(k)));
+                  std::string(span.userData(k)) + "|" +
+                  mg::writeWkb(span.batch().materialize(span.recordIndex(k))));
   }
   return out;
 }
