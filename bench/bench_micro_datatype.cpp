@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark): derived-datatype pack/unpack and
-// geometry wire serialization — the per-byte costs behind the exchange
-// phase's "buffer management overhead".
+// the exchange's BatchShard frame encode/decode — the per-byte costs
+// behind the exchange phase's "buffer management overhead".
 
 #include <benchmark/benchmark.h>
 
-#include "core/exchange.hpp"
+#include "geom/batch_shard.hpp"
 #include "mpi/datatype.hpp"
 #include "osm/synth.hpp"
 #include "util/rng.hpp"
@@ -55,40 +55,66 @@ void BM_UnpackStrided(benchmark::State& state) {
 }
 BENCHMARK(BM_UnpackStrided)->Arg(1000)->Arg(100000);
 
-void BM_GeometrySerialize(benchmark::State& state) {
+/// 128 synthetic geometries spread over 8 destinations, grouped by
+/// destination as the exchange groups them: the frame writer's input.
+struct FrameInput {
+  geom::GeometryBatch batch;
+  std::vector<std::uint32_t> order;
+  std::vector<int> dests;
+};
+
+FrameInput frameInput() {
+  constexpr int kDests = 8;
   osm::SynthSpec spec;
   spec.maxVertices = 128;
   osm::RecordGenerator gen(spec);
-  std::vector<core::CellGeometry> geoms;
+  FrameInput in;
   for (std::uint64_t i = 0; i < 128; ++i) {
-    geoms.push_back({static_cast<int>(i % 32), gen.geometry(i)});
+    in.batch.append(gen.geometry(i), static_cast<int>(i % 32));
   }
+  for (int d = 0; d < kDests; ++d) {
+    for (std::size_t i = 0; i < in.batch.size(); ++i) {
+      if (in.batch.cell(i) % kDests != d) continue;
+      in.order.push_back(static_cast<std::uint32_t>(i));
+      in.dests.push_back(d);
+    }
+  }
+  return in;
+}
+
+void reportFrames(benchmark::State& state, std::size_t bytes, std::size_t records) {
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(records));
+}
+
+// Exchange frame encode: one BatchShard per destination, straight from
+// the arenas into one buffer.
+void BM_FrameEncode(benchmark::State& state) {
+  const FrameInput in = frameInput();
   std::string buf;
-  std::size_t i = 0;
   for (auto _ : state) {
     buf.clear();
-    core::serializeCellGeometry(geoms[i++ % geoms.size()], buf);
-    benchmark::DoNotOptimize(buf.data());
+    benchmark::DoNotOptimize(geom::encodeShardRuns(in.batch, in.order, in.dests, buf).size());
   }
+  reportFrames(state, buf.size(), in.order.size());
 }
-BENCHMARK(BM_GeometrySerialize);
+BENCHMARK(BM_FrameEncode);
 
-void BM_GeometryDeserialize(benchmark::State& state) {
-  osm::SynthSpec spec;
-  spec.maxVertices = 128;
-  osm::RecordGenerator gen(spec);
+// Exchange frame decode: every frame of the buffer into one batch.
+void BM_FrameDecode(benchmark::State& state) {
+  const FrameInput in = frameInput();
   std::string buf;
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    core::serializeCellGeometry({static_cast<int>(i % 32), gen.geometry(i)}, buf);
-  }
+  const auto frames = geom::encodeShardRuns(in.batch, in.order, in.dests, buf);
   for (auto _ : state) {
-    std::vector<core::CellGeometry> out;
-    core::deserializeCellGeometries(buf, out);
+    geom::GeometryBatch out;
+    for (const geom::ShardRun& f : frames) {
+      geom::decodeShard(std::string_view(buf).substr(f.offset, f.counts.encodedBytes()), out);
+    }
     benchmark::DoNotOptimize(out.size());
   }
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(buf.size()));
+  reportFrames(state, buf.size(), in.order.size());
 }
-BENCHMARK(BM_GeometryDeserialize);
+BENCHMARK(BM_FrameDecode);
 
 }  // namespace
 

@@ -10,6 +10,7 @@
 #include "common.hpp"
 #include "core/grid.hpp"
 #include "core/indexing.hpp"
+#include "geom/batch_shard.hpp"
 #include "geom/quadtree.hpp"
 #include "geom/rtree.hpp"
 #include "geom/wkb.hpp"
@@ -88,65 +89,71 @@ void BM_ParseAllBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseAllBatch);
 
-// Exchange packing, legacy staging: serialize into per-destination strings,
-// then concatenate into the send buffer (two copies of every payload byte).
-void BM_ExchangePackStaging(benchmark::State& state) {
-  constexpr int kDests = 8;
-  const std::string text = recordText(256);
+/// A parsed batch spread over `kPackDests` destinations (cell % kPackDests)
+/// and its records grouped by destination, as the exchange groups them.
+constexpr int kPackDests = 8;
+
+struct PackInput {
+  geom::GeometryBatch batch;
+  std::vector<std::uint32_t> order;
+  std::vector<int> dests;
+};
+
+PackInput packInput() {
   core::WktParser parser;
-  std::vector<core::CellGeometry> geoms;
-  parser.parseAll(text, [&](geom::Geometry&& g) {
-    geoms.push_back({static_cast<int>(geoms.size()) % 64, std::move(g)});
-  });
+  PackInput in;
+  parser.parseAll(recordText(256), in.batch);
+  for (std::size_t i = 0; i < in.batch.size(); ++i) in.batch.setCell(i, static_cast<int>(i) % 64);
+  for (int d = 0; d < kPackDests; ++d) {
+    for (std::size_t i = 0; i < in.batch.size(); ++i) {
+      if (in.batch.cell(i) % kPackDests != d) continue;
+      in.order.push_back(static_cast<std::uint32_t>(i));
+      in.dests.push_back(d);
+    }
+  }
+  return in;
+}
+
+// Exchange packing, staging: copy each destination's records into its own
+// batch, then encode each staged batch into the send buffer (two copies
+// of every payload byte).
+void BM_ExchangePackStaging(benchmark::State& state) {
+  const PackInput in = packInput();
+  std::string sendBuf;
   std::uint64_t records = 0;
   const bench::Counters t0 = bench::countersNow();
   for (auto _ : state) {
-    std::vector<std::string> perDest(kDests);
-    for (const auto& cg : geoms) core::serializeCellGeometry(cg, perDest[cg.cell % kDests]);
-    std::string sendBuf;
-    for (const auto& d : perDest) {
-      sendBuf.append(d);
-      util::perf::addBytesCopied(d.size());  // the staging copy
+    std::vector<geom::GeometryBatch> perDest(kPackDests);
+    for (std::size_t k = 0; k < in.order.size(); ++k) {
+      const std::uint32_t i = in.order[k];
+      geom::GeometryBatch& staged = perDest[static_cast<std::size_t>(in.dests[k])];
+      staged.appendRecordFrom(in.batch, i, in.batch.cell(i));
     }
-    records += geoms.size();
-    benchmark::DoNotOptimize(sendBuf.size());
+    sendBuf.clear();
+    for (const auto& d : perDest) geom::encodeShard(d, sendBuf);
+    records += in.order.size();
+    benchmark::DoNotOptimize(sendBuf.data());
   }
   reportPerRecord(state, bench::countersSince(t0), records);
 }
 BENCHMARK(BM_ExchangePackStaging);
 
-// Exchange packing, batch path: size every destination, then write each
-// record once at its computed displacement in one reused buffer.
+// Exchange packing, the exchange's path: the frame writer puts one
+// BatchShard per destination into one reused buffer, each record written
+// once straight from the arenas.
 void BM_ExchangePackBatch(benchmark::State& state) {
-  constexpr int kDests = 8;
-  const std::string text = recordText(256);
-  core::WktParser parser;
-  geom::GeometryBatch batch;
-  parser.parseAll(text, batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) batch.setCell(i, static_cast<int>(i) % 64);
-  std::vector<char> sendBuf;
+  const PackInput in = packInput();
+  std::string sendBuf;
   std::uint64_t records = 0;
   const bench::Counters t0 = bench::countersNow();
   for (auto _ : state) {
-    std::size_t sizes[kDests] = {};
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      sizes[batch.cell(i) % kDests] += batch.serializedSize(i);
-    }
-    std::size_t writeAt[kDests];
-    std::size_t total = 0;
-    for (int d = 0; d < kDests; ++d) {
-      writeAt[d] = total;
-      total += sizes[d];
-    }
-    sendBuf.resize(total);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      auto& at = writeAt[batch.cell(i) % kDests];
-      at = static_cast<std::size_t>(batch.serializeRecordTo(i, sendBuf.data() + at) - sendBuf.data());
-    }
-    records += batch.size();
-    benchmark::DoNotOptimize(sendBuf.data());
+    sendBuf.clear();
+    benchmark::DoNotOptimize(geom::encodeShardRuns(in.batch, in.order, in.dests, sendBuf).size());
+    records += in.order.size();
   }
   reportPerRecord(state, bench::countersSince(t0), records);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * sendBuf.size()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
 }
 BENCHMARK(BM_ExchangePackBatch);
 

@@ -563,7 +563,7 @@ void fig08(obs::RunReport& report) {
         geom::GeometryBatch staged;
         {
           mpi::CpuCharge charge(comm);
-          staged.reserveRecords(geoms.size());
+          staged.reserve(geoms.size(), geoms.size() * 4, geoms.size() * 2, geoms.size() * 8);
           for (auto& g : geoms) {
             cells.clear();
             grid.overlappingCells(g.envelope(), cells);
@@ -574,13 +574,11 @@ void fig08(obs::RunReport& report) {
         }
         const auto result =
             core::exchangeByCell(comm, std::move(staged), owner, 1, grid.cellCount());
-        std::vector<core::CellGeometry> materialized;
+        std::vector<geom::Geometry> materialized;
         {
           mpi::CpuCharge charge(comm);
           materialized.reserve(result.size());
-          for (std::size_t i = 0; i < result.size(); ++i) {
-            materialized.push_back({result.cell(i), result.materialize(i)});
-          }
+          for (std::size_t i = 0; i < result.size(); ++i) materialized.push_back(result.materialize(i));
         }
         mine = materialized.size();
       } else {
@@ -1287,7 +1285,7 @@ void ablationWindow(obs::RunReport& report) {
     mpi::Runtime::run(40, sim::MachineModel::roger(2), [&](mpi::Comm& comm) {
       util::Rng rng(500 + static_cast<std::uint64_t>(comm.rank()));
       geom::GeometryBatch outgoing;
-      outgoing.reserveRecords(kGeomsPerRank, 5);
+      outgoing.reserve(kGeomsPerRank, kGeomsPerRank * 5, kGeomsPerRank * 2, kGeomsPerRank * 8);
       for (int i = 0; i < kGeomsPerRank; ++i) {
         const int cell = static_cast<int>(rng.below(kCells));
         const double x = rng.uniform(0, 100), y = rng.uniform(0, 100);

@@ -17,7 +17,9 @@
 # `PartitionerConfig::x` / `PartitionMap::x` (src/core/partition_map.hpp),
 # `GridSpec::x` / `CellLocator::x` (src/core/grid.hpp),
 # `PartitionConfig::x` (src/core/file_partition.hpp), `CellStore::x`
-# (src/core/cell_store.hpp), `FormatReader::x` / `WkbFormatReader::x`
+# (src/core/cell_store.hpp), `GeometryBatch::x` / `BatchSpan::x`
+# (src/geom/geometry_batch.hpp), `ExchangeStats::x` / `RoundHeader::x` /
+# `ExchangeScratch::x` (src/core/exchange.hpp), `FormatReader::x` / `WkbFormatReader::x`
 # (src/core/format.hpp), `Parser::x` / `WktParser::x` /
 # `CsvPointParser::x` (src/core/parser.hpp) and `DatasetHandle::x`
 # (src/core/framework.hpp) in the two documents must name a field or
@@ -60,7 +62,9 @@ set(CITED_TYPES
     "CheckpointCoordinator|ShardSetManifest|EpochSeal|SealScanCache=recovery/checkpoint.hpp"
     "FaultPlan=recovery/recovery.hpp"
     "DistributedIndex=core/indexing.hpp"
-    "RefineTask=core/framework.hpp")
+    "RefineTask=core/framework.hpp"
+    "GeometryBatch|BatchSpan=geom/geometry_batch.hpp"
+    "ExchangeStats|RoundHeader|ExchangeScratch=core/exchange.hpp")
 
 set(MISSING "")
 foreach(doc README.md DESIGN.md)

@@ -57,28 +57,19 @@ void CellStore::flushSegment(const geom::GeometryBatch& b) {
   // single ranged read, and no piece carries another cell's bytes. The
   // blob is encoded whole before its one put, so a flush briefly holds it
   // next to the sorted segment (the flush-time slack of DESIGN.md §8).
+  std::vector<int> cells(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    cells[k] = b.cell(order[k]);
+    MVIO_CHECK(cells[k] != geom::GeometryBatch::kNoCell, "CellStore: untagged record in owned set");
+  }
   Segment segment;
   segment.name = base_ + ".seg" + std::to_string(segments_.size());
-  // Sized once: every record's payload plus one shard header per cell.
-  std::size_t blobBytes = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (k == 0 || b.cell(order[k]) != b.cell(order[k - 1])) blobBytes += geom::kShardHeaderBytes;
-    blobBytes += geom::shardRecordBytes(b, order[k]);
-  }
   std::string blob;
-  blob.reserve(blobBytes);
-  geom::GeometryBatch piece;
-  for (std::size_t k = 0; k < n;) {
-    const int cell = b.cell(order[k]);
-    MVIO_CHECK(cell != geom::GeometryBatch::kNoCell, "CellStore: untagged record in owned set");
-    piece.clear();
-    for (; k < n && b.cell(order[k]) == cell; ++k) piece.appendRecordFrom(b, order[k], cell);
-    const std::uint64_t offset = blob.size();
-    geom::encodeShard(piece, blob);
-    segment.pieces.push_back({cell, offset, blob.size() - offset,
-                              static_cast<std::uint32_t>(piece.size()), false});
+  for (const geom::ShardRun& run : geom::encodeShardRuns(b, order, cells, blob)) {
+    segment.pieces.push_back(
+        {run.key, run.offset, run.counts.encodedBytes(),
+         static_cast<std::uint32_t>(run.counts.records), false});
   }
-  MVIO_CHECK(blob.size() == blobBytes, "CellStore: segment size drift");
   charge_(blob.size(), /*isWrite=*/true);
   if (obs::tracingOn()) {
     obs::traceInstant("store.spill", segment.name + " (" + std::to_string(blob.size()) + " bytes)");

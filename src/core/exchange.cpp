@@ -1,14 +1,13 @@
 #include "core/exchange.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <queue>
+#include <span>
+#include <utility>
 
 #include "geom/batch_shard.hpp"
-#include "geom/wkb.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
-#include "util/perf.hpp"
 
 namespace mvio::core {
 
@@ -17,44 +16,6 @@ using util::putScalar;
 using util::readScalar;
 
 constexpr SerializationCostModel kCosts{};  ///< charged by the exchange and the migration
-
-void serializeCellGeometry(const CellGeometry& cg, std::string& out) {
-  MVIO_CHECK(cg.cell >= 0, "negative cell id");
-  const std::size_t start = out.size();
-  // Stage the geometry in a batch so the exact WKB size is known up front
-  // and the encode runs through the one shared arena serializer — no
-  // placeholder-and-patch-back framing (geom::appendWkb(batch, i, out)).
-  thread_local geom::GeometryBatch staged;
-  staged.clear();
-  staged.append(cg.geometry, cg.cell);
-  putScalar<std::uint32_t>(out, static_cast<std::uint32_t>(cg.cell));
-  putScalar<std::uint32_t>(out, static_cast<std::uint32_t>(cg.geometry.userData.size()));
-  putScalar<std::uint32_t>(out, static_cast<std::uint32_t>(staged.wkbSize(0)));
-  out.append(cg.geometry.userData);
-  geom::appendWkb(staged, 0, out);
-  util::perf::addBytesCopied(out.size() - start);
-}
-
-void deserializeCellGeometries(std::string_view bytes, std::vector<CellGeometry>& out) {
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    MVIO_CHECK(pos + 12 <= bytes.size(), "truncated geometry record header");
-    const auto cell = readScalar<std::uint32_t>(bytes.data() + pos);
-    const auto userLen = readScalar<std::uint32_t>(bytes.data() + pos + 4);
-    const auto wkbLen = readScalar<std::uint32_t>(bytes.data() + pos + 8);
-    pos += 12;
-    MVIO_CHECK(pos + userLen + wkbLen <= bytes.size(), "truncated geometry record body");
-    CellGeometry cg;
-    cg.cell = static_cast<int>(cell);
-    std::size_t consumed = 0;
-    cg.geometry = geom::readWkb(bytes.substr(pos + userLen, wkbLen), &consumed);
-    MVIO_CHECK(consumed == wkbLen, "WKB record length mismatch");
-    cg.geometry.userData.assign(bytes.data() + pos, userLen);
-    util::perf::addBytesCopied(12ull + userLen + wkbLen);
-    pos += userLen + wkbLen;
-    out.push_back(std::move(cg));
-  }
-}
 
 geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoing,
                                    const CellOwnerFn& owner, int windowPhases, int totalCells,
@@ -66,18 +27,27 @@ geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoi
 
   geom::GeometryBatch mine;
 
-  // Classify records. Self-owned ones copy straight into `mine`. For the
-  // single-phase default, the rest stay in the outgoing arenas until they
-  // are packed (zero staging copies). For a multi-phase sliding window
-  // they are re-bucketed into per-phase batches and the source arenas are
-  // dropped immediately, so each phase's memory is released as soon as
-  // its buffer is packed — the peak-memory bound the windowing exists for.
-  const bool multiPhase = phases > 1;
-  const int cellsPerPhase = (totalCells + phases - 1) / phases;
-  auto phaseOf = [&](int cell) { return std::min(cell / cellsPerPhase, phases - 1); };
+  // Per-round working set: caller-provided scratch when multi-round
+  // streaming wants to reuse the capacity, a local set otherwise. Every
+  // entry is fully overwritten, so a resize is all the reuse path needs
+  // (it keeps capacity).
+  ExchangeScratch local;
+  ExchangeScratch& sx = scratch != nullptr ? *scratch : local;
+  for (auto* v : {&sx.sendCounts, &sx.sendDispls, &sx.recvCounts, &sx.recvDispls}) {
+    v->resize(static_cast<std::size_t>(p));
+  }
+  sx.sendHeaders.resize(static_cast<std::size_t>(p));
+  sx.recvHeaders.resize(static_cast<std::size_t>(p));
 
-  std::vector<std::uint32_t> sendIdx;  // single-phase: indices into `outgoing`
-  std::vector<geom::GeometryBatch> phaseBatches(multiPhase ? static_cast<std::size_t>(phases) : 0);
+  // Classify records, with one owner lookup each. Self-owned ones copy
+  // straight into `mine`; the rest stay in the outgoing arenas until the
+  // frame writer packs them. Each is counted into its (window phase,
+  // destination) bucket: cells split into `phases` contiguous id ranges.
+  const int cellsPerPhase = (totalCells + phases - 1) / phases;
+  const std::size_t buckets = static_cast<std::size_t>(phases) * static_cast<std::size_t>(p);
+  std::vector<std::uint32_t> sendIdx;
+  std::vector<std::uint32_t> sendBucket;
+  sx.bucketEnd.assign(buckets, 0);
   for (std::size_t i = 0; i < outgoing.size(); ++i) {
     const int cell = outgoing.cell(i);
     if (cell == geom::GeometryBatch::kNoCell) continue;  // projected to no cell
@@ -86,116 +56,111 @@ geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoi
     MVIO_CHECK(dst >= 0 && dst < p, "cell owner out of communicator range");
     if (dst == comm.rank()) {
       mine.appendRecordFrom(outgoing, i, cell);  // no self-serialization round trip
-    } else if (multiPhase) {
-      phaseBatches[static_cast<std::size_t>(phaseOf(cell))].appendRecordFrom(outgoing, i, cell);
-    } else {
-      sendIdx.push_back(static_cast<std::uint32_t>(i));
+      continue;
     }
+    const int phase = std::min(cell / cellsPerPhase, phases - 1);
+    const auto bucket = static_cast<std::uint32_t>(phase * p + dst);
+    sendIdx.push_back(static_cast<std::uint32_t>(i));
+    sendBucket.push_back(bucket);
+    ++sx.bucketEnd[bucket];
   }
-  if (multiPhase) outgoing = geom::GeometryBatch();  // release the source arenas
 
-  // Per-round working set: caller-provided scratch when multi-round
-  // streaming wants to reuse the capacity, a local set otherwise. Every
-  // entry is fully overwritten per phase, so a resize is all the reuse
-  // path needs (it keeps capacity; sendBuf/recvBuf likewise resize per
-  // phase below).
-  ExchangeScratch local;
-  ExchangeScratch& sx = scratch != nullptr ? *scratch : local;
-  sx.sendCounts.resize(static_cast<std::size_t>(p));
-  sx.sendDispls.resize(static_cast<std::size_t>(p));
-  sx.recvCounts.resize(static_cast<std::size_t>(p));
-  sx.recvDispls.resize(static_cast<std::size_t>(p));
-  sx.sendHeaders.resize(static_cast<std::size_t>(p));
-  sx.recvHeaders.resize(static_cast<std::size_t>(p));
-  sx.writeAt.resize(static_cast<std::size_t>(p));
-  std::vector<int>& sendCounts = sx.sendCounts;
-  std::vector<int>& sendDispls = sx.sendDispls;
-  std::vector<int>& recvCounts = sx.recvCounts;
-  std::vector<int>& recvDispls = sx.recvDispls;
-  std::vector<RoundHeader>& sendHeaders = sx.sendHeaders;
-  std::vector<RoundHeader>& recvHeaders = sx.recvHeaders;
-  std::vector<std::size_t>& writeAt = sx.writeAt;
-  std::vector<char>& sendBuf = sx.sendBuf;
-  std::vector<char>& recvBuf = sx.recvBuf;
+  // Stable counting sort: each phase's records come out grouped by
+  // destination, ascending, each destination's in send order. After the
+  // scatter bucketEnd[b] is one past bucket b's last entry.
+  std::size_t start = 0;
+  for (std::size_t& end : sx.bucketEnd) start += std::exchange(end, start);
+  sx.order.resize(sendIdx.size());
+  sx.keys.resize(sendIdx.size());
+  for (std::size_t k = 0; k < sendIdx.size(); ++k) {
+    const std::size_t at = sx.bucketEnd[sendBucket[k]]++;
+    sx.order[at] = sendIdx[k];
+    sx.keys[at] = static_cast<int>(sendBucket[k] % static_cast<std::uint32_t>(p));
+  }
+
   const auto headerType =
       mpi::Datatype::contiguous(static_cast<int>(sizeof(RoundHeader)), mpi::Datatype::byte());
-
   for (int phase = 0; phase < phases; ++phase) {
-    geom::GeometryBatch& src = multiPhase ? phaseBatches[static_cast<std::size_t>(phase)] : outgoing;
-    const std::size_t nRecords = multiPhase ? src.size() : sendIdx.size();
-    auto recordAt = [&](std::size_t k) {
-      return multiPhase ? k : static_cast<std::size_t>(sendIdx[k]);
-    };
     // Every rank derives the flag from the same (windowPhases, lastRound)
     // pair, so senders and receivers agree on which phase ends the stream.
     const bool phaseLast = lastRound && phase == phases - 1;
+    const std::size_t lo = phase == 0 ? 0 : sx.bucketEnd[static_cast<std::size_t>(phase * p) - 1];
+    const std::size_t nRecords = sx.bucketEnd[static_cast<std::size_t>((phase + 1) * p) - 1] - lo;
 
-    // Pass 1: exact per-destination byte and record counts.
-    std::fill(sendHeaders.begin(), sendHeaders.end(), RoundHeader{});
-    for (std::size_t k = 0; k < nRecords; ++k) {
-      const std::size_t i = recordAt(k);
-      RoundHeader& h = sendHeaders[static_cast<std::size_t>(owner(src.cell(i)))];
-      h.payloadBytes += src.serializedSize(i);
-      h.records += 1;
+    // Pack: one BatchShard frame per destination, written once into the
+    // reused send buffer — the phase's single payload-byte copy.
+    sx.sendBuf.clear();
+    const std::vector<geom::ShardRun> frames =
+        geom::encodeShardRuns(outgoing, std::span(sx.order).subspan(lo, nRecords),
+                              std::span(sx.keys).subspan(lo, nRecords), sx.sendBuf);
+    std::fill(sx.sendHeaders.begin(), sx.sendHeaders.end(), RoundHeader{});
+    for (const geom::ShardRun& f : frames) {
+      RoundHeader& h = sx.sendHeaders[static_cast<std::size_t>(f.key)];
+      h.payloadBytes = f.counts.encodedBytes();
+      h.records = static_cast<std::uint32_t>(f.counts.records);
     }
     std::size_t sendTotal = 0;
     for (int d = 0; d < p; ++d) {
-      RoundHeader& h = sendHeaders[static_cast<std::size_t>(d)];
+      RoundHeader& h = sx.sendHeaders[static_cast<std::size_t>(d)];
       if (phaseLast) h.flags |= kRoundLast;
       MVIO_CHECK(h.payloadBytes <= static_cast<std::uint64_t>(INT32_MAX),
                  "per-destination buffer exceeds 2 GB");
-      sendCounts[static_cast<std::size_t>(d)] = static_cast<int>(h.payloadBytes);
-      sendDispls[static_cast<std::size_t>(d)] = static_cast<int>(sendTotal);
-      writeAt[static_cast<std::size_t>(d)] = sendTotal;
+      sx.sendCounts[static_cast<std::size_t>(d)] = static_cast<int>(h.payloadBytes);
+      sx.sendDispls[static_cast<std::size_t>(d)] = static_cast<int>(sendTotal);
       sendTotal += static_cast<std::size_t>(h.payloadBytes);
     }
     MVIO_CHECK(sendTotal <= static_cast<std::size_t>(INT32_MAX),
                "phase send buffer exceeds 2 GB (displacements are 32-bit); increase windowPhases");
-
-    // Pass 2: pack every record once, directly at its destination's
-    // running offset — the phase's single payload-byte copy.
-    sendBuf.resize(sendTotal);
-    for (std::size_t k = 0; k < nRecords; ++k) {
-      const std::size_t i = recordAt(k);
-      auto& at = writeAt[static_cast<std::size_t>(owner(src.cell(i)))];
-      char* end = src.serializeRecordTo(i, sendBuf.data() + at);
-      at = static_cast<std::size_t>(end - sendBuf.data());
-    }
-    if (multiPhase) src = geom::GeometryBatch();  // this phase's records are packed; free them
     comm.clock().advanceBy(static_cast<double>(sendTotal) / kCosts.bytesPerSecond +
                            static_cast<double>(nRecords) * kCosts.perGeometrySeconds);
 
     // Round 1: exchange round headers (MPI_Alltoall), so receivers can
     // size their buffers, anticipate record counts, and verify that all
     // senders share this rank's view of stream termination.
-    comm.alltoall(sendHeaders.data(), 1, headerType, recvHeaders.data());
+    comm.alltoall(sx.sendHeaders.data(), 1, headerType, sx.recvHeaders.data());
     std::size_t recvTotal = 0;
-    std::size_t expectedRecords = 0;
     for (int d = 0; d < p; ++d) {
-      const RoundHeader& h = recvHeaders[static_cast<std::size_t>(d)];
+      const RoundHeader& h = sx.recvHeaders[static_cast<std::size_t>(d)];
       MVIO_CHECK(((h.flags & kRoundLast) != 0) == phaseLast,
                  "exchange round termination mismatch: a rank ended its stream while another "
                  "keeps sending (streaming rounds are misaligned)");
       MVIO_CHECK(h.payloadBytes <= static_cast<std::uint64_t>(INT32_MAX),
                  "received per-source buffer exceeds 2 GB");
-      recvCounts[static_cast<std::size_t>(d)] = static_cast<int>(h.payloadBytes);
-      recvDispls[static_cast<std::size_t>(d)] = static_cast<int>(recvTotal);
+      sx.recvCounts[static_cast<std::size_t>(d)] = static_cast<int>(h.payloadBytes);
+      sx.recvDispls[static_cast<std::size_t>(d)] = static_cast<int>(recvTotal);
       recvTotal += static_cast<std::size_t>(h.payloadBytes);
-      expectedRecords += h.records;
     }
     MVIO_CHECK(recvTotal <= static_cast<std::size_t>(INT32_MAX),
                "phase receive buffer exceeds 2 GB (displacements are 32-bit); increase windowPhases");
 
     // Round 2: payload (MPI_Alltoallv over MPI_CHAR buffers).
-    recvBuf.resize(recvTotal);
-    comm.alltoallv(sendBuf.data(), sendCounts.data(), sendDispls.data(), recvBuf.data(),
-                   recvCounts.data(), recvDispls.data(), mpi::Datatype::char_());
+    sx.recvBuf.resize(recvTotal);
+    comm.alltoallv(sx.sendBuf.data(), sx.sendCounts.data(), sx.sendDispls.data(), sx.recvBuf.data(),
+                   sx.recvCounts.data(), sx.recvDispls.data(), mpi::Datatype::char_());
 
+    // Decode the frames in ascending source order. The round header's
+    // record count sizes nothing: `mine` is reserved from the counts each
+    // frame's own bytes back, and the header count must match them.
+    auto frameOf = [&](std::size_t d) {
+      return std::string_view(sx.recvBuf.data() + sx.recvDispls[d],
+                              static_cast<std::size_t>(sx.recvCounts[d]));
+    };
+    geom::ShardCounts incoming;
+    for (std::size_t d = 0; d < static_cast<std::size_t>(p); ++d) {
+      geom::ShardCounts c;
+      if (sx.recvCounts[d] != 0) c = geom::shardCounts(frameOf(d));
+      MVIO_CHECK(c.records == sx.recvHeaders[d].records,
+                 "round header record count does not match the received frame");
+      incoming.records += c.records;
+      incoming.coords += c.coords;
+      incoming.shapeTokens += c.shapeTokens;
+      incoming.userBytes += c.userBytes;
+    }
     const std::size_t before = mine.size();
-    mine.reserveRecords(expectedRecords);
-    mine.deserializeRecords(std::string_view(recvBuf.data(), recvTotal));
-    MVIO_CHECK(mine.size() - before == expectedRecords,
-               "round header record count does not match the deserialized stream");
+    mine.reserve(incoming.records, incoming.coords, incoming.shapeTokens, incoming.userBytes);
+    for (std::size_t d = 0; d < static_cast<std::size_t>(p); ++d) {
+      if (sx.recvCounts[d] != 0) geom::decodeShard(frameOf(d), mine);
+    }
     comm.clock().advanceBy(static_cast<double>(recvTotal) / kCosts.bytesPerSecond +
                            static_cast<double>(mine.size() - before) * kCosts.perGeometrySeconds);
 

@@ -4,56 +4,44 @@
 //
 // After local grid projection, a rank may hold records belonging to cells
 // owned by other ranks. exchangeByCell() performs the personalized
-// all-to-all over a cell-tagged GeometryBatch: records are serialized
-// straight from the batch arenas into one send buffer, round headers are
-// exchanged with MPI_Alltoall, and the payload moves with MPI_Alltoallv —
-// "all-to-all collective communication is performed in at least two
-// communication rounds", exactly as the paper describes.
+// all-to-all over a cell-tagged GeometryBatch: each destination's records
+// are written straight from the batch arenas as one BatchShard frame
+// (geom/batch_shard.hpp, the codec spill, checkpoints and migration use
+// too) into one send buffer, round headers are exchanged with
+// MPI_Alltoall, and the payload moves with MPI_Alltoallv — "all-to-all
+// collective communication is performed in at least two communication
+// rounds", exactly as the paper describes.
 //
 // Each round's header carries the payload byte count, the record count,
-// and a last-round flag per destination. The counts let receivers size
-// their buffers and cross-check the deserialized stream; the flag makes
-// a zero-record round (a streaming chunk that happened to send nothing)
-// distinguishable from a terminated stream, so a rank that believes the
-// stream has ended while a peer keeps sending fails fast with a protocol
-// error instead of deadlocking in a later round.
+// and a last-round flag per destination. The byte counts size the
+// receive buffer, the record count must match the frame it announces,
+// and the flag makes a zero-record round (a streaming chunk that happened
+// to send nothing) distinguishable from a terminated stream, so a rank
+// that believes the stream has ended while a peer keeps sending fails
+// fast with a protocol error instead of deadlocking in a later round.
 //
 // For large datasets the exchange is windowed (paper: "sliding window
 // technique where communication happens in distinct number of phases"):
 // cells are partitioned into `windowPhases` contiguous id ranges and one
 // alltoallv round runs per range, bounding peak buffer memory.
 //
-// Wire format per geometry: [cellId:u32][userDataLen:u32][wkbLen:u32]
-// [userData][wkb]. WKB is the compact binary OGC encoding (geom/wkb.hpp).
+// Receivers decode the frames in ascending source order, so a rank's
+// records arrive as: its self-owned records, then each source's records
+// in that source's send order.
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/grid.hpp"
-#include "geom/geometry.hpp"
 #include "geom/geometry_batch.hpp"
 #include "mpi/runtime.hpp"
 
 namespace mvio::core {
 
-/// A materialized geometry tagged with its grid cell. The pipeline itself
-/// never builds these — it stays on GeometryBatch — but the struct and the
-/// codec below remain the wire-format reference implementation: tests and
-/// the micro benches use them to assert the batch serializer is
-/// byte-identical and to price the per-record staging path it replaced.
-struct CellGeometry {
-  int cell = 0;
-  geom::Geometry geometry;
-};
-
 /// Maps a cell id to its owner rank (e.g. roundRobinOwner).
 using CellOwnerFn = std::function<int(int cell)>;
-
-/// Reference codec for the wire format (one record appended to `out`).
-void serializeCellGeometry(const CellGeometry& cg, std::string& out);
-/// Deserialize every record in `bytes`, appending to `out`.
-void deserializeCellGeometries(std::string_view bytes, std::vector<CellGeometry>& out);
 
 /// Deterministic cost model for communication-buffer management (the
 /// paper's "serialization and deserialization" overhead). Measured thread
@@ -61,7 +49,7 @@ void deserializeCellGeometries(std::string_view bytes, std::vector<CellGeometry>
 /// exchangeByCell and migrateShards charge these default rates instead;
 /// bench_micro_datatype reports the real hot-path numbers for comparison.
 struct SerializationCostModel {
-  double bytesPerSecond = 2.5e9;      ///< WKB encode/decode streaming rate
+  double bytesPerSecond = 2.5e9;      ///< BatchShard frame encode/decode streaming rate
   double perGeometrySeconds = 3e-7;   ///< fixed per-record overhead
 };
 
@@ -84,16 +72,20 @@ static_assert(sizeof(RoundHeader) == 16, "round header is 16 wire bytes");
 inline constexpr std::uint32_t kRoundLast = 1;
 
 /// Reusable per-round working set of exchangeByCell: the header /
-/// count / displacement vectors and the two payload buffers. A one-shot
-/// exchange allocates these on the stack; the streaming framework passes
-/// one instance across all of a run's rounds so every round after the
-/// first reuses the capacity instead of reallocating p-sized vectors and
-/// re-growing the payload buffers from zero.
+/// count / displacement vectors, the record order and the two payload
+/// buffers. A one-shot exchange allocates these on the stack; the
+/// streaming framework passes one instance across all of a run's rounds
+/// so every round after the first reuses the capacity instead of
+/// reallocating p-sized vectors and re-growing the payload buffers from
+/// zero.
 struct ExchangeScratch {
   std::vector<int> sendCounts, sendDispls, recvCounts, recvDispls;
   std::vector<RoundHeader> sendHeaders, recvHeaders;
-  std::vector<std::size_t> writeAt;
-  std::vector<char> sendBuf, recvBuf;
+  std::vector<std::size_t> bucketEnd;  ///< counting sort by (phase, destination)
+  std::vector<std::uint32_t> order;    ///< records sent, grouped by phase and destination
+  std::vector<int> keys;               ///< destination of each entry of `order`
+  std::string sendBuf;
+  std::vector<char> recvBuf;
 };
 
 // ---- MPI shard transport (owned-cell rebalancing) ------------------------
@@ -165,11 +157,11 @@ geom::GeometryBatch migrateShards(mpi::Comm& comm, std::vector<geom::GeometryBat
 
 /// Personalized all-to-all of a cell-tagged GeometryBatch — the pipeline's
 /// hot path. `outgoing` is consumed; records with cell == kNoCell are
-/// dropped (they project to no grid cell). Each phase sizes every
-/// destination first, then packs records straight from the batch arenas
-/// into ONE reused send buffer at computed displacements — exactly one
-/// copy of payload bytes per phase, no per-destination staging strings —
-/// and deserializes received bytes directly into the result batch.
+/// dropped (they project to no grid cell). Each phase groups its records
+/// by destination and writes one BatchShard frame per destination
+/// straight from the batch arenas into ONE reused send buffer — exactly
+/// one copy of payload bytes per phase, no per-destination staging — and
+/// decodes received frames directly into the result batch.
 /// Returns the records this rank owns (retained + received). Collective.
 ///
 /// `lastRound` stamps kRoundLast on the final window phase. One-shot

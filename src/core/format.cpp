@@ -220,7 +220,8 @@ std::uint64_t WkbFormatReader::nextBoundary(std::string_view buf, std::uint64_t 
 
 ParseStats WkbFormatReader::parseAll(std::string_view text, geom::GeometryBatch& out) const {
   const std::uint64_t n = text.size();
-  out.reserveRecords(static_cast<std::size_t>(n) / 64 + 1, 8, 8);
+  const std::size_t records = static_cast<std::size_t>(n) / 64 + 1;
+  out.reserve(records, records * 8, records * 2, records * 8);
   ParseStats stats;
   stats.bytes = n;
   std::uint64_t pos = 0;

@@ -118,7 +118,8 @@ ParseStats Parser::parseAll(std::string_view text,
 ParseStats Parser::parseAll(std::string_view text, geom::GeometryBatch& out) const {
   // Records average well under 100 bytes in the paper's datasets; a rough
   // pre-size avoids the early arena doublings without overshooting much.
-  out.reserveRecords(text.size() / 64 + 1, 8, 8);
+  const std::size_t records = text.size() / 64 + 1;
+  out.reserve(records, records * 8, records * 2, records * 8);
   return splitRecords(text, [&](std::string_view record) { return parseRecordInto(record, out); });
 }
 

@@ -54,8 +54,8 @@ std::uint64_t geometryKey(const geom::Geometry& g);
 
 /// Batch-native form: hashes record `i`'s WKB written straight from the
 /// arenas into `scratch` (reused across calls, no Geometry materialized).
-/// Identical to geometryKey(b.materialize(i)) by the wire-format
-/// equivalence of writeWkbTo — tests/test_spill_stream.cpp asserts it.
+/// Identical to geometryKey(b.materialize(i)) because writeWkbTo writes
+/// the same bytes as writeWkb — tests/test_spill_stream.cpp asserts it.
 std::uint64_t geometryKey(const geom::GeometryBatch& b, std::size_t i, std::string& scratch);
 
 /// Run the distributed join. Collective. When `localResults` is non-null

@@ -62,7 +62,6 @@ struct Spiller {
 
   void spill(const std::string& name, const geom::GeometryBatch& b) const {
     std::string bytes;
-    bytes.reserve(geom::shardEncodedSize(b, 0, b.size()));
     geom::encodeShard(b, bytes);
     charge(bytes.size(), /*isWrite=*/true);
     store->put(name, std::move(bytes));

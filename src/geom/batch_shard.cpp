@@ -1,7 +1,6 @@
 #include "geom/batch_shard.hpp"
 
 #include <cstring>
-#include <iterator>
 
 #include "util/bytes.hpp"
 #include "util/crc32c.hpp"
@@ -13,15 +12,16 @@ namespace mvio::geom {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4853564Du;  // "MVSH" little-endian
-/// v2: both checksums are CRC-32C (v1 used FNV-1a).
-constexpr std::uint32_t kVersion = 2;
+/// v3: per-record cell and u32 lengths only; tags, coordinate counts and
+/// envelopes are derived on decode (v2 stored them, with u64 end offsets).
+constexpr std::uint32_t kVersion = 3;
 /// Header offsets of the two checksum words; the header checksum covers
 /// every header byte before it.
 constexpr std::size_t kPayloadSumAt = 40;
 constexpr std::size_t kHeaderSumAt = 48;
-/// Payload bytes every record carries before its arena slices: tag, cell,
-/// envelope and the three end offsets.
-constexpr std::size_t kRecordFixedBytes = 1 + sizeof(int) + sizeof(Envelope) + 24;
+/// Payload bytes every record carries before its arena slices: cell,
+/// shape length and userData length.
+constexpr std::size_t kRecordFixedBytes = sizeof(std::int32_t) + 2 * sizeof(std::uint32_t);
 
 using util::readScalar;
 
@@ -37,219 +37,237 @@ char* putWord(char* cur, T v) {
   return cur + sizeof(T);
 }
 
-/// Writes a shard payload through a cursor, folding each column into the
-/// payload CRC as it is copied (one pass over the bytes).
-struct PayloadWriter {
-  char* cur = nullptr;
-  std::uint32_t crc = 0;
-
-  void raw(const void* src, std::size_t n) {
-    crc = util::crc32cCopy(cur, src, n, crc);
-    cur += n;
-  }
-  /// ends[lo, hi) rebased by -base, as u64 words.
-  void ends(const std::vector<std::size_t>& e, std::size_t lo, std::size_t hi, std::size_t base) {
-    char* const at = cur;
-    for (std::size_t i = lo; i < hi; ++i) cur = putWord<std::uint64_t>(cur, e[i] - base);
-    crc = util::crc32c(at, static_cast<std::size_t>(cur - at), crc);
-  }
-};
-
-/// Check one encoded end-offset column: monotone, within `total`, and
-/// ending exactly at it.
-void checkEnds(const char* ends, std::size_t n, std::size_t total, const char* what) {
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t e = readScalar<std::uint64_t>(ends + i * 8);
-    MVIO_CHECK(e >= prev && e <= total, std::string("batch shard: bad ") + what + " offsets");
-    prev = e;
-  }
-  MVIO_CHECK(n == 0 || prev == total, std::string("batch shard: short ") + what + " arena");
-}
-
-/// Random-access iterator over `T` values stored unaligned in a byte
-/// range, so vector::insert appends a wire column in one sized pass
-/// (resize would zero-fill the new tail before the copy).
-template <typename T>
-struct WireColumn {
-  using iterator_category = std::random_access_iterator_tag;
-  using value_type = T;
-  using difference_type = std::ptrdiff_t;
-  using pointer = const T*;
-  using reference = T;
-
-  const char* at = nullptr;
-
-  T operator*() const { return readScalar<T>(at); }
-  T operator[](difference_type k) const { return *(*this + k); }
-  WireColumn& operator+=(difference_type k) {
-    at += k * static_cast<difference_type>(sizeof(T));
-    return *this;
-  }
-  WireColumn& operator-=(difference_type k) { return *this += -k; }
-  WireColumn& operator++() { return *this += 1; }
-  WireColumn& operator--() { return *this -= 1; }
-  WireColumn operator++(int) {
-    WireColumn was = *this;
-    ++*this;
-    return was;
-  }
-  WireColumn operator--(int) {
-    WireColumn was = *this;
-    --*this;
-    return was;
-  }
-  friend WireColumn operator+(WireColumn it, difference_type k) { return it += k; }
-  friend WireColumn operator-(WireColumn it, difference_type k) { return it -= k; }
-  friend difference_type operator-(const WireColumn& a, const WireColumn& b) {
-    return (a.at - b.at) / static_cast<difference_type>(sizeof(T));
-  }
-  friend auto operator<=>(const WireColumn&, const WireColumn&) = default;
-};
-
-/// Append `n` values of `T` read from `src`. Byte columns need no
-/// alignment and insert straight from the bytes (one memcpy).
+/// Append `n` values of `T` copied from the (unaligned) bytes at `src`.
 template <typename T>
 void appendColumn(std::vector<T>& dst, const char* src, std::size_t n) {
-  if constexpr (sizeof(T) == 1) {
-    dst.insert(dst.end(), reinterpret_cast<const T*>(src), reinterpret_cast<const T*>(src) + n);
-  } else {
-    dst.insert(dst.end(), WireColumn<T>{src}, WireColumn<T>{src + n * sizeof(T)});
-  }
-}
-
-/// Append a checked u64 end-offset column, rebased onto the arena's `base`.
-void appendEnds(std::vector<std::size_t>& dst, const char* src, std::size_t n,
-                std::size_t base) {
   const std::size_t at = dst.size();
-  appendColumn(dst, src, n);
-  for (std::size_t i = at; i < dst.size(); ++i) dst[i] += base;
+  dst.resize(at + n);
+  if (n != 0) std::memcpy(dst.data() + at, src, n * sizeof(T));
 }
 
 }  // namespace
 
 /// Private-column access granted by GeometryBatch's friend declaration.
 struct ShardAccess {
-  static std::size_t coordBegin(const GeometryBatch& b, std::size_t i) { return b.coordBegin(i); }
-  static std::size_t shapeBegin(const GeometryBatch& b, std::size_t i) { return b.shapeBegin(i); }
-  static std::size_t userBegin(const GeometryBatch& b, std::size_t i) { return b.userBegin(i); }
-
-  static void encode(const GeometryBatch& b, std::size_t lo, std::size_t hi, std::string& out) {
-    const std::size_t n = hi - lo;
-    const std::size_t coordLo = n == 0 ? 0 : b.coordBegin(lo);
-    const std::size_t shapeLo = n == 0 ? 0 : b.shapeBegin(lo);
-    const std::size_t userLo = n == 0 ? 0 : b.userBegin(lo);
-    const std::size_t nCoords = n == 0 ? 0 : b.coordEnd_[hi - 1] - coordLo;
-    const std::size_t nShape = n == 0 ? 0 : b.shapeEnd_[hi - 1] - shapeLo;
-    const std::size_t nUser = n == 0 ? 0 : b.userEnd_[hi - 1] - userLo;
-    const std::size_t payloadBytes = n * kRecordFixedBytes + nCoords * sizeof(Coord) +
-                                     nShape * sizeof(std::uint32_t) + nUser;
-
-    // Size `out` once, then write payload and header through cursors.
-    const std::size_t headerAt = out.size();
-    out.resize(headerAt + kShardHeaderBytes + payloadBytes);
-    char* const header = out.data() + headerAt;
+  /// Write one shard of records idx(0), ..., idx(z.records - 1) of `b` at
+  /// `header`, which has room for z.encodedBytes(). The fixed columns are
+  /// checksummed in one call, the arena slices as they are copied.
+  template <typename Idx>
+  static void write(const GeometryBatch& b, Idx idx, const ShardCounts& z, char* header) {
+    const std::size_t n = z.records;
     char* const payload = header + kShardHeaderBytes;
-
-    PayloadWriter w{payload};
-    w.raw(b.tags_.data() + lo, n * sizeof(std::uint8_t));
-    w.raw(b.cells_.data() + lo, n * sizeof(int));
-    w.raw(b.envelopes_.data() + lo, n * sizeof(Envelope));
-    w.ends(b.coordEnd_, lo, hi, coordLo);
-    w.ends(b.shapeEnd_, lo, hi, shapeLo);
-    w.ends(b.userEnd_, lo, hi, userLo);
-    w.raw(b.coords_.data() + coordLo, nCoords * sizeof(Coord));
-    w.raw(b.shape_.data() + shapeLo, nShape * sizeof(std::uint32_t));
-    w.raw(b.userData_.data() + userLo, nUser);
-    MVIO_CHECK(w.cur == payload + payloadBytes, "shard payload size drift");
-    util::perf::addBytesChecksummed(payloadBytes);
+    char* cur = payload;
+    for (std::size_t k = 0; k < n; ++k) cur = putWord<std::int32_t>(cur, b.cells_[idx(k)]);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = idx(k);
+      cur = putWord(cur, length(b.shapeEnd_[i] - b.shapeBegin(i)));
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = idx(k);
+      cur = putWord(cur, length(b.userEnd_[i] - b.userBegin(i)));
+    }
+    std::uint32_t crc = util::crc32c(payload, static_cast<std::size_t>(cur - payload));
+    cur = copyArena(b.shape_, b.shapeEnd_, idx, n, cur, crc);
+    cur = copyArena(b.coords_, b.coordEnd_, idx, n, cur, crc);
+    cur = copyArena(b.userData_, b.userEnd_, idx, n, cur, crc);
+    MVIO_CHECK(cur == header + z.encodedBytes(), "shard payload size drift");
+    util::perf::addBytesChecksummed(static_cast<std::size_t>(cur - payload));
 
     char* h = header;
     h = putWord<std::uint32_t>(h, kMagic);
     h = putWord<std::uint32_t>(h, kVersion);
     h = putWord<std::uint64_t>(h, n);
-    h = putWord<std::uint64_t>(h, nCoords);
-    h = putWord<std::uint64_t>(h, nShape);
-    h = putWord<std::uint64_t>(h, nUser);
-    h = putWord<std::uint64_t>(h, w.crc);
+    h = putWord<std::uint64_t>(h, z.coords);
+    h = putWord<std::uint64_t>(h, z.shapeTokens);
+    h = putWord<std::uint64_t>(h, z.userBytes);
+    h = putWord<std::uint64_t>(h, crc);
     h = putWord<std::uint64_t>(h, checksum(header, kHeaderSumAt));
     MVIO_CHECK(h == payload, "shard header size drift");
-    util::perf::addBytesCopied(out.size() - headerAt);
+    util::perf::addBytesCopied(z.encodedBytes());
+  }
+
+  static std::uint32_t length(std::size_t n) {
+    MVIO_CHECK(n <= UINT32_MAX, "batch shard: record slice exceeds 4 G entries");
+    return static_cast<std::uint32_t>(n);
+  }
+
+  /// Copy the records' slices of one arena, one copy per run of adjacent
+  /// records (a contiguous record range is a single copy).
+  template <typename T, typename Idx>
+  static char* copyArena(const std::vector<T>& arena, const std::vector<std::size_t>& ends, Idx idx,
+                         std::size_t n, char* cur, std::uint32_t& crc) {
+    for (std::size_t k = 0; k < n;) {
+      const std::size_t first = idx(k);
+      std::size_t last = first;
+      for (++k; k < n && idx(k) == last + 1; ++k) ++last;
+      const std::size_t lo = first == 0 ? 0 : ends[first - 1];
+      const std::size_t bytes = (ends[last] - lo) * sizeof(T);
+      if (bytes == 0) continue;
+      crc = util::crc32cCopy(cur, arena.data() + lo, bytes, crc);
+      cur += bytes;
+    }
+    return cur;
+  }
+
+  static ShardCounts sizesOf(const GeometryBatch& b, std::size_t lo, std::size_t hi) {
+    if (lo == hi) return {};
+    return {hi - lo, b.coordEnd_[hi - 1] - b.coordBegin(lo), b.shapeEnd_[hi - 1] - b.shapeBegin(lo),
+            b.userEnd_[hi - 1] - b.userBegin(lo)};
+  }
+
+  /// Drop every record from index `records` on, and the arena tails they
+  /// own — the undo of a partly appended shard.
+  static void truncate(GeometryBatch& b, std::size_t records) {
+    b.coords_.resize(b.coordBegin(records));
+    b.shape_.resize(b.shapeBegin(records));
+    b.userData_.resize(b.userBegin(records));
+    for (auto* column : {&b.coordEnd_, &b.shapeEnd_, &b.userEnd_}) column->resize(records);
+    b.tags_.resize(records);
+    b.cells_.resize(records);
+    b.envelopes_.resize(records);
   }
 
   static std::size_t decode(std::string_view bytes, GeometryBatch& out) {
     MVIO_CHECK(!out.recordOpen_, "decodeShard with a record open");
-    MVIO_CHECK(bytes.size() >= kShardHeaderBytes, "batch shard: truncated header");
-    const char* p = bytes.data();
-    MVIO_CHECK(checksum(p, kHeaderSumAt) == readScalar<std::uint64_t>(p + kHeaderSumAt),
-               "batch shard: corrupted header (checksum mismatch)");
-    MVIO_CHECK(readScalar<std::uint32_t>(p) == kMagic, "batch shard: bad magic");
-    MVIO_CHECK(readScalar<std::uint32_t>(p + 4) == kVersion, "batch shard: unsupported version");
-    const auto n = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 8));
-    const auto nCoords = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 16));
-    const auto nShape = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 24));
-    const auto nUser = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 32));
-
-    // Bound every count by the payload bytes left, by division — a crafted
-    // count must not wrap the size product — before any count sizes a
-    // column.
+    const auto [n, nCoords, nShape, nUser] = shardCounts(bytes);
     const std::size_t payloadBytes = bytes.size() - kShardHeaderBytes;
-    std::size_t left = payloadBytes;
-    MVIO_CHECK(n <= left / kRecordFixedBytes, "batch shard: truncated payload");
-    left -= n * kRecordFixedBytes;
-    MVIO_CHECK(nCoords <= left / sizeof(Coord), "batch shard: truncated payload");
-    left -= nCoords * sizeof(Coord);
-    MVIO_CHECK(nShape <= left / sizeof(std::uint32_t), "batch shard: truncated payload");
-    left -= nShape * sizeof(std::uint32_t);
-    MVIO_CHECK(nUser == left, "batch shard: truncated payload");
-    const char* tags = p + kShardHeaderBytes;
-    MVIO_CHECK(checksum(tags, payloadBytes) == readScalar<std::uint64_t>(p + kPayloadSumAt),
+    const char* p = bytes.data();
+    const char* cells = p + kShardHeaderBytes;
+    MVIO_CHECK(checksum(cells, payloadBytes) == readScalar<std::uint64_t>(p + kPayloadSumAt),
                "batch shard: payload checksum mismatch");
 
-    const char* cells = tags + n;
-    const char* envelopes = cells + n * sizeof(int);
-    const char* coordEnds = envelopes + n * sizeof(Envelope);
-    const char* shapeEnds = coordEnds + n * 8;
-    const char* userEnds = shapeEnds + n * 8;
-    const char* coords = userEnds + n * 8;
-    const char* shape = coords + nCoords * sizeof(Coord);
-    const char* userData = shape + nShape * sizeof(std::uint32_t);
+    const char* shapeLens = cells + n * sizeof(std::int32_t);
+    const char* userLens = shapeLens + n * sizeof(std::uint32_t);
+    const char* shape = userLens + n * sizeof(std::uint32_t);
+    const char* coords = shape + nShape * sizeof(std::uint32_t);
+    const char* userData = coords + nCoords * sizeof(Coord);
 
-    // End offsets become arena slice bounds: check all three columns
-    // before `out` is touched, so a rejected shard leaves it as it was.
-    checkEnds(coordEnds, n, nCoords, "coord");
-    checkEnds(shapeEnds, n, nShape, "shape");
-    checkEnds(userEnds, n, nUser, "userData");
+    // The arenas are appended first, so the structural walk reads aligned
+    // tokens and coordinates; any rejection truncates `out` back to the
+    // records it had.
+    const std::size_t before = out.size();
+    try {
+      appendColumn(out.shape_, shape, nShape);
+      appendColumn(out.coords_, coords, nCoords);
+      appendColumn(out.userData_, userData, nUser);
+      const std::uint32_t* const s0 = out.shape_.data();
+      const std::uint32_t* s = s0 + out.shapeBegin(before);
+      const std::uint32_t* const sEnd = s0 + out.shape_.size();
+      const Coord* const c0 = out.coords_.data();
+      const Coord* c = c0 + out.coordBegin(before);
+      const Coord* const cEnd = c0 + out.coords_.size();
+      std::size_t userAt = out.userBegin(before);
+      for (auto* ends : {&out.coordEnd_, &out.shapeEnd_, &out.userEnd_}) ends->resize(before + n);
+      out.tags_.resize(before + n);
+      for (std::size_t k = 0; k < n; ++k) {
+        const auto shapeLen = readScalar<std::uint32_t>(shapeLens + k * sizeof(std::uint32_t));
+        const auto userLen = readScalar<std::uint32_t>(userLens + k * sizeof(std::uint32_t));
+        MVIO_CHECK(shapeLen >= 1 && shapeLen <= static_cast<std::size_t>(sEnd - s),
+                   "batch shard: bad shape lengths");
+        MVIO_CHECK(userLen <= out.userData_.size() - userAt, "batch shard: bad userData lengths");
+        const std::uint32_t* const recordEnd = s + shapeLen;
+        out.tags_[before + k] = static_cast<std::uint8_t>(*s);
+        skipShapeNode(s, recordEnd, c, cEnd);
+        MVIO_CHECK(s == recordEnd, "batch shard: shape length does not match its node");
+        userAt += userLen;
+        out.coordEnd_[before + k] = static_cast<std::size_t>(c - c0);
+        out.shapeEnd_[before + k] = static_cast<std::size_t>(s - s0);
+        out.userEnd_[before + k] = userAt;
+      }
+      MVIO_CHECK(s == sEnd && c == cEnd && userAt == out.userData_.size(),
+                 "batch shard: records do not cover the arenas");
 
-    appendColumn(out.tags_, tags, n);
-    appendColumn(out.cells_, cells, n);
-    appendColumn(out.envelopes_, envelopes, n);
-    appendEnds(out.coordEnd_, coordEnds, n, out.coords_.size());
-    appendEnds(out.shapeEnd_, shapeEnds, n, out.shape_.size());
-    appendEnds(out.userEnd_, userEnds, n, out.userData_.size());
-    appendColumn(out.coords_, coords, nCoords);
-    appendColumn(out.shape_, shape, nShape);
-    appendColumn(out.userData_, userData, nUser);
+      appendColumn(out.cells_, cells, n);
+      out.envelopes_.resize(before + n);
+      for (std::size_t i = before; i < out.size(); ++i) {
+        // commitRecord's loop, so the envelope is bit-identical.
+        Envelope e;
+        for (std::size_t v = out.coordBegin(i); v < out.coordEnd_[i]; ++v) {
+          e.expandToInclude(out.coords_[v]);
+        }
+        out.envelopes_[i] = e;
+      }
+    } catch (...) {
+      truncate(out, before);
+      throw;
+    }
     util::perf::addBytesCopied(bytes.size());
     return n;
   }
 };
+
+std::size_t ShardCounts::encodedBytes() const {
+  return kShardHeaderBytes + records * kRecordFixedBytes + coords * sizeof(Coord) +
+         shapeTokens * sizeof(std::uint32_t) + userBytes;
+}
+
+ShardCounts shardCounts(std::string_view bytes) {
+  MVIO_CHECK(bytes.size() >= kShardHeaderBytes, "batch shard: truncated header");
+  const char* p = bytes.data();
+  MVIO_CHECK(checksum(p, kHeaderSumAt) == readScalar<std::uint64_t>(p + kHeaderSumAt),
+             "batch shard: corrupted header (checksum mismatch)");
+  MVIO_CHECK(readScalar<std::uint32_t>(p) == kMagic, "batch shard: bad magic");
+  MVIO_CHECK(readScalar<std::uint32_t>(p + 4) == kVersion, "batch shard: unsupported version");
+  ShardCounts c;
+  c.records = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 8));
+  c.coords = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 16));
+  c.shapeTokens = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 24));
+  c.userBytes = static_cast<std::size_t>(readScalar<std::uint64_t>(p + 32));
+
+  // Bound every count by the payload bytes left, by division — a crafted
+  // count must not wrap the size product — before any count sizes a
+  // column.
+  std::size_t left = bytes.size() - kShardHeaderBytes;
+  MVIO_CHECK(c.records <= left / kRecordFixedBytes, "batch shard: truncated payload");
+  left -= c.records * kRecordFixedBytes;
+  MVIO_CHECK(c.shapeTokens <= left / sizeof(std::uint32_t), "batch shard: truncated payload");
+  left -= c.shapeTokens * sizeof(std::uint32_t);
+  MVIO_CHECK(c.coords <= left / sizeof(Coord), "batch shard: truncated payload");
+  left -= c.coords * sizeof(Coord);
+  MVIO_CHECK(c.userBytes == left, "batch shard: truncated payload");
+  return c;
+}
 
 std::size_t shardRecordBytes(const GeometryBatch& b, std::size_t i) {
   return kRecordFixedBytes + b.vertexCount(i) * sizeof(Coord) +
          b.shapeTokenCount(i) * sizeof(std::uint32_t) + b.userData(i).size();
 }
 
-std::size_t shardEncodedSize(const GeometryBatch& b, std::size_t lo, std::size_t hi) {
-  MVIO_CHECK(lo <= hi && hi <= b.size(), "shardEncodedSize: record range out of bounds");
-  std::size_t bytes = kShardHeaderBytes;
-  for (std::size_t i = lo; i < hi; ++i) bytes += shardRecordBytes(b, i);
-  return bytes;
-}
-
 void encodeShard(const GeometryBatch& b, std::size_t lo, std::size_t hi, std::string& out) {
   MVIO_CHECK(lo <= hi && hi <= b.size(), "encodeShard: record range out of bounds");
-  ShardAccess::encode(b, lo, hi, out);
+  const ShardCounts z = ShardAccess::sizesOf(b, lo, hi);
+  const std::size_t at = out.size();
+  out.resize(at + z.encodedBytes());
+  ShardAccess::write(b, [lo](std::size_t k) { return lo + k; }, z, out.data() + at);
+}
+
+std::vector<ShardRun> encodeShardRuns(const GeometryBatch& b, std::span<const std::uint32_t> order,
+                                      std::span<const int> keys, std::string& out) {
+  MVIO_CHECK(order.size() == keys.size(), "encodeShardRuns: one key per ordered record");
+  const std::size_t n = order.size();
+  std::vector<ShardRun> runs;
+  std::size_t at = out.size();
+  for (std::size_t k = 0; k < n;) {
+    ShardRun run{keys[k], at, {}};
+    for (; k < n && keys[k] == run.key; ++k) {
+      const std::size_t i = order[k];
+      MVIO_CHECK(i < b.size(), "encodeShardRuns: record index out of range");
+      run.counts.records += 1;
+      run.counts.coords += b.vertexCount(i);
+      run.counts.shapeTokens += b.shapeTokenCount(i);
+      run.counts.userBytes += b.userData(i).size();
+    }
+    at += run.counts.encodedBytes();
+    runs.push_back(run);
+  }
+  out.resize(at);
+  const std::uint32_t* idx = order.data();
+  for (const ShardRun& run : runs) {
+    ShardAccess::write(b, [idx](std::size_t k) { return std::size_t{idx[k]}; }, run.counts,
+                       out.data() + run.offset);
+    idx += run.counts.records;
+  }
+  return runs;
 }
 
 std::size_t decodeShard(std::string_view bytes, GeometryBatch& out) {

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "geom/wkb.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/perf.hpp"
@@ -14,7 +13,8 @@ namespace {
 constexpr std::uint32_t kTypeMin = 1;
 constexpr std::uint32_t kTypeMax = 7;
 
-/// Shared cursor for shape-stream traversals (decode, size, WKB write).
+/// Shared cursor for shape-stream traversals (decode, check, size, WKB
+/// write): every token and coordinate read is bounds-checked.
 struct ShapeCursor {
   const std::uint32_t* s;
   const std::uint32_t* sEnd;
@@ -62,6 +62,33 @@ Geometry decodeNode(ShapeCursor& cur) {
       parts.reserve(nParts);
       for (std::uint32_t p = 0; p < nParts; ++p) parts.push_back(decodeNode(cur));
       return Geometry::multi(type, std::move(parts));
+    }
+  }
+}
+
+/// decodeNode's walk without building anything; collections one level
+/// deeper than `depth` are refused past kMaxNestingDepth, as readWkb does.
+void skipNode(ShapeCursor& cur, int depth) {
+  const std::uint32_t t = cur.token();
+  MVIO_CHECK(t >= kTypeMin && t <= kTypeMax, "geometry batch: bad type tag in shape stream");
+  switch (static_cast<GeometryType>(t)) {
+    case GeometryType::kPoint:
+      cur.take(1);
+      return;
+    case GeometryType::kLineString:
+      cur.take(cur.token());
+      return;
+    case GeometryType::kPolygon: {
+      const std::uint32_t nRings = cur.token();
+      for (std::uint32_t r = 0; r < nRings; ++r) cur.take(cur.token());
+      return;
+    }
+    default: {
+      const std::uint32_t nParts = cur.token();
+      MVIO_CHECK(nParts == 0 || depth < kMaxNestingDepth,
+                 "geometry batch: shape stream nested too deeply");
+      for (std::uint32_t p = 0; p < nParts; ++p) skipNode(cur, depth + 1);
+      return;
     }
   }
 }
@@ -142,13 +169,15 @@ char* writeWkbNode(ShapeCursor& cur, char* dst) {
   }
 }
 
-std::uint32_t readU32(const char* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
 }  // namespace
+
+void skipShapeNode(const std::uint32_t*& s, const std::uint32_t* sEnd, const Coord*& c,
+                   const Coord* cEnd) {
+  ShapeCursor cur{s, sEnd, c, cEnd};
+  skipNode(cur, 0);
+  s = cur.s;
+  c = cur.c;
+}
 
 Envelope GeometryBatch::bounds() const {
   Envelope e;
@@ -319,46 +348,6 @@ char* GeometryBatch::writeWkbTo(std::size_t i, char* dst) const {
   return writeWkbNode(cur, dst);
 }
 
-std::size_t GeometryBatch::serializedSize(std::size_t i) const {
-  return 12 + (userEnd_[i] - userBegin(i)) + wkbSize(i);
-}
-
-char* GeometryBatch::serializeRecordTo(std::size_t i, char* dst) const {
-  MVIO_CHECK(cells_[i] >= 0, "serializeRecordTo: negative cell id");
-  const char* start = dst;
-  const std::string_view user = userData(i);
-  dst = putU32(dst, static_cast<std::uint32_t>(cells_[i]));
-  dst = putU32(dst, static_cast<std::uint32_t>(user.size()));
-  char* wkbLenAt = dst;
-  dst = putU32(dst, 0);  // patched below
-  util::copyBytes(dst, user.data(), user.size());
-  dst += user.size();
-  char* wkbStart = dst;
-  dst = writeWkbTo(i, dst);
-  putU32(wkbLenAt, static_cast<std::uint32_t>(dst - wkbStart));
-  util::perf::addBytesCopied(static_cast<std::uint64_t>(dst - start));
-  return dst;
-}
-
-void GeometryBatch::deserializeRecords(std::string_view bytes) {
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    MVIO_CHECK(pos + 12 <= bytes.size(), "truncated geometry record header");
-    const std::uint32_t cell = readU32(bytes.data() + pos);
-    const std::uint32_t userLen = readU32(bytes.data() + pos + 4);
-    const std::uint32_t wkbLen = readU32(bytes.data() + pos + 8);
-    pos += 12;
-    MVIO_CHECK(pos + userLen + wkbLen <= bytes.size(), "truncated geometry record body");
-
-    std::size_t consumed = 0;
-    readWkbInto(bytes.substr(pos + userLen, wkbLen), bytes.substr(pos, userLen), *this,
-                static_cast<int>(cell), &consumed);
-    MVIO_CHECK(consumed == wkbLen, "WKB record length mismatch");
-    util::perf::addBytesCopied(12ull + userLen + wkbLen);
-    pos += userLen + wkbLen;
-  }
-}
-
 void GeometryBatch::clear() {
   MVIO_CHECK(!recordOpen_, "clear with a record open");
   tags_.clear();
@@ -372,17 +361,17 @@ void GeometryBatch::clear() {
   userData_.clear();
 }
 
-void GeometryBatch::reserveRecords(std::size_t records, std::size_t coordsPerRecord,
-                                   std::size_t userBytesPerRecord) {
+void GeometryBatch::reserve(std::size_t records, std::size_t coords, std::size_t shapeTokens,
+                            std::size_t userBytes) {
   tags_.reserve(tags_.size() + records);
   envelopes_.reserve(envelopes_.size() + records);
   cells_.reserve(cells_.size() + records);
   coordEnd_.reserve(coordEnd_.size() + records);
   shapeEnd_.reserve(shapeEnd_.size() + records);
   userEnd_.reserve(userEnd_.size() + records);
-  coords_.reserve(coords_.size() + records * coordsPerRecord);
-  shape_.reserve(shape_.size() + records * 2);
-  userData_.reserve(userData_.size() + records * userBytesPerRecord);
+  coords_.reserve(coords_.size() + coords);
+  shape_.reserve(shape_.size() + shapeTokens);
+  userData_.reserve(userData_.size() + userBytes);
 }
 
 }  // namespace mvio::geom

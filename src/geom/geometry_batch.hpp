@@ -24,11 +24,12 @@
 // Appending a record never allocates beyond amortized arena growth; a
 // record copy between batches is three memcpys. Parsers write straight
 // into the arenas through the begin/push/commit builder API (rollback on
-// malformed input), the exchange serializes records directly from the
-// arenas into the MPI send buffer, and received bytes deserialize back
-// into a batch without intermediate per-record objects. materialize()
-// converts one record back into a Geometry for callers outside the
-// pipeline (readWkt/readWkb, tests, examples).
+// malformed input). The one serialized form is the BatchShard
+// (geom/batch_shard.hpp): the exchange, spill, checkpoints and migration
+// all write records straight from the arenas into shards and decode
+// received shards back into a batch without intermediate per-record
+// objects. materialize() converts one record back into a Geometry for
+// callers outside the pipeline (readWkt/readWkb, tests, examples).
 //
 // Allocation discipline (what the refine layer relies on): the in-place
 // accessors (envelope/userData/coordsOf/shapeOf) and the record predicates
@@ -136,30 +137,23 @@ class GeometryBatch {
   /// above and the record predicates below instead.
   [[nodiscard]] Geometry materialize(std::size_t i) const;
 
-  // ---- Exchange wire format -------------------------------------------
-  // [cell:u32][userDataLen:u32][wkbLen:u32][userData][wkb] — identical to
-  // serializeCellGeometry() so both pipelines interoperate on the wire.
+  // ---- WKB encode (ingest record streams, join keys) -------------------
   [[nodiscard]] std::size_t wkbSize(std::size_t i) const;
   /// Write record i's WKB at `dst` (caller guarantees wkbSize(i) bytes);
   /// returns one past the last byte written.
   char* writeWkbTo(std::size_t i, char* dst) const;
-  [[nodiscard]] std::size_t serializedSize(std::size_t i) const;
-  /// Write the full wire record at `dst`; returns one past the end. This
-  /// is the single payload-byte copy of the exchange send path.
-  char* serializeRecordTo(std::size_t i, char* dst) const;
-  /// Parse every wire record in `bytes`, appending to this batch. Throws
-  /// util::Error on truncated or malformed input.
-  void deserializeRecords(std::string_view bytes);
 
   // ---- Capacity management --------------------------------------------
   /// Drop all records but keep arena capacity (iteration reuse).
   void clear();
-  void reserveRecords(std::size_t records, std::size_t coordsPerRecord = 4,
-                      std::size_t userBytesPerRecord = 8);
+  /// Room for `records` more records holding `coords` coordinates,
+  /// `shapeTokens` shape tokens and `userBytes` userData bytes in all.
+  void reserve(std::size_t records, std::size_t coords, std::size_t shapeTokens,
+               std::size_t userBytes);
 
  private:
-  /// Column access for the shard codec (geom/batch_shard.cpp): shards are
-  /// raw snapshots of the arenas, so the codec reads and rebuilds the
+  /// Column access for the shard codec (geom/batch_shard.cpp): shards
+  /// carry raw arena slices, so the codec copies them and rebuilds the
   /// private columns directly instead of going through record APIs.
   friend struct ShardAccess;
 
@@ -187,6 +181,15 @@ class GeometryBatch {
   std::size_t openCoordMark_ = 0;
   std::size_t openShapeMark_ = 0;
 };
+
+/// Checked walk of one node of a shape stream (the encoding above) — the
+/// structural check the shard decoder runs on every untrusted record.
+/// Advances `s` past the node's tokens and `c` past its coordinates;
+/// throws util::Error if the node needs a token at or past `sEnd` or a
+/// coordinate at or past `cEnd`, carries an unknown type tag, or nests
+/// collections deeper than kMaxNestingDepth (the WKT/WKB readers' limit).
+void skipShapeNode(const std::uint32_t*& s, const std::uint32_t* sEnd, const Coord*& c,
+                   const Coord* cEnd);
 
 // ---- Record predicates (predicates.cpp) ----------------------------------
 // Exact tests that walk records' shape streams and arena coordinates in

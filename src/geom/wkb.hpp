@@ -23,8 +23,8 @@ std::string writeWkb(const Geometry& g);
 void appendWkb(const Geometry& g, std::string& out);
 
 /// Append record `i` of `b` as WKB bytes, straight off the batch arenas —
-/// the one encode helper every framing consumer (exchange wire records,
-/// join dedupe keys, the binary file writer) shares. Grows `out` by
+/// the one encode helper every framing consumer (join dedupe keys, the
+/// binary file writer) shares. Grows `out` by
 /// exactly GeometryBatch::wkbSize(i).
 void appendWkb(const GeometryBatch& b, std::size_t i, std::string& out);
 
@@ -35,8 +35,8 @@ Geometry readWkb(std::string_view bytes, std::size_t* consumed = nullptr);
 
 /// Parse one WKB geometry from the start of `bytes` straight into `out`'s
 /// arenas as a committed record carrying `userData` / `cell` — the decode
-/// grammar lives here once, shared by readWkb() and the exchange
-/// deserializer. `consumed` (if non-null) receives the bytes read. Throws
+/// grammar lives here once, shared by readWkb() and the WKB record
+/// stream reader (core/format.hpp). `consumed` (if non-null) receives the bytes read. Throws
 /// util::Error on malformed input; `out` is left unchanged then.
 void readWkbInto(std::string_view bytes, std::string_view userData, GeometryBatch& out,
                  int cell = 0, std::size_t* consumed = nullptr);

@@ -164,7 +164,6 @@ void CheckpointCoordinator::setRoundSchedule(std::uint64_t roundsR, std::uint64_
 void CheckpointCoordinator::logChunk(int layer, const geom::GeometryBatch& chunk) {
   if (!enabled()) return;
   std::string blob;
-  blob.reserve(geom::shardEncodedSize(chunk, 0, chunk.size()));
   geom::encodeShard(chunk, blob);
   chunkBytes_[layer].push_back(blob.size());
   put(chunkName(layer, chunkBytes_[layer].size() - 1), std::move(blob));

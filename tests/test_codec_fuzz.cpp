@@ -9,8 +9,8 @@
 // Shards carry CRC-32C, which catches every burst of at most 32 bits.
 // Neither is a MAC, though: a writer can recompute it, so the decoders
 // must also bound every count in a checksum-valid blob by the bytes it
-// actually holds, and check every offset before they touch their output
-// (the Crafted* cases).
+// actually holds, and check every length and every record's structure
+// before they leave their output changed (the Crafted* cases).
 //
 // Deliberately runtime-free (no simulated communicator): pure unit
 // coverage that the ASan preset exercises on every CI run.
@@ -338,8 +338,10 @@ TEST(CodecFuzz, TornSealTailsAlwaysReject) {
 // ---- Crafted blobs: checksum-valid, hostile counts ------------------------
 //
 // Each blob below carries a correct checksum around a count the bytes
-// cannot back. The decoder must reject it before the count sizes any
-// allocation — never over-read, never wrap a size product.
+// cannot back, or (shards) a record whose lengths or shape stream do not
+// hold together. The decoder must reject it before the count sizes any
+// allocation — never over-read, never wrap a size product — and a
+// rejected shard leaves the batch it decodes into as it was.
 
 TEST(CodecFuzz, CraftedSealWithNegativeWorldSizeRejects) {
   // worldSize 0xFFFFFFFD is -3 as an int; with 2 cells the unchecked
@@ -408,12 +410,12 @@ std::string rejection(const std::function<void()>& body) {
 }  // namespace
 
 TEST(CodecFuzz, CraftedShardRecordCountRejects) {
-  // n = 302405640552615601: times the 61 fixed bytes per record the
-  // product wraps to 45, the payload this blob actually holds.
-  constexpr std::uint64_t kRecords = 302405640552615601ull;
+  // n = (2^64 + 44) / 12: times the 12 fixed bytes per record the product
+  // wraps to 44, the payload this blob actually holds.
+  constexpr std::uint64_t kRecords = 1537228672809129305ull;
   std::string blob;
   mvio::util::putScalar<std::uint32_t>(blob, 0x4853564Du);  // "MVSH"
-  mvio::util::putScalar<std::uint32_t>(blob, 2);            // version
+  mvio::util::putScalar<std::uint32_t>(blob, 3);            // version
   mvio::util::putScalar<std::uint64_t>(blob, kRecords);
   mvio::util::putScalar<std::uint64_t>(blob, 0);  // coords
   mvio::util::putScalar<std::uint64_t>(blob, 0);  // shape tokens
@@ -421,7 +423,7 @@ TEST(CodecFuzz, CraftedShardRecordCountRejects) {
   mvio::util::putScalar<std::uint64_t>(blob, 0);  // payload checksum (resealed)
   mvio::util::putScalar<std::uint64_t>(blob, 0);  // header checksum (resealed)
   ASSERT_EQ(blob.size(), mg::kShardHeaderBytes);
-  blob += std::string(45, '\0');
+  blob += std::string(44, '\0');
   resealShard(blob);
 
   // Every check before the count bound passes, so the rejection must
@@ -432,32 +434,218 @@ TEST(CodecFuzz, CraftedShardRecordCountRejects) {
   EXPECT_EQ(out.size(), 0u);
 }
 
-TEST(CodecFuzz, CraftedShardBadOffsetsLeaveOutputUntouched) {
-  // A checksum-valid 2-record shard whose first coordEnd (7) runs past
-  // the 6 coordinates the header promises. The decoder must reject it
-  // before it appends any column, so the batch it decodes into keeps
-  // exactly its one earlier record.
+namespace {
+
+/// Offsets into the payload of a v3 shard of `n` records: the cells,
+/// shape-length and userData-length columns, then the shape tokens.
+std::size_t shapeLenAt(std::size_t n, std::size_t k) {
+  return mg::kShardHeaderBytes + 4 * n + 4 * k;
+}
+std::size_t userLenAt(std::size_t n, std::size_t k) {
+  return mg::kShardHeaderBytes + 8 * n + 4 * k;
+}
+std::size_t shapeTokenAt(std::size_t n, std::size_t t) {
+  return mg::kShardHeaderBytes + 12 * n + 4 * t;
+}
+
+void putU32At(std::string& blob, std::size_t at, std::uint32_t v) {
+  std::memcpy(blob.data() + at, &v, 4);
+}
+
+/// Decode a checksum-valid but structurally bad shard into a batch that
+/// already holds one record: the decoder must throw with `expect` in its
+/// message and leave that batch exactly as it was.
+void expectRejectedUntouched(const std::string& blob, const char* expect) {
+  mg::GeometryBatch out;
+  out.append(mg::readWkt("POINT (9 9)"), 2);
+  const std::uint64_t bytesBefore = out.memoryBytes();
+  const std::string why = rejection([&] { mg::decodeShard(blob, out); });
+  EXPECT_NE(why.find(expect), std::string::npos)
+      << "wanted '" << expect << "', got '" << why << "'";
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.memoryBytes(), bytesBefore);
+  EXPECT_EQ(out.totalVertices(), 1u);
+  EXPECT_EQ(mg::writeWkt(out.materialize(0)), "POINT (9 9)");
+  EXPECT_EQ(out.cell(0), 2);
+}
+
+/// Two linestrings, 4 shape tokens and 6 coordinates: the shard the
+/// crafted cases below edit.
+std::string linePairShard() {
   mg::GeometryBatch pair;
   pair.append(mg::readWkt("LINESTRING (0 0, 1 1, 2 2)"), 0);
   pair.append(mg::readWkt("LINESTRING (5 5, 6 6, 7 7)"), 1);
   std::string blob;
   mg::encodeShard(pair, blob);
-  // coordEnd column: header, then 2 tags, 2 cells, 2 envelopes.
-  const std::size_t coordEndAt =
-      mg::kShardHeaderBytes + 2 * (1 + sizeof(int) + sizeof(mg::Envelope));
-  ASSERT_EQ(mvio::util::readScalar<std::uint64_t>(blob.data() + coordEndAt), 3u);
-  const std::uint64_t bad = 7;
-  std::memcpy(blob.data() + coordEndAt, &bad, 8);
-  resealShard(blob);
+  return blob;
+}
 
-  mg::GeometryBatch out;
-  out.append(mg::readWkt("POINT (9 9)"), 2);
-  const std::uint64_t bytesBefore = out.memoryBytes();
-  const std::string why = rejection([&] { mg::decodeShard(blob, out); });
-  EXPECT_NE(why.find("bad coord offsets"), std::string::npos) << why;
-  EXPECT_EQ(out.size(), 1u);
-  EXPECT_EQ(out.memoryBytes(), bytesBefore);
-  EXPECT_EQ(mg::writeWkt(out.materialize(0)), "POINT (9 9)");
+/// A record of `levels` collections nested one in another around a
+/// point, built straight through the arena builder (which checks no
+/// depth).
+mg::GeometryBatch nestedCollection(int levels) {
+  mg::GeometryBatch b;
+  b.beginRecord();
+  for (int k = 0; k < levels; ++k) {
+    b.pushShape(static_cast<std::uint32_t>(mg::GeometryType::kGeometryCollection));
+    b.pushShape(1);
+  }
+  b.pushShape(static_cast<std::uint32_t>(mg::GeometryType::kPoint));
+  b.pushCoord({1, 2});
+  b.commitRecord("deep", 0);
+  return b;
+}
+
+}  // namespace
+
+TEST(CodecFuzz, CraftedShardBadOffsetsLeaveOutputUntouched) {
+  // A checksum-valid 2-record shard whose first userData length (7) runs
+  // past the empty userData arena. The decoder must reject it before the
+  // batch it decodes into changes.
+  std::string blob = linePairShard();
+  ASSERT_EQ(mvio::util::readScalar<std::uint32_t>(blob.data() + userLenAt(2, 0)), 0u);
+  putU32At(blob, userLenAt(2, 0), 7);
+  resealShard(blob);
+  expectRejectedUntouched(blob, "bad userData lengths");
+}
+
+TEST(CodecFuzz, CraftedShardShapeLengthPastArenaRejects) {
+  std::string blob = linePairShard();
+  ASSERT_EQ(mvio::util::readScalar<std::uint32_t>(blob.data() + shapeLenAt(2, 1)), 2u);
+  putU32At(blob, shapeLenAt(2, 1), 3);  // the arena holds 2 tokens past record 0
+  resealShard(blob);
+  expectRejectedUntouched(blob, "bad shape lengths");
+}
+
+TEST(CodecFuzz, CraftedShardUnknownTypeTokenRejects) {
+  std::string blob = linePairShard();
+  ASSERT_EQ(mvio::util::readScalar<std::uint32_t>(blob.data() + shapeTokenAt(2, 2)),
+            static_cast<std::uint32_t>(mg::GeometryType::kLineString));
+  putU32At(blob, shapeTokenAt(2, 2), 9);  // record 1's type tag
+  resealShard(blob);
+  expectRejectedUntouched(blob, "bad type tag");
+}
+
+TEST(CodecFuzz, CraftedShardRingNeedsMissingCoordsRejects) {
+  // Record 0's vertex count 3 → 5 leaves record 1 one of its three
+  // coordinates; a polygon ring past every coordinate is the same check.
+  std::string blob = linePairShard();
+  putU32At(blob, shapeTokenAt(2, 1), 5);
+  resealShard(blob);
+  expectRejectedUntouched(blob, "coord arena underrun");
+
+  mg::GeometryBatch poly;
+  poly.append(mg::readWkt("POLYGON ((0 0, 4 0, 4 4, 0 0))"), 0);
+  std::string ring;
+  mg::encodeShard(poly, ring);
+  ASSERT_EQ(mvio::util::readScalar<std::uint32_t>(ring.data() + shapeTokenAt(1, 2)), 4u);
+  putU32At(ring, shapeTokenAt(1, 2), 9);
+  resealShard(ring);
+  expectRejectedUntouched(ring, "coord arena underrun");
+}
+
+TEST(CodecFuzz, ShardNestingFollowsTheReaderLimit) {
+  // kMaxNestingDepth nested collections decode, one more does not — the
+  // line readWkb draws on the same records.
+  for (const int levels : {mg::kMaxNestingDepth, mg::kMaxNestingDepth + 1}) {
+    const mg::GeometryBatch deep = nestedCollection(levels);
+    std::string blob;
+    mg::encodeShard(deep, blob);
+    const std::string wkb = mg::writeWkb(deep.materialize(0));
+    if (levels <= mg::kMaxNestingDepth) {
+      mg::GeometryBatch out;
+      EXPECT_EQ(mg::decodeShard(blob, out), 1u);
+      EXPECT_EQ(out.shapeTokenCount(0), deep.shapeTokenCount(0));
+      EXPECT_NO_THROW((void)mg::readWkb(wkb));
+    } else {
+      expectRejectedUntouched(blob, "nested too deeply");
+      EXPECT_THROW((void)mg::readWkb(wkb), mvio::util::Error);
+    }
+  }
+}
+
+namespace {
+
+/// Every column of record `i` compared bitwise with record `j` of `b`.
+void expectSameRecord(const mg::GeometryBatch& a, std::size_t i, const mg::GeometryBatch& b,
+                      std::size_t j) {
+  ASSERT_EQ(a.type(i), b.type(j)) << "record " << i;
+  EXPECT_EQ(a.cell(i), b.cell(j)) << "record " << i;
+  EXPECT_EQ(a.userData(i), b.userData(j)) << "record " << i;
+  EXPECT_EQ(std::memcmp(&a.envelope(i), &b.envelope(j), sizeof(mg::Envelope)), 0) << "record " << i;
+  ASSERT_EQ(a.shapeTokenCount(i), b.shapeTokenCount(j)) << "record " << i;
+  EXPECT_EQ(std::memcmp(a.shapeOf(i), b.shapeOf(j), a.shapeTokenCount(i) * 4), 0) << "record " << i;
+  ASSERT_EQ(a.vertexCount(i), b.vertexCount(j)) << "record " << i;
+  EXPECT_EQ(std::memcmp(a.coordsOf(i), b.coordsOf(j), a.vertexCount(i) * sizeof(mg::Coord)), 0)
+      << "record " << i;
+}
+
+}  // namespace
+
+TEST(CodecFuzz, ShardRoundTripIsBitExact) {
+  // All seven OGC types through append(Geometry), then empty, holed and
+  // nested-collection records through the WKT and WKB readers, then
+  // copies through appendRecordFrom.
+  mg::GeometryBatch src = mixedBatch();
+  const char* wkts[] = {
+      "POINT EMPTY",
+      "LINESTRING EMPTY",
+      "MULTIPOLYGON EMPTY",
+      "GEOMETRYCOLLECTION EMPTY",
+      "POLYGON ((0 0, 10 0, 10 10, 0 10, 0 0), (2 2, 4 2, 4 4, 2 2), (6 6, 8 6, 8 8, 6 6))",
+      "GEOMETRYCOLLECTION (GEOMETRYCOLLECTION (POINT (-1.5 2.25), MULTIPOINT EMPTY), "
+      "MULTIPOLYGON (((0 0, 1 0, 1 1, 0 0)), ((5 5, 6 5, 6 6, 5 5), (5.2 5.1, 5.8 5.1, 5.8 5.7, "
+      "5.2 5.1))))",
+  };
+  int cell = 100;
+  for (const char* w : wkts) mg::readWktInto(w, std::string("wkt-") + w, src, cell++);
+  for (const char* w : {"MULTILINESTRING ((0.1 0.2, 1e300 -1e-300), (3 4, 5 6, 7 8))",
+                        "GEOMETRYCOLLECTION (POINT (1 1), GEOMETRYCOLLECTION (LINESTRING (0 0, 1 "
+                        "1), POLYGON ((0 0, 2 0, 2 2, 0 0))))"}) {
+    mg::readWkbInto(mg::writeWkb(mg::readWkt(w)), "from-wkb", src, cell++);
+  }
+  const std::size_t originals = src.size();
+  for (std::size_t i = 0; i < originals; i += 2) {
+    src.appendRecordFrom(src, i, 1000 + static_cast<int>(i));
+  }
+
+  // encodeShard over the whole batch and over a sub-range.
+  for (const auto [lo, hi] : {std::pair<std::size_t, std::size_t>{0, src.size()}, {3, 11}}) {
+    std::string blob;
+    mg::encodeShard(src, lo, hi, blob);
+    EXPECT_EQ(blob.size(), mg::shardCounts(blob).encodedBytes());
+    mg::GeometryBatch back;
+    ASSERT_EQ(mg::decodeShard(blob, back), hi - lo);
+    for (std::size_t k = 0; k < hi - lo; ++k) expectSameRecord(back, k, src, lo + k);
+  }
+
+  // The run writer over a scattered order: one shard per run of keys,
+  // each decoding to exactly its records.
+  std::vector<std::uint32_t> order;
+  std::vector<int> keys;
+  for (int key = 0; key < 3; ++key) {
+    for (std::size_t i = src.size(); i-- > 0;) {
+      if (static_cast<int>(i % 3) == key) {
+        order.push_back(static_cast<std::uint32_t>(i));
+        keys.push_back(key);
+      }
+    }
+  }
+  std::string frames = "prefix";
+  const std::vector<mg::ShardRun> runs = mg::encodeShardRuns(src, order, keys, frames);
+  ASSERT_EQ(runs.size(), 3u);
+  mg::GeometryBatch back;
+  std::size_t end = 6;
+  for (const mg::ShardRun& run : runs) {
+    EXPECT_EQ(run.offset, end);
+    const std::size_t bytes = run.counts.encodedBytes();
+    end += bytes;
+    ASSERT_EQ(mg::decodeShard(std::string_view(frames).substr(run.offset, bytes), back),
+              run.counts.records);
+  }
+  EXPECT_EQ(end, frames.size());
+  ASSERT_EQ(back.size(), order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) expectSameRecord(back, k, src, order[k]);
 }
 
 // ---- WKB record stream (core/format.hpp framing) --------------------------

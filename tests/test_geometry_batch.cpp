@@ -1,15 +1,15 @@
 // GeometryBatch pipeline tests: the arena-backed batch must round-trip
-// parse → pack → exchange-serialize → deserialize → materialize with
-// results identical to the per-Geometry path, the bulk parsers must agree
-// between their sink and batch overloads on edge-case inputs (CRLF lines,
-// empty records, EOF-unterminated final records), and the grid satellites
+// parse → exchange → materialize with results identical to the
+// per-Geometry path (the exchange delivers every record byte for byte),
+// the bulk parsers must agree between their sink and batch overloads on
+// edge-case inputs (CRLF lines, empty records, EOF-unterminated final
+// records), and the grid satellites
 // (inverse-width cell math, range-local locator sort) must keep their
 // semantics.
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <mutex>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -130,42 +130,6 @@ TEST(GeometryBatch, ParserEdgeCases) {
   }
 }
 
-TEST(GeometryBatch, WireFormatMatchesCellGeometrySerialization) {
-  mc::WktParser parser;
-  mg::GeometryBatch batch;
-  parser.parseAll(kMixedWkt, batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) batch.setCell(i, static_cast<int>(i * 3));
-
-  // Batch wire bytes must be byte-identical to the per-Geometry wire
-  // format, so the two pipelines interoperate.
-  std::string legacyWire;
-  std::string batchWire;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    mc::serializeCellGeometry({batch.cell(i), batch.materialize(i)}, legacyWire);
-    const std::size_t need = batch.serializedSize(i);
-    const std::size_t at = batchWire.size();
-    batchWire.resize(at + need);
-    char* end = batch.serializeRecordTo(i, batchWire.data() + at);
-    EXPECT_EQ(static_cast<std::size_t>(end - batchWire.data()), batchWire.size()) << "record " << i;
-  }
-  EXPECT_EQ(batchWire, legacyWire);
-
-  // pack → deserialize → materialize round trip.
-  mg::GeometryBatch back;
-  back.deserializeRecords(batchWire);
-  ASSERT_EQ(back.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(back.cell(i), batch.cell(i));
-    EXPECT_EQ(back.userData(i), batch.userData(i));
-    EXPECT_EQ(mg::writeWkb(back.materialize(i)), mg::writeWkb(batch.materialize(i)));
-  }
-
-  // Truncated input is rejected.
-  mg::GeometryBatch bad;
-  EXPECT_THROW(bad.deserializeRecords(std::string_view(batchWire).substr(0, batchWire.size() - 3)),
-               mvio::util::Error);
-}
-
 TEST(GeometryBatch, AppendRecordFromSelfSurvivesReallocation) {
   mc::WktParser parser;
   mg::GeometryBatch batch;
@@ -195,11 +159,40 @@ TEST(GeometryBatch, ClearKeepsNothing) {
 
 namespace {
 
-/// Batch variant of the exchange invariant: every record tagged with
-/// (origin, index) arrives exactly once at the owner of its cell.
+/// One record as its bytes: cell, shape tokens, coordinates and envelope
+/// (both compared bitwise) and userData.
+struct RecordBytes {
+  int cell = 0;
+  std::vector<std::uint32_t> shape;
+  std::string coords;
+  std::string envelope;
+  std::string user;
+
+  friend bool operator==(const RecordBytes&, const RecordBytes&) = default;
+};
+
+RecordBytes recordBytes(const mg::GeometryBatch& b, std::size_t i) {
+  RecordBytes r;
+  r.cell = b.cell(i);
+  r.shape.assign(b.shapeOf(i), b.shapeOf(i) + b.shapeTokenCount(i));
+  r.coords.assign(reinterpret_cast<const char*>(b.coordsOf(i)),
+                  b.vertexCount(i) * sizeof(mg::Coord));
+  r.envelope.assign(reinterpret_cast<const char*>(&b.envelope(i)), sizeof(mg::Envelope));
+  r.user = std::string(b.userData(i));
+  return r;
+}
+
+/// The exchange invariant: every record reaches the owner of its cell
+/// exactly once, byte for byte (shape tokens, coordinates, envelope,
+/// userData), and a rank's records arrive in the documented order: its
+/// self-owned records in send order, then per window phase each source in
+/// ascending rank order, each in its send order.
 void batchExchangeInvariant(int nprocs, int phases, int totalCells) {
-  std::mutex mu;
-  std::map<std::string, int> sentTags, receivedTags;
+  std::vector<std::vector<RecordBytes>> sent(static_cast<std::size_t>(nprocs));
+  std::vector<std::vector<RecordBytes>> received(static_cast<std::size_t>(nprocs));
+  const char* kShapes[] = {"POLYGON ((0 0, 3 0, 3 3, 0 0))",
+                           "GEOMETRYCOLLECTION (POINT (1 2), MULTILINESTRING ((0 0, 1 1)))",
+                           "POLYGON ((0 0, 4 0, 4 4, 0 0), (1 1, 2 1, 2 2, 1 1))", "POLYGON EMPTY"};
 
   mm::Runtime::run(nprocs, [&](mm::Comm& comm) {
     mvio::util::Rng rng(700 + static_cast<std::uint64_t>(comm.rank()));
@@ -208,16 +201,12 @@ void batchExchangeInvariant(int nprocs, int phases, int totalCells) {
       const int cell = static_cast<int>(rng.below(static_cast<std::uint64_t>(totalCells)));
       const std::string tag = std::to_string(comm.rank()) + ":" + std::to_string(i);
       if (i % 3 == 0) {
-        mvio::geom::readWktInto("POLYGON ((0 0, 3 0, 3 3, 0 0))", tag, outgoing, cell);
+        mvio::geom::readWktInto(kShapes[(i / 3) % 4], tag, outgoing, cell);
       } else {
         outgoing.beginRecord();
         outgoing.pushShape(static_cast<std::uint32_t>(mg::GeometryType::kPoint));
         outgoing.pushCoord({rng.uniform(0, 1), rng.uniform(0, 1)});
         outgoing.commitRecord(tag, cell);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        sentTags[tag + "@" + std::to_string(cell)]++;
       }
     }
     // A tombstoned record (projected to no cell) must be dropped silently.
@@ -225,24 +214,52 @@ void batchExchangeInvariant(int nprocs, int phases, int totalCells) {
     outgoing.pushShape(static_cast<std::uint32_t>(mg::GeometryType::kPoint));
     outgoing.pushCoord({0.5, 0.5});
     outgoing.commitRecord("dropped", mg::GeometryBatch::kNoCell);
+    auto& mySent = sent[static_cast<std::size_t>(comm.rank())];
+    for (std::size_t i = 0; i + 1 < outgoing.size(); ++i) {
+      mySent.push_back(recordBytes(outgoing, i));
+    }
 
     mc::ExchangeStats stats;
     mg::GeometryBatch mine = mc::exchangeByCell(
         comm, std::move(outgoing), [&](int cell) { return mc::roundRobinOwner(cell, comm.size()); },
         phases, totalCells, &stats);
 
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      EXPECT_EQ(mc::roundRobinOwner(mine.cell(i), comm.size()), comm.rank());
-      EXPECT_NE(mine.userData(i), "dropped");
-      std::lock_guard<std::mutex> lock(mu);
-      receivedTags[std::string(mine.userData(i)) + "@" + std::to_string(mine.cell(i))]++;
-    }
+    auto& myReceived = received[static_cast<std::size_t>(comm.rank())];
+    for (std::size_t i = 0; i < mine.size(); ++i) myReceived.push_back(recordBytes(mine, i));
     if (phases > 1) {
       EXPECT_GT(stats.phases, 1u);
     }
   });
 
-  EXPECT_EQ(sentTags, receivedTags);
+  // The expected arrival sequence, from the windowing rule: cells split
+  // into min(phases, cells) contiguous id ranges.
+  const int windows = std::min(phases, totalCells);
+  const int cellsPerWindow = (totalCells + windows - 1) / windows;
+  auto windowOf = [&](int cell) { return std::min(cell / cellsPerWindow, windows - 1); };
+  for (int r = 0; r < nprocs; ++r) {
+    auto ownedBy = [&](const RecordBytes& rec) {
+      return mc::roundRobinOwner(rec.cell, nprocs) == r;
+    };
+    std::vector<RecordBytes> expected;
+    for (const RecordBytes& rec : sent[static_cast<std::size_t>(r)]) {
+      if (ownedBy(rec)) expected.push_back(rec);
+    }
+    for (int w = 0; w < windows; ++w) {
+      for (int src = 0; src < nprocs; ++src) {
+        if (src == r) continue;
+        for (const RecordBytes& rec : sent[static_cast<std::size_t>(src)]) {
+          if (ownedBy(rec) && windowOf(rec.cell) == w) expected.push_back(rec);
+        }
+      }
+    }
+    const auto& got = received[static_cast<std::size_t>(r)];
+    ASSERT_EQ(got.size(), expected.size()) << "rank " << r;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_TRUE(got[k] == expected[k])
+          << "rank " << r << " record " << k << ": got " << got[k].user << "@" << got[k].cell
+          << ", expected " << expected[k].user << "@" << expected[k].cell;
+    }
+  }
 }
 
 }  // namespace
@@ -255,6 +272,8 @@ TEST(GeometryBatchExchange, SlidingWindowMatchesSinglePhase) {
 }
 
 TEST(GeometryBatchExchange, SingleRankKeepsEverything) { batchExchangeInvariant(1, 1, 16); }
+
+TEST(GeometryBatchExchange, MorePhasesThanCellsClamps) { batchExchangeInvariant(2, 100, 5); }
 
 TEST(GridSatellites, CellOfPointMatchesDivisionReference) {
   mvio::util::Rng rng(41);

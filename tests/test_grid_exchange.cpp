@@ -1,19 +1,19 @@
-// Grid partitioning and geometry-exchange tests: cell geometry, the
-// R-tree cell locator vs closed-form arithmetic, replication semantics,
-// round-robin ownership, serialization round trips, and the windowed
-// all-to-all exchange invariants.
+// Grid partitioning and exchange-protocol tests: cell geometry, the
+// R-tree cell locator vs closed-form arithmetic, the global grid
+// reduction, and the exchange's rejection of a hostile round header.
+// The exchange delivery invariants live in test_geometry_batch.cpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <mutex>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "core/exchange.hpp"
 #include "core/grid.hpp"
-#include "geom/wkb.hpp"
-#include "geom/wkt.hpp"
 #include "mpi/runtime.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mc = mvio::core;
@@ -94,92 +94,55 @@ TEST(Grid, GlobalGridHandlesEmptyRanks) {
   });
 }
 
-TEST(Exchange, SerializationRoundTrip) {
-  mvio::util::Rng rng(5);
-  std::string buf;
-  std::vector<mc::CellGeometry> in;
-  for (int i = 0; i < 50; ++i) {
-    mc::CellGeometry cg;
-    cg.cell = static_cast<int>(rng.below(100));
-    if (rng.below(2) == 0) {
-      cg.geometry = mg::readWkt("POLYGON ((0 0, 3 0, 3 3, 0 0))");
-    } else {
-      cg.geometry = mg::Geometry::point({rng.uniform(-10, 10), rng.uniform(-10, 10)});
-    }
-    cg.geometry.userData = "attrs-" + std::to_string(i);
-    serializeCellGeometry(cg, buf);
-    in.push_back(std::move(cg));
-  }
-  std::vector<mc::CellGeometry> out;
-  deserializeCellGeometries(buf, out);
-  ASSERT_EQ(out.size(), in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    EXPECT_EQ(out[i].cell, in[i].cell);
-    EXPECT_EQ(out[i].geometry.userData, in[i].geometry.userData);
-    EXPECT_EQ(mg::writeWkb(out[i].geometry), mg::writeWkb(in[i].geometry));
-  }
-}
-
-TEST(Exchange, DeserializeRejectsTruncation) {
-  mc::CellGeometry cg;
-  cg.cell = 1;
-  cg.geometry = mg::Geometry::point({1, 2});
-  std::string buf;
-  serializeCellGeometry(cg, buf);
-  std::vector<mc::CellGeometry> out;
-  EXPECT_THROW(mc::deserializeCellGeometries(std::string_view(buf).substr(0, buf.size() - 2), out),
-               mvio::util::Error);
-}
-
 namespace {
 
-/// Every record tagged with (origin rank, index); after the exchange the
-/// receiving rank must own exactly the cells mapped to it, with no record
-/// lost or duplicated. Runs with a configurable window count.
-void exchangeInvariant(int nprocs, int phases, int totalCells) {
-  std::mutex mu;
-  std::map<std::string, int> sentTags, receivedTags;
-
-  mm::Runtime::run(nprocs, [&](mm::Comm& comm) {
-    mvio::util::Rng rng(900 + static_cast<std::uint64_t>(comm.rank()));
-    mg::GeometryBatch outgoing;
-    for (int i = 0; i < 120; ++i) {
-      const int cell = static_cast<int>(rng.below(static_cast<std::uint64_t>(totalCells)));
-      const std::string tag = std::to_string(comm.rank()) + ":" + std::to_string(i);
-      outgoing.append(mg::Geometry::point({rng.uniform(0, 1), rng.uniform(0, 1)}), tag, cell);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        sentTags[tag + "@" + std::to_string(cell)]++;
-      }
-    }
-
-    mc::ExchangeStats stats;
-    auto mine = mc::exchangeByCell(
-        comm, std::move(outgoing), [&](int cell) { return mc::roundRobinOwner(cell, comm.size()); },
-        phases, totalCells, &stats);
-
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      EXPECT_EQ(mc::roundRobinOwner(mine.cell(i), comm.size()), comm.rank());
-      std::lock_guard<std::mutex> lock(mu);
-      receivedTags[std::string(mine.userData(i)) + "@" + std::to_string(mine.cell(i))]++;
-    }
-    if (phases > 1) {
-      EXPECT_GT(stats.phases, 1u);
-    }
-  });
-
-  EXPECT_EQ(sentTags, receivedTags);
-}
+// Largest single operator-new request made while armed. Requests above
+// the ceiling are refused with bad_alloc instead of being attempted.
+std::atomic<bool> gWatchAllocs{false};
+std::atomic<std::size_t> gLargestAlloc{0};
+constexpr std::size_t kAllocCeiling = std::size_t{64} << 20;
 
 }  // namespace
 
-TEST(Exchange, AllToAllDeliversEverythingOnce) { exchangeInvariant(4, 1, 64); }
-
-TEST(Exchange, SlidingWindowMatchesSinglePhase) {
-  exchangeInvariant(4, 4, 64);
-  exchangeInvariant(3, 7, 20);
+void* operator new(std::size_t n) {
+  if (gWatchAllocs.load(std::memory_order_relaxed)) {
+    std::size_t seen = gLargestAlloc.load(std::memory_order_relaxed);
+    while (n > seen && !gLargestAlloc.compare_exchange_weak(seen, n)) {
+    }
+    if (n > kAllocCeiling) throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
 }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
-TEST(Exchange, SingleRankKeepsEverything) { exchangeInvariant(1, 1, 16); }
-
-TEST(Exchange, MorePhasesThanCellsClamps) { exchangeInvariant(2, 100, 5); }
+TEST(Exchange, HostileRoundHeaderAllocatesNothing) {
+  // Rank 1 runs the exchange's two collectives by hand and announces 2^31
+  // records behind an empty payload. Sizing columns from that header
+  // would ask for tens of GB; the receiver must reject it with a protocol
+  // error and allocate nothing near that.
+  gLargestAlloc = 0;
+  mm::Runtime::run(2, [](mm::Comm& comm) {
+    if (comm.rank() == 0) {
+      gWatchAllocs = true;
+      EXPECT_THROW(mc::exchangeByCell(comm, mg::GeometryBatch(),
+                                      [](int cell) { return mc::roundRobinOwner(cell, 2); }, 1, 4),
+                   mvio::util::Error);
+      gWatchAllocs = false;
+      return;
+    }
+    std::vector<mc::RoundHeader> send(2), recv(2);
+    send[0] = {0, 1u << 31, mc::kRoundLast};
+    send[1].flags = mc::kRoundLast;
+    comm.alltoall(send.data(), 1,
+                  mm::Datatype::contiguous(static_cast<int>(sizeof(mc::RoundHeader)),
+                                           mm::Datatype::byte()),
+                  recv.data());
+    const std::vector<int> none(2, 0);
+    char byte = 0;
+    comm.alltoallv(&byte, none.data(), none.data(), &byte, none.data(), none.data(),
+                   mm::Datatype::char_());
+  });
+  EXPECT_LE(gLargestAlloc.load(), kAllocCeiling);
+}
