@@ -21,8 +21,13 @@
 # (src/geom/geometry_batch.hpp), `ExchangeStats::x` / `RoundHeader::x` /
 # `ExchangeScratch::x` (src/core/exchange.hpp), `FormatReader::x` / `WkbFormatReader::x`
 # (src/core/format.hpp), `Parser::x` / `WktParser::x` /
-# `CsvPointParser::x` (src/core/parser.hpp) and `DatasetHandle::x`
-# (src/core/framework.hpp) in the two documents must name a field or
+# `CsvPointParser::x` (src/core/parser.hpp), `DatasetHandle::x`
+# (src/core/framework.hpp), `CheckpointCoordinator::x` /
+# `ShardSetManifest::x` / `EpochSeal::x` / `IngestLog::x` /
+# `SealScanCache::x` (src/recovery/checkpoint.hpp), `FaultPlan::x` /
+# `AdoptedLogs::x` (src/recovery/recovery.hpp) and `BatchStager::x` /
+# `Spiller::x` / `ChunkPrep::x` (src/core/stages.hpp) in the two
+# documents must name a field or
 # method `x` declared in that header, so a deleted or renamed option or
 # method cannot linger in the docs.
 #
@@ -59,8 +64,9 @@ set(CITED_TYPES
     "(Wkb)?FormatReader=core/format.hpp"
     "(Wkt|CsvPoint)?Parser=core/parser.hpp"
     "DatasetHandle=core/framework.hpp"
-    "CheckpointCoordinator|ShardSetManifest|EpochSeal|SealScanCache=recovery/checkpoint.hpp"
-    "FaultPlan=recovery/recovery.hpp"
+    "CheckpointCoordinator|ShardSetManifest|EpochSeal|IngestLog|SealScanCache=recovery/checkpoint.hpp"
+    "FaultPlan|AdoptedLogs=recovery/recovery.hpp"
+    "BatchStager|Spiller|ChunkPrep=core/stages.hpp"
     "DistributedIndex=core/indexing.hpp"
     "RefineTask=core/framework.hpp"
     "GeometryBatch|BatchSpan=geom/geometry_batch.hpp"

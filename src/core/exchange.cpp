@@ -39,26 +39,36 @@ geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoi
   sx.sendHeaders.resize(static_cast<std::size_t>(p));
   sx.recvHeaders.resize(static_cast<std::size_t>(p));
 
-  // Classify records, with one owner lookup each. Self-owned ones copy
-  // straight into `mine`; the rest stay in the outgoing arenas until the
-  // frame writer packs them. Each is counted into its (window phase,
-  // destination) bucket: cells split into `phases` contiguous id ranges.
+  // Classify records, with one owner lookup each. Self-owned ones are
+  // listed in send order and copied straight from the outgoing arenas in
+  // their source slot of each phase (no self-serialization round trip);
+  // the rest stay in the outgoing arenas until the frame writer packs
+  // them. Each is counted into its (window phase, destination) bucket:
+  // cells split into `phases` contiguous id ranges.
   const int cellsPerPhase = (totalCells + phases - 1) / phases;
+  const auto phaseOf = [&](int cell) { return std::min(cell / cellsPerPhase, phases - 1); };
   const std::size_t buckets = static_cast<std::size_t>(phases) * static_cast<std::size_t>(p);
   std::vector<std::uint32_t> sendIdx;
   std::vector<std::uint32_t> sendBucket;
   sx.bucketEnd.assign(buckets, 0);
+  sx.self.clear();
+  std::vector<geom::ShardCounts> selfCounts(static_cast<std::size_t>(phases));
   for (std::size_t i = 0; i < outgoing.size(); ++i) {
     const int cell = outgoing.cell(i);
     if (cell == geom::GeometryBatch::kNoCell) continue;  // projected to no cell
     MVIO_CHECK(cell >= 0 && cell < totalCells, "cell id out of grid range");
     const int dst = owner(cell);
     MVIO_CHECK(dst >= 0 && dst < p, "cell owner out of communicator range");
+    const int phase = phaseOf(cell);
     if (dst == comm.rank()) {
-      mine.appendRecordFrom(outgoing, i, cell);  // no self-serialization round trip
+      sx.self.push_back(static_cast<std::uint32_t>(i));
+      geom::ShardCounts& c = selfCounts[static_cast<std::size_t>(phase)];
+      c.records += 1;
+      c.coords += outgoing.vertexCount(i);
+      c.shapeTokens += outgoing.shapeTokenCount(i);
+      c.userBytes += outgoing.userData(i).size();
       continue;
     }
-    const int phase = std::min(cell / cellsPerPhase, phases - 1);
     const auto bucket = static_cast<std::uint32_t>(phase * p + dst);
     sendIdx.push_back(static_cast<std::uint32_t>(i));
     sendBucket.push_back(bucket);
@@ -139,13 +149,15 @@ geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoi
                    sx.recvCounts.data(), sx.recvDispls.data(), mpi::Datatype::char_());
 
     // Decode the frames in ascending source order. The round header's
-    // record count sizes nothing: `mine` is reserved from the counts each
-    // frame's own bytes back, and the header count must match them.
+    // record count sizes nothing: `mine` is reserved from the phase's
+    // self-owned records and the counts each frame's own bytes back, and
+    // the header count must match them.
     auto frameOf = [&](std::size_t d) {
       return std::string_view(sx.recvBuf.data() + sx.recvDispls[d],
                               static_cast<std::size_t>(sx.recvCounts[d]));
     };
-    geom::ShardCounts incoming;
+    const geom::ShardCounts& self = selfCounts[static_cast<std::size_t>(phase)];
+    geom::ShardCounts incoming = self;
     for (std::size_t d = 0; d < static_cast<std::size_t>(p); ++d) {
       geom::ShardCounts c;
       if (sx.recvCounts[d] != 0) c = geom::shardCounts(frameOf(d));
@@ -159,16 +171,24 @@ geom::GeometryBatch exchangeByCell(mpi::Comm& comm, geom::GeometryBatch&& outgoi
     const std::size_t before = mine.size();
     mine.reserve(incoming.records, incoming.coords, incoming.shapeTokens, incoming.userBytes);
     for (std::size_t d = 0; d < static_cast<std::size_t>(p); ++d) {
-      if (sx.recvCounts[d] != 0) geom::decodeShard(frameOf(d), mine);
+      if (d != static_cast<std::size_t>(comm.rank())) {
+        if (sx.recvCounts[d] != 0) geom::decodeShard(frameOf(d), mine);
+        continue;
+      }
+      for (const std::uint32_t i : sx.self) {
+        const int cell = outgoing.cell(i);
+        if (phaseOf(cell) == phase) mine.appendRecordFrom(outgoing, i, cell);
+      }
     }
+    const std::size_t received = mine.size() - before - self.records;
     comm.clock().advanceBy(static_cast<double>(recvTotal) / kCosts.bytesPerSecond +
-                           static_cast<double>(mine.size() - before) * kCosts.perGeometrySeconds);
+                           static_cast<double>(received) * kCosts.perGeometrySeconds);
 
     if (stats != nullptr) {
       stats->bytesSent += sendTotal;
       stats->bytesReceived += recvTotal;
       stats->geometriesSent += nRecords;
-      stats->geometriesReceived += mine.size() - before;
+      stats->geometriesReceived += received;
       stats->phases += 1;
     }
   }

@@ -25,9 +25,12 @@
 // cells are partitioned into `windowPhases` contiguous id ranges and one
 // alltoallv round runs per range, bounding peak buffer memory.
 //
-// Receivers decode the frames in ascending source order, so a rank's
-// records arrive as: its self-owned records, then each source's records
-// in that source's send order.
+// Receivers decode the frames in ascending source order, and a rank's
+// self-owned records take its own slot in that order, so per window
+// phase a rank's records arrive from each source in ascending rank
+// order, each in that source's send order. A cell lies in one phase, so
+// its records arrive in ascending source order — which recovery relies
+// on to rebuild the failure-free order from the survivors' sends.
 
 #include <cstdint>
 #include <functional>
@@ -84,6 +87,7 @@ struct ExchangeScratch {
   std::vector<std::size_t> bucketEnd;  ///< counting sort by (phase, destination)
   std::vector<std::uint32_t> order;    ///< records sent, grouped by phase and destination
   std::vector<int> keys;               ///< destination of each entry of `order`
+  std::vector<std::uint32_t> self;     ///< self-owned records, in send order
   std::string sendBuf;
   std::vector<char> recvBuf;
 };

@@ -117,7 +117,13 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   const PartitionMap& map = stats.partition;
   if (ckpt.enabled()) ckpt.setPartitionMap(encodePartitionMap(map));
 
-  const CellOwnerFn owner = [&stats](int c) { return stats.cellOwner[static_cast<std::size_t>(c)]; };
+  // The exchange's cell→rank map on `active`: stats.cellOwner itself
+  // until a recovery, then its translation from world to survivor ranks.
+  const std::vector<int>* exchangeOwner = &stats.cellOwner;
+  std::vector<int> survivorOwner;
+  const CellOwnerFn owner = [&exchangeOwner](int c) {
+    return (*exchangeOwner)[static_cast<std::size_t>(c)];
+  };
 
   // 4+5: project + exchange rounds per layer (communication phase).
   // exchangeByCell charges serialization/deserialization CPU internally;
@@ -158,6 +164,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   mpi::Comm active = comm;  ///< shrinks to the survivors after a recovery
   std::vector<int> launchRanks(static_cast<std::size_t>(p));  ///< active rank -> launch rank
   std::iota(launchRanks.begin(), launchRanks.end(), 0);
+  std::optional<recovery::AdoptedLogs> adopted;  ///< set once a recovery resumes the rounds
   std::uint64_t globalRound = 0;
 
   // Reused across every exchange round so the p-sized header/count
@@ -175,11 +182,11 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   double storeDoneAt = 0;
   double spillBanked = 0;
 
-  // One layer's rounds. Returns false when the schedule was cut short —
-  // this rank died, or a recovery re-derived every remaining round from
-  // the durable log (no further exchanges happen either way).
+  // One layer's rounds on `active`. After a recovery the survivors carry
+  // on with the rest of the schedule, each adding the adopted dead ranks'
+  // logged chunks to its own; a rank that dies returns at its kill point.
   const auto runLayerRounds = [&](int layer, BatchStager& stage, CellStore& owned,
-                                  std::uint64_t rounds) -> bool {
+                                  std::uint64_t rounds) {
     const bool streaming = streamed[layer];
     for (std::uint64_t round = 0; round < rounds; ++round) {
       obs::traceBegin("round");
@@ -229,11 +236,12 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
         obs::traceSpanAt("partition", pj0, comm.clock().now());
         stats.phases.partition += projectSeconds;
       }
+      if (adopted) chunk = adopted->surround(layer, round, map, std::move(chunk));
       const bool last = !streaming && round + 1 == rounds;
       const double t0 = comm.clock().now();
       const std::uint64_t wire0 = stats.exchange.bytesReceived;
       geom::GeometryBatch got =
-          exchangeByCell(comm, std::move(chunk), owner, cfg.windowPhases, map.cellCount(),
+          exchangeByCell(active, std::move(chunk), owner, cfg.windowPhases, map.cellCount(),
                          &stats.exchange, last, &xscratch);
       stats.phases.comm += comm.clock().now() - t0;
       stats.phases.rounds += 1;
@@ -247,7 +255,9 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
         commDonePrev2 = commDonePrev1;
         commDonePrev1 = comm.clock().now();
       }
-      ckpt.noteRound(layer, got);
+      // No epoch is sealed after a failure: the checkpoint collectives
+      // span the launch communicator.
+      if (!stats.recovery.recovered) ckpt.noteRound(layer, got);
       if (overlap) {
         // Store-flush stage: the owned store's segment flushes for round
         // N−1 run while round N's exchange is on the wire; the deferred
@@ -267,16 +277,26 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
         owned.add(std::move(got));
       }
       globalRound += 1;
-      ckpt.maybeCheckpoint(globalRound, stats.cellOwner);
+      if (!stats.recovery.recovered) ckpt.maybeCheckpoint(globalRound, stats.cellOwner);
 
       if (globalRound == faults.firstKillRound) {
-        // Failure detection + cascading recovery (recovery.hpp); every
-        // remaining round is then re-derived from the durable log.
+        // Failure detection + cascading recovery (recovery.hpp) settle
+        // every wave; the survivors then resume the schedule on `active`.
         launchRanks = recovery::recoverUntilStable(
             active, volume, faults, sc, {roundsR, roundsS}, map, ownedR,
             s != nullptr ? &ownedS : nullptr, stats);
-        obs::traceEnd("round");
-        return false;
+        if (stats.recovery.died) {
+          obs::traceEnd("round");
+          return;
+        }
+        survivorOwner.assign(stats.cellOwner.size(), 0);
+        for (std::size_t c = 0; c < survivorOwner.size(); ++c) {
+          survivorOwner[c] = static_cast<int>(
+              std::find(launchRanks.begin(), launchRanks.end(), stats.cellOwner[c]) -
+              launchRanks.begin());
+        }
+        exchangeOwner = &survivorOwner;
+        adopted.emplace(active, volume, sc, p, launchRanks, stats.phases);
       }
       obs::traceEnd("round");
     }
@@ -286,17 +306,16 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
       // "stream over" distinct on the wire.
       const double t0 = comm.clock().now();
       geom::GeometryBatch got =
-          exchangeByCell(comm, geom::GeometryBatch(), owner, cfg.windowPhases, map.cellCount(),
+          exchangeByCell(active, geom::GeometryBatch(), owner, cfg.windowPhases, map.cellCount(),
                          &stats.exchange, /*lastRound=*/true, &xscratch);
       stats.phases.comm += comm.clock().now() - t0;
       stats.phases.rounds += 1;
       owned.add(std::move(got));
     }
-    return true;
   };
 
-  bool onSchedule = runLayerRounds(0, stageR, ownedR, roundsR);
-  if (onSchedule && s != nullptr) onSchedule = runLayerRounds(1, stageS, ownedS, roundsS);
+  runLayerRounds(0, stageR, ownedR, roundsR);
+  if (!stats.recovery.died && s != nullptr) runLayerRounds(1, stageS, ownedS, roundsS);
 
   if (stats.recovery.died) {
     // Fail-stop: the rank's volatile state — staged chunks, owned cell
@@ -307,15 +326,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
     stats.spill = spill.stats();
     return stats;
   }
-  if (stats.recovery.recovered) {
-    // Every remaining round was re-derived from the chunk log; the
-    // staged copies (and the dead ranks' stale deliveries they would
-    // duplicate) are discarded. Their deferred prep was still real parse
-    // CPU the round loop never reached; account it as hidden.
-    stats.phases.overlapped += stageR.discard();
-    stats.phases.overlapped += stageS.discard();
-    stats.activeComm = active;
-  }
+  if (stats.recovery.recovered) stats.activeComm = active;
   if (overlap) {
     // Settle the store-flush stage: whatever deferred spill time outlasts
     // the final exchange is a real stall before refine; the rest hid.

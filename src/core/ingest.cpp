@@ -43,11 +43,11 @@ struct PilotSampler {
 /// CPU. With `deferPrep` set (round overlap) the parse charge is not
 /// applied here at all: it rides in the chunk's stager slot to the round
 /// loop's pipeline recurrence, where it can hide under exchanges.
-void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds,
-                 const FrameworkConfig& cfg, BatchStager& stage, geom::Envelope& localBounds,
-                 ParseStats& parseStats, PartitionResult& ioStats, PhaseBreakdown& phases,
-                 recovery::CheckpointCoordinator& ckpt, int layer, util::ThreadPool* pool,
-                 std::uint64_t chunkBytes, bool deferPrep, PilotSampler* pilot) {
+void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds, BatchStager& stage,
+                 geom::Envelope& localBounds, ParseStats& parseStats, PartitionResult& ioStats,
+                 PhaseBreakdown& phases, recovery::CheckpointCoordinator& ckpt, int layer,
+                 util::ThreadPool* pool, std::uint64_t chunkBytes, bool deferPrep,
+                 PilotSampler* pilot) {
   // The layer's ingest format: `format`, or the text Parser (itself a
   // FormatReader) when `format` is unset.
   MVIO_CHECK(ds.parser == nullptr || ds.format == nullptr,
@@ -105,10 +105,10 @@ IngestResult runIngest(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle
   // no extra read pass (DESIGN.md §13).
   std::optional<PilotSampler> pilot;
   if (cfg.partition.scheme != PartitionScheme::kUniform) pilot.emplace(cfg.partition);
-  ingestLayer(comm, volume, r, cfg, stageR, out.localBounds, stats.parseR, stats.ioR, stats.phases,
+  ingestLayer(comm, volume, r, stageR, out.localBounds, stats.parseR, stats.ioR, stats.phases,
               ckpt, 0, pool, chunk[0], deferPrep, pilot ? &*pilot : nullptr);
   if (s != nullptr) {
-    ingestLayer(comm, volume, *s, cfg, stageS, out.localBounds, stats.parseS, stats.ioS,
+    ingestLayer(comm, volume, *s, stageS, out.localBounds, stats.parseS, stats.ioS,
                 stats.phases, ckpt, 1, pool, chunk[1], deferPrep, pilot ? &*pilot : nullptr);
   }
   ckpt.sealIngest();

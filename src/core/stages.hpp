@@ -124,22 +124,6 @@ class BatchStager {
 
   [[nodiscard]] std::size_t pending() const { return slots_.size(); }
 
-  /// Drop every pending chunk without reloading it — the post-recovery
-  /// path re-derives the remaining rounds from the durable chunk log, so
-  /// the staged copies (and their scratch blobs) are dead weight. Returns
-  /// the dropped chunks' prep seconds, which the round loop never reached.
-  double discard() {
-    double prepSeconds = 0;
-    for (const Slot& slot : slots_) {
-      if (slot.spilled) spiller_.store->remove(slot.shard);
-      prepSeconds += slot.prep.prepSeconds;
-    }
-    slots_.clear();
-    resident_ = 0;
-    spillCursor_ = 0;
-    return prepSeconds;
-  }
-
  private:
   struct Slot {
     geom::GeometryBatch batch;

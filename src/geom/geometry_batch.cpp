@@ -218,14 +218,19 @@ void GeometryBatch::rollbackRecord() {
 
 void GeometryBatch::append(const Geometry& g, std::string_view userData, int cell) {
   beginRecord();
-  encodeNode(g);
+  try {
+    encodeNode(g, 0);
+  } catch (...) {
+    rollbackRecord();
+    throw;
+  }
   commitRecord(userData, cell);
   // Staging a materialized Geometry into the arenas copies its payload;
   // the native parse/deserialize paths never pay this.
   util::perf::addBytesCopied(g.numVertices() * sizeof(Coord) + userData.size());
 }
 
-void GeometryBatch::encodeNode(const Geometry& g) {
+void GeometryBatch::encodeNode(const Geometry& g, int depth) {
   pushShape(static_cast<std::uint32_t>(g.type()));
   switch (g.type()) {
     case GeometryType::kPoint:
@@ -243,8 +248,12 @@ void GeometryBatch::encodeNode(const Geometry& g) {
       }
       break;
     default:
+      // The shard decoder's limit (skipShapeNode): a record it would
+      // reject never enters the arenas.
+      MVIO_CHECK(g.parts().empty() || depth < kMaxNestingDepth,
+                 "geometry batch: geometry nested too deeply");
       pushShape(static_cast<std::uint32_t>(g.parts().size()));
-      for (const auto& p : g.parts()) encodeNode(p);
+      for (const auto& p : g.parts()) encodeNode(p, depth + 1);
       break;
   }
 }

@@ -99,7 +99,9 @@ class GeometryBatch {
   void beginRecord();
   void pushCoord(const Coord& c) { coords_.push_back(c); }
   /// Append a shape token; returns its index for later patching (counts
-  /// are often unknown until a sequence has been scanned).
+  /// are often unknown until a sequence has been scanned). The raw
+  /// builder: it checks no structure, nesting depth included — callers
+  /// that take untrusted shapes enforce kMaxNestingDepth themselves.
   std::size_t pushShape(std::uint32_t token) {
     shape_.push_back(token);
     return shape_.size() - 1;
@@ -110,7 +112,9 @@ class GeometryBatch {
 
   // ---- Record-granularity append --------------------------------------
   /// Encode a Geometry into the arenas (the materialized-path shim);
-  /// userData is taken from g.userData.
+  /// userData is taken from g.userData. A tree that nests collections
+  /// deeper than kMaxNestingDepth (the readers' and the shard decoder's
+  /// limit) throws util::Error and leaves the batch unchanged.
   void append(const Geometry& g, int cell = 0) { append(g, g.userData, cell); }
   void append(const Geometry& g, std::string_view userData, int cell = 0);
   /// Copy record `i` of `src` (which may be *this) — three memcpys.
@@ -161,7 +165,7 @@ class GeometryBatch {
   [[nodiscard]] std::size_t shapeBegin(std::size_t i) const { return i == 0 ? 0 : shapeEnd_[i - 1]; }
   [[nodiscard]] std::size_t userBegin(std::size_t i) const { return i == 0 ? 0 : userEnd_[i - 1]; }
 
-  void encodeNode(const Geometry& g);
+  void encodeNode(const Geometry& g, int depth);
 
   // Per-record SoA columns.
   std::vector<std::uint8_t> tags_;

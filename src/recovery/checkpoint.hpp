@@ -38,8 +38,11 @@
 // then the later deltas) is exactly the records delivered to it in
 // rounds 1..roundsCompleted(E) — the arrival-ordered owned-cell state.
 // Recovery (recovery.hpp) restores a dead rank's cells from these sets
-// and replays everything after the seal from the chunk log; the
-// compaction fold reads through the same path.
+// and replays the rounds between the seal and the kill from the chunk
+// log; the round loop then resumes on the survivors, and only the dead
+// ranks' logged chunks are read back for the rounds after the kill
+// (AdoptedLogs). The compaction fold reads through the same path as the
+// restore.
 //
 // All durable traffic is priced through the Volume's storage model
 // (pfs::SpillPricer::onVolume — checkpoints contend with every other

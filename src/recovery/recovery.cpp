@@ -93,7 +93,6 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
   for (std::size_t s = 0; s < ctx.survivorWorld.size(); ++s) {
     worldToSurvivor[static_cast<std::size_t>(ctx.survivorWorld[s])] = s;
   }
-  const bool firstPass = stats.recovery.recoveryPasses == 0;
   std::uint64_t restoredRecords = 0;
   std::uint64_t replayedRecords = 0;
 
@@ -170,13 +169,12 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
   }
   chargeReads();
 
-  // 4. Replay rounds sealedRound+1..total from the chunk log. Rounds the
-  // survivors already hold (≤ delivered) re-deliver only orphaned cells;
-  // rounds the failure pre-empted re-deliver everything. The first pass
-  // replays every round past the failure, so a cascading pass finds all
-  // rounds delivered.
+  // 4. Replay rounds sealedRound+1..failRound from the chunk log for the
+  // orphaned cells only: the survivors already hold every other delivery
+  // of those rounds, and the rounds after the failure run in the resumed
+  // round loop (AdoptedLogs). A cascading pass replays the same span for
+  // the cells its wave orphaned.
   const std::uint64_t totalRounds = ctx.rounds[0] + ctx.rounds[1];
-  const std::uint64_t delivered = firstPass ? failRound : totalRounds;
   MVIO_CHECK(failRound <= totalRounds && sealedRound <= failRound,
              "recovery: round bookkeeping out of range");
   cpu.stop();  // the replay loop charges its CPU per region
@@ -194,19 +192,19 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
   };
 
   std::vector<IngestLog> logs(static_cast<std::size_t>(ctx.worldSize));
-  if (sealedRound < totalRounds) {
+  if (sealedRound < failRound) {
     for (int q = 0; q < ctx.worldSize; ++q) {
       if (srcSurvivor(q) != survivors.rank()) continue;
       logs[static_cast<std::size_t>(q)] = readIngestLog(volume, dir, q, &bytesRead);
     }
   }
   core::ExchangeScratch scratch;
-  for (std::uint64_t t = sealedRound + 1; t <= totalRounds; ++t) {
+  for (std::uint64_t t = sealedRound + 1; t <= failRound; ++t) {
     const int layer = t <= ctx.rounds[0] ? 0 : 1;
     const std::uint64_t chunk = layer == 0 ? t - 1 : t - ctx.rounds[0] - 1;
     if (stores[layer] == nullptr) continue;
     // Each survivor reads + re-projects only its own source block and
-    // ships every kept record to the cell's owner.
+    // ships every orphaned-cell record to the cell's new owner.
     sim::ThreadCpuTimer localCpu;
     geom::GeometryBatch ship;
     for (int q = 0; q < ctx.worldSize; ++q) {
@@ -217,8 +215,9 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
       const geom::GeometryBatch projected = core::projectToCells(map, nullptr, std::move(raw));
       for (std::size_t i = 0; i < projected.size(); ++i) {
         const int cell = projected.cell(i);
-        if (cell == geom::GeometryBatch::kNoCell) continue;
-        if (t <= delivered && !orphan[static_cast<std::size_t>(cell)]) continue;
+        if (cell == geom::GeometryBatch::kNoCell || !orphan[static_cast<std::size_t>(cell)]) {
+          continue;
+        }
         ship.appendRecordFrom(projected, i, cell);
       }
     }
@@ -236,7 +235,7 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
   chargeReads();  // reads accumulated outside the per-round charging
   stats.phases.recovery += survivors.clock().now() - t0;
   stats.phases.recoveryBytes += bytesRead;
-  stats.phases.recoveryRounds += totalRounds - sealedRound;
+  stats.phases.recoveryRounds += failRound - sealedRound;
   obs::addCount("recovery.restored_records", restoredRecords);
   obs::addCount("recovery.replayed_records", replayedRecords);
   obs::addCount("recovery.passes", 1);
@@ -328,6 +327,62 @@ std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
     recoverFromFailure(active, volume, ctx, ownedR, ownedS, stats);
     obs::traceEnd("recovery");
   }
+}
+
+AdoptedLogs::AdoptedLogs(mpi::Comm& survivors, pfs::Volume& volume, const core::StreamConfig& sc,
+                         int worldSize, const std::vector<int>& survivorWorld,
+                         core::PhaseBreakdown& phases)
+    : comm_(&survivors),
+      volume_(&volume),
+      dir_(sc.checkpointDir),
+      phases_(&phases),
+      pricer_(pfs::SpillPricer::onVolume(volume, survivors.nodeId())) {
+  MVIO_CHECK(!survivorWorld.empty() && std::is_sorted(survivorWorld.begin(), survivorWorld.end()),
+             "recovery: survivor ranks must be ascending");
+  const int me = survivors.worldRank();
+  for (int q = 0; q < worldSize; ++q) {
+    const auto above = std::lower_bound(survivorWorld.begin(), survivorWorld.end(), q);
+    if (above != survivorWorld.end() && *above == q) continue;  // q survived
+    const int adopter = above == survivorWorld.begin() ? survivorWorld.front() : *(above - 1);
+    if (adopter != me) continue;
+    ranks_.push_back(q);
+    before_ += q < me ? 1 : 0;
+  }
+  if (ranks_.empty()) return;
+  const double t0 = survivors.clock().now();
+  std::uint64_t bytes = 0;
+  for (const int q : ranks_) logs_.push_back(readIngestLog(volume, dir_, q, &bytes));
+  survivors.clock().advanceBy(pricer_.seconds(bytes, /*isWrite=*/false, t0));
+  obs::traceSpanAt("recovery", t0, survivors.clock().now());
+  phases_->recovery += survivors.clock().now() - t0;
+  phases_->recoveryBytes += bytes;
+}
+
+geom::GeometryBatch AdoptedLogs::surround(int layer, std::uint64_t chunk,
+                                          const core::PartitionMap& map,
+                                          geom::GeometryBatch&& own) {
+  if (ranks_.empty()) return std::move(own);
+  const double t0 = comm_->clock().now();
+  sim::ThreadCpuTimer cpu;
+  std::uint64_t bytes = 0;
+  geom::GeometryBatch out;
+  // Each chunk is projected on its own, so its replicated records follow
+  // its primaries exactly as in the dead rank's failure-free send.
+  const auto adopt = [&](std::size_t k) {
+    if (chunk >= logs_[k].chunks[layer]) return;
+    geom::GeometryBatch raw;
+    loadLoggedChunk(*volume_, dir_, ranks_[k], layer, chunk, raw, &bytes);
+    out.splice(core::projectToCells(map, nullptr, std::move(raw)));
+  };
+  for (std::size_t k = 0; k < before_; ++k) adopt(k);
+  out.splice(std::move(own));
+  for (std::size_t k = before_; k < ranks_.size(); ++k) adopt(k);
+  comm_->clock().advanceBy(cpu.elapsed());
+  comm_->clock().advanceBy(pricer_.seconds(bytes, /*isWrite=*/false, comm_->clock().now()));
+  obs::traceSpanAt("recovery", t0, comm_->clock().now());
+  phases_->recovery += comm_->clock().now() - t0;
+  phases_->recoveryBytes += bytes;
+  return out;
 }
 
 }  // namespace mvio::recovery

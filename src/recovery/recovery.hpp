@@ -14,8 +14,8 @@
 //  1. Agree on the recovery point: scan epoch seals newest-first and
 //     adopt the newest *fully sealed* epoch E (torn or partial epochs
 //     are skipped). All survivors read the same blobs, so no extra
-//     agreement round is needed. E may be 0 — recovery then replays the
-//     whole round history from the chunk log.
+//     agreement round is needed. E may be 0 — recovery then replays
+//     every round up to the kill from the chunk log.
 //
 //  2. Re-home orphaned cells: cells owned by dead ranks are reassigned
 //     with a greedy LPT pass over the survivors only, seeded with each
@@ -32,16 +32,15 @@
 //     stale-manifest guard) and keeps exactly the records of orphaned
 //     cells it now owns.
 //
-//  4. Replay: rounds E_rounds+1..total are re-derived from the chunk
-//     log. The survivors split the logged chunks by source rank
-//     (contiguous blocks, so concatenating ascending survivors preserves
-//     the source order), each re-projects only its block, and one
-//     exchangeByCell per round routes the records to their owners —
-//     aggregate replay reads are O(log), not O(survivors·log). A lone
-//     survivor reads every log and routes through a 1-rank exchange.
-//     Rounds the survivors already hold contribute only
-//     orphaned-cell records; rounds the failure pre-empted contribute
-//     everything the survivor owns.
+//  4. Replay: rounds E_rounds+1..K (K = the kill round) are re-derived
+//     from the chunk log for the orphaned cells only — the survivors
+//     already hold every other delivery of those rounds. The survivors
+//     split the logged chunks by source rank (contiguous blocks, so
+//     concatenating ascending survivors preserves the source order),
+//     each re-projects only its block, and one exchangeByCell per round
+//     routes the orphaned-cell records to their new owners — aggregate
+//     replay reads are O(log), not O(survivors·log). A lone survivor
+//     reads every log and routes through a 1-rank exchange.
 //
 // A pass is re-entrant for cascading failures: a wave of deaths detected
 // *during* recovery is the loop's next iteration, which shrinks the
@@ -52,6 +51,15 @@
 // SealScanCache carried across passes makes the repeated recovery-point
 // scan free. The loop exits on an allgather that reports no new deaths.
 //
+// The round loop then resumes on the survivor communicator for rounds
+// K+1..total. Each survivor exchanges its own staged chunk, exactly as
+// in the failure-free run, together with the logged chunks of the dead
+// ranks it adopts (AdoptedLogs): a dead rank goes to the nearest
+// survivor below it, or to the lowest survivor when none is below. Each
+// survivor's send is then in ascending source order, and so is the
+// exchange's per-phase output. Only the dead ranks' share of the chunk
+// log is read back after the kill.
+//
 // The refine phase then runs unchanged over the survivor communicator
 // and the recovered stores — join, index, and overlay results are
 // bit-identical to the failure-free run (tests/test_recovery.cpp,
@@ -59,6 +67,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/cell_store.hpp"
@@ -92,8 +101,10 @@ FaultPlan planFaults(const std::vector<sim::FailureEvent>& schedule, int worldSi
 /// `ownedS` null for single-layer runs). Each iteration allgathers alive
 /// flags; new deaths shrink `active` to the survivors, who run one
 /// recovery pass appending restored and replayed records into the (not
-/// yet finalized) owned stores. Fills stats.recovery and the recovery
-/// phase fields and re-homes stats.cellOwner (world ranks) in place.
+/// yet finalized) owned stores: the sealed arrivals of the orphaned cells
+/// and their deliveries up to faults.firstKillRound. Fills
+/// stats.recovery and the recovery phase fields and re-homes
+/// stats.cellOwner (world ranks) in place.
 /// Returns the survivors' world ranks (active-local order); a rank that
 /// dies gets stats.recovery.died, an empty result, and must join no
 /// further collective.
@@ -102,5 +113,34 @@ std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
                                     const std::uint64_t (&rounds)[2],
                                     const core::PartitionMap& map, core::CellStore& ownedR,
                                     core::CellStore* ownedS, core::FrameworkStats& stats);
+
+/// One survivor's share of the dead ranks' chunk logs in the resumed
+/// round loop. Built on the stable survivor communicator once
+/// recoverUntilStable returns; reads the adopted ranks' ingest manifests
+/// up front. Reads, decode and projection of adopted chunks are charged
+/// to the rank clock and to the recovery phase fields of `phases`.
+class AdoptedLogs {
+ public:
+  /// `survivorWorld` is the recoverUntilStable result (ascending world
+  /// ranks) and `worldSize` the launch communicator's size.
+  AdoptedLogs(mpi::Comm& survivors, pfs::Volume& volume, const core::StreamConfig& sc,
+              int worldSize, const std::vector<int>& survivorWorld, core::PhaseBreakdown& phases);
+
+  /// This survivor's send for chunk `chunk` of `layer`: `own` (already
+  /// projected) with each adopted rank's logged chunk of that round,
+  /// projected through `map`, in ascending source order.
+  geom::GeometryBatch surround(int layer, std::uint64_t chunk, const core::PartitionMap& map,
+                               geom::GeometryBatch&& own);
+
+ private:
+  mpi::Comm* comm_;
+  pfs::Volume* volume_;
+  std::string dir_;
+  core::PhaseBreakdown* phases_;
+  pfs::SpillPricer pricer_;
+  std::vector<int> ranks_;       ///< the adopted dead world ranks, ascending
+  std::vector<IngestLog> logs_;  ///< parallel to ranks_
+  std::size_t before_ = 0;       ///< adopted ranks below this survivor (sent first)
+};
 
 }  // namespace mvio::recovery

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <mutex>
 
 #include "core/indexing.hpp"
@@ -27,6 +28,7 @@
 #include "pfs/spill_store.hpp"
 #include "recovery/checkpoint.hpp"
 #include "recovery/recovery.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/perf.hpp"
 
@@ -307,6 +309,7 @@ struct JoinRun {
   std::uint64_t dataRounds = 0;      ///< max PhaseBreakdown::rounds minus terminations
   int died = 0, recovered = 0;
   std::uint64_t checkpointBytes = 0, recoveryBytes = 0, recoveryRounds = 0;
+  std::uint64_t deadCheckpointBytes = 0;  ///< durable bytes the dead ranks wrote
   std::uint64_t epochUsed = 0;
   std::uint64_t recoveryPasses = 0;   ///< max across survivors
   std::uint64_t deadRanksSeen = 0;    ///< max RecoveryStats::deadRanks (cumulative)
@@ -335,7 +338,10 @@ JoinRun runJoin(RecoveryFixture& fx, const std::function<void(mc::JoinConfig&)>&
     // A rank killed *during* recovery carries both bits: it recovered in
     // an earlier pass, then died. Count it as a death only — recovered
     // tallies the ranks that finished the job.
-    if (stats.recovery.died) run.died += 1;
+    if (stats.recovery.died) {
+      run.died += 1;
+      run.deadCheckpointBytes += stats.phases.checkpointBytes;
+    }
     if (!stats.recovery.died && stats.recovery.recovered) {
       run.recovered += 1;
       run.globalPairs = stats.globalPairs;
@@ -497,6 +503,151 @@ TEST(FailureRecovery, SingleLayerIndexMatchesAfterKill) {
   }
   EXPECT_EQ(counts[0], counts[1]) << "index query counts must survive the kill";
   EXPECT_GT(counts[0][1], 0u);
+}
+
+// After recovery the survivors resume the round loop with their own
+// staged chunks, so the only chunk log read back past the kill round is
+// the dead rank's: recovery reads the dead rank's durable blobs (its
+// sealed sets once per survivor), the seal scan, and every rank's log
+// for the rounds between the seal and the kill — nothing more.
+TEST(FailureRecovery, ResumedRoundsReadOnlyTheDeadRanksLog) {
+  RecoveryFixture fx;
+  const JoinRun base = runJoin(fx, [](mc::JoinConfig& cfg) {
+    cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__rd_base");
+  });
+  const std::string dir = "__rd_kill";
+  const JoinRun killed = runJoin(fx, [&](mc::JoinConfig& cfg) {
+    cfg.framework.stream = RecoveryFixture::streamedConfig(2, dir);
+    cfg.framework.failSchedule = {{2, 3, 0}};
+  });
+  EXPECT_EQ(killed.died, 1);
+  EXPECT_EQ(killed.pairs, base.pairs);
+  ASSERT_EQ(killed.epochUsed, 1u) << "epoch 1 (sealed at round 2) is the recovery point";
+  constexpr std::uint64_t kSealedRound = 2, kKillRound = 3;
+  EXPECT_EQ(killed.recoveryRounds, kKillRound - kSealedRound);
+
+  std::vector<mr::IngestLog> logs;
+  std::uint64_t roundsR = 0;
+  for (int q = 0; q < 4; ++q) {
+    logs.push_back(mr::readIngestLog(*fx.volume, dir, q));
+    roundsR = std::max(roundsR, logs.back().chunks[0]);
+  }
+  ASSERT_GT(roundsR, kKillRound) << "the kill must pre-empt rounds of layer R";
+  std::uint64_t replayedLog = 0;
+  for (std::uint64_t t = kSealedRound + 1; t <= kKillRound; ++t) {
+    const int layer = t <= roundsR ? 0 : 1;
+    const std::uint64_t chunk = layer == 0 ? t - 1 : t - roundsR - 1;
+    for (int q = 0; q < 4; ++q) {
+      if (chunk >= logs[static_cast<std::size_t>(q)].chunks[layer]) continue;
+      replayedLog += fileBytes(*fx.volume, mr::rankPrefix(dir, q) + "/ing." +
+                                               mr::layerTag(layer) + "." + std::to_string(chunk))
+                         .size();
+    }
+  }
+  // The dead rank's durable blobs: its whole chunk log, which the
+  // adopting survivor reads from the kill round on, and its sealed shard
+  // sets, which every survivor reads to restore the orphans it now owns.
+  // Each survivor also scans the seal and every rank's epoch manifest.
+  constexpr int kDead = 2, kSurvivors = 3;
+  const auto blob = [&](int q, const std::string& name) {
+    return static_cast<std::uint64_t>(fileBytes(*fx.volume, mr::rankPrefix(dir, q) + "/" + name).size());
+  };
+  std::uint64_t deadLog = 0;
+  for (int layer = 0; layer < 2; ++layer) {
+    for (std::uint64_t c = 0; c < logs[kDead].chunks[layer]; ++c) {
+      deadLog += blob(kDead, "ing." + std::string(mr::layerTag(layer)) + "." + std::to_string(c));
+    }
+  }
+  ASSERT_GT(killed.deadCheckpointBytes, deadLog);
+  const std::uint64_t deadSealed = killed.deadCheckpointBytes - deadLog;
+  std::uint64_t sealScan = fileBytes(*fx.volume, mr::globalPrefix(dir) + "/ep1.seal").size();
+  for (int q = 0; q < 4; ++q) sealScan += blob(q, "ep1.manifest");
+  EXPECT_LE(killed.recoveryBytes, killed.deadCheckpointBytes + (kSurvivors - 1) * deadSealed +
+                                      kSurvivors * sealScan + replayedLog)
+      << "survivors must not read their own chunk logs back for the rounds after the kill";
+}
+
+namespace {
+
+/// Records each refined cell's arrival order: a digest of its R then S
+/// records' envelopes and userData, in the order refine sees them.
+class ArrivalOrderTask final : public mc::RefineTask {
+ public:
+  void refineCellBatch(const mc::GridSpec& /*grid*/, int cell, const mg::BatchSpan& r,
+                       const mg::BatchSpan& s) override {
+    std::string seq;
+    for (const mg::BatchSpan* span : {&r, &s}) {
+      for (std::size_t k = 0; k < span->size(); ++k) {
+        const mg::Envelope& e = span->envelope(k);
+        seq.append(reinterpret_cast<const char*>(&e), sizeof e);
+        seq.append(span->userData(k));
+      }
+      seq.push_back('|');
+    }
+    digests[cell] = mvio::util::fnv1a(seq);
+    records += r.size() + s.size();
+  }
+  std::map<int, std::uint64_t> digests;
+  std::uint64_t records = 0;
+};
+
+}  // namespace
+
+// Each survivor sends its own chunk and the logged chunks of the dead
+// ranks it adopts in ascending source order, so every cell receives its
+// records in the failure-free order — the order FP-summing consumers
+// need to stay bit-identical. Rank 0 dying puts the adopted chunk before
+// the lowest survivor's own; the last rank dying puts it after; a
+// two-wave cascade adopts from the final survivor set through a windowed
+// exchange.
+TEST(FailureRecovery, AdoptedChunksKeepTheSourceOrder) {
+  RecoveryFixture fx;
+  struct Case {
+    std::string name;
+    int windowPhases;
+    std::vector<mvio::sim::FailureEvent> schedule;
+    int died;
+  };
+  const std::vector<Case> cases = {
+      {"failure-free", 1, {}, 0},
+      {"failure-free windowed", 3, {}, 0},
+      {"rank 0 dies", 1, {{0, 3, 0}}, 1},
+      {"the last rank dies", 1, {{3, 3, 0}}, 1},
+      {"two-wave cascade through a windowed exchange", 3, {{1, 3, 0}, {2, 3, 1}}, 2},
+  };
+  std::vector<std::map<int, std::uint64_t>> orders;
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const Case& c = cases[k];
+    std::map<int, std::uint64_t> order;
+    int died = 0;
+    std::mutex mu;
+    mm::Runtime::run(4, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+      mc::FrameworkConfig cfg;
+      cfg.gridCells = 36;
+      cfg.windowPhases = c.windowPhases;
+      cfg.stream = RecoveryFixture::streamedConfig(2, "__ck_order" + std::to_string(k));
+      cfg.failSchedule = c.schedule;
+      ArrivalOrderTask task;
+      mc::DatasetHandle r{"r.wkt", &fx.parser, {}};
+      mc::DatasetHandle s{"s.wkt", &fx.parser, {}};
+      const auto stats = mc::runFilterRefine(comm, *fx.volume, r, &s, cfg, task);
+      std::lock_guard<std::mutex> lock(mu);
+      if (stats.recovery.died) {
+        died += 1;
+        return;
+      }
+      for (const auto& [cell, digest] : task.digests) {
+        EXPECT_TRUE(order.emplace(cell, digest).second) << "cell " << cell << " refined twice";
+      }
+    });
+    EXPECT_EQ(died, c.died) << c.name;
+    orders.push_back(std::move(order));
+  }
+  ASSERT_FALSE(orders[0].empty());
+  for (std::size_t k = 1; k < cases.size(); ++k) {
+    EXPECT_EQ(orders[k], orders[0])
+        << cases[k].name << ": every cell must receive its records in the failure-free order";
+  }
 }
 
 // ---- Cascading failures + compaction + sharded replay (DESIGN.md §11) ----
