@@ -1,20 +1,22 @@
 // Checkpoint/recovery sweep (DESIGN.md §9).
 //
 // Table 1 — checkpoint overhead vs StreamConfig::checkpointEveryRounds:
-// the chunk log is a fixed write-ahead cost once checkpointing is on;
+// the extent log (each chunk's input-file extents and CRC-32C, written
+// once at the end of ingest) is a small fixed write-ahead cost;
 // epoch deltas add bytes per sealed epoch, so tighter intervals write
 // more durable bytes and spend more checkpoint time while every other
 // column stays flat. Results must be identical on every row.
 //
 // Table 2 — recovery cost vs kill round at a fixed interval: a later
 // kill has more sealed epochs behind it, so fewer rounds replay from the
-// chunk log; a kill right after a seal replays the least. Join results
+// extent log (re-read from the input and re-parsed); a kill right after a
+// seal replays the least. Join results
 // must be identical to the failure-free baseline in every row — the
 // bit-identity the recovery tests assert, priced here.
 //
 // Table 3 — elasticity (DESIGN.md §11): the same two-kill schedule under
 // sharded replay alone and sharded replay + checkpoint GC/epoch
-// compaction. Sharding divides the aggregate chunk-log reads across the
+// compaction. Sharding divides the aggregate input re-reads across the
 // survivors, so recovery must read less than one copy of the durable
 // state (table 1's every-2 checkpoint bytes); compaction folds the delta
 // tail into one base and reclaims durable bytes. Pairs must not change.
@@ -156,6 +158,6 @@ int main() {
   std::printf("note: pairs must be identical on every row of all three tables. Durable\n"
               "checkpoint bytes grow as the epoch interval shrinks; replayed rounds shrink as\n"
               "the kill point moves past more sealed epochs; sharding divides replay reads\n"
-              "across survivors and compaction reclaims the folded delta + chunk history.\n");
+              "across survivors and compaction reclaims the folded delta history.\n");
   return 0;
 }

@@ -16,7 +16,7 @@
 # header: spatial_join, overlay, range_query, indexing),
 # `PartitionerConfig::x` / `PartitionMap::x` (src/core/partition_map.hpp),
 # `GridSpec::x` / `CellLocator::x` (src/core/grid.hpp),
-# `PartitionConfig::x` (src/core/file_partition.hpp), `CellStore::x`
+# `PartitionConfig::x` / `PartitionReader::x` (src/core/file_partition.hpp), `CellStore::x`
 # (src/core/cell_store.hpp), `GeometryBatch::x` / `BatchSpan::x`
 # (src/geom/geometry_batch.hpp), `ExchangeStats::x` / `RoundHeader::x` /
 # `ExchangeScratch::x` (src/core/exchange.hpp), `FormatReader::x` / `WkbFormatReader::x`
@@ -59,7 +59,7 @@ set(CITED_TYPES
     "PartitionerConfig=core/partition_map.hpp"
     "PartitionMap=core/partition_map.hpp"
     "GridSpec|CellLocator=core/grid.hpp"
-    "PartitionConfig=core/file_partition.hpp"
+    "PartitionConfig|PartitionReader=core/file_partition.hpp"
     "CellStore=core/cell_store.hpp"
     "(Wkb)?FormatReader=core/format.hpp"
     "(Wkt|CsvPoint)?Parser=core/parser.hpp"

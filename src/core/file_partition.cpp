@@ -177,12 +177,13 @@ void PartitionReader::stepMessage(std::string& out) {
   }
 
   // Assemble this iteration's text: predecessor fragment + own records.
-  if (rank == 0) {
-    out.append(carry_);
-    carry_ = std::move(received);
-  } else {
-    out.append(received);
-  }
+  // The fragment ends where this block starts (rank 0's carry ends at this
+  // iteration's offset, which is its block start), so the text is the one
+  // file range ending at the cut.
+  const std::string& head = rank == 0 ? carry_ : received;
+  noteExtent(start - head.size(), head.size() + static_cast<std::uint64_t>(cut));
+  out.append(head);
+  if (rank == 0) carry_ = std::move(received);
   out.append(keep);
   if (lastIteration) MVIO_CHECK(carry_.empty() || rank != 0, "unconsumed carry fragment");
 }
@@ -235,12 +236,18 @@ void PartitionReader::stepOverlap(std::string& out) {
              "record extends past the halo region: maxGeometryBytes is smaller than a record");
   const std::uint64_t keepEndExclusive = e != FormatReader::npos ? readStart + e : fileSize_;
 
+  noteExtent(firstStart, keepEndExclusive - firstStart);
   out.append(buf_.data() + (firstStart - readStart),
              static_cast<std::size_t>(keepEndExclusive - firstStart));
 }
 
+void PartitionReader::noteExtent(std::uint64_t offset, std::uint64_t length) {
+  if (length != 0) extents_.push_back({offset, length});
+}
+
 bool PartitionReader::next(std::string& text) {
   text.clear();
+  extents_.clear();
   if (offset_ >= fileSize_) return false;
 
   const std::uint64_t p = static_cast<std::uint64_t>(comm_->size());

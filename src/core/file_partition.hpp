@@ -58,6 +58,13 @@ struct PartitionConfig {
   bool collectiveRead = false;
 };
 
+/// One contiguous byte range of a file.
+struct FileExtent {
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+  bool operator==(const FileExtent&) const = default;
+};
+
 /// Per-rank outcome of a partitioned read.
 struct PartitionResult {
   /// This rank's complete records (delimiter-separated, possibly with a
@@ -115,6 +122,16 @@ class PartitionReader {
   /// false once the stream is exhausted — on the same call on every rank.
   bool next(std::string& text);
 
+  /// Where the text the last next() call returned lies in the file: its
+  /// extents in order, whose bytes, concatenated, are that text. Each
+  /// iteration that keeps text is one range: under kMessage the
+  /// predecessor's fragment, which ends where this rank's block starts,
+  /// then the block up to its cut (rank 0's carry ends where its next
+  /// block starts); under kOverlap the records starting in the block. A
+  /// one-shot read yields one extent per iteration. The extent log
+  /// (recovery/checkpoint.hpp) re-reads chunks from these.
+  [[nodiscard]] const std::vector<FileExtent>& extents() const { return extents_; }
+
   /// Read counters accumulated so far (the `text` field stays empty).
   [[nodiscard]] const PartitionResult& counters() const { return result_; }
 
@@ -123,6 +140,8 @@ class PartitionReader {
   void layout();
   void stepMessage(std::string& out);
   void stepOverlap(std::string& out);
+  /// Append [offset, offset + length) to extents_ unless it is empty.
+  void noteExtent(std::uint64_t offset, std::uint64_t length);
 
   mpi::Comm* comm_;
   io::File* file_;
@@ -138,6 +157,7 @@ class PartitionReader {
   std::vector<char> buf_;
   std::vector<char> recvBuf_;  ///< kMessage: predecessor-fragment landing area
   std::string carry_;          ///< kMessage rank 0: fragment for the next iteration
+  std::vector<FileExtent> extents_;  ///< file ranges of the last next() text
   PartitionResult result_;
 };
 

@@ -22,6 +22,13 @@ void RefineTask::mergeWorker(RefineTask& /*worker*/) {
   // parallel refine never has workers to merge.
 }
 
+const FormatReader& DatasetHandle::reader() const {
+  MVIO_CHECK(parser == nullptr || format == nullptr,
+             "dataset has both a parser and a format; set exactly one");
+  MVIO_CHECK(parser != nullptr || format != nullptr, "dataset needs a parser or format");
+  return format != nullptr ? *format : *parser;
+}
+
 geom::GeometryBatch projectToCells(const PartitionMap& map, const CellLocator* locator,
                                    geom::GeometryBatch&& geoms) {
   const std::size_t n = geoms.size();
@@ -156,8 +163,6 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   // then layer S's — and recovery replays against the same schedule.
   const std::uint64_t roundsR = allreduceMaxU64(comm, stageR.pending());
   const std::uint64_t roundsS = s != nullptr ? allreduceMaxU64(comm, stageS.pending()) : 0;
-  // The agreed schedule lets compaction map GC'd rounds to chunk blobs.
-  ckpt.setRoundSchedule(roundsR, roundsS);
   MVIO_CHECK(faults.lastKillRound <= roundsR + roundsS,
              "kill point lies beyond the data-round schedule");
 
@@ -165,6 +170,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   std::vector<int> launchRanks(static_cast<std::size_t>(p));  ///< active rank -> launch rank
   std::iota(launchRanks.begin(), launchRanks.end(), 0);
   std::optional<recovery::AdoptedLogs> adopted;  ///< set once a recovery resumes the rounds
+  const recovery::InputLayers inputs = {&r, s};  ///< what the extent log re-reads
   std::uint64_t globalRound = 0;
 
   // Reused across every exchange round so the p-sized header/count
@@ -184,7 +190,8 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
 
   // One layer's rounds on `active`. After a recovery the survivors carry
   // on with the rest of the schedule, each adding the adopted dead ranks'
-  // logged chunks to its own; a rank that dies returns at its kill point.
+  // logged chunks (re-read from the input) to its own; a rank that dies
+  // returns at its kill point.
   const auto runLayerRounds = [&](int layer, BatchStager& stage, CellStore& owned,
                                   std::uint64_t rounds) {
     const bool streaming = streamed[layer];
@@ -283,7 +290,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
         // Failure detection + cascading recovery (recovery.hpp) settle
         // every wave; the survivors then resume the schedule on `active`.
         launchRanks = recovery::recoverUntilStable(
-            active, volume, faults, sc, {roundsR, roundsS}, map, ownedR,
+            active, volume, faults, sc, inputs, {roundsR, roundsS}, map, ownedR,
             s != nullptr ? &ownedS : nullptr, stats);
         if (stats.recovery.died) {
           obs::traceEnd("round");
@@ -296,7 +303,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
               launchRanks.begin());
         }
         exchangeOwner = &survivorOwner;
-        adopted.emplace(active, volume, sc, p, launchRanks, stats.phases);
+        adopted.emplace(active, volume, sc, inputs, p, launchRanks, stats.phases);
       }
       obs::traceEnd("round");
     }

@@ -66,17 +66,22 @@ struct DatasetHandle {
   const Parser* parser = nullptr;
   PartitionConfig partition;
   const FormatReader* format = nullptr;
+
+  /// The layer's FormatReader: `format`, or the text Parser (itself a
+  /// FormatReader) when `format` is unset. Throws util::Error unless
+  /// exactly one of the two is set.
+  [[nodiscard]] const FormatReader& reader() const;
 };
 
 /// Checkpoint GC + epoch compaction (DESIGN.md §11). When enabled, after
 /// every `everyEpochs`-th *valid* (untorn) seal E each rank folds its delta
 /// shards for epochs `oldBase+1 .. E-1` — plus any previous base — into
 /// one checksummed base checkpoint, commits it by writing a
-/// `base.manifest`, and then garbage-collects the folded delta shards,
-/// the superseded base, and the ingest chunk blobs for every round the
-/// new base covers. The base is a recovery::ShardSetManifest like the
-/// deltas, and the fold reads the sets it folds through the restore
-/// path's checksum, ownership and record-count checks. Recovery loads one base + the bounded delta tail
+/// `base.manifest`, and then garbage-collects the folded delta shards and
+/// the superseded base (the ingest extent log holds no data and stays).
+/// The base is a recovery::ShardSetManifest like the deltas, and the fold
+/// reads the sets it folds through the restore path's checksum, ownership
+/// and record-count checks. Recovery loads one base + the bounded delta tail
 /// instead of scanning the full epoch history; the per-rank epoch
 /// manifests and global seals are kept (they are tiny and the seal scan
 /// validates against them). Bytes written by the fold land in
@@ -129,8 +134,9 @@ struct StreamConfig {
 
   // ---- Checkpoint/recovery (DESIGN.md §9) -----------------------------
   /// Seal a durable epoch checkpoint every N exchange data rounds
-  /// (0 = no checkpoints). When set, each parsed chunk is also written to
-  /// a durable per-rank chunk log at ingest time (the replay source), and
+  /// (0 = no checkpoints). When set, each rank also writes a durable
+  /// extent log at ingest time — every chunk's input-file extents and
+  /// CRC-32C, the replay source recovery re-reads and re-parses — and
   /// at every boundary each rank persists the records that arrived since
   /// the previous epoch as BatchShard blobs plus a per-rank manifest;
   /// rank 0 then seals the epoch with a checksummed global manifest.
@@ -307,7 +313,7 @@ struct RecoveryStats {
   std::uint64_t deadRanks = 0;        ///< ranks lost across all waves (cumulative)
   std::uint64_t epochUsed = 0;        ///< sealed epoch restored from (0 = none valid)
   std::uint64_t restoredRecords = 0;  ///< records this rank reloaded from dead ranks' epochs
-  std::uint64_t replayedRecords = 0;  ///< records this rank re-derived from the chunk log
+  std::uint64_t replayedRecords = 0;  ///< records this rank re-derived from the extent log
   /// Recovery passes this rank ran (1 for a single failure wave; each
   /// cascading death detected mid-recovery adds another pass).
   std::uint64_t recoveryPasses = 0;
@@ -361,7 +367,7 @@ struct FrameworkStats {
 /// overlapping partition cells in place (a k-cell geometry appends k-1
 /// replicas; no-cell records are tombstoned with kNoCell). Deterministic
 /// for a given map — the recovery replay re-derives lost exchange rounds
-/// by re-running it over the durable chunk log. The pipeline passes a null
+/// by re-running it over the re-parsed logged chunks. The pipeline passes a null
 /// `locator` (PartitionMap::overlappingCells, cellOfPoint's arithmetic);
 /// a locator's R-tree can miss a pair's reference cell (grid.hpp) and is
 /// taken only by the end-to-end benchmark's projection probe.

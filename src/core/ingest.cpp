@@ -34,8 +34,8 @@ struct PilotSampler {
 /// straight into a per-chunk batch (no per-record Geometry objects),
 /// staged for the exchange rounds. Accumulates the layer's local MBR for
 /// grid construction along the way. With checkpointing enabled every
-/// parsed chunk is also written to the durable chunk log — the replay
-/// source recovery re-derives lost rounds from.
+/// chunk's input-file extents and checksum go to the extent log — the
+/// replay source recovery re-reads and re-parses lost rounds from.
 ///
 /// With a worker pool (threadsPerRank > 1) the chunk text is parsed in
 /// parallel record-boundary slices and the clock is charged the critical
@@ -48,12 +48,7 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds, 
                  PhaseBreakdown& phases, recovery::CheckpointCoordinator& ckpt, int layer,
                  util::ThreadPool* pool, std::uint64_t chunkBytes, bool deferPrep,
                  PilotSampler* pilot) {
-  // The layer's ingest format: `format`, or the text Parser (itself a
-  // FormatReader) when `format` is unset.
-  MVIO_CHECK(ds.parser == nullptr || ds.format == nullptr,
-             "dataset has both a parser and a format; set exactly one");
-  const FormatReader* fmt = ds.format != nullptr ? ds.format : ds.parser;
-  MVIO_CHECK(fmt != nullptr, "dataset needs a parser or format");
+  const FormatReader* fmt = &ds.reader();
   io::File file = io::File::open(comm, volume, ds.path);
   PartitionReader reader(comm, file, ds.partition, chunkBytes, fmt);
 
@@ -87,7 +82,7 @@ void ingestLayer(mpi::Comm& comm, pfs::Volume& volume, const DatasetHandle& ds, 
     }
     localBounds.expandToInclude(chunk.bounds());
     if (pilot != nullptr) pilot->observe(chunk);
-    ckpt.logChunk(layer, chunk);
+    ckpt.logChunk(layer, reader.extents(), text);
     stage.push(std::move(chunk), prep);
   }
   ioStats = reader.counters();

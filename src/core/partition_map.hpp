@@ -23,7 +23,7 @@
 //
 // The map has a wire codec (magic + trailing FNV-1a, fuzzed like every
 // other durable artifact) so epoch seals can carry it: recovery restores
-// the sealed map and replays the chunk log through the identical
+// the sealed map and replays the extent log through the identical
 // projection.
 
 #include <cstdint>

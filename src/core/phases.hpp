@@ -31,7 +31,7 @@ struct PhaseBreakdown {
   double compute = 0;    ///< refine work: join / index build (measured CPU)
   double spill = 0;      ///< shard spill/reload scratch I/O (modelled)
   double migrate = 0;    ///< owned-cell shard migration (rebalancing)
-  double checkpoint = 0;  ///< durable chunk-log + epoch-checkpoint writes (modelled)
+  double checkpoint = 0;  ///< durable extent-log + epoch-checkpoint writes (modelled)
   double recovery = 0;    ///< failure recovery: restore + replay (modelled + CPU)
   double compaction = 0;  ///< epoch compaction: base fold read/write I/O (modelled)
   /// Seconds of prep (parse + projection) and store-flush work hidden
@@ -59,7 +59,7 @@ struct PhaseBreakdown {
   std::uint64_t checkpointBytes = 0;   ///< durable bytes this rank wrote (log + epochs)
   std::uint64_t checkpointEpochs = 0;  ///< epochs this rank sealed
   std::uint64_t recoveryBytes = 0;     ///< durable bytes this rank read back recovering
-  std::uint64_t recoveryRounds = 0;    ///< data rounds replayed from the chunk log
+  std::uint64_t recoveryRounds = 0;    ///< data rounds replayed from the extent log
   std::uint64_t compactionBytes = 0;   ///< durable bytes written folding epochs into the base
   std::uint64_t reclaimedBytes = 0;    ///< durable bytes deleted by checkpoint GC
 

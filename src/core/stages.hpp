@@ -163,7 +163,7 @@ struct IngestResult {
 };
 
 /// Ingest (steps 1–2): read and parse `r` (and `s`) chunk by chunk into
-/// the stagers and the durable chunk log, layer L in blocks of the
+/// the stagers and the durable extent log, layer L in blocks of the
 /// resolved `chunk[L]` (resolveChunkBytes; kWholePartition = one-shot).
 /// Fills stats.{parseR, parseS, ioR, ioS}; `deferPrep` (round overlap)
 /// leaves the parse charge in the chunk's stager slot.

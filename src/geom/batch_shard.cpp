@@ -1,6 +1,8 @@
 #include "geom/batch_shard.hpp"
 
+#include <cstddef>
 #include <cstring>
+#include <iterator>
 
 #include "util/bytes.hpp"
 #include "util/crc32c.hpp"
@@ -37,12 +39,39 @@ char* putWord(char* cur, T v) {
   return cur + sizeof(T);
 }
 
+/// Iterator over `T` values stored unaligned at a byte pointer:
+/// vector::insert sizes an append once from it (random access) and copies
+/// the values in without zero-filling the new tail first.
+template <typename T>
+class WireColumn {
+ public:
+  using iterator_category = std::random_access_iterator_tag;
+  using value_type = T;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const T*;
+  using reference = T;
+
+  explicit WireColumn(const char* p) : p_(p) {}
+  T operator*() const { return readScalar<T>(p_); }
+  WireColumn& operator+=(difference_type k) {
+    p_ += k * static_cast<difference_type>(sizeof(T));
+    return *this;
+  }
+  WireColumn& operator++() { return *this += 1; }
+  WireColumn& operator--() { return *this += -1; }
+  difference_type operator-(const WireColumn& o) const {
+    return (p_ - o.p_) / static_cast<difference_type>(sizeof(T));
+  }
+  bool operator==(const WireColumn& o) const = default;
+
+ private:
+  const char* p_;
+};
+
 /// Append `n` values of `T` copied from the (unaligned) bytes at `src`.
 template <typename T>
 void appendColumn(std::vector<T>& dst, const char* src, std::size_t n) {
-  const std::size_t at = dst.size();
-  dst.resize(at + n);
-  if (n != 0) std::memcpy(dst.data() + at, src, n * sizeof(T));
+  dst.insert(dst.end(), WireColumn<T>(src), WireColumn<T>(src + n * sizeof(T)));
 }
 
 }  // namespace
@@ -143,13 +172,14 @@ struct ShardAccess {
     const char* userData = coords + nCoords * sizeof(Coord);
 
     // The arenas are appended first, so the structural walk reads aligned
-    // tokens and coordinates; any rejection truncates `out` back to the
-    // records it had.
+    // tokens and coordinates; each record's envelope is taken right after
+    // the walk passes its coordinates. Any rejection truncates `out` back
+    // to the records it had.
     const std::size_t before = out.size();
     try {
       appendColumn(out.shape_, shape, nShape);
       appendColumn(out.coords_, coords, nCoords);
-      appendColumn(out.userData_, userData, nUser);
+      out.userData_.insert(out.userData_.end(), userData, userData + nUser);
       const std::uint32_t* const s0 = out.shape_.data();
       const std::uint32_t* s = s0 + out.shapeBegin(before);
       const std::uint32_t* const sEnd = s0 + out.shape_.size();
@@ -159,6 +189,7 @@ struct ShardAccess {
       std::size_t userAt = out.userBegin(before);
       for (auto* ends : {&out.coordEnd_, &out.shapeEnd_, &out.userEnd_}) ends->resize(before + n);
       out.tags_.resize(before + n);
+      out.envelopes_.resize(before + n);
       for (std::size_t k = 0; k < n; ++k) {
         const auto shapeLen = readScalar<std::uint32_t>(shapeLens + k * sizeof(std::uint32_t));
         const auto userLen = readScalar<std::uint32_t>(userLens + k * sizeof(std::uint32_t));
@@ -166,9 +197,14 @@ struct ShardAccess {
                    "batch shard: bad shape lengths");
         MVIO_CHECK(userLen <= out.userData_.size() - userAt, "batch shard: bad userData lengths");
         const std::uint32_t* const recordEnd = s + shapeLen;
+        const Coord* const first = c;
         out.tags_[before + k] = static_cast<std::uint8_t>(*s);
         skipShapeNode(s, recordEnd, c, cEnd);
         MVIO_CHECK(s == recordEnd, "batch shard: shape length does not match its node");
+        // commitRecord's loop, so the envelope is bit-identical.
+        Envelope e;
+        e.expandToInclude(first, c);
+        out.envelopes_[before + k] = e;
         userAt += userLen;
         out.coordEnd_[before + k] = static_cast<std::size_t>(c - c0);
         out.shapeEnd_[before + k] = static_cast<std::size_t>(s - s0);
@@ -176,17 +212,7 @@ struct ShardAccess {
       }
       MVIO_CHECK(s == sEnd && c == cEnd && userAt == out.userData_.size(),
                  "batch shard: records do not cover the arenas");
-
       appendColumn(out.cells_, cells, n);
-      out.envelopes_.resize(before + n);
-      for (std::size_t i = before; i < out.size(); ++i) {
-        // commitRecord's loop, so the envelope is bit-identical.
-        Envelope e;
-        for (std::size_t v = out.coordBegin(i); v < out.coordEnd_[i]; ++v) {
-          e.expandToInclude(out.coords_[v]);
-        }
-        out.envelopes_[i] = e;
-      }
     } catch (...) {
       truncate(out, before);
       throw;

@@ -47,6 +47,19 @@ class Envelope {
     maxY_ = std::max(maxY_, c.y);
   }
 
+  /// Grow to cover every coordinate of [first, last): bit-identical to one
+  /// expandToInclude(c) per coordinate in order. Once an envelope is not
+  /// null it never becomes null again, so the null check runs only once.
+  void expandToInclude(const Coord* first, const Coord* last) {
+    if (first != last && isNull()) expandToInclude(*first++);
+    for (; first != last; ++first) {
+      minX_ = std::min(minX_, first->x);
+      minY_ = std::min(minY_, first->y);
+      maxX_ = std::max(maxX_, first->x);
+      maxY_ = std::max(maxY_, first->y);
+    }
+  }
+
   /// Grow to cover `other` (geometric union of rectangles — the MPI_UNION op).
   void expandToInclude(const Envelope& other) {
     if (other.isNull()) return;

@@ -198,7 +198,7 @@ void GeometryBatch::commitRecord(std::string_view userData, int cell) {
   recordOpen_ = false;
 
   Envelope e;
-  for (std::size_t k = openCoordMark_; k < coords_.size(); ++k) e.expandToInclude(coords_[k]);
+  e.expandToInclude(coords_.data() + openCoordMark_, coords_.data() + coords_.size());
 
   tags_.push_back(static_cast<std::uint8_t>(shape_[openShapeMark_]));
   envelopes_.push_back(e);

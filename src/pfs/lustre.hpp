@@ -13,8 +13,12 @@
 //    already queued on the OST, giving the mild post-peak decline the
 //    paper observes at 72 nodes.
 //
-// Stripe placement: stripe s of a file lives on OST (firstOst + s) mod
-// stripeCount, matching Lustre's round-robin layout.
+// Stripe placement: stripe s of a file lives on OST s mod stripeCount —
+// Lustre's round-robin layout, except that the model has no per-file
+// first OST: every file starts on OST 0. Requests priced at offset 0 of a
+// default 1 MiB x 4 layout (SpillPricer::onVolume: spill, checkpoint and
+// recovery blobs) therefore all queue on OST 0 when they fit in one
+// stripe.
 
 #include <mutex>
 #include <vector>

@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/bytes.hpp"
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 
 namespace mvio::recovery {
@@ -23,14 +24,13 @@ constexpr std::uint32_t kManifestMagic = 0x5243564Du;  // "MVCR"
 constexpr std::uint32_t kIngestMagic = 0x4943564Du;    // "MVCI"
 constexpr std::uint32_t kBaseMagic = 0x4243564Du;      // "MVCB"
 constexpr std::uint32_t kVersion = 1;
+/// Ingest-manifest-only version: v2 holds the extent log (v1 held the
+/// chunk counts of a log of parsed-batch blobs).
+constexpr std::uint32_t kIngestVersion = 2;
 /// Seal-only version: v2 appends the run's encoded partition map
 /// (length-prefixed) between the manifest checksums and the trailing
 /// checksum. The other blob codecs are unchanged and keep kVersion.
 constexpr std::uint32_t kSealVersion = 2;
-
-std::string chunkName(int layer, std::uint64_t chunk) {
-  return std::string("ing.") + layerTag(layer) + "." + std::to_string(chunk);
-}
 
 std::string manifestName(bool base, std::uint64_t epoch) {
   return base ? "base.manifest" : "ep" + std::to_string(epoch) + ".manifest";
@@ -64,9 +64,18 @@ std::string shardName(bool base, std::uint64_t epoch, int layer, std::uint64_t s
 std::string encodeIngestManifest(const IngestLog& log) {
   std::string m;
   putScalar<std::uint32_t>(m, kIngestMagic);
-  putScalar<std::uint32_t>(m, kVersion);
-  putScalar<std::uint64_t>(m, log.chunks[0]);
-  putScalar<std::uint64_t>(m, log.chunks[1]);
+  putScalar<std::uint32_t>(m, kIngestVersion);
+  for (const std::vector<LoggedChunk>& chunks : log.chunks) {
+    putScalar<std::uint64_t>(m, chunks.size());
+    for (const LoggedChunk& c : chunks) {
+      putScalar<std::uint64_t>(m, c.extents.size());
+      putScalar<std::uint64_t>(m, c.crc);
+      for (const core::FileExtent& e : c.extents) {
+        putScalar<std::uint64_t>(m, e.offset);
+        putScalar<std::uint64_t>(m, e.length);
+      }
+    }
+  }
   putScalar<std::uint64_t>(m, fnv1a(m.data(), m.size()));
   return m;
 }
@@ -156,25 +165,18 @@ std::uint64_t CheckpointCoordinator::writeShardSet(ShardSetManifest& set,
   return checksum;
 }
 
-void CheckpointCoordinator::setRoundSchedule(std::uint64_t roundsR, std::uint64_t roundsS) {
-  roundsR_ = roundsR;
-  roundsS_ = roundsS;
-}
-
-void CheckpointCoordinator::logChunk(int layer, const geom::GeometryBatch& chunk) {
+void CheckpointCoordinator::logChunk(int layer, const std::vector<core::FileExtent>& extents,
+                                     std::string_view text) {
   if (!enabled()) return;
-  std::string blob;
-  geom::encodeShard(chunk, blob);
-  chunkBytes_[layer].push_back(blob.size());
-  put(chunkName(layer, chunkBytes_[layer].size() - 1), std::move(blob));
+  std::uint64_t bytes = 0;
+  for (const core::FileExtent& e : extents) bytes += e.length;
+  MVIO_CHECK(bytes == text.size(), "extent log: the extents do not cover the chunk text");
+  log_.chunks[layer].push_back({extents, util::crc32c(text.data(), text.size())});
 }
 
 void CheckpointCoordinator::sealIngest() {
   if (!enabled()) return;
-  IngestLog log;
-  log.chunks[0] = chunkBytes_[0].size();
-  log.chunks[1] = chunkBytes_[1].size();
-  put("ing.manifest", encodeIngestManifest(log));
+  put("ing.manifest", encodeIngestManifest(log_));
 }
 
 void CheckpointCoordinator::noteRound(int layer, const geom::GeometryBatch& delivered) {
@@ -282,10 +284,10 @@ void CheckpointCoordinator::maybeCompact(const std::vector<int>& cellOwner) {
   next.rounds = target * cfg_.checkpointEveryRounds;
   writeShardSet(next, folded);
 
-  // 3. GC everything the new base supersedes: the old base, the folded
+  // 3. GC everything the new base supersedes: the old base and the folded
   // delta shards (their manifests stay — the seal scan validates against
-  // them), and the chunk-log rounds the base covers. Deletes are metadata
-  // operations: no time is charged, only the reclaimed volume counted.
+  // them). Deletes are metadata operations: no time is charged, only the
+  // reclaimed volume counted.
   std::uint64_t reclaimed = 0;
   for (const ShardSetManifest& set : sets) {
     for (int layer = 0; layer < 2; ++layer) {
@@ -298,18 +300,6 @@ void CheckpointCoordinator::maybeCompact(const std::vector<int>& cellOwner) {
       }
     }
   }
-  const std::uint64_t coveredRounds = std::min(next.rounds, roundsR_ + roundsS_);
-  for (std::uint64_t t = truncatedRounds_ + 1; t <= coveredRounds; ++t) {
-    const int layer = t <= roundsR_ ? 0 : 1;
-    const std::uint64_t idx = layer == 0 ? t - 1 : t - roundsR_ - 1;
-    if (idx >= chunkBytes_[layer].size()) continue;  // this rank logged fewer chunks
-    const std::string name = chunkName(layer, idx);
-    if (rankStore_.contains(name)) {
-      reclaimed += chunkBytes_[layer][idx];
-      rankStore_.remove(name);
-    }
-  }
-  truncatedRounds_ = std::max(truncatedRounds_, coveredRounds);
   phases_->reclaimedBytes += reclaimed;
   baseEpoch_ = target;
 }
@@ -496,31 +486,71 @@ std::uint64_t loadShardSet(pfs::Volume& volume, const std::string& dir, int worl
 }
 
 IngestLog readIngestLog(pfs::Volume& volume, const std::string& dir, int worldRank,
-                        std::uint64_t* bytesRead) {
+                        const std::array<std::uint64_t, 2>& inputBytes, std::uint64_t* bytesRead) {
+  const std::string who = " for rank " + std::to_string(worldRank);
   std::string blob;
   MVIO_CHECK(fetchIfPresent(volume, rankPrefix(dir, worldRank), "ing.manifest", blob, bytesRead),
-             "recovery: rank " + std::to_string(worldRank) + " has no ingest manifest");
-  constexpr std::size_t kBytes = 4 + 4 + 8 + 8 + 8;
-  MVIO_CHECK(blob.size() == kBytes &&
-                 fnv1a(blob.data(), kBytes - 8) == readScalar<std::uint64_t>(blob.data() + kBytes - 8) &&
+             "recovery: no ingest manifest" + who);
+  MVIO_CHECK(blob.size() >= 4 + 4 + 8 + 8 + 8 &&
+                 fnv1a(blob.data(), blob.size() - 8) ==
+                     readScalar<std::uint64_t>(blob.data() + blob.size() - 8) &&
                  readScalar<std::uint32_t>(blob.data()) == kIngestMagic &&
-                 readScalar<std::uint32_t>(blob.data() + 4) == kVersion,
-             "recovery: corrupt ingest manifest for rank " + std::to_string(worldRank));
+                 readScalar<std::uint32_t>(blob.data() + 4) == kIngestVersion,
+             "recovery: corrupt ingest manifest" + who);
+  const char* p = blob.data() + 8;
+  const char* const end = blob.data() + blob.size() - 8;
+  const auto word = [&] {
+    MVIO_CHECK(end - p >= 8, "recovery: truncated ingest manifest" + who);
+    const auto w = readScalar<std::uint64_t>(p);
+    p += 8;
+    return w;
+  };
+  // A chunk and an extent each take 16 bytes: every count is bounded by
+  // the bytes left, by division, before it sizes anything.
+  const auto count = [&] {
+    const std::uint64_t n = word();
+    MVIO_CHECK(n <= static_cast<std::uint64_t>(end - p) / 16,
+               "recovery: ingest manifest count exceeds its bytes" + who);
+    return static_cast<std::size_t>(n);
+  };
   IngestLog log;
-  log.chunks[0] = readScalar<std::uint64_t>(blob.data() + 8);
-  log.chunks[1] = readScalar<std::uint64_t>(blob.data() + 16);
+  for (std::size_t layer = 0; layer < 2; ++layer) {
+    log.chunks[layer].resize(count());
+    for (LoggedChunk& c : log.chunks[layer]) {
+      c.extents.resize(count());
+      const std::uint64_t crc = word();
+      MVIO_CHECK(crc <= UINT32_MAX, "recovery: corrupt ingest manifest" + who);
+      c.crc = static_cast<std::uint32_t>(crc);
+      for (core::FileExtent& e : c.extents) {
+        e.offset = word();
+        e.length = word();
+        MVIO_CHECK(e.length <= inputBytes[layer] && e.offset <= inputBytes[layer] - e.length,
+                   "recovery: ingest manifest extent ends past its input file" + who);
+      }
+    }
+  }
+  MVIO_CHECK(p == end, "recovery: corrupt ingest manifest" + who);
   return log;
 }
 
-std::uint64_t loadLoggedChunk(pfs::Volume& volume, const std::string& dir, int worldRank,
-                              int layer, std::uint64_t chunk, geom::GeometryBatch& out,
-                              std::uint64_t* bytesRead) {
-  std::string blob;
-  MVIO_CHECK(fetchIfPresent(volume, rankPrefix(dir, worldRank), chunkName(layer, chunk), blob,
-                            bytesRead),
-             "recovery: missing logged chunk " + chunkName(layer, chunk) + " of rank " +
-                 std::to_string(worldRank));
-  return geom::decodeShard(blob, out);
+std::uint64_t reparseLoggedChunk(mpi::Comm& comm, pfs::Volume& volume,
+                                 const core::DatasetHandle& input, const LoggedChunk& chunk,
+                                 geom::GeometryBatch& out) {
+  const std::shared_ptr<pfs::FileObject> file = volume.lookup(input.path);
+  std::string text;
+  for (const core::FileExtent& e : chunk.extents) {
+    MVIO_CHECK(e.length <= file->data->size() && e.offset <= file->data->size() - e.length,
+               "recovery: logged extent ends past " + input.path);
+    const std::size_t at = text.size();
+    text.resize(at + static_cast<std::size_t>(e.length));
+    file->data->read(e.offset, text.data() + at, static_cast<std::size_t>(e.length));
+    comm.clock().advanceTo(volume.model().read(comm.nodeId(), file->stripe, e.offset, e.length,
+                                               comm.clock().now()));
+  }
+  MVIO_CHECK(util::crc32c(text.data(), text.size()) == chunk.crc,
+             "recovery: " + input.path + " changed since ingest (logged chunk checksum mismatch)");
+  input.reader().parseAll(text, out);
+  return text.size();
 }
 
 }  // namespace mvio::recovery

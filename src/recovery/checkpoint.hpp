@@ -4,17 +4,22 @@
 // The filter-refine rounds assume every rank survives the run; at scale
 // that assumption fails, and restarting a multi-hour ingest because one
 // rank died is unacceptable. This module makes the pipeline's state
-// recoverable by persisting two kinds of durable, self-describing blobs
-// on the pfs::Volume (both reuse the checksummed BatchShard codec the
-// spill and migration paths already speak):
+// recoverable by persisting durable, self-describing blobs on the
+// pfs::Volume:
 //
-//  * Chunk log (write-ahead): at ingest time every parsed chunk is
-//    written to "<dir>/rank<w>/ing.<layer>.<i>" before any exchange
-//    round runs, plus a per-rank "ing.manifest" recording the chunk
-//    counts. Because projection and ownership are deterministic, any
-//    survivor can later re-derive any round's deliveries from these
-//    blobs alone — no re-read of the input file, and no dependence on
-//    the ring protocol of the kMessage partitioner.
+//  * Extent log (write-ahead): the input file is already durable and does
+//    not change during a run, so the log keeps no copy of it. For every
+//    chunk a rank ingests it records where the chunk's text lies in the
+//    layer's input file — the PartitionReader's extents — and the
+//    CRC-32C of those bytes. At the end of ingest, before any exchange
+//    round runs, each rank writes them all in one "<dir>/rank<w>/
+//    ing.manifest". Because parsing, projection and ownership are
+//    deterministic, any survivor can later re-derive any round's
+//    deliveries by re-reading a chunk's extents from the input file with
+//    independent reads and re-parsing them with the layer's FormatReader
+//    — no dependence on the ring protocol of the kMessage partitioner. A
+//    changed input fails the CRC check and is a util::Error, never a
+//    silently different result.
 //
 //  * Epoch checkpoints: every StreamConfig::checkpointEveryRounds data
 //    rounds, each rank writes the records that arrived in its owned
@@ -32,15 +37,16 @@
 //    rank folds its old epochs into one base ("base<E>.<layer>.<k>" +
 //    "base.manifest") and garbage-collects what the base covers.
 //
-// A delta and the base are both a ShardSetManifest: one codec, one
+// A delta and the base are both a ShardSetManifest over the checksummed
+// BatchShard codec the spill and migration paths speak: one codec, one
 // loader (loadShardSet), told apart only by magic and blob names. The
 // concatenation of a rank's sets up to epoch E (readShardSets: base,
 // then the later deltas) is exactly the records delivered to it in
 // rounds 1..roundsCompleted(E) — the arrival-ordered owned-cell state.
 // Recovery (recovery.hpp) restores a dead rank's cells from these sets
-// and replays the rounds between the seal and the kill from the chunk
+// and replays the rounds between the seal and the kill from the extent
 // log; the round loop then resumes on the survivors, and only the dead
-// ranks' logged chunks are read back for the rounds after the kill
+// ranks' logged chunks are re-read for the rounds after the kill
 // (AdoptedLogs). The compaction fold reads through the same path as the
 // restore.
 //
@@ -48,11 +54,14 @@
 // (pfs::SpillPricer::onVolume — checkpoints contend with every other
 // rank's PFS traffic) and lands in PhaseBreakdown::{checkpoint,
 // checkpointBytes, checkpointEpochs} (the fold in {compaction,
-// compactionBytes, reclaimedBytes}).
+// compactionBytes, reclaimedBytes}). Extent re-reads are priced on the
+// input file's own stripes (reparseLoggedChunk).
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/framework.hpp"
@@ -82,6 +91,21 @@ std::string globalPrefix(const std::string& dir);
 
 struct ShardSetManifest;
 
+/// One logged chunk: the input-file extents its text was read from, in
+/// order, and the CRC-32C of their concatenated bytes.
+struct LoggedChunk {
+  std::vector<core::FileExtent> extents;
+  std::uint32_t crc = 0;
+  bool operator==(const LoggedChunk&) const = default;
+};
+
+/// One rank's extent log, as the ingest manifest records it: every chunk
+/// the rank ingested, per layer (0 = R, 1 = S), in ingest order.
+struct IngestLog {
+  std::vector<LoggedChunk> chunks[2];
+  bool operator==(const IngestLog&) const = default;
+};
+
 /// Writer side, one instance per rank per run. Reads its settings from
 /// the run's StreamConfig: checkpointEveryRounds (0 = off), checkpointDir,
 /// tearEpochSeal and compaction. All methods are rank-local except
@@ -94,13 +118,16 @@ class CheckpointCoordinator {
   [[nodiscard]] bool enabled() const { return cfg_.checkpointEveryRounds != 0; }
   [[nodiscard]] std::uint64_t epochsSealed() const { return epoch_; }
 
-  /// Write-ahead chunk log: persist one parsed (pre-projection) chunk of
-  /// `layer` durably. Called from the ingest loop, so every chunk of
-  /// every rank is on the volume before the first exchange round.
-  void logChunk(int layer, const geom::GeometryBatch& chunk);
+  /// Write-ahead extent log: note one ingested chunk of `layer` — the
+  /// `extents` of the layer's input file whose bytes, concatenated, are
+  /// `text` — with the CRC-32C of `text`. Called from the ingest loop for
+  /// every chunk, empty ones included; nothing is written until
+  /// sealIngest.
+  void logChunk(int layer, const std::vector<core::FileExtent>& extents, std::string_view text);
 
-  /// Close the chunk log (per-rank ingest manifest with the final chunk
-  /// counts). Call once, after both layers ingested.
+  /// Make the extent log durable: write every logged chunk's extents and
+  /// checksum in the per-rank ingest manifest. Call once, after both
+  /// layers ingested and before the first exchange round.
   void sealIngest();
 
   /// Record one data round's deliveries to this rank (the post-exchange
@@ -117,12 +144,6 @@ class CheckpointCoordinator {
   /// its old epochs into the base checkpoint and garbage-collects
   /// (rank-local, after the seal barrier).
   bool maybeCheckpoint(std::uint64_t globalRound, const std::vector<int>& cellOwner);
-
-  /// Tell the coordinator the agreed data-round schedule (allreduced
-  /// chunk counts per layer) so chunk-log GC can map covered rounds back
-  /// to blob names. Until it is set, compaction folds epochs but leaves
-  /// the chunk log alone.
-  void setRoundSchedule(std::uint64_t roundsR, std::uint64_t roundsS);
 
   /// Attach the run's encoded partition map (core/partition_map.hpp) so
   /// every epoch seal carries it. Call after the map is built, before the
@@ -152,13 +173,9 @@ class CheckpointCoordinator {
 
   geom::GeometryBatch delta_[2];          ///< arrivals since the last epoch, per layer
   std::vector<std::uint64_t> cellLoads_;  ///< cumulative per-cell arrival counts
-  /// Encoded size of each logged chunk, per layer (GC accounting); the
-  /// length is the layer's chunk count.
-  std::vector<std::uint64_t> chunkBytes_[2];
+  IngestLog log_;                         ///< the extent log, written by sealIngest
   std::uint64_t epoch_ = 0;
   std::uint64_t baseEpoch_ = 0;           ///< newest committed base (0 = none)
-  std::uint64_t truncatedRounds_ = 0;     ///< chunk-log rounds already GC'd
-  std::uint64_t roundsR_ = 0, roundsS_ = 0;
   std::string partitionMap_;  ///< encoded map embedded in every seal ("" = pre-map runs)
 };
 
@@ -201,16 +218,13 @@ struct EpochSeal {
   std::string partitionMap;
 };
 
-/// Per-rank chunk counts from the ingest manifest (see readIngestLog).
-struct IngestLog {
-  std::uint64_t chunks[2] = {0, 0};
-};
-
 // ---- Durable codec encoders -----------------------------------------------
 // The exact byte layouts the readers below validate, exposed so
 // crash-consistency and fuzz tests can build well-formed blobs and then
 // corrupt them. Every encoding ends with a trailing fnv1a checksum of all
-// preceding bytes.
+// preceding bytes. The ingest manifest (v2) is magic "MVCI", version, then
+// per layer a chunk count and per chunk [extent count u64][CRC-32C u64]
+// [offset u64, length u64]...
 std::string encodeIngestManifest(const IngestLog& log);
 std::string encodeShardSetManifest(const ShardSetManifest& set);
 std::string encodeEpochSeal(const EpochSeal& seal);
@@ -274,15 +288,26 @@ std::uint64_t loadShardSet(pfs::Volume& volume, const std::string& dir, int worl
                            const std::vector<int>& sealOwner, geom::GeometryBatch& out,
                            std::uint64_t* bytesRead = nullptr);
 
-/// Per-rank chunk counts from the ingest manifest. Throws util::Error
-/// when the manifest is missing or corrupt (the chunk log is the replay
-/// source of truth; without it recovery is impossible).
+/// One rank's extent log from its ingest manifest. `inputBytes` holds
+/// the size of each layer's input file (0 for an absent layer). Throws
+/// util::Error when the manifest is missing or corrupt — a bad checksum,
+/// a chunk or extent count larger than the bytes left can hold (checked
+/// before anything is allocated), or an extent that ends past its input
+/// file (the log is the replay source of truth; without it recovery is
+/// impossible).
 IngestLog readIngestLog(pfs::Volume& volume, const std::string& dir, int worldRank,
+                        const std::array<std::uint64_t, 2>& inputBytes,
                         std::uint64_t* bytesRead = nullptr);
 
-/// Reload one logged chunk (pre-projection records), appending to `out`.
-std::uint64_t loadLoggedChunk(pfs::Volume& volume, const std::string& dir, int worldRank,
-                              int layer, std::uint64_t chunk, geom::GeometryBatch& out,
-                              std::uint64_t* bytesRead = nullptr);
+/// Re-read one logged chunk of `input` — one independent read per extent,
+/// each priced by the volume's storage model on the input file's own
+/// stripes as issued by `comm`'s node, advancing its clock — check the
+/// bytes against the logged CRC-32C and parse them with the layer's
+/// FormatReader (serially), appending the pre-projection records to
+/// `out`. Throws util::Error when the bytes no longer match (the input
+/// changed since ingest). Returns the bytes read.
+std::uint64_t reparseLoggedChunk(mpi::Comm& comm, pfs::Volume& volume,
+                                 const core::DatasetHandle& input, const LoggedChunk& chunk,
+                                 geom::GeometryBatch& out);
 
 }  // namespace mvio::recovery

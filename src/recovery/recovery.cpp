@@ -35,9 +35,20 @@ void rehomeOrphans(std::vector<int>& owner, const std::vector<char>& orphan,
   }
 }
 
+/// Each layer's input file size (0 for an absent layer): the bound the
+/// extent log's manifest is checked against.
+std::array<std::uint64_t, 2> inputSizes(pfs::Volume& volume, const InputLayers& inputs) {
+  std::array<std::uint64_t, 2> bytes = {0, 0};
+  for (std::size_t layer = 0; layer < 2; ++layer) {
+    if (inputs[layer] != nullptr) bytes[layer] = volume.lookup(inputs[layer]->path)->data->size();
+  }
+  return bytes;
+}
+
 /// The detection loop's state, shared by its recovery passes.
 struct RecoveryContext {
   const core::StreamConfig& stream;  ///< where the durable blobs live
+  const InputLayers& inputs;         ///< where the extent log points, and how to parse it
   const FaultPlan& faults;           ///< firstKillRound: rounds completed at the first failure
   const std::uint64_t (&rounds)[2];  ///< original data-round schedule (R, S)
   /// The run's partition map (uniform or adaptive). Replay re-projects
@@ -55,7 +66,8 @@ struct RecoveryContext {
 /// communicator, appending restored and replayed records into the owned
 /// stores. The pass re-homes stats.cellOwner (the map before the wave,
 /// round-robin on the first pass) in place and adds to stats.recovery.
-/// Charges modelled read I/O and replay CPU to the recovery phase fields.
+/// Charges modelled read I/O (durable blobs and input re-reads) and
+/// replay CPU to the recovery phase fields.
 void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryContext& ctx,
                         core::CellStore& ownedR, core::CellStore* ownedS,
                         core::FrameworkStats& stats) {
@@ -72,8 +84,9 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
   // Decode + re-projection CPU is charged alongside the modelled reads.
   mpi::CpuCharge cpu(survivors);
   const pfs::SpillPricer pricer = pfs::SpillPricer::onVolume(volume, survivors.nodeId());
-  std::uint64_t bytesRead = 0;
+  std::uint64_t bytesRead = 0;     ///< durable blobs, priced by chargeReads
   std::uint64_t chargedBytes = 0;
+  std::uint64_t inputBytes = 0;    ///< input re-reads, priced as they are issued
   // Charge the durable reads accumulated since the last call (modelled
   // PFS traffic; contention with the other recovering survivors).
   auto chargeReads = [&] {
@@ -169,7 +182,7 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
   }
   chargeReads();
 
-  // 4. Replay rounds sealedRound+1..failRound from the chunk log for the
+  // 4. Replay rounds sealedRound+1..failRound from the extent log for the
   // orphaned cells only: the survivors already hold every other delivery
   // of those rounds, and the rounds after the failure run in the resumed
   // round loop (AdoptedLogs). A cascading pass replays the same span for
@@ -193,9 +206,10 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
 
   std::vector<IngestLog> logs(static_cast<std::size_t>(ctx.worldSize));
   if (sealedRound < failRound) {
+    const std::array<std::uint64_t, 2> sizes = inputSizes(volume, ctx.inputs);
     for (int q = 0; q < ctx.worldSize; ++q) {
       if (srcSurvivor(q) != survivors.rank()) continue;
-      logs[static_cast<std::size_t>(q)] = readIngestLog(volume, dir, q, &bytesRead);
+      logs[static_cast<std::size_t>(q)] = readIngestLog(volume, dir, q, sizes, &bytesRead);
     }
   }
   core::ExchangeScratch scratch;
@@ -203,15 +217,19 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
     const int layer = t <= ctx.rounds[0] ? 0 : 1;
     const std::uint64_t chunk = layer == 0 ? t - 1 : t - ctx.rounds[0] - 1;
     if (stores[layer] == nullptr) continue;
-    // Each survivor reads + re-projects only its own source block and
-    // ships every orphaned-cell record to the cell's new owner.
+    // Each survivor re-reads, re-parses and re-projects only its own
+    // source block and ships every orphaned-cell record to the cell's new
+    // owner.
     sim::ThreadCpuTimer localCpu;
     geom::GeometryBatch ship;
     for (int q = 0; q < ctx.worldSize; ++q) {
       if (srcSurvivor(q) != survivors.rank()) continue;
-      if (chunk >= logs[static_cast<std::size_t>(q)].chunks[layer]) continue;
+      const std::vector<LoggedChunk>& logged = logs[static_cast<std::size_t>(q)].chunks[layer];
+      if (chunk >= logged.size()) continue;
       geom::GeometryBatch raw;
-      loadLoggedChunk(volume, dir, q, layer, chunk, raw, &bytesRead);
+      inputBytes += reparseLoggedChunk(survivors, volume,
+                                       *ctx.inputs[static_cast<std::size_t>(layer)], logged[chunk],
+                                       raw);
       const geom::GeometryBatch projected = core::projectToCells(map, nullptr, std::move(raw));
       for (std::size_t i = 0; i < projected.size(); ++i) {
         const int cell = projected.cell(i);
@@ -234,7 +252,7 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
 
   chargeReads();  // reads accumulated outside the per-round charging
   stats.phases.recovery += survivors.clock().now() - t0;
-  stats.phases.recoveryBytes += bytesRead;
+  stats.phases.recoveryBytes += bytesRead + inputBytes;
   stats.phases.recoveryRounds += failRound - sealedRound;
   obs::addCount("recovery.restored_records", restoredRecords);
   obs::addCount("recovery.replayed_records", replayedRecords);
@@ -288,7 +306,7 @@ FaultPlan planFaults(const std::vector<sim::FailureEvent>& schedule, int worldSi
 
 std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
                                     const FaultPlan& faults, const core::StreamConfig& sc,
-                                    const std::uint64_t (&rounds)[2],
+                                    const InputLayers& inputs, const std::uint64_t (&rounds)[2],
                                     const core::PartitionMap& map, core::CellStore& ownedR,
                                     core::CellStore* ownedS, core::FrameworkStats& stats) {
   // Each iteration is one detection allgather over the current
@@ -298,7 +316,7 @@ std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
   // past the first kill is recovery territory) are caught by the next
   // iteration. The seal-scan cache makes the repeated recovery-point
   // scans free; seeded LPT re-homing composes across the shrinks.
-  RecoveryContext ctx{sc, faults, rounds, map, active.size(), {}, {}, {}, {}};
+  RecoveryContext ctx{sc, inputs, faults, rounds, map, active.size(), {}, {}, {}, {}};
   const int me = active.worldRank();
   bool alive = true;
   for (std::size_t wave = 0;; ++wave) {
@@ -330,13 +348,9 @@ std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
 }
 
 AdoptedLogs::AdoptedLogs(mpi::Comm& survivors, pfs::Volume& volume, const core::StreamConfig& sc,
-                         int worldSize, const std::vector<int>& survivorWorld,
-                         core::PhaseBreakdown& phases)
-    : comm_(&survivors),
-      volume_(&volume),
-      dir_(sc.checkpointDir),
-      phases_(&phases),
-      pricer_(pfs::SpillPricer::onVolume(volume, survivors.nodeId())) {
+                         const InputLayers& inputs, int worldSize,
+                         const std::vector<int>& survivorWorld, core::PhaseBreakdown& phases)
+    : comm_(&survivors), volume_(&volume), inputs_(inputs), phases_(&phases) {
   MVIO_CHECK(!survivorWorld.empty() && std::is_sorted(survivorWorld.begin(), survivorWorld.end()),
              "recovery: survivor ranks must be ascending");
   const int me = survivors.worldRank();
@@ -351,8 +365,12 @@ AdoptedLogs::AdoptedLogs(mpi::Comm& survivors, pfs::Volume& volume, const core::
   if (ranks_.empty()) return;
   const double t0 = survivors.clock().now();
   std::uint64_t bytes = 0;
-  for (const int q : ranks_) logs_.push_back(readIngestLog(volume, dir_, q, &bytes));
-  survivors.clock().advanceBy(pricer_.seconds(bytes, /*isWrite=*/false, t0));
+  const std::array<std::uint64_t, 2> sizes = inputSizes(volume, inputs);
+  for (const int q : ranks_) {
+    logs_.push_back(readIngestLog(volume, sc.checkpointDir, q, sizes, &bytes));
+  }
+  const pfs::SpillPricer pricer = pfs::SpillPricer::onVolume(volume, survivors.nodeId());
+  survivors.clock().advanceBy(pricer.seconds(bytes, /*isWrite=*/false, t0));
   obs::traceSpanAt("recovery", t0, survivors.clock().now());
   phases_->recovery += survivors.clock().now() - t0;
   phases_->recoveryBytes += bytes;
@@ -367,18 +385,21 @@ geom::GeometryBatch AdoptedLogs::surround(int layer, std::uint64_t chunk,
   std::uint64_t bytes = 0;
   geom::GeometryBatch out;
   // Each chunk is projected on its own, so its replicated records follow
-  // its primaries exactly as in the dead rank's failure-free send.
+  // its primaries exactly as in the dead rank's failure-free send. The
+  // input re-reads advance the clock as they are issued; the CPU is
+  // charged after.
   const auto adopt = [&](std::size_t k) {
-    if (chunk >= logs_[k].chunks[layer]) return;
+    const std::vector<LoggedChunk>& logged = logs_[k].chunks[layer];
+    if (chunk >= logged.size()) return;
     geom::GeometryBatch raw;
-    loadLoggedChunk(*volume_, dir_, ranks_[k], layer, chunk, raw, &bytes);
+    bytes += reparseLoggedChunk(*comm_, *volume_, *inputs_[static_cast<std::size_t>(layer)],
+                                logged[chunk], raw);
     out.splice(core::projectToCells(map, nullptr, std::move(raw)));
   };
   for (std::size_t k = 0; k < before_; ++k) adopt(k);
   out.splice(std::move(own));
   for (std::size_t k = before_; k < ranks_.size(); ++k) adopt(k);
   comm_->clock().advanceBy(cpu.elapsed());
-  comm_->clock().advanceBy(pricer_.seconds(bytes, /*isWrite=*/false, comm_->clock().now()));
   obs::traceSpanAt("recovery", t0, comm_->clock().now());
   phases_->recovery += comm_->clock().now() - t0;
   phases_->recoveryBytes += bytes;

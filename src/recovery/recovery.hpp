@@ -9,13 +9,14 @@
 // one allgather of alive flags (the simulation's stand-in for a failure
 // detector), the communicator is shrunk to the survivors, and the dead
 // ranks leave with their volatile state. The survivors then rebuild the
-// lost state from the durable blobs the CheckpointCoordinator wrote:
+// lost state from the durable blobs the CheckpointCoordinator wrote and
+// from the input files themselves:
 //
 //  1. Agree on the recovery point: scan epoch seals newest-first and
 //     adopt the newest *fully sealed* epoch E (torn or partial epochs
 //     are skipped). All survivors read the same blobs, so no extra
 //     agreement round is needed. E may be 0 — recovery then replays
-//     every round up to the kill from the chunk log.
+//     every round up to the kill from the extent log.
 //
 //  2. Re-home orphaned cells: cells owned by dead ranks are reassigned
 //     with a greedy LPT pass over the survivors only, seeded with each
@@ -33,14 +34,19 @@
 //     cells it now owns.
 //
 //  4. Replay: rounds E_rounds+1..K (K = the kill round) are re-derived
-//     from the chunk log for the orphaned cells only — the survivors
+//     from the extent log for the orphaned cells only — the survivors
 //     already hold every other delivery of those rounds. The survivors
 //     split the logged chunks by source rank (contiguous blocks, so
-//     concatenating ascending survivors preserves the source order),
-//     each re-projects only its block, and one exchangeByCell per round
-//     routes the orphaned-cell records to their new owners — aggregate
-//     replay reads are O(log), not O(survivors·log). A lone survivor
-//     reads every log and routes through a 1-rank exchange.
+//     concatenating ascending survivors preserves the source order);
+//     each re-reads its block's chunks from the input files (independent
+//     reads of the logged extents, priced on the inputs' own stripes),
+//     checks their CRC-32C, re-parses them with the layer's FormatReader
+//     and re-projects them, and one exchangeByCell per round routes the
+//     orphaned-cell records to their new owners — aggregate replay reads
+//     are one copy of those rounds' input, not survivors copies. A lone
+//     survivor re-reads every rank's chunks and routes through a 1-rank
+//     exchange. Re-parsing counts in the recovery phase, never in
+//     FrameworkStats::parseR/parseS.
 //
 // A pass is re-entrant for cascading failures: a wave of deaths detected
 // *during* recovery is the loop's next iteration, which shrinks the
@@ -54,17 +60,18 @@
 // The round loop then resumes on the survivor communicator for rounds
 // K+1..total. Each survivor exchanges its own staged chunk, exactly as
 // in the failure-free run, together with the logged chunks of the dead
-// ranks it adopts (AdoptedLogs): a dead rank goes to the nearest
-// survivor below it, or to the lowest survivor when none is below. Each
-// survivor's send is then in ascending source order, and so is the
-// exchange's per-phase output. Only the dead ranks' share of the chunk
-// log is read back after the kill.
+// ranks it adopts (AdoptedLogs), re-read from the input and re-parsed as
+// in step 4: a dead rank goes to the nearest survivor below it, or to
+// the lowest survivor when none is below. Each survivor's send is then in
+// ascending source order, and so is the exchange's per-phase output.
+// Only the dead ranks' share of the input is re-read after the kill.
 //
 // The refine phase then runs unchanged over the survivor communicator
 // and the recovered stores — join, index, and overlay results are
 // bit-identical to the failure-free run (tests/test_recovery.cpp,
 // tests/test_fault_soak.cpp).
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -76,6 +83,10 @@
 #include "sim/machine.hpp"
 
 namespace mvio::recovery {
+
+/// The run's input layers (R, S; S null for a single-layer run): the
+/// files the extent log points into and the formats that re-parse them.
+using InputLayers = std::array<const core::DatasetHandle*, 2>;
 
 /// One rank's view of a validated fault schedule.
 struct FaultPlan {
@@ -98,7 +109,7 @@ FaultPlan planFaults(const std::vector<sim::FailureEvent>& schedule, int worldSi
 
 /// The detection loop, run by every rank of `active` at the first kill
 /// boundary (`rounds` data rounds per layer, R then S, in the schedule;
-/// `ownedS` null for single-layer runs). Each iteration allgathers alive
+/// `ownedS` and inputs[1] null for single-layer runs). Each iteration allgathers alive
 /// flags; new deaths shrink `active` to the survivors, who run one
 /// recovery pass appending restored and replayed records into the (not
 /// yet finalized) owned stores: the sealed arrivals of the orphaned cells
@@ -110,34 +121,36 @@ FaultPlan planFaults(const std::vector<sim::FailureEvent>& schedule, int worldSi
 /// further collective.
 std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
                                     const FaultPlan& faults, const core::StreamConfig& sc,
-                                    const std::uint64_t (&rounds)[2],
+                                    const InputLayers& inputs, const std::uint64_t (&rounds)[2],
                                     const core::PartitionMap& map, core::CellStore& ownedR,
                                     core::CellStore* ownedS, core::FrameworkStats& stats);
 
-/// One survivor's share of the dead ranks' chunk logs in the resumed
+/// One survivor's share of the dead ranks' extent logs in the resumed
 /// round loop. Built on the stable survivor communicator once
 /// recoverUntilStable returns; reads the adopted ranks' ingest manifests
-/// up front. Reads, decode and projection of adopted chunks are charged
-/// to the rank clock and to the recovery phase fields of `phases`.
+/// up front. Input re-reads, re-parse and projection of adopted chunks
+/// are charged to the rank clock and to the recovery phase fields of
+/// `phases`.
 class AdoptedLogs {
  public:
   /// `survivorWorld` is the recoverUntilStable result (ascending world
   /// ranks) and `worldSize` the launch communicator's size.
   AdoptedLogs(mpi::Comm& survivors, pfs::Volume& volume, const core::StreamConfig& sc,
-              int worldSize, const std::vector<int>& survivorWorld, core::PhaseBreakdown& phases);
+              const InputLayers& inputs, int worldSize, const std::vector<int>& survivorWorld,
+              core::PhaseBreakdown& phases);
 
   /// This survivor's send for chunk `chunk` of `layer`: `own` (already
   /// projected) with each adopted rank's logged chunk of that round,
-  /// projected through `map`, in ascending source order.
+  /// re-read, re-parsed and projected through `map`, in ascending source
+  /// order.
   geom::GeometryBatch surround(int layer, std::uint64_t chunk, const core::PartitionMap& map,
                                geom::GeometryBatch&& own);
 
  private:
   mpi::Comm* comm_;
   pfs::Volume* volume_;
-  std::string dir_;
+  InputLayers inputs_;
   core::PhaseBreakdown* phases_;
-  pfs::SpillPricer pricer_;
   std::vector<int> ranks_;       ///< the adopted dead world ranks, ascending
   std::vector<IngestLog> logs_;  ///< parallel to ranks_
   std::size_t before_ = 0;       ///< adopted ranks below this survivor (sent first)

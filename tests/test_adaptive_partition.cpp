@@ -646,7 +646,7 @@ TEST(AdaptivePartition, RecoveryRestoresSealedMapBitIdentically) {
   ASSERT_FALSE(base.pairs.empty());
 
   // Adaptive, streamed, one rank killed mid-stream: recovery must decode
-  // the sealed map and replay the chunk log through the identical
+  // the sealed map and replay the extent log through the identical
   // projection.
   const std::string ckptDir = "__ap_ck_kill";
   const JoinRun killed = runJoin(fx, [&](mc::JoinConfig& cfg) {

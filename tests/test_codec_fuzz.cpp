@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <functional>
@@ -93,6 +94,16 @@ void fuzzBlob(const std::string& good, const std::function<bool(const std::strin
     EXPECT_FALSE(tryLoad(good.substr(0, len))) << what << ": accepted truncation to " << len
                                                << " of " << good.size() << " bytes";
   }
+}
+
+/// The util::Error message `body` throws ("" when it returns).
+std::string rejection(const std::function<void()>& body) {
+  try {
+    body();
+  } catch (const mvio::util::Error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 /// Wrap a thrower: rejection-by-util::Error counts as a clean reject.
@@ -292,10 +303,34 @@ TEST(CodecFuzz, BaseManifestRejectsCorruption) {
            "ShardSetManifest(base)");
 }
 
-TEST(CodecFuzz, IngestManifestRejectsCorruption) {
+namespace {
+
+/// An extent log over a 1000-byte R input and a 500-byte S input: a
+/// one-shot chunk of two extents, an empty chunk, a streamed chunk, and
+/// two S chunks.
+mr::IngestLog extentLog() {
   mr::IngestLog log;
-  log.chunks[0] = 3;
-  log.chunks[1] = 2;
+  log.chunks[0] = {{{{0, 120}, {480, 140}}, 0x1234abcdu}, {{}, 0}, {{{620, 380}}, 0xfedcba98u}};
+  log.chunks[1] = {{{{0, 250}}, 0x1u}, {{{250, 250}}, 0xffffffffu}};
+  return log;
+}
+
+constexpr std::array<std::uint64_t, 2> kExtentLogInputs = {1000, 500};
+
+/// A checksum-valid ingest manifest of `words` after the magic and version.
+std::string craftIngestManifest(const std::vector<std::uint64_t>& words) {
+  std::string blob;
+  mvio::util::putScalar<std::uint32_t>(blob, 0x4943564Du);  // "MVCI"
+  mvio::util::putScalar<std::uint32_t>(blob, 2);            // extent-log version
+  for (const std::uint64_t w : words) mvio::util::putScalar<std::uint64_t>(blob, w);
+  mvio::util::putScalar<std::uint64_t>(blob, mvio::util::fnv1a(blob.data(), blob.size()));
+  return blob;
+}
+
+}  // namespace
+
+TEST(CodecFuzz, IngestManifestRejectsCorruption) {
+  const mr::IngestLog log = extentLog();
   const std::string good = mr::encodeIngestManifest(log);
 
   auto volume = smallVolume();
@@ -305,10 +340,38 @@ TEST(CodecFuzz, IngestManifestRejectsCorruption) {
            [&](const std::string& blob) {
              store.put("ing.manifest", std::string(blob));
              mr::IngestLog got;
-             return noThrow([&] { got = mr::readIngestLog(*volume, dir, 0); }) &&
-                    got.chunks[0] == 3 && got.chunks[1] == 2;
+             return noThrow([&] { got = mr::readIngestLog(*volume, dir, 0, kExtentLogInputs); }) &&
+                    got == log;
            },
            "IngestManifest");
+}
+
+TEST(CodecFuzz, CraftedIngestManifestRejects) {
+  // Checksum-valid manifests whose counts or extents lie: each must be a
+  // util::Error before any count sizes a vector (2^40 extents of 16 bytes
+  // would ask for 16 TiB).
+  auto volume = smallVolume();
+  const std::string dir = "__fuzz_crafted_ingest";
+  mp::SpillStore store(*volume, mr::rankPrefix(dir, 0));
+  const auto rejects = [&](const std::vector<std::uint64_t>& words, const std::string& why) {
+    store.put("ing.manifest", craftIngestManifest(words));
+    const std::string msg =
+        rejection([&] { (void)mr::readIngestLog(*volume, dir, 0, kExtentLogInputs); });
+    EXPECT_NE(msg.find(why), std::string::npos) << "got \"" << msg << "\"";
+  };
+  // The well-formed baseline: one R chunk of one extent, no S chunks.
+  store.put("ing.manifest", craftIngestManifest({1, 1, 7, 100, 900, 0}));
+  const mr::IngestLog ok = mr::readIngestLog(*volume, dir, 0, kExtentLogInputs);
+  ASSERT_EQ(ok.chunks[0].size(), 1u);
+  EXPECT_EQ(ok.chunks[0][0].extents, (std::vector<mc::FileExtent>{{100, 900}}));
+
+  rejects({1, 1ull << 40, 7, 100, 900, 0}, "count exceeds its bytes");
+  rejects({1ull << 40, 1, 7, 100, 900, 0}, "count exceeds its bytes");
+  rejects({1, 1, 7, 100, 901, 0}, "ends past its input file");
+  rejects({1, 1, 7, ~std::uint64_t{0} - 7, 16, 0}, "ends past its input file");
+  rejects({0, 1, 1, 7, 0, 501}, "ends past its input file");
+  rejects({1, 1, 1ull << 32, 100, 900, 0}, "corrupt ingest manifest");
+  rejects({1, 1, 7, 100, 900, 0, 0}, "corrupt ingest manifest");
 }
 
 TEST(CodecFuzz, TornSealTailsAlwaysReject) {
@@ -395,16 +458,6 @@ void resealShard(std::string& blob) {
   std::memcpy(blob.data() + 40, &payloadSum, 8);
   const std::uint64_t headerSum = mvio::util::crc32c(blob.data(), 48);
   std::memcpy(blob.data() + 48, &headerSum, 8);
-}
-
-/// The util::Error message `body` throws ("" when it returns).
-std::string rejection(const std::function<void()>& body) {
-  try {
-    body();
-  } catch (const mvio::util::Error& e) {
-    return e.what();
-  }
-  return "";
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 // property of the binary fast path: WKT ingest and WKB ingest produce
 // bit-identical join / overlay / index results at every thread count,
 // one-shot and streamed, under both boundary strategies, including an
-// injected failure that replays a WKB-fed chunk log.
+// injected failure that replays a WKB-fed extent log.
 
 #include <gtest/gtest.h>
 
@@ -646,8 +646,9 @@ TEST(FormatBitIdentity, InjectedFailureReplaysWkbChunkLog) {
   ASSERT_FALSE(base.empty());
 
   // Streamed binary ingest with checkpoints; rank 2 dies mid-stream. The
-  // chunk log holds parsed batches, so replay is format-independent — the
-  // survivors must reconstruct exactly the failure-free (and WKT) result.
+  // extent log points into the framed WKB file, and replay re-parses those
+  // bytes with the layer's WkbFormatReader — the survivors must
+  // reconstruct exactly the failure-free (and WKT) result.
   JoinSetup setup;
   setup.binary = true;
   setup.threads = 4;

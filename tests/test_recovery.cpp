@@ -13,16 +13,20 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 
 #include "core/indexing.hpp"
 #include "core/overlay.hpp"
+#include "core/parser.hpp"
 #include "core/spatial_join.hpp"
 #include "geom/batch_shard.hpp"
 #include "geom/wkb.hpp"
 #include "geom/wkt.hpp"
+#include "io/file.hpp"
 #include "osm/datasets.hpp"
 #include "pfs/lustre.hpp"
 #include "pfs/spill_store.hpp"
@@ -31,6 +35,7 @@
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/perf.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mc = mvio::core;
 namespace mg = mvio::geom;
@@ -87,6 +92,36 @@ std::string fileBytes(mp::Volume& volume, const std::string& name) {
   return bytes;
 }
 
+/// `batch` as the WKT lines an input file holds (tab-separated userData,
+/// cells dropped): the text an extent log points into.
+std::string wktLines(const mg::GeometryBatch& batch) {
+  std::string text;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    text += mg::writeWkt(batch.materialize(i)) + "\t" + std::string(batch.userData(i)) + "\n";
+  }
+  return text;
+}
+
+/// Log `chunks` chunks of layer R that each span the whole of `text` (an
+/// input file), then seal the extent log.
+void logWholeFile(mr::CheckpointCoordinator& ckpt, const std::string& text, int chunks) {
+  for (int i = 0; i < chunks; ++i) ckpt.logChunk(0, {{0, text.size()}}, text);
+  ckpt.sealIngest();
+}
+
+/// Bit equality of two batches: every column and arena byte (the shard
+/// encoding) and every envelope.
+void expectBatchesBitEqual(const mg::GeometryBatch& a, const mg::GeometryBatch& b) {
+  ASSERT_EQ(a.size(), b.size());
+  std::string ea, eb;
+  mg::encodeShard(a, ea);
+  mg::encodeShard(b, eb);
+  EXPECT_EQ(ea, eb);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&a.envelope(i), &b.envelope(i), sizeof(mg::Envelope)), 0) << i;
+  }
+}
+
 /// Two-layer fixture sized so a 4 KB-chunk streaming run executes well
 /// over six data rounds on four ranks — room for a mid-stream kill point
 /// with sealed epochs both behind and ahead of it.
@@ -124,6 +159,13 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
   auto volume = lustreVolume(2);
   const mg::GeometryBatch batch = mixedBatch();
 
+  const std::string text = wktLines(batch);
+  volume->create("rt.wkt", std::make_shared<mp::MemoryBackingStore>(text));
+  const mc::WktParser parser;
+  mg::GeometryBatch ingested;
+  parser.parseAll(text, ingested);
+  ASSERT_EQ(ingested.size(), batch.size());
+
   mm::Runtime::run(1, [&](mm::Comm& comm) {
     mc::PhaseBreakdown phases;
     mc::StreamConfig cfg;
@@ -132,8 +174,7 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
     ASSERT_TRUE(ckpt.enabled());
 
-    ckpt.logChunk(0, batch);
-    ckpt.sealIngest();
+    logWholeFile(ckpt, text, 1);
     ckpt.noteRound(0, batch);
     const std::vector<int> owner(8, 0);  // one rank owns every cell
     ASSERT_TRUE(ckpt.maybeCheckpoint(1, owner));
@@ -158,14 +199,23 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
     ASSERT_EQ(delta.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) expectRecordsEqual(batch, i, delta, i);
 
-    // The chunk log round-trips the pre-projection records too.
-    const mr::IngestLog log = mr::readIngestLog(*volume, cfg.checkpointDir, 0);
-    EXPECT_EQ(log.chunks[0], 1u);
-    EXPECT_EQ(log.chunks[1], 0u);
+    // The extent log round-trips the pre-projection records too: re-read
+    // from the input and re-parsed, the chunk is the ingested one, and it
+    // carries every type and attribute of the batch.
+    const mr::IngestLog log = mr::readIngestLog(*volume, cfg.checkpointDir, 0, {text.size(), 0});
+    ASSERT_EQ(log.chunks[0].size(), 1u);
+    EXPECT_EQ(log.chunks[1].size(), 0u);
     mg::GeometryBatch chunk;
-    mr::loadLoggedChunk(*volume, cfg.checkpointDir, 0, 0, 0, chunk);
+    const mc::DatasetHandle input{"rt.wkt", &parser, {}};
+    EXPECT_EQ(mr::reparseLoggedChunk(comm, *volume, input, log.chunks[0][0], chunk), text.size());
+    expectBatchesBitEqual(ingested, chunk);
     ASSERT_EQ(chunk.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) expectRecordsEqual(batch, i, chunk, i);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(chunk.type(i), batch.type(i));
+      EXPECT_EQ(chunk.envelope(i), batch.envelope(i));
+      EXPECT_EQ(chunk.userData(i), batch.userData(i));
+      EXPECT_EQ(mg::writeWkb(chunk.materialize(i)), mg::writeWkb(batch.materialize(i)));
+    }
 
     // Stale-manifest guard: a map that assigns a present cell elsewhere
     // rejects the delta.
@@ -175,6 +225,98 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
     EXPECT_THROW(mr::loadShardSet(*volume, cfg.checkpointDir, 0, *manifest, 0, stale, rejected),
                  mvio::util::Error);
   });
+}
+
+// The extent log's replay contract: a chunk re-read from its logged
+// extents and re-parsed equals the ingested chunk bit for bit, whatever
+// cut the partitioner made — the kMessage ring (rank 0's carry spans an
+// iteration boundary), several one-shot iterations (several extents), the
+// maxGeometryBytes fallback (a re-read block), kOverlap halos, framed WKB
+// and a pool parse.
+TEST(Checkpoint, ExtentLogReparsesBitExact) {
+  auto volume = lustreVolume();
+  const mo::RecordGenerator gen(mo::datasetSpec(mo::DatasetId::kCemetery, 71));
+  constexpr std::uint64_t kRecords = 600;
+  const std::string wkt = mo::generateWktText(gen, kRecords);
+  volume->create("ext.wkt", std::make_shared<mp::MemoryBackingStore>(wkt));
+  volume->create("ext.wkb",
+                 std::make_shared<mp::MemoryBackingStore>(mo::generateWkbText(gen, kRecords)));
+  const mc::WktParser parser;
+  const mc::FormatReader* wkb = mc::FormatRegistry::instance().get("wkb");
+
+  mc::PartitionConfig oneShot;
+  oneShot.blockSize = 2 << 10;
+  mc::PartitionConfig fallback;
+  fallback.maxGeometryBytes = 16 << 10;
+  mc::PartitionConfig overlap;
+  overlap.strategy = mc::BoundaryStrategy::kOverlap;
+  overlap.maxGeometryBytes = 16 << 10;
+  struct Case {
+    std::string name;
+    mc::DatasetHandle input;
+    std::uint64_t chunkBytes;
+    int threads;
+  };
+  const std::vector<Case> cases = {
+      {"streamed kMessage", {"ext.wkt", &parser, {}}, 4 << 10, 1},
+      {"one-shot, several iterations",
+       {"ext.wkt", &parser, oneShot},
+       mc::PartitionReader::kWholePartition,
+       1},
+      {"maxGeometryBytes fallback", {"ext.wkt", &parser, fallback}, 256, 1},
+      {"kOverlap", {"ext.wkt", &parser, overlap}, 3 << 10, 1},
+      {"framed WKB", {"ext.wkb", nullptr, {}, wkb}, 4 << 10, 1},
+      {"pool parse", {"ext.wkt", &parser, {}}, 4 << 10, 3},
+  };
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const Case& c = cases[k];
+    std::mutex mu;
+    std::uint64_t records = 0, bytesRead = 0, maxChunks = 0, maxExtents = 0;
+    mm::Runtime::run(4, [&](mm::Comm& comm) {
+      mc::PhaseBreakdown phases;
+      mc::StreamConfig sc;
+      sc.checkpointEveryRounds = 1;
+      sc.checkpointDir = "__ck_ext" + std::to_string(k);
+      mr::CheckpointCoordinator ckpt(comm, *volume, sc, &phases);
+      std::optional<mvio::util::ThreadPool> pool;
+      if (c.threads > 1) pool.emplace(c.threads);
+      mvio::io::File file = mvio::io::File::open(comm, *volume, c.input.path);
+      mc::PartitionReader reader(comm, file, c.input.partition, c.chunkBytes, &c.input.reader());
+      std::vector<mg::GeometryBatch> ingested;
+      std::uint64_t extents = 0;
+      std::string text;
+      while (reader.next(text)) {
+        mg::GeometryBatch chunk;
+        c.input.reader().parseChunk(text, chunk, pool ? &*pool : nullptr);
+        ckpt.logChunk(0, reader.extents(), text);
+        extents = std::max<std::uint64_t>(extents, reader.extents().size());
+        ingested.push_back(std::move(chunk));
+      }
+      ckpt.sealIngest();
+
+      const mr::IngestLog log =
+          mr::readIngestLog(*volume, sc.checkpointDir, comm.worldRank(), {file.size(), 0});
+      ASSERT_EQ(log.chunks[0].size(), ingested.size()) << c.name;
+      std::uint64_t mine = 0;
+      for (std::size_t i = 0; i < ingested.size(); ++i) {
+        mg::GeometryBatch again;
+        mr::reparseLoggedChunk(comm, *volume, c.input, log.chunks[0][i], again);
+        expectBatchesBitEqual(ingested[i], again);
+        mine += again.size();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      records += mine;
+      bytesRead += reader.counters().bytesRead;
+      maxChunks = std::max<std::uint64_t>(maxChunks, ingested.size());
+      maxExtents = std::max(maxExtents, extents);
+    });
+    EXPECT_EQ(records, kRecords) << c.name << ": the chunks must tile the file";
+    if (c.name == "streamed kMessage") EXPECT_GT(maxChunks, 1u) << c.name;
+    if (c.name == "one-shot, several iterations") EXPECT_GT(maxExtents, 1u) << c.name;
+    if (c.name == "maxGeometryBytes fallback") {
+      EXPECT_GT(bytesRead, wkt.size()) << c.name << ": some block must have been re-read";
+    }
+  }
 }
 
 TEST(Checkpoint, EachShardByteIsHashedOncePerSide) {
@@ -506,10 +648,11 @@ TEST(FailureRecovery, SingleLayerIndexMatchesAfterKill) {
 }
 
 // After recovery the survivors resume the round loop with their own
-// staged chunks, so the only chunk log read back past the kill round is
-// the dead rank's: recovery reads the dead rank's durable blobs (its
-// sealed sets once per survivor), the seal scan, and every rank's log
-// for the rounds between the seal and the kill — nothing more.
+// staged chunks, so the only input re-read past the kill round is the dead
+// rank's share: recovery reads the dead rank's durable blobs (its sealed
+// sets once per survivor), the seal scan, every rank's ingest manifest and
+// every rank's logged extents for the rounds between the seal and the
+// kill — nothing more.
 TEST(FailureRecovery, ResumedRoundsReadOnlyTheDeadRanksLog) {
   RecoveryFixture fx;
   const JoinRun base = runJoin(fx, [](mc::JoinConfig& cfg) {
@@ -526,45 +669,52 @@ TEST(FailureRecovery, ResumedRoundsReadOnlyTheDeadRanksLog) {
   constexpr std::uint64_t kSealedRound = 2, kKillRound = 3;
   EXPECT_EQ(killed.recoveryRounds, kKillRound - kSealedRound);
 
+  const std::array<std::uint64_t, 2> inputs = {fileBytes(*fx.volume, "r.wkt").size(),
+                                               fileBytes(*fx.volume, "s.wkt").size()};
   std::vector<mr::IngestLog> logs;
   std::uint64_t roundsR = 0;
   for (int q = 0; q < 4; ++q) {
-    logs.push_back(mr::readIngestLog(*fx.volume, dir, q));
-    roundsR = std::max(roundsR, logs.back().chunks[0]);
+    logs.push_back(mr::readIngestLog(*fx.volume, dir, q, inputs));
+    roundsR = std::max<std::uint64_t>(roundsR, logs.back().chunks[0].size());
   }
   ASSERT_GT(roundsR, kKillRound) << "the kill must pre-empt rounds of layer R";
+  const auto extentBytes = [](const mr::LoggedChunk& c) {
+    std::uint64_t bytes = 0;
+    for (const mc::FileExtent& e : c.extents) bytes += e.length;
+    return bytes;
+  };
   std::uint64_t replayedLog = 0;
   for (std::uint64_t t = kSealedRound + 1; t <= kKillRound; ++t) {
     const int layer = t <= roundsR ? 0 : 1;
     const std::uint64_t chunk = layer == 0 ? t - 1 : t - roundsR - 1;
     for (int q = 0; q < 4; ++q) {
-      if (chunk >= logs[static_cast<std::size_t>(q)].chunks[layer]) continue;
-      replayedLog += fileBytes(*fx.volume, mr::rankPrefix(dir, q) + "/ing." +
-                                               mr::layerTag(layer) + "." + std::to_string(chunk))
-                         .size();
+      const auto& logged = logs[static_cast<std::size_t>(q)].chunks[layer];
+      if (chunk < logged.size()) replayedLog += extentBytes(logged[chunk]);
     }
   }
-  // The dead rank's durable blobs: its whole chunk log, which the
-  // adopting survivor reads from the kill round on, and its sealed shard
-  // sets, which every survivor reads to restore the orphans it now owns.
-  // Each survivor also scans the seal and every rank's epoch manifest.
+  // The dead rank's share of the input, which the adopting survivor
+  // re-reads from the kill round on, and its durable blobs — its sealed
+  // shard sets, which every survivor reads to restore the orphans it now
+  // owns, and its ingest manifest. Each survivor also scans the seal and
+  // every rank's epoch manifest, and the replay reads each rank's ingest
+  // manifest once.
   constexpr int kDead = 2, kSurvivors = 3;
   const auto blob = [&](int q, const std::string& name) {
     return static_cast<std::uint64_t>(fileBytes(*fx.volume, mr::rankPrefix(dir, q) + "/" + name).size());
   };
   std::uint64_t deadLog = 0;
   for (int layer = 0; layer < 2; ++layer) {
-    for (std::uint64_t c = 0; c < logs[kDead].chunks[layer]; ++c) {
-      deadLog += blob(kDead, "ing." + std::string(mr::layerTag(layer)) + "." + std::to_string(c));
-    }
+    for (const mr::LoggedChunk& c : logs[kDead].chunks[layer]) deadLog += extentBytes(c);
   }
-  ASSERT_GT(killed.deadCheckpointBytes, deadLog);
-  const std::uint64_t deadSealed = killed.deadCheckpointBytes - deadLog;
   std::uint64_t sealScan = fileBytes(*fx.volume, mr::globalPrefix(dir) + "/ep1.seal").size();
-  for (int q = 0; q < 4; ++q) sealScan += blob(q, "ep1.manifest");
-  EXPECT_LE(killed.recoveryBytes, killed.deadCheckpointBytes + (kSurvivors - 1) * deadSealed +
-                                      kSurvivors * sealScan + replayedLog)
-      << "survivors must not read their own chunk logs back for the rounds after the kill";
+  std::uint64_t ingestManifests = 0;
+  for (int q = 0; q < 4; ++q) {
+    sealScan += blob(q, "ep1.manifest");
+    ingestManifests += blob(q, "ing.manifest");
+  }
+  EXPECT_LE(killed.recoveryBytes, deadLog + kSurvivors * killed.deadCheckpointBytes +
+                                      kSurvivors * sealScan + replayedLog + ingestManifests)
+      << "survivors must not re-read their own input for the rounds after the kill";
 }
 
 namespace {
@@ -675,7 +825,7 @@ TEST(CascadingFailure, SecondKillDuringRecoveryBitIdenticalWithCompaction) {
       << "join results must survive a cascading two-kill schedule";
   EXPECT_EQ(cascaded.globalPairs, base.globalPairs);
   EXPECT_GT(cascaded.compactionBytes, 0u) << "the round-4 seal must have folded a base";
-  EXPECT_GT(cascaded.reclaimedBytes, 0u) << "GC must delete folded deltas and covered chunks";
+  EXPECT_GT(cascaded.reclaimedBytes, 0u) << "GC must delete folded deltas";
   EXPECT_LT(cascaded.recoveryBytes, base.checkpointBytes)
       << "aggregate recovery reads must stay below one copy of the durable state";
 }
@@ -686,8 +836,8 @@ TEST(CascadingFailure, ShardedReplayReadsBelowOneDurableCopy) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__eq_base");
   });
 
-  // Two-kill cascade with compaction off: the replay reads the whole
-  // unsealed chunk-log tail, split across the survivors by source rank.
+  // Two-kill cascade with compaction off: the replay re-reads the input
+  // of every unsealed round, split across the survivors by source rank.
   const JoinRun sharded = runJoin(fx, [](mc::JoinConfig& cfg) {
     cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__eq_shard");
     cfg.framework.failSchedule = {{1, 3, 0}, {3, 3, 1}};
@@ -699,6 +849,60 @@ TEST(CascadingFailure, ShardedReplayReadsBelowOneDurableCopy) {
   EXPECT_LT(sharded.recoveryBytes, base.checkpointBytes)
       << "splitting the chunk log by source rank must keep aggregate replay reads below one "
          "copy of the durable state";
+}
+
+namespace {
+
+/// An input file whose byte `at` reads as `changed` for every read issued
+/// after the whole file has been served once: a file edited between a
+/// streamed kMessage ingest, which reads each byte exactly once, and the
+/// recovery that re-reads it.
+class EditedAfterIngest final : public mp::BackingStore {
+ public:
+  EditedAfterIngest(std::string bytes, std::uint64_t at, char changed)
+      : bytes_(std::move(bytes)), at_(at), changed_(changed) {}
+  [[nodiscard]] std::uint64_t size() const override { return bytes_.size(); }
+  void read(std::uint64_t offset, char* dst, std::size_t n) const override {
+    const std::uint64_t servedBefore = served_.fetch_add(n);
+    std::memcpy(dst, bytes_.data() + offset, n);
+    if (servedBefore >= bytes_.size() && at_ >= offset && at_ < offset + n) {
+      dst[at_ - offset] = changed_;
+    }
+  }
+
+ private:
+  std::string bytes_;
+  std::uint64_t at_;
+  char changed_;
+  mutable std::atomic<std::uint64_t> served_{0};
+};
+
+}  // namespace
+
+// The extent log trusts the input not to change during a run, and checks
+// it: a coordinate digit edited after ingest still parses, so only the
+// logged checksum can tell. Recovery must refuse with a typed error, not
+// join the edited record.
+TEST(FailureRecovery, ChangedInputIsATypedError) {
+  RecoveryFixture fx;
+  std::string s = fileBytes(*fx.volume, "s.wkt");
+  // A digit inside the dead rank's first S block, which its adopter
+  // re-reads after the kill.
+  std::uint64_t at = 2 * (4 << 10) + 100;
+  while (at < s.size() && (s[at] < '0' || s[at] > '9')) ++at;
+  ASSERT_LT(at, s.size());
+  const char changed = s[at] == '9' ? '8' : static_cast<char>(s[at] + 1);
+  fx.volume->createOrReplace("s.wkt",
+                             std::make_shared<EditedAfterIngest>(std::move(s), at, changed));
+  try {
+    runJoin(fx, [](mc::JoinConfig& cfg) {
+      cfg.framework.stream = RecoveryFixture::streamedConfig(2, "__ck_edited");
+      cfg.framework.failSchedule = {{2, 3, 0}};
+    });
+    ADD_FAILURE() << "recovery re-parsed an input that changed after ingest";
+  } catch (const mvio::util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("changed since ingest"), std::string::npos) << e.what();
+  }
 }
 
 // runFilterRefine is the only guard on a fault config: every malformed
@@ -785,6 +989,9 @@ TEST(Checkpoint, CompactionFoldsAndReclaims) {
   auto volume = lustreVolume(2);
   const mg::GeometryBatch batch = mixedBatch();
 
+  const std::string text = wktLines(batch);
+  volume->create("gc.wkt", std::make_shared<mp::MemoryBackingStore>(text));
+
   mm::Runtime::run(1, [&](mm::Comm& comm) {
     mc::PhaseBreakdown phases;
     mc::StreamConfig cfg;
@@ -792,9 +999,7 @@ TEST(Checkpoint, CompactionFoldsAndReclaims) {
     cfg.checkpointDir = "__ck_gc";
     cfg.compaction.everyEpochs = 2;
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
-    ckpt.setRoundSchedule(4, 0);
-    for (int i = 0; i < 4; ++i) ckpt.logChunk(0, batch);
-    ckpt.sealIngest();
+    logWholeFile(ckpt, text, 4);
     const std::vector<int> owner(8, 0);
     for (std::uint64_t e = 1; e <= 4; ++e) {
       ckpt.noteRound(0, batch);
@@ -830,13 +1035,17 @@ TEST(Checkpoint, CompactionFoldsAndReclaims) {
     mg::GeometryBatch tail;
     EXPECT_EQ(mr::loadShardSet(*volume, cfg.checkpointDir, 0, *m4, 0, owner, tail), batch.size());
 
-    // Chunk-log truncation: rounds the base covers are deleted, the
-    // unsealed tail stays replayable.
-    mg::GeometryBatch chunk;
-    EXPECT_THROW(mr::loadLoggedChunk(*volume, cfg.checkpointDir, 0, 0, 0, chunk), mvio::util::Error);
-    EXPECT_THROW(mr::loadLoggedChunk(*volume, cfg.checkpointDir, 0, 0, 2, chunk), mvio::util::Error);
-    chunk = mg::GeometryBatch();
-    EXPECT_EQ(mr::loadLoggedChunk(*volume, cfg.checkpointDir, 0, 0, 3, chunk), batch.size());
+    // The extent log holds no data to reclaim: compaction leaves it whole,
+    // and every logged chunk still re-reads from the input.
+    const mr::IngestLog log = mr::readIngestLog(*volume, cfg.checkpointDir, 0, {text.size(), 0});
+    ASSERT_EQ(log.chunks[0].size(), 4u);
+    const mc::WktParser parser;
+    const mc::DatasetHandle input{"gc.wkt", &parser, {}};
+    for (const mr::LoggedChunk& logged : log.chunks[0]) {
+      mg::GeometryBatch chunk;
+      mr::reparseLoggedChunk(comm, *volume, input, logged, chunk);
+      EXPECT_EQ(chunk.size(), batch.size());
+    }
 
     // The superseded base-1 shards were reclaimed too.
     mp::SpillStore rankStore(*volume, mr::rankPrefix(cfg.checkpointDir, 0));
@@ -852,6 +1061,8 @@ TEST(Checkpoint, CompactionFoldsAndReclaims) {
 TEST(Checkpoint, CompactionSkipsTornSeal) {
   auto volume = lustreVolume(2);
   const mg::GeometryBatch batch = mixedBatch();
+  const std::string text = wktLines(batch);
+  volume->create("torn.wkt", std::make_shared<mp::MemoryBackingStore>(text));
 
   mm::Runtime::run(1, [&](mm::Comm& comm) {
     mc::PhaseBreakdown phases;
@@ -861,23 +1072,29 @@ TEST(Checkpoint, CompactionSkipsTornSeal) {
     cfg.compaction.everyEpochs = 2;
     cfg.tearEpochSeal = 2;  // the epoch that would trigger the fold
     mr::CheckpointCoordinator ckpt(comm, *volume, cfg, &phases);
-    ckpt.setRoundSchedule(2, 0);
-    for (int i = 0; i < 2; ++i) ckpt.logChunk(0, batch);
-    ckpt.sealIngest();
+    logWholeFile(ckpt, text, 2);
     const std::vector<int> owner(8, 0);
     ckpt.noteRound(0, batch);
     ASSERT_TRUE(ckpt.maybeCheckpoint(1, owner));
     ckpt.noteRound(0, batch);
     ASSERT_TRUE(ckpt.maybeCheckpoint(2, owner));
 
-    // A torn seal must not anchor a fold: compaction would GC chunks that
-    // the fallback recovery (epoch 1) still needs.
+    // A torn seal must not anchor a fold: compaction would GC the epoch-1
+    // delta that the fallback recovery still needs.
     EXPECT_FALSE(
         mr::readShardSetManifest(*volume, cfg.checkpointDir, 0, /*base=*/true, 0).has_value());
     EXPECT_EQ(phases.compactionBytes, 0u);
     EXPECT_EQ(phases.reclaimedBytes, 0u);
+    const auto m1 = mr::readShardSetManifest(*volume, cfg.checkpointDir, 0, /*base=*/false, 1);
+    ASSERT_TRUE(m1.has_value());
+    mg::GeometryBatch delta;
+    EXPECT_EQ(mr::loadShardSet(*volume, cfg.checkpointDir, 0, *m1, 0, owner, delta), batch.size());
+    const mr::IngestLog log = mr::readIngestLog(*volume, cfg.checkpointDir, 0, {text.size(), 0});
+    ASSERT_EQ(log.chunks[0].size(), 2u);
+    const mc::WktParser parser;
     mg::GeometryBatch chunk;
-    EXPECT_EQ(mr::loadLoggedChunk(*volume, cfg.checkpointDir, 0, 0, 0, chunk), batch.size());
+    mr::reparseLoggedChunk(comm, *volume, {"torn.wkt", &parser, {}}, log.chunks[0][0], chunk);
+    EXPECT_EQ(chunk.size(), batch.size());
   });
 }
 
