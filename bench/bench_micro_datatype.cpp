@@ -55,7 +55,7 @@ void BM_UnpackStrided(benchmark::State& state) {
 }
 BENCHMARK(BM_UnpackStrided)->Arg(1000)->Arg(100000);
 
-/// 128 synthetic geometries spread over 8 destinations, grouped by
+/// `records` synthetic geometries spread over 8 destinations, grouped by
 /// destination as the exchange groups them: the frame writer's input.
 struct FrameInput {
   geom::GeometryBatch batch;
@@ -63,13 +63,13 @@ struct FrameInput {
   std::vector<int> dests;
 };
 
-FrameInput frameInput() {
+FrameInput frameInput(std::uint64_t records) {
   constexpr int kDests = 8;
   osm::SynthSpec spec;
   spec.maxVertices = 128;
   osm::RecordGenerator gen(spec);
   FrameInput in;
-  for (std::uint64_t i = 0; i < 128; ++i) {
+  for (std::uint64_t i = 0; i < records; ++i) {
     in.batch.append(gen.geometry(i), static_cast<int>(i % 32));
   }
   for (int d = 0; d < kDests; ++d) {
@@ -90,7 +90,7 @@ void reportFrames(benchmark::State& state, std::size_t bytes, std::size_t record
 // Exchange frame encode: one BatchShard per destination, straight from
 // the arenas into one buffer.
 void BM_FrameEncode(benchmark::State& state) {
-  const FrameInput in = frameInput();
+  const FrameInput in = frameInput(128);
   std::string buf;
   for (auto _ : state) {
     buf.clear();
@@ -100,13 +100,16 @@ void BM_FrameEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameEncode);
 
-// Exchange frame decode: every frame of the buffer into one batch.
+// Exchange frame decode: every frame of a several-MB buffer into one
+// batch, cleared and reused so its arenas keep their capacity. The codec,
+// not allocation, is what the loop times.
 void BM_FrameDecode(benchmark::State& state) {
-  const FrameInput in = frameInput();
+  const FrameInput in = frameInput(20'000);
   std::string buf;
   const auto frames = geom::encodeShardRuns(in.batch, in.order, in.dests, buf);
+  geom::GeometryBatch out;
   for (auto _ : state) {
-    geom::GeometryBatch out;
+    out.clear();
     for (const geom::ShardRun& f : frames) {
       geom::decodeShard(std::string_view(buf).substr(f.offset, f.counts.encodedBytes()), out);
     }

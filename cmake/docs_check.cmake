@@ -24,7 +24,8 @@
 # `CsvPointParser::x` (src/core/parser.hpp), `DatasetHandle::x`
 # (src/core/framework.hpp), `CheckpointCoordinator::x` /
 # `ShardSetManifest::x` / `EpochSeal::x` / `IngestLog::x` /
-# `SealScanCache::x` (src/recovery/checkpoint.hpp), `FaultPlan::x` /
+# `SealScanCache::x` / `ChunkReadAhead::x` (src/recovery/checkpoint.hpp),
+# `File::x` / `IoCounters::x` (src/io/file.hpp), `FaultPlan::x` /
 # `AdoptedLogs::x` (src/recovery/recovery.hpp) and `BatchStager::x` /
 # `Spiller::x` / `ChunkPrep::x` (src/core/stages.hpp) in the two
 # documents must name a field or
@@ -64,13 +65,14 @@ set(CITED_TYPES
     "(Wkb)?FormatReader=core/format.hpp"
     "(Wkt|CsvPoint)?Parser=core/parser.hpp"
     "DatasetHandle=core/framework.hpp"
-    "CheckpointCoordinator|ShardSetManifest|EpochSeal|IngestLog|SealScanCache=recovery/checkpoint.hpp"
+    "CheckpointCoordinator|ShardSetManifest|EpochSeal|IngestLog|SealScanCache|ChunkReadAhead=recovery/checkpoint.hpp"
     "FaultPlan|AdoptedLogs=recovery/recovery.hpp"
     "BatchStager|Spiller|ChunkPrep=core/stages.hpp"
     "DistributedIndex=core/indexing.hpp"
     "RefineTask=core/framework.hpp"
     "GeometryBatch|BatchSpan=geom/geometry_batch.hpp"
-    "ExchangeStats|RoundHeader|ExchangeScratch=core/exchange.hpp")
+    "ExchangeStats|RoundHeader|ExchangeScratch=core/exchange.hpp"
+    "File|IoCounters=io/file.hpp")
 
 set(MISSING "")
 foreach(doc README.md DESIGN.md)

@@ -77,12 +77,87 @@ void PartitionReader::layout() {
   MVIO_CHECK(blockSize_ <= io::kRomioMaxBytes,
              "block size exceeds ROMIO's 2 GB single-operation limit; use a smaller blockSize");
   if (cfg_.strategy == BoundaryStrategy::kMessage) {
-    buf_.resize(static_cast<std::size_t>(blockSize_));
     // A fragment is a suffix of the predecessor's block and at most one
     // record long.
     recvBuf_.resize(
         static_cast<std::size_t>(std::min<std::uint64_t>(blockSize_, cfg_.maxGeometryBytes)));
   }
+  // Read-ahead window: enough iterations in flight that the ranks'
+  // requests together span one stripe width, so every OST of the file
+  // serves at once. The posted requests beyond the current one never
+  // buffer more than a stripe width, or one request when a single request
+  // is larger (a kOverlap request carries its halo).
+  ahead_ = 0;
+  if (streaming_ && !cfg_.collectiveRead) {
+    const pfs::StripeSettings& stripe = file_->stripe();
+    const std::uint64_t width = stripe.stripeSize * static_cast<std::uint64_t>(stripe.stripeCount);
+    const std::uint64_t perIteration = static_cast<std::uint64_t>(comm_->size()) * blockSize_;
+    const std::uint64_t window =
+        std::max<std::uint64_t>(1, (width + perIteration - 1) / perIteration);
+    const std::uint64_t request =
+        cfg_.strategy == BoundaryStrategy::kMessage
+            ? blockSize_
+            : std::min<std::uint64_t>(blockSize_ + cfg_.maxGeometryBytes + 1, fileSize_);
+    ahead_ = std::min(window - 1, std::max<std::uint64_t>(1, width / request));
+  }
+}
+
+PartitionReader::BlockRead PartitionReader::blockAt(std::uint64_t at) const {
+  BlockRead b;
+  b.start = at + static_cast<std::uint64_t>(comm_->rank()) * blockSize_;
+  b.length = b.start < fileSize_ ? std::min<std::uint64_t>(blockSize_, fileSize_ - b.start) : 0;
+  b.readStart = b.start;
+  b.readLength = b.length;
+  if (cfg_.strategy == BoundaryStrategy::kOverlap) {
+    // One look-back byte to detect a record boundary exactly at `start`,
+    // plus the halo for the record spilling over the block end.
+    b.readStart = b.start == 0 ? 0 : b.start - 1;
+    const std::uint64_t readEnd =
+        b.length == 0
+            ? b.readStart
+            : std::min<std::uint64_t>(b.start + b.length + cfg_.maxGeometryBytes, fileSize_);
+    b.readLength = readEnd - b.readStart;
+  }
+  return b;
+}
+
+void PartitionReader::readBlock(const BlockRead& b) {
+  if (!cfg_.collectiveRead) {
+    takePosted(b);
+    return;
+  }
+  // Collective calls include non-readers.
+  const auto n = static_cast<std::size_t>(b.readLength);
+  if (buf_.size() < n) buf_.resize(n);
+  const std::size_t got = file_->readAtAllBytes(b.readStart, buf_.data(), n);
+  MVIO_CHECK(got == n, "collective read returned short");
+  result_.bytesRead += b.readLength;
+}
+
+void PartitionReader::takePosted(const BlockRead& b) {
+  // Top the window up to ahead_ iterations past this one. The consumed
+  // block's buffer lands the first new request, so the ring's buffers are
+  // reused rather than allocated per iteration. With ahead_ = 0 this
+  // posts the current request and waits on it at once: the blocking read.
+  std::vector<char> spare = std::move(buf_);
+  const std::uint64_t stride = static_cast<std::uint64_t>(comm_->size()) * blockSize_;
+  const std::uint64_t horizon = std::min(offset_ + (ahead_ + 1) * stride, fileSize_);
+  for (; nextPost_ < horizon; nextPost_ += stride) {
+    const BlockRead r = blockAt(nextPost_);
+    if (r.readLength == 0) continue;  // this rank has no block in that iteration
+    PostedRead& slot = posted_.emplace_back();
+    slot.at = nextPost_;
+    slot.bytes = std::move(spare);
+    slot.bytes.resize(static_cast<std::size_t>(r.readLength));
+    slot.request = file_->ireadAtBytes(r.readStart, slot.bytes.data(), slot.bytes.size());
+    result_.bytesRead += r.readLength;
+  }
+  if (b.readLength == 0) return;
+  MVIO_CHECK(!posted_.empty() && posted_.front().at == offset_, "read-ahead window out of step");
+  const std::size_t got = file_->wait(posted_.front().request);
+  MVIO_CHECK(got == b.readLength, "independent read returned short");
+  buf_ = std::move(posted_.front().bytes);
+  posted_.pop_front();
 }
 
 void PartitionReader::stepMessage(std::string& out) {
@@ -90,22 +165,15 @@ void PartitionReader::stepMessage(std::string& out) {
   const int rank = comm_->rank();
   const std::uint64_t fileChunkSize = static_cast<std::uint64_t>(nprocs) * blockSize_;
   const std::uint64_t globalOffset = offset_;
-  const std::uint64_t start = globalOffset + static_cast<std::uint64_t>(rank) * blockSize_;
-  const std::uint64_t myLen =
-      start < fileSize_ ? std::min<std::uint64_t>(blockSize_, fileSize_ - start) : 0;
+  const BlockRead block = blockAt(globalOffset);
+  const std::uint64_t start = block.start;
+  const std::uint64_t myLen = block.length;
   const int k = readerCount(globalOffset, fileSize_, blockSize_, nprocs);
   const bool lastIteration = globalOffset + fileChunkSize >= fileSize_;
   const bool reading = myLen > 0;
 
-  // File read (Level 0 or Level 1). Collective calls include non-readers.
-  if (cfg_.collectiveRead) {
-    const std::size_t got = file_->readAtAllBytes(start, buf_.data(), static_cast<std::size_t>(myLen));
-    MVIO_CHECK(got == myLen, "collective read returned short");
-  } else if (reading) {
-    const std::size_t got = file_->readAtBytes(start, buf_.data(), static_cast<std::size_t>(myLen));
-    MVIO_CHECK(got == myLen, "independent read returned short");
-  }
-  result_.bytesRead += myLen;
+  // File read (Level 0 or Level 1).
+  readBlock(block);
 
   // The EOF-tail holder keeps everything up to EOF; a missing trailing
   // delimiter just means the final record is EOF-terminated. Every other
@@ -126,10 +194,13 @@ void PartitionReader::stepMessage(std::string& out) {
   // maxGeometryBytes — for the equal split that is the clamped layout,
   // with trailing ranks left without a block — and is read again (no
   // fragment has moved yet, and rank 0's carry still ends at the offset).
-  // bytesRead keeps both reads.
+  // The read-ahead window posted at the old size is dropped. bytesRead
+  // keeps every read, the dropped ones included.
   if (probeBoundaries_ && comm_->allreduceMax(cut < 0 ? 1.0 : 0.0) > 0.0) {
     probeBoundaries_ = false;
     blockSize_ = cfg_.maxGeometryBytes;
+    posted_.clear();
+    nextPost_ = offset_;
     layout();
     stepMessage(out);
     return;
@@ -189,29 +260,14 @@ void PartitionReader::stepMessage(std::string& out) {
 }
 
 void PartitionReader::stepOverlap(std::string& out) {
-  const int rank = comm_->rank();
-  const std::uint64_t halo = cfg_.maxGeometryBytes;
-  const std::uint64_t start = offset_ + static_cast<std::uint64_t>(rank) * blockSize_;
-  const std::uint64_t myLen =
-      start < fileSize_ ? std::min<std::uint64_t>(blockSize_, fileSize_ - start) : 0;
-
-  // Read [start-1, start+myLen+halo): one look-back byte to detect a
-  // record boundary exactly at `start`, plus the halo for the record
-  // spilling over the block end.
-  const std::uint64_t readStart = start == 0 ? 0 : start - 1;
-  const std::uint64_t readEnd =
-      myLen == 0 ? readStart : std::min<std::uint64_t>(start + myLen + halo, fileSize_);
-  const std::uint64_t readLen = readEnd - readStart;
-  buf_.resize(static_cast<std::size_t>(readLen));
-
-  if (cfg_.collectiveRead) {
-    const std::size_t got = file_->readAtAllBytes(readStart, buf_.data(), static_cast<std::size_t>(readLen));
-    MVIO_CHECK(got == readLen, "collective read returned short");
-  } else if (readLen > 0) {
-    const std::size_t got = file_->readAtBytes(readStart, buf_.data(), static_cast<std::size_t>(readLen));
-    MVIO_CHECK(got == readLen, "independent read returned short");
-  }
-  result_.bytesRead += readLen;
+  // Read [start-1, start+myLen+halo): see blockAt.
+  const BlockRead block = blockAt(offset_);
+  readBlock(block);
+  const std::uint64_t start = block.start;
+  const std::uint64_t myLen = block.length;
+  const std::uint64_t readStart = block.readStart;
+  const std::uint64_t readLen = block.readLength;
+  const std::uint64_t readEnd = readStart + readLen;
   if (myLen == 0) return;
 
   const std::uint64_t blockEnd = start + myLen;  // absolute file offset

@@ -28,6 +28,7 @@
 // both support Level 0 (independent) and Level 1 (collective) reads.
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -98,6 +99,17 @@ struct PartitionResult {
 /// rest of the file in blocks of maxGeometryBytes (the one-shot fallback's
 /// clamped size), so a record larger than the chunk still ingests.
 ///
+/// A streamed reader with independent (Level 0) reads reads ahead (a
+/// Level-0 nonblocking read, io::File::ireadAtBytes): each rank keeps its
+/// next ceil(stripeCount × stripeSize / (nprocs × blockSize)) iterations'
+/// requests posted, the current one included, so the ranks' requests
+/// together span one stripe width and every OST of the file serves at
+/// once (layout() has the memory bound). A kMessage fallback drops the
+/// window; the dropped requests still count in bytesRead. The text and
+/// extents are the blocking read's; only when each request reaches the
+/// storage model moves earlier. The one-shot path (the paper's blocking
+/// Algorithm 1 loop) and collective (Level 1) reads stay blocking.
+///
 /// Collective: every rank constructs the reader and calls next() in
 /// lockstep until it returns false. The layout derives from the file size,
 /// the stripe size and nprocs, so all ranks agree on it without
@@ -136,8 +148,31 @@ class PartitionReader {
   [[nodiscard]] const PartitionResult& counters() const { return result_; }
 
  private:
-  /// kMessage buffers for the current blockSize_.
+  /// This rank's block in the iteration at global offset `at`, and the
+  /// byte range it reads for it: the block itself under kMessage; under
+  /// kOverlap one look-back byte before it and the halo after it.
+  struct BlockRead {
+    std::uint64_t start = 0;
+    std::uint64_t length = 0;
+    std::uint64_t readStart = 0;
+    std::uint64_t readLength = 0;
+  };
+  /// A posted read-ahead request of the iteration at global offset `at`.
+  struct PostedRead {
+    std::uint64_t at = 0;
+    io::ReadRequest request;
+    std::vector<char> bytes;
+  };
+
+  /// The kMessage fragment buffer and the read-ahead depth for the current
+  /// blockSize_.
   void layout();
+  [[nodiscard]] BlockRead blockAt(std::uint64_t at) const;
+  /// Read this iteration's `b` into buf_: collectively, or from the
+  /// read-ahead window.
+  void readBlock(const BlockRead& b);
+  /// Top up the read-ahead window, then wait for `b` and swap it into buf_.
+  void takePosted(const BlockRead& b);
   void stepMessage(std::string& out);
   void stepOverlap(std::string& out);
   /// Append [offset, offset + length) to extents_ unless it is empty.
@@ -158,6 +193,9 @@ class PartitionReader {
   std::vector<char> recvBuf_;  ///< kMessage: predecessor-fragment landing area
   std::string carry_;          ///< kMessage rank 0: fragment for the next iteration
   std::vector<FileExtent> extents_;  ///< file ranges of the last next() text
+  std::uint64_t ahead_ = 0;          ///< iterations posted past the current one (0 = blocking read)
+  std::uint64_t nextPost_ = 0;       ///< global offset of the next iteration to post
+  std::deque<PostedRead> posted_;    ///< the read-ahead window, oldest first
   PartitionResult result_;
 };
 

@@ -163,6 +163,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
   // then layer S's — and recovery replays against the same schedule.
   const std::uint64_t roundsR = allreduceMaxU64(comm, stageR.pending());
   const std::uint64_t roundsS = s != nullptr ? allreduceMaxU64(comm, stageS.pending()) : 0;
+  const std::uint64_t layerRounds[2] = {roundsR, roundsS};
   MVIO_CHECK(faults.lastKillRound <= roundsR + roundsS,
              "kill point lies beyond the data-round schedule");
 
@@ -290,7 +291,7 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
         // Failure detection + cascading recovery (recovery.hpp) settle
         // every wave; the survivors then resume the schedule on `active`.
         launchRanks = recovery::recoverUntilStable(
-            active, volume, faults, sc, inputs, {roundsR, roundsS}, map, ownedR,
+            active, volume, faults, sc, inputs, layerRounds, map, ownedR,
             s != nullptr ? &ownedS : nullptr, stats);
         if (stats.recovery.died) {
           obs::traceEnd("round");
@@ -303,7 +304,8 @@ FrameworkStats runFilterRefine(mpi::Comm& comm, pfs::Volume& volume, const Datas
               launchRanks.begin());
         }
         exchangeOwner = &survivorOwner;
-        adopted.emplace(active, volume, sc, inputs, p, launchRanks, stats.phases);
+        adopted.emplace(active, volume, sc, inputs, layerRounds, globalRound, p, launchRanks,
+                        stats.phases);
       }
       obs::traceEnd("round");
     }

@@ -52,17 +52,24 @@ void File::setView(std::uint64_t disp, const mpi::Datatype& etype, const mpi::Da
 // ---- Independent byte access ----------------------------------------------
 
 std::size_t File::readAtBytes(std::uint64_t offset, void* buf, std::size_t n) {
+  return wait(ireadAtBytes(offset, buf, n));
+}
+
+ReadRequest File::ireadAtBytes(std::uint64_t offset, void* buf, std::size_t n) {
   MVIO_CHECK(n <= kRomioMaxBytes, "ROMIO limit: cannot read more than 2 GB in a single operation");
   const std::uint64_t fileSize = size();
-  if (offset >= fileSize || n == 0) return 0;
+  const double now = comm_->clock().now();
+  if (offset >= fileSize || n == 0) return {now, 0};
   const auto m = static_cast<std::size_t>(std::min<std::uint64_t>(n, fileSize - offset));
   object_->data->read(offset, static_cast<char*>(buf), m);
-  const double done =
-      volume_->model().read(comm_->nodeId(), object_->stripe, offset, m, comm_->clock().now());
-  comm_->clock().advanceTo(done);
   counters_.modelRequests += 1;
   counters_.bytesMoved += m;
-  return m;
+  return {volume_->model().read(comm_->nodeId(), object_->stripe, offset, m, now), m};
+}
+
+std::size_t File::wait(const ReadRequest& request) {
+  comm_->clock().advanceTo(request.done);
+  return request.bytes;
 }
 
 std::size_t File::writeAtBytes(std::uint64_t offset, const void* buf, std::size_t n) {

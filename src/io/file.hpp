@@ -6,6 +6,7 @@
 // paper benchmarks (Table 1):
 //
 //   Level 0  contiguous + independent  -> readAtBytes / readAt
+//            (nonblocking: ireadAtBytes + wait, MPI_File_iread_at + MPI_Wait)
 //   Level 1  contiguous + collective   -> readAtAllBytes / readAtAll
 //   Level 3  non-contiguous + collective -> setView + readAtAll
 //   (level 2, non-contiguous + independent, exists too: setView + readAt,
@@ -45,6 +46,14 @@ struct Hints {
   double cpuBytesPerSecond = 6.0e9;           ///< staging copy rate (pack/unpack/assemble)
 };
 
+/// A posted Level-0 read (MPI_File_iread_at's request). The bytes are
+/// already in the caller's buffer; `done` is the virtual time the storage
+/// model completes the request at, which File::wait advances the clock to.
+struct ReadRequest {
+  double done = 0;
+  std::size_t bytes = 0;  ///< bytes read (clipped at end of file)
+};
+
 /// I/O statistics for tests and benches (per File handle, per rank).
 struct IoCounters {
   std::uint64_t modelRequests = 0;  ///< priced requests issued to the storage model
@@ -71,6 +80,13 @@ class File {
   /// Level 0: independent read of up to `n` bytes at absolute `offset`.
   /// Returns bytes read (clipped at end of file).
   std::size_t readAtBytes(std::uint64_t offset, void* buf, std::size_t n);
+  /// Level 0, nonblocking: post the same read at the current virtual time
+  /// without advancing the clock. Requests posted back to back are in
+  /// flight together, so they queue on their stripes' OSTs concurrently.
+  ReadRequest ireadAtBytes(std::uint64_t offset, void* buf, std::size_t n);
+  /// Complete a posted read: advance the clock to its completion time.
+  /// Returns its byte count.
+  std::size_t wait(const ReadRequest& request);
   /// Level 1: collective variant; all ranks must call (possibly with n=0).
   std::size_t readAtAllBytes(std::uint64_t offset, void* buf, std::size_t n);
   /// Independent byte write.

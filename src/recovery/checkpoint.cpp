@@ -533,24 +533,53 @@ IngestLog readIngestLog(pfs::Volume& volume, const std::string& dir, int worldRa
   return log;
 }
 
-std::uint64_t reparseLoggedChunk(mpi::Comm& comm, pfs::Volume& volume,
-                                 const core::DatasetHandle& input, const LoggedChunk& chunk,
-                                 geom::GeometryBatch& out) {
-  const std::shared_ptr<pfs::FileObject> file = volume.lookup(input.path);
-  std::string text;
-  for (const core::FileExtent& e : chunk.extents) {
-    MVIO_CHECK(e.length <= file->data->size() && e.offset <= file->data->size() - e.length,
-               "recovery: logged extent ends past " + input.path);
-    const std::size_t at = text.size();
-    text.resize(at + static_cast<std::size_t>(e.length));
-    file->data->read(e.offset, text.data() + at, static_cast<std::size_t>(e.length));
-    comm.clock().advanceTo(volume.model().read(comm.nodeId(), file->stripe, e.offset, e.length,
-                                               comm.clock().now()));
+void ChunkReadAhead::enqueue(const core::DatasetHandle& input, const LoggedChunk& chunk) {
+  queue_.push_back({&input, &chunk, {}, 0});
+}
+
+void ChunkReadAhead::post() {
+  const double now = comm_->clock().now();
+  for (; posted_ < queue_.size(); ++posted_) {
+    Pending& next = queue_[posted_];
+    const std::shared_ptr<pfs::FileObject> file = volume_->lookup(next.input->path);
+    std::uint64_t bytes = 0;
+    for (const core::FileExtent& e : next.chunk->extents) {
+      MVIO_CHECK(e.length <= file->data->size() && e.offset <= file->data->size() - e.length,
+                 "recovery: logged extent ends past " + next.input->path);
+      bytes += e.length;
+    }
+    const std::uint64_t width =
+        file->stripe.stripeSize * static_cast<std::uint64_t>(file->stripe.stripeCount);
+    if (posted_ > 0 && postedBytes_ + bytes > width) break;
+    next.text.resize(static_cast<std::size_t>(bytes));
+    std::size_t at = 0;
+    next.done = now;
+    for (const core::FileExtent& e : next.chunk->extents) {
+      if (e.length == 0) continue;
+      file->data->read(e.offset, next.text.data() + at, static_cast<std::size_t>(e.length));
+      at += static_cast<std::size_t>(e.length);
+      next.done = std::max(next.done, volume_->model().read(comm_->nodeId(), file->stripe,
+                                                            e.offset, e.length, now));
+    }
+    postedBytes_ += bytes;
   }
-  MVIO_CHECK(util::crc32c(text.data(), text.size()) == chunk.crc,
-             "recovery: " + input.path + " changed since ingest (logged chunk checksum mismatch)");
-  input.reader().parseAll(text, out);
-  return text.size();
+}
+
+std::uint64_t ChunkReadAhead::take(const LoggedChunk& chunk, geom::GeometryBatch& out) {
+  MVIO_CHECK(!queue_.empty() && queue_.front().chunk == &chunk,
+             "recovery: logged chunk re-read out of order");
+  post();
+  Pending front = std::move(queue_.front());
+  queue_.pop_front();
+  --posted_;
+  postedBytes_ -= front.text.size();
+  comm_->clock().advanceTo(front.done);
+  post();
+  MVIO_CHECK(util::crc32c(front.text.data(), front.text.size()) == chunk.crc,
+             "recovery: " + front.input->path +
+                 " changed since ingest (logged chunk checksum mismatch)");
+  front.input->reader().parseAll(front.text, out);
+  return front.text.size();
 }
 
 }  // namespace mvio::recovery

@@ -55,10 +55,11 @@
 // rank's PFS traffic) and lands in PhaseBreakdown::{checkpoint,
 // checkpointBytes, checkpointEpochs} (the fold in {compaction,
 // compactionBytes, reclaimedBytes}). Extent re-reads are priced on the
-// input file's own stripes (reparseLoggedChunk).
+// input file's own stripes (ChunkReadAhead).
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -299,15 +300,48 @@ IngestLog readIngestLog(pfs::Volume& volume, const std::string& dir, int worldRa
                         const std::array<std::uint64_t, 2>& inputBytes,
                         std::uint64_t* bytesRead = nullptr);
 
-/// Re-read one logged chunk of `input` — one independent read per extent,
-/// each priced by the volume's storage model on the input file's own
-/// stripes as issued by `comm`'s node, advancing its clock — check the
-/// bytes against the logged CRC-32C and parse them with the layer's
-/// FormatReader (serially), appending the pre-projection records to
-/// `out`. Throws util::Error when the bytes no longer match (the input
-/// changed since ingest). Returns the bytes read.
-std::uint64_t reparseLoggedChunk(mpi::Comm& comm, pfs::Volume& volume,
-                                 const core::DatasetHandle& input, const LoggedChunk& chunk,
-                                 geom::GeometryBatch& out);
+/// Re-reads logged chunks of the input layers, in the order they will be
+/// parsed, with their extent reads posted ahead. Every chunk's extents are
+/// known from the ingest manifest before the first re-read, so the reads
+/// of the upcoming chunks reach the storage model up to one stripe width
+/// of their input ahead of the chunk being parsed (at least one chunk) and
+/// queue on the input's OSTs together, so a reader buffers at most one
+/// stripe width of text (or one chunk, where a chunk is larger) besides
+/// the chunk it parses. Each extent is one
+/// independent read of the input file, priced on its own stripes as
+/// issued by `comm`'s node, and is read exactly once.
+class ChunkReadAhead {
+ public:
+  ChunkReadAhead(mpi::Comm& comm, pfs::Volume& volume) : comm_(&comm), volume_(&volume) {}
+
+  /// Append `chunk` of `input` to the re-read order. Both must outlive
+  /// the reader.
+  void enqueue(const core::DatasetHandle& input, const LoggedChunk& chunk);
+
+  /// Post the queued chunks' extent reads, in order, until the posted
+  /// chunks not yet taken hold one stripe width of their input.
+  void post();
+
+  /// Re-read `chunk`, the next in the order: wait for its reads (the clock
+  /// advances to their completion), top the window up, check the bytes
+  /// against the logged CRC-32C and parse them with the layer's
+  /// FormatReader (serially), appending the pre-projection records to
+  /// `out`. Throws util::Error when the bytes no longer match (the input
+  /// changed since ingest). Returns the bytes read.
+  std::uint64_t take(const LoggedChunk& chunk, geom::GeometryBatch& out);
+
+ private:
+  struct Pending {
+    const core::DatasetHandle* input = nullptr;
+    const LoggedChunk* chunk = nullptr;
+    std::string text;  ///< the extents' bytes, once posted
+    double done = 0;   ///< modelled completion of its last read
+  };
+  mpi::Comm* comm_;
+  pfs::Volume* volume_;
+  std::deque<Pending> queue_;      ///< unparsed chunks in order; the first posted_ are in flight
+  std::size_t posted_ = 0;
+  std::uint64_t postedBytes_ = 0;  ///< bytes of the posted chunks not yet taken
+};
 
 }  // namespace mvio::recovery

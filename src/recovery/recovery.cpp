@@ -45,6 +45,12 @@ std::array<std::uint64_t, 2> inputSizes(pfs::Volume& volume, const InputLayers& 
   return bytes;
 }
 
+/// The (layer, chunk) data round `t` (1-based, layer R's rounds first)
+/// ingests.
+std::pair<int, std::uint64_t> layerChunk(const std::uint64_t (&rounds)[2], std::uint64_t t) {
+  return t <= rounds[0] ? std::pair{0, t - 1} : std::pair{1, t - rounds[0] - 1};
+}
+
 /// The detection loop's state, shared by its recovery passes.
 struct RecoveryContext {
   const core::StreamConfig& stream;  ///< where the durable blobs live
@@ -204,32 +210,46 @@ void recoverFromFailure(mpi::Comm& survivors, pfs::Volume& volume, RecoveryConte
         worldToSurvivor[static_cast<std::size_t>(owner[static_cast<std::size_t>(cell)])]);
   };
 
+  std::vector<int> mySources;  ///< the source ranks whose chunks this survivor re-reads
+  for (int q = 0; q < ctx.worldSize; ++q) {
+    if (srcSurvivor(q) == survivors.rank()) mySources.push_back(q);
+  }
   std::vector<IngestLog> logs(static_cast<std::size_t>(ctx.worldSize));
   if (sealedRound < failRound) {
     const std::array<std::uint64_t, 2> sizes = inputSizes(volume, ctx.inputs);
-    for (int q = 0; q < ctx.worldSize; ++q) {
-      if (srcSurvivor(q) != survivors.rank()) continue;
+    for (const int q : mySources) {
       logs[static_cast<std::size_t>(q)] = readIngestLog(volume, dir, q, sizes, &bytesRead);
     }
   }
+  chargeReads();
+  // Every replayed chunk's extents are known now: post the first stripe
+  // width of re-reads before the first is parsed.
+  ChunkReadAhead reads(survivors, volume);
+  for (std::uint64_t t = sealedRound + 1; t <= failRound; ++t) {
+    const auto [layer, chunk] = layerChunk(ctx.rounds, t);
+    if (stores[layer] == nullptr) continue;
+    for (const int q : mySources) {
+      const std::vector<LoggedChunk>& logged = logs[static_cast<std::size_t>(q)].chunks[layer];
+      if (chunk < logged.size()) {
+        reads.enqueue(*ctx.inputs[static_cast<std::size_t>(layer)], logged[chunk]);
+      }
+    }
+  }
+  reads.post();
   core::ExchangeScratch scratch;
   for (std::uint64_t t = sealedRound + 1; t <= failRound; ++t) {
-    const int layer = t <= ctx.rounds[0] ? 0 : 1;
-    const std::uint64_t chunk = layer == 0 ? t - 1 : t - ctx.rounds[0] - 1;
+    const auto [layer, chunk] = layerChunk(ctx.rounds, t);
     if (stores[layer] == nullptr) continue;
     // Each survivor re-reads, re-parses and re-projects only its own
     // source block and ships every orphaned-cell record to the cell's new
     // owner.
     sim::ThreadCpuTimer localCpu;
     geom::GeometryBatch ship;
-    for (int q = 0; q < ctx.worldSize; ++q) {
-      if (srcSurvivor(q) != survivors.rank()) continue;
+    for (const int q : mySources) {
       const std::vector<LoggedChunk>& logged = logs[static_cast<std::size_t>(q)].chunks[layer];
       if (chunk >= logged.size()) continue;
       geom::GeometryBatch raw;
-      inputBytes += reparseLoggedChunk(survivors, volume,
-                                       *ctx.inputs[static_cast<std::size_t>(layer)], logged[chunk],
-                                       raw);
+      inputBytes += reads.take(logged[chunk], raw);
       const geom::GeometryBatch projected = core::projectToCells(map, nullptr, std::move(raw));
       for (std::size_t i = 0; i < projected.size(); ++i) {
         const int cell = projected.cell(i);
@@ -348,9 +368,10 @@ std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
 }
 
 AdoptedLogs::AdoptedLogs(mpi::Comm& survivors, pfs::Volume& volume, const core::StreamConfig& sc,
-                         const InputLayers& inputs, int worldSize,
+                         const InputLayers& inputs, const std::uint64_t (&rounds)[2],
+                         std::uint64_t resumeRound, int worldSize,
                          const std::vector<int>& survivorWorld, core::PhaseBreakdown& phases)
-    : comm_(&survivors), volume_(&volume), inputs_(inputs), phases_(&phases) {
+    : comm_(&survivors), phases_(&phases), reads_(survivors, volume) {
   MVIO_CHECK(!survivorWorld.empty() && std::is_sorted(survivorWorld.begin(), survivorWorld.end()),
              "recovery: survivor ranks must be ascending");
   const int me = survivors.worldRank();
@@ -371,6 +392,18 @@ AdoptedLogs::AdoptedLogs(mpi::Comm& survivors, pfs::Volume& volume, const core::
   }
   const pfs::SpillPricer pricer = pfs::SpillPricer::onVolume(volume, survivors.nodeId());
   survivors.clock().advanceBy(pricer.seconds(bytes, /*isWrite=*/false, t0));
+  // The resumed rounds will ask surround for the adopted chunks in this
+  // order: post the first stripe width of their re-reads now.
+  for (std::uint64_t t = resumeRound + 1; t <= rounds[0] + rounds[1]; ++t) {
+    const auto [layer, chunk] = layerChunk(rounds, t);
+    if (inputs[static_cast<std::size_t>(layer)] == nullptr) continue;
+    for (const IngestLog& log : logs_) {
+      if (chunk < log.chunks[layer].size()) {
+        reads_.enqueue(*inputs[static_cast<std::size_t>(layer)], log.chunks[layer][chunk]);
+      }
+    }
+  }
+  reads_.post();
   obs::traceSpanAt("recovery", t0, survivors.clock().now());
   phases_->recovery += survivors.clock().now() - t0;
   phases_->recoveryBytes += bytes;
@@ -386,14 +419,13 @@ geom::GeometryBatch AdoptedLogs::surround(int layer, std::uint64_t chunk,
   geom::GeometryBatch out;
   // Each chunk is projected on its own, so its replicated records follow
   // its primaries exactly as in the dead rank's failure-free send. The
-  // input re-reads advance the clock as they are issued; the CPU is
-  // charged after.
+  // clock waits for each chunk's posted re-reads; the CPU is charged
+  // after.
   const auto adopt = [&](std::size_t k) {
     const std::vector<LoggedChunk>& logged = logs_[k].chunks[layer];
     if (chunk >= logged.size()) return;
     geom::GeometryBatch raw;
-    bytes += reparseLoggedChunk(*comm_, *volume_, *inputs_[static_cast<std::size_t>(layer)],
-                                logged[chunk], raw);
+    bytes += reads_.take(logged[chunk], raw);
     out.splice(core::projectToCells(map, nullptr, std::move(raw)));
   };
   for (std::size_t k = 0; k < before_; ++k) adopt(k);

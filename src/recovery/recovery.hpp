@@ -39,9 +39,10 @@
 //     split the logged chunks by source rank (contiguous blocks, so
 //     concatenating ascending survivors preserves the source order);
 //     each re-reads its block's chunks from the input files (independent
-//     reads of the logged extents, priced on the inputs' own stripes),
-//     checks their CRC-32C, re-parses them with the layer's FormatReader
-//     and re-projects them, and one exchangeByCell per round routes the
+//     reads of the logged extents, priced on the inputs' own stripes and
+//     posted up to one stripe width ahead of the chunk being parsed:
+//     ChunkReadAhead), checks their CRC-32C, re-parses them with the
+//     layer's FormatReader and re-projects them, and one exchangeByCell per round routes the
 //     orphaned-cell records to their new owners — aggregate replay reads
 //     are one copy of those rounds' input, not survivors copies. A lone
 //     survivor re-reads every rank's chunks and routes through a 1-rank
@@ -60,8 +61,9 @@
 // The round loop then resumes on the survivor communicator for rounds
 // K+1..total. Each survivor exchanges its own staged chunk, exactly as
 // in the failure-free run, together with the logged chunks of the dead
-// ranks it adopts (AdoptedLogs), re-read from the input and re-parsed as
-// in step 4: a dead rank goes to the nearest survivor below it, or to
+// ranks it adopts (AdoptedLogs), re-read from the input — the reads
+// posted ahead from the moment the adopter knows its chunks — and
+// re-parsed as in step 4: a dead rank goes to the nearest survivor below it, or to
 // the lowest survivor when none is below. Each survivor's send is then in
 // ascending source order, and so is the exchange's per-phase output.
 // Only the dead ranks' share of the input is re-read after the kill.
@@ -128,32 +130,37 @@ std::vector<int> recoverUntilStable(mpi::Comm& active, pfs::Volume& volume,
 /// One survivor's share of the dead ranks' extent logs in the resumed
 /// round loop. Built on the stable survivor communicator once
 /// recoverUntilStable returns; reads the adopted ranks' ingest manifests
-/// up front. Input re-reads, re-parse and projection of adopted chunks
-/// are charged to the rank clock and to the recovery phase fields of
-/// `phases`.
+/// up front and, since every chunk the resumed rounds will adopt is known
+/// from them, posts the first stripe width of those chunks' input
+/// re-reads (ChunkReadAhead) before the first round asks for one. The
+/// re-parse stays on the adopter's main lane. Input re-reads, re-parse
+/// and projection of adopted chunks are charged to the rank clock and to
+/// the recovery phase fields of `phases`.
 class AdoptedLogs {
  public:
   /// `survivorWorld` is the recoverUntilStable result (ascending world
-  /// ranks) and `worldSize` the launch communicator's size.
+  /// ranks), `worldSize` the launch communicator's size, `rounds` the
+  /// data-round schedule (R, S) and `resumeRound` the global data rounds
+  /// completed before the round loop resumes.
   AdoptedLogs(mpi::Comm& survivors, pfs::Volume& volume, const core::StreamConfig& sc,
-              const InputLayers& inputs, int worldSize, const std::vector<int>& survivorWorld,
+              const InputLayers& inputs, const std::uint64_t (&rounds)[2],
+              std::uint64_t resumeRound, int worldSize, const std::vector<int>& survivorWorld,
               core::PhaseBreakdown& phases);
 
   /// This survivor's send for chunk `chunk` of `layer`: `own` (already
   /// projected) with each adopted rank's logged chunk of that round,
   /// re-read, re-parsed and projected through `map`, in ascending source
-  /// order.
+  /// order. Called once per resumed round, in round order.
   geom::GeometryBatch surround(int layer, std::uint64_t chunk, const core::PartitionMap& map,
                                geom::GeometryBatch&& own);
 
  private:
   mpi::Comm* comm_;
-  pfs::Volume* volume_;
-  InputLayers inputs_;
   core::PhaseBreakdown* phases_;
   std::vector<int> ranks_;       ///< the adopted dead world ranks, ascending
   std::vector<IngestLog> logs_;  ///< parallel to ranks_
   std::size_t before_ = 0;       ///< adopted ranks below this survivor (sent first)
+  ChunkReadAhead reads_;         ///< the adopted chunks' re-reads, in surround order
 };
 
 }  // namespace mvio::recovery

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <mutex>
 #include <vector>
 
@@ -319,4 +320,174 @@ TEST(Partition, OversizedRecordFallsBack) {
       for (const auto& res : results) EXPECT_EQ(res.iterations, 1u);
     }
   }
+}
+
+namespace {
+
+/// One rank's streamed read: each next() call's text and extents, the
+/// read counters and the virtual seconds the reads took.
+struct StreamedRead {
+  std::vector<std::string> texts;
+  std::vector<std::vector<mc::FileExtent>> extents;
+  mc::PartitionResult counters;
+  double seconds = 0;
+};
+
+std::vector<StreamedRead> streamEveryRank(int nprocs, mp::Volume& vol, const std::string& name,
+                                          const mc::PartitionConfig& cfg,
+                                          std::uint64_t chunkBytes) {
+  std::vector<StreamedRead> out(static_cast<std::size_t>(nprocs));
+  mm::Runtime::run(nprocs, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+    StreamedRead& mine = out[static_cast<std::size_t>(comm.rank())];
+    auto file = mvio::io::File::open(comm, vol, name);
+    const double t0 = comm.clock().now();
+    mc::PartitionReader reader(comm, file, cfg, chunkBytes);
+    std::string text;
+    while (reader.next(text)) {
+      mine.texts.push_back(text);
+      mine.extents.push_back(reader.extents());
+    }
+    mine.seconds = comm.clock().now() - t0;
+    mine.counters = reader.counters();
+  });
+  return out;
+}
+
+}  // namespace
+
+// Read-ahead moves only when each request reaches the storage model. A
+// file striped 256 B x 16 reads ahead (window up to 4 KiB, so every
+// stream's last windows cross EOF); the same bytes on one 64-byte stripe
+// give a one-request window, the blocking streamed read. Every next()
+// call's text and extents must match between the two, and their
+// concatenation must match the blocking one-shot read with the chunk as
+// its block size.
+TEST(Partition, StreamedReadAheadKeepsText) {
+  const auto [text, expect] = makeRecordFile(31, 700, true);
+  auto vol = volumeWith("ahead", text, {256, 16});
+  vol->create("blocking", std::make_shared<mp::MemoryBackingStore>(text), {64, 1});
+
+  for (const auto strategy : {mc::BoundaryStrategy::kMessage, mc::BoundaryStrategy::kOverlap}) {
+    for (const std::uint64_t chunk : {300ull, 700ull, 2048ull}) {
+      for (int nprocs = 1; nprocs <= 5; ++nprocs) {
+        SCOPED_TRACE(std::string(strategy == mc::BoundaryStrategy::kMessage ? "msg" : "ovl") +
+                     " chunk=" + std::to_string(chunk) + " nprocs=" + std::to_string(nprocs));
+        mc::PartitionConfig cfg;
+        cfg.maxGeometryBytes = 512;
+        cfg.strategy = strategy;
+        const auto ahead = streamEveryRank(nprocs, *vol, "ahead", cfg, chunk);
+        const auto blocking = streamEveryRank(nprocs, *vol, "blocking", cfg, chunk);
+        cfg.blockSize = chunk;
+        std::vector<std::vector<mc::FileExtent>> oneShotExtents(static_cast<std::size_t>(nprocs));
+        std::vector<std::string> oneShotText(static_cast<std::size_t>(nprocs));
+        mm::Runtime::run(nprocs, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+          auto file = mvio::io::File::open(comm, *vol, "blocking");
+          mc::PartitionReader reader(comm, file, cfg, mc::PartitionReader::kWholePartition);
+          std::string t;
+          reader.next(t);
+          oneShotText[static_cast<std::size_t>(comm.rank())] = t;
+          oneShotExtents[static_cast<std::size_t>(comm.rank())] = reader.extents();
+        });
+        std::map<std::string, int> got;
+        for (int r = 0; r < nprocs; ++r) {
+          const StreamedRead& a = ahead[static_cast<std::size_t>(r)];
+          const StreamedRead& b = blocking[static_cast<std::size_t>(r)];
+          EXPECT_EQ(a.texts, b.texts) << "rank " << r;
+          EXPECT_EQ(a.extents, b.extents) << "rank " << r;
+          EXPECT_EQ(a.counters.bytesRead, b.counters.bytesRead) << "rank " << r;
+          EXPECT_EQ(a.counters.iterations, b.counters.iterations) << "rank " << r;
+          std::string joined;
+          std::vector<mc::FileExtent> extents;
+          for (std::size_t i = 0; i < a.texts.size(); ++i) {
+            joined += a.texts[i];
+            extents.insert(extents.end(), a.extents[i].begin(), a.extents[i].end());
+          }
+          EXPECT_EQ(joined, oneShotText[static_cast<std::size_t>(r)]) << "rank " << r;
+          EXPECT_EQ(extents, oneShotExtents[static_cast<std::size_t>(r)]) << "rank " << r;
+          for (const auto& [rec, cnt] : splitRecords(joined)) got[rec] += cnt;
+        }
+        EXPECT_EQ(got, expect);
+      }
+    }
+  }
+
+  // A kMessage fallback that fires with reads in flight: one 900-byte
+  // record leaves a later 256-byte block without a boundary while the
+  // window is posted well past it. The dropped requests were read, so the
+  // read-ahead side reports more bytes; the text is the same.
+  std::string big;
+  std::map<std::string, int> bigExpect;
+  for (int i = 0; i < 200; ++i) {
+    const std::string rec = i == 40 ? std::string(900, 'z') : "rec" + std::to_string(i);
+    big += rec + "\n";
+    bigExpect[rec]++;
+  }
+  vol->createOrReplace("ahead", std::make_shared<mp::MemoryBackingStore>(big), {256, 16});
+  vol->createOrReplace("blocking", std::make_shared<mp::MemoryBackingStore>(big), {64, 1});
+  mc::PartitionConfig cfg;
+  cfg.maxGeometryBytes = 1024;
+  for (int nprocs = 1; nprocs <= 3; ++nprocs) {
+    SCOPED_TRACE("fallback nprocs=" + std::to_string(nprocs));
+    const auto ahead = streamEveryRank(nprocs, *vol, "ahead", cfg, 256);
+    const auto blocking = streamEveryRank(nprocs, *vol, "blocking", cfg, 256);
+    std::uint64_t aheadBytes = 0, blockingBytes = 0;
+    std::map<std::string, int> got;
+    for (int r = 0; r < nprocs; ++r) {
+      const StreamedRead& a = ahead[static_cast<std::size_t>(r)];
+      EXPECT_EQ(a.texts, blocking[static_cast<std::size_t>(r)].texts) << "rank " << r;
+      EXPECT_EQ(a.extents, blocking[static_cast<std::size_t>(r)].extents) << "rank " << r;
+      aheadBytes += a.counters.bytesRead;
+      blockingBytes += blocking[static_cast<std::size_t>(r)].counters.bytesRead;
+      for (const std::string& t : a.texts) {
+        for (const auto& [rec, cnt] : splitRecords(t)) got[rec] += cnt;
+      }
+    }
+    EXPECT_EQ(got, bigExpect);
+    EXPECT_GT(blockingBytes, big.size()) << "the fallback must have re-read a block";
+    EXPECT_GT(aheadBytes, blockingBytes) << "the fallback must have dropped posted reads";
+  }
+}
+
+// The paper's Lustre mechanism: read bandwidth grows with the OSTs serving
+// a file at once. Two ranks streaming 512 KiB chunks cover one 1 MiB
+// stripe per iteration; with the window posted, all four stripes of a
+// 4 x 1 MiB file are in flight, and the read runs within 1.25x of the
+// lesser of the four OSTs' rate and the clients' cap. A one-stripe file
+// has nothing to spread over and reads at the one-OST rate.
+TEST(Partition, ReadAheadFillsTheStripeSet) {
+  constexpr std::uint64_t kMiB = 1ull << 20;
+  std::string text;
+  const std::string line = std::string(99, 'r') + "\n";
+  while (text.size() < 8 * kMiB) text += line;
+  mp::LustreParams params;
+  params.nodes = 8;
+  params.ostLatency = 5.0e-5;
+  auto vol = std::make_shared<mp::Volume>(std::make_shared<mp::LustreModel>(params));
+  vol->create("striped", std::make_shared<mp::MemoryBackingStore>(text), {kMiB, 4});
+  vol->create("single", std::make_shared<mp::MemoryBackingStore>(text), {kMiB, 1});
+
+  std::set<int> nodes;
+  mm::Runtime::run(2, mvio::sim::MachineModel::comet(8), [&](mm::Comm& comm) {
+    if (comm.rank() == 0) {
+      for (int r = 0; r < comm.size(); ++r) nodes.insert(comm.nodeOfRank(r));
+    }
+  });
+  const double clientCap = params.clientBandwidth * static_cast<double>(nodes.size());
+  const auto readSeconds = [&](const std::string& name) {
+    vol->model().reset();
+    double seconds = 0;
+    std::uint64_t bytes = 0;
+    for (const StreamedRead& r : streamEveryRank(2, *vol, name, {}, kMiB / 2)) {
+      seconds = std::max(seconds, r.seconds);
+      bytes += r.counters.bytesRead;
+    }
+    EXPECT_EQ(bytes, text.size()) << name;
+    return seconds;
+  };
+  const double bytes = static_cast<double>(text.size());
+  const double striped = readSeconds("striped");
+  EXPECT_LE(striped, 1.25 * bytes / std::min(4 * params.ostBandwidth, clientCap));
+  const double single = readSeconds("single");
+  EXPECT_GE(single, bytes / params.ostBandwidth);
+  EXPECT_LE(single, 1.25 * bytes / std::min(params.ostBandwidth, clientCap));
 }

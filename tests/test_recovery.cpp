@@ -207,7 +207,9 @@ TEST(Checkpoint, EpochRoundTripAllTypes) {
     EXPECT_EQ(log.chunks[1].size(), 0u);
     mg::GeometryBatch chunk;
     const mc::DatasetHandle input{"rt.wkt", &parser, {}};
-    EXPECT_EQ(mr::reparseLoggedChunk(comm, *volume, input, log.chunks[0][0], chunk), text.size());
+    mr::ChunkReadAhead reads(comm, *volume);
+    reads.enqueue(input, log.chunks[0][0]);
+    EXPECT_EQ(reads.take(log.chunks[0][0], chunk), text.size());
     expectBatchesBitEqual(ingested, chunk);
     ASSERT_EQ(chunk.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -297,10 +299,15 @@ TEST(Checkpoint, ExtentLogReparsesBitExact) {
       const mr::IngestLog log =
           mr::readIngestLog(*volume, sc.checkpointDir, comm.worldRank(), {file.size(), 0});
       ASSERT_EQ(log.chunks[0].size(), ingested.size()) << c.name;
+      // Every chunk's re-read is queued and a stripe width of them posted
+      // before the first is parsed, as recovery does.
+      mr::ChunkReadAhead reads(comm, *volume);
+      for (const mr::LoggedChunk& logged : log.chunks[0]) reads.enqueue(c.input, logged);
+      reads.post();
       std::uint64_t mine = 0;
       for (std::size_t i = 0; i < ingested.size(); ++i) {
         mg::GeometryBatch again;
-        mr::reparseLoggedChunk(comm, *volume, c.input, log.chunks[0][i], again);
+        reads.take(log.chunks[0][i], again);
         expectBatchesBitEqual(ingested[i], again);
         mine += again.size();
       }
@@ -715,6 +722,10 @@ TEST(FailureRecovery, ResumedRoundsReadOnlyTheDeadRanksLog) {
   EXPECT_LE(killed.recoveryBytes, deadLog + kSurvivors * killed.deadCheckpointBytes +
                                       kSurvivors * sealScan + replayedLog + ingestManifests)
       << "survivors must not re-read their own input for the rounds after the kill";
+  // The re-reads are posted ahead (ChunkReadAhead), which moves when they
+  // reach the storage model, not what they read: every extent is still
+  // read once, so the bytes equal the blocking re-reads' on this schedule.
+  EXPECT_EQ(killed.recoveryBytes, 134'668u);
 }
 
 namespace {
@@ -1041,9 +1052,11 @@ TEST(Checkpoint, CompactionFoldsAndReclaims) {
     ASSERT_EQ(log.chunks[0].size(), 4u);
     const mc::WktParser parser;
     const mc::DatasetHandle input{"gc.wkt", &parser, {}};
+    mr::ChunkReadAhead reads(comm, *volume);
+    for (const mr::LoggedChunk& logged : log.chunks[0]) reads.enqueue(input, logged);
     for (const mr::LoggedChunk& logged : log.chunks[0]) {
       mg::GeometryBatch chunk;
-      mr::reparseLoggedChunk(comm, *volume, input, logged, chunk);
+      reads.take(logged, chunk);
       EXPECT_EQ(chunk.size(), batch.size());
     }
 
@@ -1092,8 +1105,11 @@ TEST(Checkpoint, CompactionSkipsTornSeal) {
     const mr::IngestLog log = mr::readIngestLog(*volume, cfg.checkpointDir, 0, {text.size(), 0});
     ASSERT_EQ(log.chunks[0].size(), 2u);
     const mc::WktParser parser;
+    const mc::DatasetHandle input{"torn.wkt", &parser, {}};
+    mr::ChunkReadAhead reads(comm, *volume);
+    reads.enqueue(input, log.chunks[0][0]);
     mg::GeometryBatch chunk;
-    mr::reparseLoggedChunk(comm, *volume, {"torn.wkt", &parser, {}}, log.chunks[0][0], chunk);
+    reads.take(log.chunks[0][0], chunk);
     EXPECT_EQ(chunk.size(), batch.size());
   });
 }
