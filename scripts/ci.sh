@@ -25,6 +25,9 @@
 # and smoke_bench_paper (table1, table2 and three ablations of the paper
 # driver), which hard-fails on a broken figure invariant.
 #
+# The examples label runs each examples/ app end to end at --procs=4, so
+# the preset loop also runs them under the sanitizers.
+#
 # The default preset also runs the obs lane (DESIGN.md §14): bench_overlap
 # and `bench_paper fig08` re-run with the flight recorder on
 # (MVIO_TRACE_OUT/MVIO_REPORT_OUT), scripts/check_bench.py validates the
@@ -41,7 +44,7 @@
 #
 # Usage: scripts/ci.sh [preset...]   (default: "default asan tsan")
 # Useful subsets once built: ctest -L recovery / -L mpi / -L threads /
-# -L soak / -L obs.
+# -L soak / -L obs / -L examples.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

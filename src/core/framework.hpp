@@ -32,9 +32,9 @@
 // out by extending [the] refine interface that receives two collections
 // of geometries in a cell". The collections arrive as BatchSpan views
 // into the rank's post-exchange GeometryBatch (never as materialized
-// Geometry vectors). Spatial join (spatial_join.hpp), batch range query
-// (range_query.hpp), grid overlay (overlay.hpp) and distributed indexing
-// (indexing.hpp) are the shipped exemplars.
+// Geometry vectors). Spatial join (spatial_join.hpp), grid overlay
+// (overlay.hpp) and distributed indexing (indexing.hpp) are the shipped
+// exemplars; batch range query (range_query.hpp) runs on the index.
 
 #include <memory>
 #include <optional>

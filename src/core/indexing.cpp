@@ -1,6 +1,9 @@
 #include "core/indexing.hpp"
 
-#include <memory>
+#include <algorithm>
+#include <vector>
+
+#include "obs/trace.hpp"
 
 namespace mvio::core {
 
@@ -17,12 +20,15 @@ void DistributedIndex::addBatch(geom::GeometryBatch&& b) {
   }
 }
 
+void DistributedIndex::packTree(const CellIndex& ci) const {
+  ci.rtree = geom::RTree();
+  ci.rtree.bulkLoad(geom::BatchSpan(&batch_, ci.records.data(), ci.records.size()));
+  ci.stale = false;
+}
+
 void DistributedIndex::buildTrees() const {
   for (const auto& [cell, ci] : cells_) {
-    if (!ci.stale) continue;
-    ci.rtree = geom::RTree();
-    ci.rtree.bulkLoad(geom::BatchSpan(&batch_, ci.records.data(), ci.records.size()));
-    ci.stale = false;
+    if (ci.stale) packTree(ci);
   }
 }
 
@@ -35,34 +41,41 @@ std::uint64_t DistributedIndex::queryCount(const geom::Envelope& queryBox) const
 void DistributedIndex::query(const geom::Envelope& queryBox,
                              const std::function<void(std::size_t)>& fn) const {
   if (queryBox.isNull()) return;
-  for (const auto& [cell, ci] : cells_) {
-    if (ci.stale) {
-      // Lazy re-bulk-load: streaming adoption appended ids since the tree
-      // was last packed (or it was never packed at all).
-      ci.rtree = geom::RTree();
-      ci.rtree.bulkLoad(geom::BatchSpan(&batch_, ci.records.data(), ci.records.size()));
-      ci.stale = false;
-    }
+  // Only cells the box overlaps can hold a hit: a hit's reference point
+  // lies inside the box, and its cell must be the visited one. The
+  // thread's spare cell list is borrowed so a query issued from `fn`
+  // still gets a list of its own.
+  thread_local std::vector<int> spareCells;
+  std::vector<int> overlapping = std::move(spareCells);
+  overlapping.clear();
+  map_.overlappingCells(queryBox, overlapping);
+  for (const int cell : overlapping) {
+    const auto it = cells_.find(cell);
+    if (it == cells_.end()) continue;
+    const CellIndex& ci = it->second;
+    // Lazy re-bulk-load: streaming adoption appended ids since the tree
+    // was last packed (or it was never packed at all).
+    if (ci.stale) packTree(ci);
     ci.rtree.visit(queryBox, [&](std::uint64_t k) {
       const std::size_t id = ci.records[static_cast<std::size_t>(k)];
       const geom::Envelope& env = batch_.envelope(id);
       // Reference-point deduplication across replicated copies. Cell ids
       // are partition cells, so the reference point resolves through the
-      // map (== the grid lookup for uniform runs).
+      // map.
       const geom::Coord ref{std::max(env.minX(), queryBox.minX()),
                             std::max(env.minY(), queryBox.minY())};
-      const int refCell = map_.isUniform() ? grid_.cellOfPoint(ref) : map_.cellOfPoint(ref);
-      if (refCell != cell) return;
+      if (map_.cellOfPoint(ref) != cell) return;
       // Exact refine straight on the batch record — no materialization.
       if (!geom::recordIntersectsBox(batch_, id, queryBox)) return;
       fn(id);
     });
   }
+  spareCells = std::move(overlapping);
 }
 
 DistributedIndex DistributedIndex::fromBatch(geom::GeometryBatch&& batch, const GridSpec& grid) {
   DistributedIndex index;
-  index.grid_ = grid;
+  index.map_ = PartitionMap::uniform(grid);
   index.addBatch(std::move(batch));
   index.buildTrees();
   return index;
@@ -87,17 +100,6 @@ DistributedIndex buildDistributedIndex(mpi::Comm& comm, pfs::Volume& volume, con
     void adoptBatches(geom::GeometryBatch&& r, geom::GeometryBatch&& /*s*/) override {
       index->addBatch(std::move(r));
     }
-
-    std::unique_ptr<RefineTask> makeWorker() override {
-      // Refine is a no-op for index building (grouping happens at
-      // adoption, which stays on the main task), so workers are stateless
-      // shells that keep the threaded pipeline uniform.
-      auto w = std::make_unique<BuildTask>();
-      w->index = nullptr;
-      return w;
-    }
-
-    void mergeWorker(RefineTask& /*worker*/) override {}
   };
 
   BuildTask task;
@@ -106,7 +108,6 @@ DistributedIndex buildDistributedIndex(mpi::Comm& comm, pfs::Volume& volume, con
   IndexingStats& st = stats != nullptr ? *stats : local;
   static_cast<FrameworkStats&>(st) =
       runFilterRefine(comm, volume, data, nullptr, cfg.framework, task);
-  index.grid_ = st.grid;
   index.map_ = st.partition;
   // A dead rank adopted nothing and joins no further collective: its
   // (empty) index is returned as-is.
@@ -115,9 +116,12 @@ DistributedIndex buildDistributedIndex(mpi::Comm& comm, pfs::Volume& volume, con
 
   // Pack the per-cell R-trees now (rather than at first query) so the
   // build phase of the figure benches keeps pricing the whole build.
-  mpi::CpuCharge charge(comm);
-  index.buildTrees();
-  st.phases.compute += charge.stop();
+  {
+    obs::ScopedSpan span("compute");
+    mpi::CpuCharge charge(comm);
+    index.buildTrees();
+    st.phases.compute += charge.stop();
+  }
 
   if (stats != nullptr) stats->globalGeometries = active.allreduceSumU64(index.localGeometries());
   return index;

@@ -16,12 +16,12 @@
 // lists, marking touched cells stale; stale R-trees re-bulk-load lazily
 // at first query (or eagerly via buildTrees()), so a streaming run that
 // delivers many batches pays one tree build per cell, not one per round.
-// The resulting DistributedIndex supports batch rectangle queries against
-// the local portion plus a helper to reduce global match counts.
+// The resulting DistributedIndex answers rectangle queries against the
+// rank's own cells; a query's global count is the sum of the ranks' local
+// counts, which is what batchRangeQuery (core/range_query.hpp) reduces.
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -48,11 +48,12 @@ class DistributedIndex {
     mutable bool stale = true;
   };
 
-  [[nodiscard]] const GridSpec& grid() const { return grid_; }
+  [[nodiscard]] const GridSpec& grid() const { return map_.grid(); }
   /// The partition map the records were exchanged under. Cell ids in
-  /// cells_ are *partition* cells; the reference-point dedup must resolve
-  /// through the same map or replicated records double-count. Defaults to
-  /// uniform (ids == grid cells), matching fromBatch.
+  /// cells_ are *partition* cells; queries visit the cells the map says a
+  /// box overlaps, and the reference-point dedup resolves through the same
+  /// map or replicated records double-count. fromBatch uses the uniform
+  /// map (ids == grid cells).
   [[nodiscard]] const PartitionMap& partition() const { return map_; }
   [[nodiscard]] std::size_t cellCount() const { return cells_.size(); }
   [[nodiscard]] std::uint64_t localGeometries() const { return localGeometries_; }
@@ -74,8 +75,9 @@ class DistributedIndex {
 
   /// Count local records whose MBR intersects `query` and whose exact
   /// geometry intersects it too (filter + refine), deduplicated with the
-  /// reference-point rule so global sums are exact. Allocation-free per
-  /// record once trees are built: the exact test runs in place on the batch.
+  /// reference-point rule so global sums are exact. Only the owned cells
+  /// the box overlaps are searched. Allocation-free per record once trees
+  /// are built: the exact test runs in place on the batch.
   [[nodiscard]] std::uint64_t queryCount(const geom::Envelope& query) const;
 
   /// Visit matching local records by batch record id; read them through
@@ -95,7 +97,9 @@ class DistributedIndex {
   friend DistributedIndex buildDistributedIndex(mpi::Comm&, pfs::Volume&, const DatasetHandle&,
                                                 const IndexingConfig&, struct IndexingStats*);
 
-  GridSpec grid_;
+  /// Pack one cell's R-tree from its record ids and clear its stale mark.
+  void packTree(const CellIndex& ci) const;
+
   PartitionMap map_;  ///< uniform unless the build ran an adaptive scheme
   geom::GeometryBatch batch_;
   std::unordered_map<int, CellIndex> cells_;

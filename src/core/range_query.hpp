@@ -3,16 +3,17 @@
 // query workload, the second collection can be treated as geometries from
 // batch query").
 //
-// A batch of rectangle queries is treated as layer S of the framework:
-// queries are projected to grid cells and exchanged exactly like data
-// geometries, each cell matches its local data against its local queries
-// (R-tree filter + exact refine + reference-point dedup), and per-query
-// match counts are reduced across ranks.
+// The batch is answered by the distributed index (core/indexing.hpp):
+// the dataset is built into per-cell R-trees once, every rank runs the
+// whole batch against the cells it owns (R-tree filter + exact refine +
+// reference-point dedup), and per-query match counts are summed across
+// ranks. Each rank already holds the full batch, so the boxes are never
+// serialized, read or exchanged (DESIGN.md §6).
 
 #include <cstdint>
 #include <vector>
 
-#include "core/framework.hpp"
+#include "core/indexing.hpp"
 
 namespace mvio::core {
 
@@ -20,8 +21,8 @@ struct RangeQueryConfig {
   FrameworkConfig framework;
 };
 
-/// The pipeline's run result plus the batch's total match count.
-struct RangeQueryStats : FrameworkStats {
+/// The index build's result plus the batch's total match count.
+struct RangeQueryStats : IndexingStats {
   std::uint64_t totalMatches = 0;  ///< sum over all queries, all ranks
 };
 

@@ -13,9 +13,9 @@
 // One predicate layer: intersects / contains / distance are written once,
 // over GeometryBatch records (a node's shape tokens plus its coordinate
 // span), and every caller runs that code — the join refine on two arena
-// records, the range query and index on a record against the query box as
-// a 5-vertex polygon node, and the Geometry API by encoding its arguments
-// into a scratch batch. Every sign test goes through the segment and ring
+// records, the index (and the range query through it) on a record against
+// the query box as a 5-vertex polygon node, and the Geometry API by
+// encoding its arguments into a scratch batch. Every sign test goes through the segment and ring
 // primitives below. The overlay's recordClippedMeasure walks records with
 // the same cursor.
 

@@ -2,9 +2,9 @@
 // R-tree spatial index over (Envelope, id) entries — the filter-phase index
 // GEOS provides in the paper's pipeline. Built by Sort-Tile-Recursive
 // packing (bulkLoad) over an entry set known up front: the grid-cell
-// boundary index and the per-cell join, range-query and distributed-index
-// trees. Consumers whose entry set grows (DistributedIndex adopting a
-// streamed cell's records) re-bulk-load.
+// boundary index and the per-cell join and distributed-index trees.
+// Consumers whose entry set grows (DistributedIndex adopting a streamed
+// cell's records) re-bulk-load.
 //
 // Queries report ids of entries whose rectangle intersects the query
 // rectangle; exact geometry tests happen in the caller's refine step.

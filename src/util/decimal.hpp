@@ -1,9 +1,8 @@
 #pragma once
 // Decimal text → double for the text ingest paths: WKT coordinates
-// (geom/wkt.cpp), CSV points (core/parser.cpp) and range-query lines
-// (core/range_query.cpp). parseDouble() is a drop-in for
-// std::from_chars(first, last, double&): for every input it returns the
-// same value bits, the same end pointer and the same error.
+// (geom/wkt.cpp) and CSV points (core/parser.cpp). parseDouble() is a
+// drop-in for std::from_chars(first, last, double&): for every input it
+// returns the same value bits, the same end pointer and the same error.
 //
 // Most coordinates are plain "[-]digits[.digits]" text of at most 17
 // significant digits, and for those it takes Clinger's fast path: the
